@@ -32,25 +32,24 @@ import (
 // emit a per-cell delta against the committed numbers next to the output
 // (<out>.delta.json), which CI uploads as an artifact.
 
+// benchSeed is the synthesis seed of every cell.
+const benchSeed = 1
+
 // benchRow is one BENCH_parallel.json record.
 type benchRow struct {
 	App  string `json:"app"`
-	Mode string `json:"mode"` // seq | frontier | portfolio
-	// Workers is the frontier worker count (frontier mode); Portfolio
-	// the racing variant count (portfolio mode).
-	Workers   int   `json:"workers,omitempty"`
-	Portfolio int   `json:"portfolio,omitempty"`
-	WallNS    int64 `json:"wall_ns"`
-	Steps     int64 `json:"steps"`
-	Found     bool  `json:"found"`
-	// Seed is the winning configuration's seed (portfolio replay handle).
-	Seed int64 `json:"seed"`
+	Mode string `json:"mode"` // seq | frontier
+	// Workers is the frontier worker count (frontier mode).
+	Workers int   `json:"workers,omitempty"`
+	WallNS  int64 `json:"wall_ns"`
+	Steps   int64 `json:"steps"`
+	Found   bool  `json:"found"`
+	Seed    int64 `json:"seed"`
 	// SolverWallNS is wall time inside solver.Check, summed over every
-	// solver the cell ran (all workers / the winning variant); for
-	// portfolio cells it is the winner's share, so compare TotalWallNS.
+	// solver the cell ran (all workers).
 	SolverWallNS int64 `json:"solver_wall_ns,omitempty"`
 	// SharedHits counts component verdicts reused from the run's shared
-	// cross-worker/cross-variant solver cache.
+	// cross-worker solver cache.
 	SharedHits int `json:"shared_hits,omitempty"`
 	// SpeedupVsSeq is this row's sequential wall over its own (same app).
 	SpeedupVsSeq float64 `json:"speedup_vs_seq,omitempty"`
@@ -62,7 +61,6 @@ type benchDelta struct {
 	App        string  `json:"app"`
 	Mode       string  `json:"mode"`
 	Workers    int     `json:"workers,omitempty"`
-	Portfolio  int     `json:"portfolio,omitempty"`
 	BaseWallNS int64   `json:"base_wall_ns"`
 	WallNS     int64   `json:"wall_ns"`
 	Ratio      float64 `json:"ratio"` // wall / base (<1 = faster than baseline)
@@ -87,15 +85,13 @@ func TestBenchParallel(t *testing.T) {
 	}
 
 	type mode struct {
-		name      string
-		workers   int
-		portfolio int
+		name    string
+		workers int
 	}
 	modes := []mode{
 		{name: "seq"},
 		{name: "frontier", workers: 2},
 		{name: "frontier", workers: 4},
-		{name: "portfolio", portfolio: 4},
 	}
 
 	eng := esd.New()
@@ -106,13 +102,10 @@ func TestBenchParallel(t *testing.T) {
 		var seqWall int64
 		for _, m := range modes {
 			opts := []esd.SynthOption{
-				esd.WithBudget(5 * time.Minute), esd.WithSeed(1), esd.WithTelemetry(),
+				esd.WithBudget(5 * time.Minute), esd.WithSeed(benchSeed), esd.WithTelemetry(),
 			}
 			if m.workers > 1 {
 				opts = append(opts, esd.WithParallelism(m.workers))
-			}
-			if m.portfolio > 1 {
-				opts = append(opts, esd.WithPortfolio(m.portfolio))
 			}
 			start := time.Now()
 			res, err := eng.Synthesize(context.Background(), prog, rep, opts...)
@@ -121,10 +114,9 @@ func TestBenchParallel(t *testing.T) {
 				t.Fatalf("%s %s: %v", name, m.name, err)
 			}
 			row := benchRow{
-				App: name, Mode: m.name,
-				Workers: m.workers, Portfolio: m.portfolio,
+				App: name, Mode: m.name, Workers: m.workers,
 				WallNS: wall, Steps: res.Stats.Steps,
-				Found: res.Found, Seed: res.Seed,
+				Found: res.Found, Seed: benchSeed,
 				SharedHits: res.Stats.SolverSharedHits,
 			}
 			if fr := res.Report(); fr != nil && fr.Wall != nil {
@@ -136,8 +128,8 @@ func TestBenchParallel(t *testing.T) {
 				row.SpeedupVsSeq = float64(seqWall) / float64(wall)
 			}
 			rows = append(rows, row)
-			t.Logf("%-10s %-9s n=%d k=%d wall=%.2fs steps=%d found=%v shared=%d speedup=%.2f",
-				name, m.name, m.workers, m.portfolio,
+			t.Logf("%-10s %-9s n=%d wall=%.2fs steps=%d found=%v shared=%d speedup=%.2f",
+				name, m.name, m.workers,
 				float64(wall)/1e9, res.Stats.Steps, res.Found, row.SharedHits, row.SpeedupVsSeq)
 
 			// The regression gate: frontier n=4 must not lose to the same
@@ -183,7 +175,7 @@ func writeBenchDelta(t *testing.T, basePath, out string, rows []benchRow) {
 		return
 	}
 	key := func(r benchRow) string {
-		return fmt.Sprintf("%s/%s/n%d/k%d", r.App, r.Mode, r.Workers, r.Portfolio)
+		return fmt.Sprintf("%s/%s/n%d", r.App, r.Mode, r.Workers)
 	}
 	baseBy := make(map[string]benchRow, len(base))
 	for _, r := range base {
@@ -196,7 +188,7 @@ func writeBenchDelta(t *testing.T, basePath, out string, rows []benchRow) {
 			continue
 		}
 		deltas = append(deltas, benchDelta{
-			App: r.App, Mode: r.Mode, Workers: r.Workers, Portfolio: r.Portfolio,
+			App: r.App, Mode: r.Mode, Workers: r.Workers,
 			BaseWallNS: b.WallNS, WallNS: r.WallNS,
 			Ratio: float64(r.WallNS) / float64(b.WallNS),
 		})

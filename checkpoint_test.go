@@ -3,7 +3,6 @@ package esd_test
 import (
 	"bytes"
 	"context"
-	"runtime"
 	"testing"
 	"time"
 
@@ -66,50 +65,5 @@ func TestEngineCheckpointResume(t *testing.T) {
 			t.Error("resumed chain synthesized a different execution than the uninterrupted run")
 		}
 		return
-	}
-}
-
-// TestPortfolioAdmissionClamp checks that portfolio admission adapts to
-// the machine: the effective variant count is clamped to the parallelism
-// actually available (GOMAXPROCS over per-variant workers), and both the
-// requested and effective counts land in the report's wall section.
-func TestPortfolioAdmissionClamp(t *testing.T) {
-	eng := esd.New()
-	res, fr := synthReport(t, eng, esd.WithPortfolio(3))
-
-	want := runtime.GOMAXPROCS(0)
-	if want > 3 {
-		want = 3
-	}
-	if want < 1 {
-		want = 1
-	}
-	if fr.Wall == nil {
-		t.Fatal("report has no wall section")
-	}
-	if fr.Wall.PortfolioRequested != 3 {
-		t.Errorf("PortfolioRequested = %d, want 3", fr.Wall.PortfolioRequested)
-	}
-	if fr.Wall.PortfolioEffective != want {
-		t.Errorf("PortfolioEffective = %d, want %d (GOMAXPROCS=%d)", fr.Wall.PortfolioEffective, want, runtime.GOMAXPROCS(0))
-	}
-	if max := res.Seed; max < 1 || max > int64(want) {
-		t.Errorf("winner seed = %d, want within the effective variant range 1..%d", max, want)
-	}
-	// Clamp bookkeeping is wall-section-only: the deterministic body must
-	// not depend on the machine the race happened to run on.
-	if d := detJSON(t, fr); bytes.Contains(d, []byte("portfolio")) {
-		t.Error("DeterministicJSON leaked portfolio admission fields")
-	}
-
-	// A preemptible synthesis is single-configuration: the portfolio is
-	// ignored rather than raced (a race has no checkpointable frontier).
-	pre, preFR := synthReport(t, eng, esd.WithPortfolio(3), esd.WithPreempt(func() bool { return false }))
-	if pre.Seed != 1 {
-		t.Errorf("preemptible portfolio ran seed %d, want the base seed 1", pre.Seed)
-	}
-	if preFR.Wall.PortfolioRequested != 0 || preFR.Wall.PortfolioEffective != 0 {
-		t.Errorf("preemptible run recorded a portfolio race: requested=%d effective=%d",
-			preFR.Wall.PortfolioRequested, preFR.Wall.PortfolioEffective)
 	}
 }

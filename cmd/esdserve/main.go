@@ -67,7 +67,7 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
 		maxConcurrent = flag.Int("max-concurrent", 4, "max simultaneous syntheses (excess requests get 429)")
-		maxParallel   = flag.Int("max-parallelism", 8, "cap on per-request frontier parallelism and portfolio size")
+		maxParallel   = flag.Int("max-parallelism", 8, "cap on per-request frontier parallelism")
 		defaultBudget = flag.Duration("default-budget", 60*time.Second, "budget for requests without budget_ms")
 		maxBudget     = flag.Duration("max-budget", 10*time.Minute, "cap on requested budgets")
 		highWater     = flag.Int64("interner-high-water", 256<<20,

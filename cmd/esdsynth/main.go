@@ -4,8 +4,6 @@
 //	         [-o exec.json] [-strategy esd|dfs|randpath] [-timeout 60s]
 //	esdsynth -app sqlite [-o exec.json]     # run on a bundled evaluated app
 //	esdsynth -app pipeline -parallel 4      # frontier-parallel search, 4 workers
-//	esdsynth -app sqlite -portfolio 4       # race 4 seed variants; winner's
-//	                                        # seed is printed for replay
 //	esdsynth -app ls4 -job ck.json          # Ctrl-C checkpoints to ck.json
 //	                                        # instead of cancelling
 //	esdsynth -app ls4 -resume ck.json -job ck.json   # continue a checkpointed
@@ -66,16 +64,15 @@ func main() {
 		bound    = flag.Int("preemption-bound", 0, "use Chess-style preemption bounding (KC baseline)")
 		progress = flag.Bool("progress", false, "stream search progress to stderr")
 		parallel = flag.Int("parallel", 0, "frontier-parallel search workers (0/1 = sequential)")
-		portf    = flag.Int("portfolio", 0, "race this many seed variants (seed..seed+k-1); winner's seed is printed for replay")
 		traceOut = flag.String("trace", "", "write the per-synthesis flight report (JSON) to this file")
 		metrics  = flag.String("metrics", "", "write the telemetry registry (Prometheus text) to this file after the run")
-		jobFile  = flag.String("job", "", "checkpoint file: Ctrl-C preempts the search into it (resume with -resume) instead of cancelling; incompatible with -parallel and -portfolio")
+		jobFile  = flag.String("job", "", "checkpoint file: Ctrl-C preempts the search into it (resume with -resume) instead of cancelling; incompatible with -parallel")
 		resume   = flag.String("resume", "", "resume the search from this checkpoint file (written by an earlier -job run)")
 		cacheDir = flag.String("cache-dir", "", "persistent cross-run solver cache directory (verdicts survive process restarts; results stay identical to a cold run)")
 	)
 	flag.Parse()
-	if (*jobFile != "" || *resume != "") && (*parallel > 1 || *portf > 1) {
-		fatal(fmt.Errorf("-job/-resume checkpoint a single deterministic search; drop -parallel/-portfolio"))
+	if (*jobFile != "" || *resume != "") && *parallel > 1 {
+		fatal(fmt.Errorf("-job/-resume checkpoint a single deterministic search; drop -parallel"))
 	}
 
 	// Ctrl-C cancels the search promptly (reported as "cancelled", not a
@@ -135,9 +132,6 @@ func main() {
 	}
 	if *parallel > 1 {
 		synthOpts = append(synthOpts, esd.WithParallelism(*parallel))
-	}
-	if *portf > 1 {
-		synthOpts = append(synthOpts, esd.WithPortfolio(*portf))
 	}
 	if *resume != "" {
 		data, err := os.ReadFile(*resume)
@@ -219,9 +213,6 @@ func main() {
 	if *cacheDir != "" {
 		fmt.Printf("persistent cache: %d hits, %d verify rejects\n",
 			res.Stats.SolverPersistentHits, res.Stats.SolverVerifyRejects)
-	}
-	if *portf > 1 && res.Found {
-		fmt.Printf("portfolio winner: seed %d (replay with -seed %d and no -portfolio)\n", res.Seed, res.Seed)
 	}
 	for _, b := range res.OtherBugs {
 		fmt.Printf("note: different bug discovered during search: %s\n", b)

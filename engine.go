@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,10 +20,8 @@ import (
 )
 
 // DefaultBudget is the per-synthesis wall-clock budget applied when
-// neither a SynthOption nor the context imposes a tighter bound. It is
-// the engine-level replacement for the 10-minute default the deprecated
-// Synthesize wrapper used to hardcode; override it per engine with
-// WithDefaultBudget or per call with WithBudget.
+// neither a SynthOption nor the context imposes a tighter bound; override
+// it per engine with WithDefaultBudget or per call with WithBudget.
 const DefaultBudget = 10 * time.Minute
 
 // Engine is the long-lived synthesis core: it amortizes compiled
@@ -60,16 +57,14 @@ type Engine struct {
 	mu       sync.Mutex
 	programs map[string]*Program // Compile cache, keyed by source hash
 
-	active         atomic.Int64
-	batchQueued    atomic.Int64
-	synthesized    atomic.Int64
-	found          atomic.Int64
-	portfolioRaces atomic.Int64
-	portfolioWon   atomic.Int64
-	compiled       atomic.Int64
-	compileHits    atomic.Int64
-	sweeps         atomic.Int64
-	sweptBytes     atomic.Int64
+	active      atomic.Int64
+	batchQueued atomic.Int64
+	synthesized atomic.Int64
+	found       atomic.Int64
+	compiled    atomic.Int64
+	compileHits atomic.Int64
+	sweeps      atomic.Int64
+	sweptBytes  atomic.Int64
 	// lastQuiesce is the UnixNano of the last forced-quiescence sweep
 	// attempt (the rate limiter for sweepQuiesceWait admission pauses).
 	lastQuiesce atomic.Int64
@@ -319,19 +314,6 @@ func WithParallelism(n int) SynthOption {
 	return func(o *search.Options) { o.Parallelism = n }
 }
 
-// WithPortfolio races k complete searches of the same synthesis, seeded
-// WithSeed's base value through base+k-1, sharing the compiled program,
-// distance tables, and interned terms; the first variant to reproduce
-// the bug cancels the rest. The winner's Result records its own seed
-// (Result.Seed), and replaying that seed without the portfolio
-// re-synthesizes the identical execution — the determinism contract
-// covers the winning configuration, not the race. k <= 1 is a plain
-// single search; k is capped at 16. Portfolio racing composes with
-// WithParallelism (each variant then runs frontier-parallel).
-func WithPortfolio(k int) SynthOption {
-	return func(o *search.Options) { o.Portfolio = k }
-}
-
 // OnProgress streams progress events for this call (overrides the
 // engine-wide hook). The callback runs synchronously on the synthesis
 // goroutine — keep it fast. SynthesizeBatch serializes calls across its
@@ -375,11 +357,12 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // every search iteration (never mid-quantum), and returning true parks
 // the run — the Result comes back with Preempted set and Checkpoint
 // holding the serialized search, resumable later with WithResume. The
-// jobs scheduler uses this to time-slice long syntheses. Preemptible runs
-// are single-configuration: WithPortfolio is ignored (a seed race has no
-// single deterministic frontier to checkpoint) and WithParallelism must
-// be <= 1. A resumed chain's final Result — counters, flight report,
-// DeterministicJSON — is byte-identical to an uninterrupted run's.
+// jobs scheduler uses this to time-slice long syntheses. Only sequential
+// runs are preemptible: with WithParallelism(n > 1) fn is never polled and
+// the run goes to an ordinary outcome (a parallel interleaving has no
+// deterministic frontier to checkpoint). A resumed chain's final Result —
+// counters, flight report, DeterministicJSON — is byte-identical to an
+// uninterrupted run's.
 func WithPreempt(fn func() bool) SynthOption {
 	return func(o *search.Options) { o.Preempt = fn }
 }
@@ -463,10 +446,10 @@ func (e *Engine) synthesizePinned(ctx context.Context, prog *Program, rep *BugRe
 	// Request-scoped shared fact layers, created under the pin (so the
 	// interner epoch cannot move for their whole lifetime): the solver
 	// component cache and the infinite-distance prune memo are shared by
-	// every frontier worker and every portfolio variant of this request.
-	// They are attached unconditionally — n=1/k=1 runs carry them too,
-	// which is what the determinism contract tests exercise (sharing is
-	// sound because the cached verdicts are pure functions of their keys).
+	// every frontier worker of this request. They are attached
+	// unconditionally — n=1 runs carry them too, which is what the
+	// determinism contract tests exercise (sharing is sound because the
+	// cached verdicts are pure functions of their keys).
 	if so.SharedCache == nil {
 		so.SharedCache = solver.NewSharedCache()
 	}
@@ -475,30 +458,11 @@ func (e *Engine) synthesizePinned(ctx context.Context, prog *Program, rep *BugRe
 	}
 	if so.PersistCache == nil && e.pcache != nil {
 		// The persistent tier sits outside the request-shared cache and is
-		// scoped by the program's structural fingerprint; every worker and
-		// portfolio variant of this request shares the one view.
+		// scoped by the program's structural fingerprint; every worker of
+		// this request shares the one view.
 		so.PersistCache = e.pcache.ForProgram(prog.MIR.Fingerprint())
 	}
-	if so.Portfolio > 1 && (so.Preempt != nil || so.Resume != nil) {
-		// Preemptible runs are single-configuration (see WithPreempt): a
-		// seed race has no single deterministic frontier to checkpoint.
-		so.Portfolio = 0
-	}
-	var res *search.Result
-	var err error
-	var pfRequested, pfEffective int
-	if so.Portfolio > 1 {
-		pfRequested = so.Portfolio
-		orig := so.Solver
-		res, so, pfEffective, err = e.portfolioRace(ctx, prog, rep, so)
-		if err == nil && so.Solver != orig {
-			// The winner was a secondary variant: its pooled solver stays
-			// checked out through the solve phase below.
-			defer e.solvers.Put(so.Solver)
-		}
-	} else {
-		res, err = search.Synthesize(ctx, prog.MIR, rep.R, so)
-	}
+	res, err := search.Synthesize(ctx, prog.MIR, rep.R, so)
 	e.synthesized.Add(1)
 	if err != nil {
 		return nil, err
@@ -507,7 +471,6 @@ func (e *Engine) synthesizePinned(ctx context.Context, prog *Program, rep *BugRe
 		TimedOut:  res.TimedOut,
 		Cancelled: res.Cancelled,
 		OtherBugs: res.OtherBugs,
-		Seed:      res.Seed,
 		Stats: Stats{
 			Duration:             res.Duration,
 			Steps:                res.Steps,
@@ -536,7 +499,7 @@ func (e *Engine) synthesizePinned(ctx context.Context, prog *Program, rep *BugRe
 		out.Checkpoint = blob
 		out.CheckpointNanos = res.CheckpointNanos
 		if so.Recorder != nil {
-			out.report = buildFlightReport(so, rep, res, 0, time.Since(reqStart), pfRequested, pfEffective)
+			out.report = buildFlightReport(so, rep, res, 0, time.Since(reqStart))
 		}
 		return out, nil
 	}
@@ -567,7 +530,7 @@ func (e *Engine) synthesizePinned(ctx context.Context, prog *Program, rep *BugRe
 	}
 	emit(PhaseDone)
 	if so.Recorder != nil {
-		out.report = buildFlightReport(so, rep, res, solveNS, time.Since(reqStart), pfRequested, pfEffective)
+		out.report = buildFlightReport(so, rep, res, solveNS, time.Since(reqStart))
 	}
 	return out, nil
 }
@@ -579,133 +542,11 @@ type enginePool struct{ e *Engine }
 func (p enginePool) Get() *solver.Solver  { return p.e.solvers.Get().(*solver.Solver) }
 func (p enginePool) Put(s *solver.Solver) { p.e.solvers.Put(s) }
 
-// maxPortfolio caps WithPortfolio: beyond a handful of variants the
-// marginal seed diversity buys almost nothing and the extra searches
-// just contend for cores.
-const maxPortfolio = 16
-
-var (
-	portfolioOutcomes = telemetry.NewCounterVec("esd_portfolio_outcomes_total",
-		"Portfolio races completed, by outcome of the winning (or, with no winner, the base-seed) variant.",
-		"outcome")
-	portfolioWins = telemetry.NewCounterVec("esd_portfolio_wins_total",
-		"Portfolio races that reproduced the bug, by winning variant index.",
-		"variant")
-	portfolioSharedHits = telemetry.NewCounterVec("esd_portfolio_shared_hits_total",
-		"Component verdicts portfolio variants reused from the race's shared solver cache, by variant index — the cross-variant work the race no longer duplicates.",
-		"variant")
-)
-
-// portfolioRace runs k = so.Portfolio complete searches of the same
-// synthesis with seeds base, base+1, …, base+k-1, racing them to the
-// goal; the first variant to reproduce the bug cancels the rest. It
-// returns the winning result together with the options that produced it
-// — the winner's seed, solver, and recorder — so the caller's solve
-// phase and flight report describe the winning configuration exactly as
-// a single-seed run of that seed would, plus the effective variant count
-// after admission clamping (recorded in the flight report's wall
-// section). With no winner, variant 0 (the caller's own seed) is the
-// representative result: its timeout, exhaustion, or error is what a
-// plain run would have reported.
-//
-// Admission adapts to the machine: beyond the hard maxPortfolio cap, k is
-// clamped to the parallelism actually available — GOMAXPROCS divided by
-// the workers each variant will run — so a portfolio request on a small
-// box degrades to fewer variants instead of k full searches timeslicing
-// each other into uniform slowness.
-func (e *Engine) portfolioRace(ctx context.Context, prog *Program, rep *BugReport, base search.Options) (*search.Result, search.Options, int, error) {
-	k := base.Portfolio
-	if k > maxPortfolio {
-		k = maxPortfolio
-	}
-	perVariant := base.Parallelism
-	if perVariant < 1 {
-		perVariant = 1
-	}
-	if avail := runtime.GOMAXPROCS(0) / perVariant; k > avail {
-		k = avail
-	}
-	if k < 1 {
-		k = 1
-	}
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type lane struct {
-		so  search.Options
-		res *search.Result
-		err error
-	}
-	lanes := make([]lane, k)
-	var winner atomic.Int32
-	winner.Store(-1)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		vo := base
-		vo.Portfolio = 0
-		vo.Seed = base.Seed + int64(i)
-		if i > 0 {
-			// Secondary variants stream no progress (the OnProgress
-			// contract is a single run's event stream), record into their
-			// own flight recorder, and draw their own warm solver —
-			// solvers are single-threaded.
-			vo.OnProgress = nil
-			if vo.Recorder != nil {
-				vo.Recorder = telemetry.NewRecorder(0)
-			}
-			vo.Solver = e.solvers.Get().(*solver.Solver)
-		}
-		lanes[i].so = vo
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := search.Synthesize(raceCtx, prog.MIR, rep.R, lanes[i].so)
-			lanes[i].res, lanes[i].err = res, err
-			if err == nil && res.Found != nil && winner.CompareAndSwap(-1, int32(i)) {
-				cancel()
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	win := int(winner.Load())
-	if win < 0 {
-		win = 0
-	}
-	for i := range lanes {
-		if r := lanes[i].res; r != nil && r.SolverSharedHits > 0 {
-			portfolioSharedHits.With(strconv.Itoa(i)).Add(int64(r.SolverSharedHits))
-		}
-	}
-	// Losing variants' pooled solvers go back now (their goroutines have
-	// exited); the winner's stays checked out for the solve phase.
-	for i := 1; i < k; i++ {
-		if i != win {
-			e.solvers.Put(lanes[i].so.Solver)
-		}
-	}
-	e.portfolioRaces.Add(1)
-	l := lanes[win]
-	if l.err != nil {
-		// Only reachable with no winner (win == 0): surface the base
-		// variant's error and hand the caller's own options back so its
-		// solver bookkeeping sees no substitution.
-		return nil, base, k, l.err
-	}
-	if l.res.Found != nil {
-		e.portfolioWon.Add(1)
-		portfolioWins.With(strconv.Itoa(win)).Inc()
-	}
-	portfolioOutcomes.With(l.res.Outcome()).Inc()
-	return l.res, l.so, k, nil
-}
-
 // buildFlightReport assembles the WithTelemetry report from a finished
 // run: the search's deterministic counters and trace, plus the wall-clock
 // attribution section (which DeterministicJSON strips — wall times and
-// warm-solver cache hits vary run to run; pfRequested/pfEffective record
-// portfolio admission clamping, a property of the machine, not the seed).
-func buildFlightReport(so search.Options, rep *BugReport, res *search.Result, solveNS int64, total time.Duration, pfRequested, pfEffective int) *telemetry.Report {
+// warm-solver cache hits vary run to run).
+func buildFlightReport(so search.Options, rep *BugReport, res *search.Result, solveNS int64, total time.Duration) *telemetry.Report {
 	searchNS := res.Duration.Nanoseconds() - res.SolverWallNanos
 	if searchNS < 0 {
 		searchNS = 0
@@ -718,7 +559,7 @@ func buildFlightReport(so search.Options, rep *BugReport, res *search.Result, so
 		Schema:      telemetry.ReportSchema,
 		Outcome:     res.Outcome(),
 		Strategy:    so.Strategy.String(),
-		Seed:        res.Seed,
+		Seed:        so.Seed,
 		GoalQueues:  res.IntermediateGoalSets + len(rep.R.Goals()),
 		Parallelism: par,
 		DedupDrops:  res.DedupDrops,
@@ -753,8 +594,6 @@ func buildFlightReport(so search.Options, rep *BugReport, res *search.Result, so
 			SolverSharedHits:     int64(res.SolverSharedHits),
 			SolverPersistentHits: int64(res.SolverPersistentHits),
 			SolverVerifyRejects:  int64(res.SolverVerifyRejects),
-			PortfolioRequested:   pfRequested,
-			PortfolioEffective:   pfEffective,
 			Workers:              res.WorkerWall,
 		},
 	}
@@ -907,10 +746,6 @@ type EngineStats struct {
 	// subset that reproduced their bug.
 	Synthesized int64 `json:"synthesized"`
 	Found       int64 `json:"found"`
-	// PortfolioRaces counts WithPortfolio syntheses; PortfolioWins the
-	// subset where some variant reproduced the bug.
-	PortfolioRaces int64 `json:"portfolio_races"`
-	PortfolioWins  int64 `json:"portfolio_wins"`
 	// ProgramsCompiled and CompileCacheHits report Compile traffic;
 	// ProgramsCached is the memo's current (bounded) size.
 	ProgramsCompiled int64 `json:"programs_compiled"`
@@ -949,8 +784,6 @@ func (e *Engine) Stats() EngineStats {
 		BatchQueueDepth:   e.batchQueued.Load(),
 		Synthesized:       e.synthesized.Load(),
 		Found:             e.found.Load(),
-		PortfolioRaces:    e.portfolioRaces.Load(),
-		PortfolioWins:     e.portfolioWon.Load(),
 		ProgramsCompiled:  e.compiled.Load(),
 		CompileCacheHits:  e.compileHits.Load(),
 		ProgramsCached:    cached,

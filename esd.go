@@ -32,20 +32,12 @@
 //
 // A single synthesis can also spend multiple cores: WithParallelism(n)
 // shards the best-first frontier across n workers (work stealing, shared
-// dedup, first-to-goal wins), and WithPortfolio(k) races k seed variants
-// of the whole search, returning the first to reproduce the bug with its
-// winning seed recorded in Result.Seed for exact single-seed replay. See
-// the package README's "Parallel synthesis" section for the determinism
-// contract of each mode.
-//
-// The pre-Engine one-shot API (Synthesize, Options) remains as thin
-// deprecated wrappers over a package-default engine.
+// dedup, first-to-goal wins). See the package README's "Parallel
+// synthesis" section for its determinism contract.
 package esd
 
 import (
-	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"esd/internal/expr"
@@ -130,13 +122,6 @@ type Result struct {
 	// distinct from TimedOut: the caller withdrew the request, the search
 	// did not run out of budget or space.
 	Cancelled bool
-	// Seed is the seed the winning search configuration actually ran
-	// with. For a plain synthesis it echoes WithSeed; for a portfolio
-	// race it is the winning variant's seed, so replaying with
-	// WithSeed(res.Seed) (and no WithPortfolio) re-synthesizes the exact
-	// same execution — the strict double-replay contract covers the
-	// winning configuration, not the race.
-	Seed int64
 	// Stats summarizes the search effort.
 	Stats Stats
 	// OtherBugs are failures found that do not match the report.
@@ -186,8 +171,8 @@ type Stats struct {
 	SolverQueries   int
 	SolverCacheHits int
 	// SolverSharedHits counts component verdicts reused from the request's
-	// shared cross-worker/cross-variant solver cache (0 for runs where
-	// every component was first solved by the solver that needed it).
+	// shared cross-worker solver cache (0 for runs where every component
+	// was first solved by the solver that needed it).
 	SolverSharedHits int
 	// SolverPersistentHits counts component verdicts served from the
 	// engine's persistent cross-run cache (WithPersistentCache; 0 when no
@@ -205,60 +190,13 @@ type Stats struct {
 	// per job.
 	SolverWallNanos int64
 	// Workers is the number of frontier-parallel search workers the run
-	// used (1 for a sequential search; portfolio variants each count
-	// their own).
+	// used (1 for a sequential search).
 	Workers int
 	// Interner snapshots the process-wide term store after the run. The
-	// store is append-only, so long-lived services watch this for growth
+	// store grows until an epoch sweep reclaims it (see
+	// WithInternerHighWater), so long-lived services watch this for growth
 	// (also surfaced by esdserve's /healthz).
 	Interner InternerStats
-}
-
-// Options tunes synthesis through the deprecated one-shot API.
-//
-// Deprecated: use Engine.Synthesize with SynthOption arguments
-// (WithBudget, WithStrategy, WithSeed, WithAblate, ...). This struct
-// remains so pre-Engine callers keep compiling.
-type Options struct {
-	Strategy Strategy
-	Timeout  time.Duration
-	// Seed makes runs deterministic.
-	Seed int64
-	// PreemptionBound switches to Chess-style bounded schedule search
-	// (the KC baseline) when > 0.
-	PreemptionBound int
-	// WithRaceDetector enables Eraser-style race detection during
-	// synthesis (finds race-triggered bugs and flags preemption points).
-	WithRaceDetector bool
-	// Ablations (see DESIGN.md §4).
-	NoProximity         bool
-	NoIntermediateGoals bool
-	NoCriticalEdges     bool
-}
-
-// defaultEngine backs the deprecated one-shot API.
-var defaultEngine = sync.OnceValue(func() *Engine { return New() })
-
-// Synthesize searches for an execution of prog that reproduces rep,
-// blocking until the search completes or the budget (Options.Timeout,
-// default DefaultBudget) runs out.
-//
-// Deprecated: use Engine.Synthesize, which adds context cancellation,
-// streaming progress, and cross-request cache reuse. This wrapper
-// delegates to a package-default Engine.
-func Synthesize(prog *Program, rep *BugReport, opt Options) (*Result, error) {
-	return defaultEngine().synthesize(context.Background(), prog, rep, search.Options{
-		Strategy:         opt.Strategy,
-		Budget:           opt.Timeout,
-		Seed:             opt.Seed,
-		PreemptionBound:  opt.PreemptionBound,
-		WithRaceDetector: opt.WithRaceDetector,
-		Ablate: Ablate{
-			NoProximity:         opt.NoProximity,
-			NoIntermediateGoals: opt.NoIntermediateGoals,
-			NoCriticalEdges:     opt.NoCriticalEdges,
-		},
-	})
 }
 
 // Execution is a synthesized execution file (§5.1).

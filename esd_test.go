@@ -1,6 +1,7 @@
 package esd_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -54,11 +55,8 @@ func TestPublicAPIRaceWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := esd.Synthesize(prog, rep2, esd.Options{
-		Timeout:          60 * time.Second,
-		Seed:             1,
-		WithRaceDetector: true,
-	})
+	res, err := esd.New().Synthesize(context.Background(), prog, rep2,
+		esd.WithBudget(60*time.Second), esd.WithSeed(1), esd.WithRaceDetection())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +136,8 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := esd.Synthesize(prog, rep, esd.Options{Timeout: 5 * time.Second, Seed: 1})
+	res, err := esd.New().Synthesize(context.Background(), prog, rep,
+		esd.WithBudget(5*time.Second), esd.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -108,7 +109,8 @@ func main() {
 	fmt.Println(rep)
 
 	fmt.Println("synthesizing a request that reaches the same crash...")
-	res, err := esd.Synthesize(prog, rep, esd.Options{Timeout: 120 * time.Second, Seed: 1})
+	res, err := esd.New().Synthesize(context.Background(), prog, rep,
+		esd.WithBudget(120*time.Second), esd.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}

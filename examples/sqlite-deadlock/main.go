@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -48,7 +49,8 @@ func main() {
 	fmt.Println("the field coredump:")
 	fmt.Println(bugReport)
 
-	res, err := esd.Synthesize(prog, bugReport, esd.Options{Timeout: 120 * time.Second, Seed: 1})
+	res, err := esd.New().Synthesize(context.Background(), prog, bugReport,
+		esd.WithBudget(120*time.Second), esd.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -211,8 +211,8 @@ func (c *countingSource) skip(n int64) {
 }
 
 // buildCheckpoint serializes the searcher at the run-loop top. res must
-// already hold the run's cumulative counters (the Synthesize assignment
-// block runs first), and detector is the run's race detector (nil when
+// already hold the run's cumulative counters (runSequential folds the
+// worker first), and detector is the run's race detector (nil when
 // detection is off).
 func (s *searcher) buildCheckpoint(res *Result, detector *race.Detector) (*Checkpoint, error) {
 	roots := make([]*symex.State, 0, len(s.front.alive))
@@ -411,17 +411,24 @@ func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.
 	return nil
 }
 
-// restoreResult seeds a resumed run's Result with the checkpoint's
-// cumulative accumulators.
-func (ck *Checkpoint) restoreResult(res *Result) {
-	res.Terminals = make(map[symex.StateStatus]int64, len(ck.Terminals))
+// restoreWorker seeds a resumed worker's accumulators with the
+// checkpoint's and shifts its solver baselines by the checkpointed
+// consumption, so the folded Result and the progress events stay
+// cumulative across the chain.
+func (ck *Checkpoint) restoreWorker(w *worker) {
 	for k, v := range ck.Terminals {
-		res.Terminals[k] = v
+		w.res.Terminals[k] = v
 	}
-	res.OtherBugs = append([]string(nil), ck.OtherBugs...)
-	res.StepErrors = ck.StepErrors
-	res.PrunedCritical = ck.PrunedCritical
-	res.PrunedInfinite = ck.PrunedInfinite
+	w.res.OtherBugs = append([]string(nil), ck.OtherBugs...)
+	w.res.StepErrors = ck.StepErrors
+	w.res.PrunedCritical = ck.PrunedCritical
+	w.res.PrunedInfinite = ck.PrunedInfinite
+	w.s.solBase -= ck.SolverQueries
+	w.base.hits -= ck.SolverHits
+	w.base.shared -= ck.SolverSharedHits
+	w.base.persist -= ck.SolverPersistentHits
+	w.base.rejects -= ck.SolverVerifyRejects
+	w.base.wallNS -= ck.SolverWallNS
 }
 
 // flushDelta returns a copy of res with the checkpoint's share of the

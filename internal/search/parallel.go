@@ -9,11 +9,6 @@ import (
 	"unsafe"
 
 	"esd/internal/dist"
-	"esd/internal/mir"
-	"esd/internal/race"
-	"esd/internal/report"
-	"esd/internal/sched"
-	"esd/internal/solver"
 	"esd/internal/symex"
 	"esd/internal/telemetry"
 )
@@ -27,12 +22,15 @@ import (
 //     once and shared read-only; the interned term store is already
 //     concurrent (PR 2), so states forked by different workers share
 //     pointer-equal terms.
-//   - Each worker owns a full sequential searcher — its own symex VM
-//     (with a disjoint state-ID range, so the priority tie-break stays
-//     total), solver, scheduling-policy instance, and race detector — and
-//     reuses quantum/admit/terminal/prunable verbatim. Only insertion is
-//     diverted (searcher.route): forks are scored by the producing worker
-//     and placed round-robin into the shared shards.
+//   - Each worker is built by newWorker, like the sequential search's one
+//     worker: a full searcher with its own symex VM (with a disjoint
+//     state-ID range, so the priority tie-break stays total), solver,
+//     scheduling-policy instance, and race detector, reusing
+//     quantum/admit/terminal/prunable verbatim. Only the loop differs
+//     (take/runWorker instead of runLoop) and insertion is diverted
+//     (searcher.route): forks are scored by the producing worker and
+//     placed round-robin into the shared shards. The Result is folded
+//     from the workers the same way too (worker.fold).
 //   - A shared dedup set drops states whose decision history (path
 //     condition + schedule) another worker already admitted — the
 //     redundancy source is snapshot activation, where sibling states
@@ -44,31 +42,17 @@ import (
 // Determinism: a parallel run's outcome depends on the OS scheduler, so
 // it makes no replay promise itself; the contract is that the *winning
 // state's* execution file replays strictly, and that Parallelism <= 1
-// never reaches this file (Synthesize normalizes it away), keeping the
-// sequential path bit-identical to its history.
+// never reaches this file (Synthesize runs the sequential loop), keeping
+// the sequential path bit-identical to its history.
 
 // parallelSeedStride separates worker rng streams; any odd constant works,
 // a prime keeps accidental stream overlap improbable.
 const parallelSeedStride = 7919
 
-// synthesizeParallel runs the frontier-parallel search. Called from
-// Synthesize (which already pinned the interner and normalized defaults)
-// with opts.Parallelism > 1.
-func synthesizeParallel(ctx context.Context, prog *mir.Program, rep *report.Report, opts Options) (*Result, error) {
-	start := time.Now()
-	emit := func(ph Phase, live int) {
-		if opts.OnProgress != nil {
-			now := time.Now()
-			opts.OnProgress(ProgressEvent{Phase: ph, Time: now, Elapsed: now.Sub(start), Live: live})
-		}
-		opts.Recorder.Phase(ph.String(), 0, 0)
-	}
-	emit(PhaseAnalyze, 0)
-
-	pl, err := buildPlan(prog, rep, opts)
-	if err != nil {
-		return nil, err
-	}
+// runParallel runs the frontier-parallel search with opts.Parallelism
+// workers. Called from Synthesize, which already pinned the interner,
+// normalized defaults, built the plan and emitted the analyze phase.
+func runParallel(ctx context.Context, pl *plan, opts Options, start time.Time, emit func(Phase, int)) (*Result, error) {
 	n := opts.Parallelism
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -100,59 +84,15 @@ func synthesizeParallel(ctx context.Context, prog *mir.Program, rep *report.Repo
 		}
 	}
 
-	workers := make([]*parallelWorker, n)
-	for i := 0; i < n; i++ {
-		sol := opts.Solver
-		var put func()
-		if i > 0 || sol == nil {
-			if opts.Solvers != nil {
-				ps := opts.Solvers.Get()
-				sol = ps
-				put = func() { opts.Solvers.Put(ps) }
-			} else {
-				sol = solver.New()
-			}
-		}
-		// Attach the request's shared fact layer: each worker's solver
-		// stays single-threaded, but on a private-cache miss it consults
-		// (and publishes into) the concurrency-safe shared cache, so the
-		// n workers stop re-solving each other's components — the
-		// solver-bound apps' parallel regression.
-		sol.Shared = opts.SharedCache
-		// The persistent cross-run tier attaches below the shared layer
-		// (same single-threaded solver, concurrency-safe store).
-		sol.Persist = opts.PersistCache
-		eng, det := pl.newVM(runCtx, opts, sol)
-		// Disjoint ID ranges keep state and object IDs unique across
-		// workers (states migrate between engines when stolen).
-		eng.SetIDBase(i << 40)
-		wopts := opts
-		wopts.Seed = opts.Seed + int64(i)*parallelSeedStride
-		w := &parallelWorker{
-			id:             i,
-			s:              newSearcher(pl, runCtx, wopts, eng, sol, start),
-			det:            det,
-			res:            &Result{Terminals: map[symex.StateStatus]int64{}},
-			putSolver:      put,
-			solHitsBase:    sol.CacheHits,
-			solSharedBase:  sol.SharedHits,
-			solPersistBase: sol.PersistentHits,
-			solRejectBase:  sol.VerifyRejects,
-			solWallBase:    sol.WallNanos,
-		}
+	workers := make([]*worker, n)
+	for i := range workers {
+		w := newWorker(runCtx, pl, opts, i, n, start)
 		w.s.route = func(st *symex.State) { r.place(w, st) }
 		workers[i] = w
 	}
 	defer func() {
 		for _, w := range workers {
-			// Detach before any solver outlives the run (pooled or
-			// caller-owned): a stale attachment would leak this request's
-			// facts into the next run and pin a dead cache alive.
-			w.s.sol.Shared = nil
-			w.s.sol.Persist = nil
-			if w.putSolver != nil {
-				w.putSolver()
-			}
+			w.release()
 		}
 	}()
 
@@ -190,18 +130,40 @@ drive:
 	if r.err != nil {
 		return nil, r.err
 	}
-	res := r.collect(workers, n)
-	res.IntermediateGoalSets = pl.nInter
-	if res.Found != nil {
-		opts.Recorder.Record(telemetry.Event{
-			Kind:          telemetry.EventFound,
-			Steps:         res.Steps,
-			States:        res.StatesCreated,
-			Depth:         res.MaxDepth,
-			SolverQueries: int64(res.SolverQueries),
+	// Every worker goroutine has exited, so reading their structs is
+	// race-free.
+	res := &Result{
+		Found:                r.winner,
+		IntermediateGoalSets: pl.nInter,
+		Terminals:            map[symex.StateStatus]int64{},
+		Workers:              n,
+		DedupDrops:           r.dedupDrops.Load(),
+		Sheds:                r.sheds.Load(),
+	}
+	for _, w := range workers {
+		w.fold(res)
+		res.WorkerWall = append(res.WorkerWall, telemetry.WorkerWall{
+			Worker:     w.id,
+			Steps:      w.s.eng.Stats.Steps,
+			States:     w.s.eng.Stats.States,
+			Picks:      w.picks,
+			BusyNS:     w.busyNS,
+			SolverNS:   w.s.sol.WallNanos - w.base.wallNS,
+			SharedHits: w.s.sol.SharedHits - w.base.shared,
+			Found:      w.found,
 		})
 	}
-	flushTelemetry(res)
+	res.Duration = time.Since(start)
+	if res.Found == nil {
+		switch {
+		case r.timedOut.Load():
+			// Our own budget cancel, not the caller's context.
+			res.TimedOut = true
+		case r.ctx.Err() != nil:
+			res.TimedOut, res.Cancelled = classifyCtxErr(r.ctx.Err())
+		}
+		// Otherwise: genuinely exhausted.
+	}
 	return res, nil
 }
 
@@ -209,30 +171,6 @@ drive:
 type frontierShard struct {
 	mu sync.Mutex
 	f  *queueFrontier
-}
-
-// parallelWorker is one frontier worker: a full sequential searcher with
-// insertions diverted to the shared shards, plus per-worker attribution.
-type parallelWorker struct {
-	id  int
-	s   *searcher
-	det *race.Detector
-	// res absorbs the worker's quantum-level counters (terminals, prunes,
-	// other bugs); the driver folds them into the final Result.
-	res            *Result
-	putSolver      func()
-	solHitsBase    int
-	solSharedBase  int
-	solPersistBase int
-	solRejectBase  int
-	solWallBase    int64
-
-	picks     int64
-	pickTick  int64 // aging cadence (the sequential frontier counts per-frontier; here it is per-worker)
-	busyNS    int64
-	lastSteps int64
-	lastStats int64
-	found     bool
 }
 
 // parallelRun is the shared coordination state of one parallel search.
@@ -288,7 +226,7 @@ type parallelRun struct {
 // searcher, drops it if another worker already admitted an equivalent
 // decision history, and otherwise inserts it into the next shard
 // round-robin (shedding that shard if it overflowed its share).
-func (r *parallelRun) place(w *parallelWorker, st *symex.State) {
+func (r *parallelRun) place(w *worker, st *symex.State) {
 	var keys []esdKey
 	if w.s.opts.Strategy == StrategyESD {
 		keys = w.s.scoreState(st)
@@ -376,7 +314,7 @@ func (r *parallelRun) wakeAll() {
 // a state in flight never reads as exhaustion). A worker that finds every
 // shard empty while peers are still running sleeps on idleCond until an
 // insert or a terminal condition wakes it — no spinning.
-func (r *parallelRun) take(w *parallelWorker) *symex.State {
+func (r *parallelRun) take(w *worker) *symex.State {
 	for {
 		if r.done.Load() || r.ctx.Err() != nil {
 			return nil
@@ -447,7 +385,7 @@ func (r *parallelRun) take(w *parallelWorker) *symex.State {
 // order — oldest-of-one-shard rather than oldest-globally, which is
 // enough for the guarantee the FIFO exists for: every state is
 // eventually run.
-func (r *parallelRun) pickBest(w *parallelWorker) (*symex.State, bool) {
+func (r *parallelRun) pickBest(w *worker) (*symex.State, bool) {
 	n := len(r.shards)
 	if r.opts.Strategy != StrategyESD {
 		// DFS/RandomPath have no cross-shard order to preserve: take from
@@ -515,7 +453,7 @@ func (r *parallelRun) budgetExceeded() bool {
 // runWorker is one worker's life: take a state, run a quantum (which
 // routes forks and survivors back through place), sync the shared
 // counters, repeat.
-func (r *parallelRun) runWorker(w *parallelWorker, wg *sync.WaitGroup) {
+func (r *parallelRun) runWorker(w *worker, wg *sync.WaitGroup) {
 	defer wg.Done()
 	// A worker only exits when the run is ending (found, budget, cancel,
 	// exhaustion, hard error); wake any sleeping peer so it re-observes
@@ -557,7 +495,7 @@ func (r *parallelRun) runWorker(w *parallelWorker, wg *sync.WaitGroup) {
 }
 
 // setWinner records the first goal state and cancels everyone else.
-func (r *parallelRun) setWinner(w *parallelWorker, st *symex.State) {
+func (r *parallelRun) setWinner(w *worker, st *symex.State) {
 	r.winnerMu.Lock()
 	if r.winner == nil {
 		r.winner = st
@@ -597,81 +535,6 @@ func (r *parallelRun) progress(now time.Time) {
 		Depth:    ev.Depth,
 		BestDist: ev.BestDist,
 	})
-}
-
-// collect aggregates the quiescent workers into the final Result. Called
-// after every worker goroutine has exited, so reading their structs is
-// race-free.
-func (r *parallelRun) collect(workers []*parallelWorker, n int) *Result {
-	res := &Result{
-		Terminals:  map[symex.StateStatus]int64{},
-		Seed:       r.opts.Seed,
-		Workers:    n,
-		DedupDrops: r.dedupDrops.Load(),
-		Sheds:      r.sheds.Load(),
-	}
-	for _, w := range workers {
-		est := w.s.eng.Stats
-		res.Steps += est.Steps
-		res.StatesCreated += est.States
-		res.BranchForks += est.BranchForks
-		res.SchedForks += est.SchedForks
-		res.Concretizations += est.Concretizations
-		res.EpochChecks += est.EpochChecks
-		res.SolverQueries += w.s.sol.Queries - w.s.solBase
-		res.SolverHits += w.s.sol.CacheHits - w.solHitsBase
-		res.SolverSharedHits += w.s.sol.SharedHits - w.solSharedBase
-		res.SolverPersistentHits += w.s.sol.PersistentHits - w.solPersistBase
-		res.SolverVerifyRejects += w.s.sol.VerifyRejects - w.solRejectBase
-		res.SolverWallNanos += w.s.sol.WallNanos - w.solWallBase
-		res.AgingPicks += w.s.agingPicks
-		res.StepErrors += w.res.StepErrors
-		res.PrunedCritical += w.res.PrunedCritical
-		res.PrunedInfinite += w.res.PrunedInfinite
-		if w.s.maxDepth > res.MaxDepth {
-			res.MaxDepth = w.s.maxDepth
-		}
-		for k, v := range w.res.Terminals {
-			res.Terminals[k] += v
-		}
-		for _, b := range w.res.OtherBugs {
-			if len(res.OtherBugs) < 64 {
-				res.OtherBugs = append(res.OtherBugs, b)
-			}
-		}
-		if w.det != nil {
-			res.RaceFindings = append(res.RaceFindings, w.det.Findings...)
-		}
-		if dp, ok := w.s.eng.Policy.(*sched.DeadlockPolicy); ok {
-			res.SnapshotsTaken += dp.SnapshotsTaken
-			res.SnapshotsActivated += dp.SnapshotsActivated
-			res.EagerForks += dp.EagerForks
-		}
-		res.WorkerWall = append(res.WorkerWall, telemetry.WorkerWall{
-			Worker:     w.id,
-			Steps:      est.Steps,
-			States:     est.States,
-			Picks:      w.picks,
-			BusyNS:     w.busyNS,
-			SolverNS:   w.s.sol.WallNanos - w.solWallBase,
-			SharedHits: w.s.sol.SharedHits - w.solSharedBase,
-			Found:      w.found,
-		})
-	}
-	res.Pruned = res.PrunedCritical + res.PrunedInfinite
-	res.Found = r.winner
-	res.Duration = time.Since(r.start)
-	if res.Found == nil {
-		switch {
-		case r.timedOut.Load():
-			// Our own budget cancel, not the caller's context.
-			res.TimedOut = true
-		case r.ctx.Err() != nil:
-			res.TimedOut, res.Cancelled = classifyCtxErr(r.ctx.Err())
-		}
-		// Otherwise: genuinely exhausted.
-	}
-	return res
 }
 
 // --- cross-worker dedup -----------------------------------------------------

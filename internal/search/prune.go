@@ -10,14 +10,11 @@ import (
 
 // PruneFacts is a concurrency-safe memo of infinite-distance prune
 // verdicts, shared by every searcher of one synthesis request: all
-// frontier-parallel workers of a run and all seed variants of a portfolio
-// race. The infinite-distance gate (searcher.prunable's second gate) is a
-// pure function of the live threads' stack configurations and the
-// request's final goals — both fixed for the request — so whichever
-// worker or variant proves a configuration dead (or live) proves it for
-// everyone. Portfolio variants in particular duplicate each other's
-// search space wholesale; sharing the prune verdicts is how a variant
-// benefits from the dead ends its siblings already paid to prove.
+// frontier-parallel workers of a run. The infinite-distance gate
+// (searcher.prunable's second gate) is a pure function of the live
+// threads' stack configurations and the request's final goals — both
+// fixed for the request — so whichever worker proves a configuration
+// dead (or live) proves it for everyone.
 //
 // The memo is request-scoped by construction: verdicts depend on the
 // report's goal set, so a PruneFacts must never be reused across

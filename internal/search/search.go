@@ -19,11 +19,10 @@
 // that many workers, each with its own symbolic VM and solver over the
 // shared compiled program and distance tables; workers steal from each
 // other's shards, a cross-worker dedup set suppresses re-exploration,
-// and the first worker to reach the goal cancels the rest. Parallelism
-// <= 1 runs the unchanged sequential searcher — the bit-identity
-// guarantee is "same code", not "equivalent code". Racing whole seeds
-// against each other (portfolio mode) lives a layer up, in the public
-// engine; Options.Portfolio only rides through this package.
+// and the first worker to reach the goal cancels the rest. Both searches
+// set up their workers and fold their results through the same code (see
+// worker.go); Parallelism <= 1 runs the sequential loop, whose picks,
+// preemption polls and sheds are the determinism contract.
 package search
 
 import (
@@ -113,11 +112,12 @@ type Options struct {
 	// Ablate disables individual focusing techniques (§7.3).
 	Ablate Ablate
 
-	// Solver, when non-nil, is used instead of a fresh solver. Passing a
-	// warm solver shares its memoized query cache across runs (terms are
-	// globally interned, so cached entries are valid for any program). A
-	// Solver is not safe for concurrent use: callers hand each concurrent
-	// search its own.
+	// Solver, when non-nil, is the solver of the sequential search (worker
+	// 0 of a frontier-parallel one) instead of a fresh one. Passing a warm
+	// solver shares its memoized query cache across runs (entries are keyed
+	// by canonical structural term fingerprints, so they are valid for any
+	// program). A Solver is not safe for concurrent use: callers hand each
+	// concurrent search its own.
 	Solver *solver.Solver
 
 	// OnProgress, when set, receives phase transitions and periodic
@@ -146,15 +146,10 @@ type Options struct {
 	// searcher — the deterministic baseline a parallel run's winner is
 	// replayed against.
 	Parallelism int
-	// Portfolio, when > 1, asks the public engine to race that many seed
-	// variants of this search and keep the first to find the goal. The
-	// search itself ignores it (like BatchWorkers, it rides in the
-	// canonical options record); the engine strips it before the
-	// per-variant runs.
-	Portfolio int
-	// Solvers, when non-nil, supplies warm solvers for the extra workers
-	// of a frontier-parallel search (worker 0 uses Solver when set).
-	// Workers fall back to fresh solvers when it is nil.
+	// Solvers, when non-nil, supplies warm solvers to the workers Solver
+	// does not cover (every worker of a frontier-parallel search but the
+	// first, or all of them when Solver is nil). Workers fall back to
+	// fresh solvers when it is nil.
 	Solvers SolverPool
 
 	// SharedCache, when non-nil, is the request-scoped cross-solver fact
@@ -162,16 +157,14 @@ type Options struct {
 	// frontier worker's) is attached to it for the run and detached
 	// before pooled solvers are returned, so siblings reuse each other's
 	// component verdicts instead of re-solving them. The engine creates
-	// one per synthesis and hands the same instance to every portfolio
-	// variant. Sharing is deterministic — verdicts are pure functions of
-	// the component — so attaching it keeps n=1/k=1 bit-identical to
-	// sequential.
+	// one per synthesis. Sharing is deterministic — verdicts are pure
+	// functions of the component — so attaching it keeps n=1
+	// bit-identical to sequential.
 	SharedCache *solver.SharedCache
 	// PruneFacts, when non-nil, is the request-scoped shared memo of
 	// infinite-distance prune verdicts (see PruneFacts). Like SharedCache
-	// it is created by the engine and shared across workers and portfolio
-	// variants; verdicts depend on the report's goals, so it must never
-	// cross requests.
+	// it is created by the engine and shared across workers; verdicts
+	// depend on the report's goals, so it must never cross requests.
 	PruneFacts *PruneFacts
 	// PersistCache, when non-nil, is the cross-run persistent solver fact
 	// tier (scoped by the engine to this program's fingerprint). Every
@@ -340,12 +333,6 @@ type Result struct {
 	SnapshotsActivated int
 	EagerForks         int
 
-	// Seed is the seed this result was actually produced with. For a
-	// plain run it echoes Options.Seed; the engine's portfolio driver
-	// overwrites it with the winning variant's seed, which is what makes
-	// the race strictly double-replayable (replay the winner, not the
-	// race).
-	Seed int64
 	// Workers is the number of frontier workers that ran the search (1
 	// for the sequential searcher); WorkerWall attributes per-worker wall
 	// time and work when Workers > 1. DedupDrops counts forks dropped by
@@ -400,23 +387,19 @@ func Synthesize(ctx context.Context, prog *mir.Program, rep *report.Report, opts
 		opts.ProgressInterval = 250 * time.Millisecond
 	}
 	if opts.Parallelism <= 1 {
-		// One worker is the sequential searcher. Normalizing here keeps
-		// the n=1 bit-identity contract trivially true: n<=1 runs the
-		// exact code it always ran.
+		// One worker is the sequential searcher.
 		opts.Parallelism = 0
 	}
+	resume := opts.Resume
 	if opts.Parallelism > 0 {
-		if opts.Resume != nil {
+		if resume != nil {
 			return nil, fmt.Errorf("search: checkpoint resume requires a sequential search (Parallelism <= 1)")
 		}
 		// Frontier-parallel interleavings are not replayable, so there is
 		// no deterministic frontier to checkpoint: the run is simply not
 		// preemptible and executes to an ordinary outcome.
 		opts.Preempt = nil
-		return synthesizeParallel(ctx, prog, rep, opts)
 	}
-
-	resume := opts.Resume
 	if resume != nil {
 		if err := resume.compatible(prog, opts); err != nil {
 			return nil, err
@@ -448,126 +431,21 @@ func Synthesize(ctx context.Context, prog *mir.Program, rep *report.Report, opts
 	if err != nil {
 		return nil, err
 	}
-	sol := opts.Solver
-	if sol == nil {
-		sol = solver.New()
-	}
-	if opts.SharedCache != nil {
-		// Attach the request's shared fact layer for the run and detach
-		// before returning: a pooled solver carrying a stale attachment
-		// would leak one request's facts into the next and pin a dead
-		// cache alive.
-		sol.Shared = opts.SharedCache
-		defer func() { sol.Shared = nil }()
-	}
-	if opts.PersistCache != nil {
-		// Same attach/detach discipline as SharedCache: the persistent
-		// view is scoped to this program's fingerprint, and a pooled
-		// solver must not carry it into another program's run.
-		sol.Persist = opts.PersistCache
-		defer func() { sol.Persist = nil }()
-	}
-	baseQueries, baseHits := sol.Queries, sol.CacheHits
-	baseShared := sol.SharedHits
-	basePersist := sol.PersistentHits
-	baseRejects := sol.VerifyRejects
-	baseWall := sol.WallNanos
-	eng, detector := pl.newVM(ctx, opts, sol)
-	s := newSearcher(pl, ctx, opts, eng, sol, start)
-
-	res := &Result{
-		IntermediateGoalSets: pl.nInter,
-		Terminals:            map[symex.StateStatus]int64{},
-		Seed:                 opts.Seed,
-		Workers:              1,
-	}
-	var found *symex.State
-	var timedOut, cancelled, preempted bool
-	if resume != nil {
-		if err := resume.validatePlan(pl); err != nil {
-			return nil, err
-		}
-		roots, err := resume.Pool.Decode(prog)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.restore(resume, roots, detector); err != nil {
-			return nil, err
-		}
-		resume.restoreResult(res)
-		// Shift the solver baselines by the checkpointed consumption so
-		// the Result and progress events stay cumulative across the chain.
-		baseQueries -= resume.SolverQueries
-		baseHits -= resume.SolverHits
-		baseShared -= resume.SolverSharedHits
-		basePersist -= resume.SolverPersistentHits
-		baseRejects -= resume.SolverVerifyRejects
-		baseWall -= resume.SolverWallNS
-		s.solBase -= resume.SolverQueries
-		emit(PhaseSearch, s.front.size())
-		searchWorkers.Add(1)
-		found, timedOut, cancelled, preempted, err = s.runLoop(res)
-		searchWorkers.Add(-1)
-		if err != nil {
-			return nil, err
-		}
+	var res *Result
+	if opts.Parallelism > 0 {
+		res, err = runParallel(ctx, pl, opts, start, emit)
 	} else {
-		init, err := eng.InitialState()
-		if err != nil {
-			return nil, err
-		}
-		emit(PhaseSearch, 1)
-		searchWorkers.Add(1)
-		found, timedOut, cancelled, preempted, err = s.run(init, res)
-		searchWorkers.Add(-1)
-		if err != nil {
-			return nil, err
-		}
+		res, err = runSequential(ctx, pl, opts, start, emit)
 	}
-	res.Found = found
-	res.TimedOut = timedOut
-	res.Cancelled = cancelled
-	res.Duration = time.Since(start)
-	res.Steps = eng.Stats.Steps
-	res.StatesCreated = eng.Stats.States
-	res.BranchForks = eng.Stats.BranchForks
-	res.SchedForks = eng.Stats.SchedForks
-	res.Concretizations = eng.Stats.Concretizations
-	res.EpochChecks = eng.Stats.EpochChecks
-	res.SolverQueries = sol.Queries - baseQueries
-	res.SolverHits = sol.CacheHits - baseHits
-	res.SolverSharedHits = sol.SharedHits - baseShared
-	res.SolverPersistentHits = sol.PersistentHits - basePersist
-	res.SolverVerifyRejects = sol.VerifyRejects - baseRejects
-	res.SolverWallNanos = sol.WallNanos - baseWall
-	res.Pruned = res.PrunedCritical + res.PrunedInfinite
-	res.AgingPicks = s.agingPicks
-	res.Sheds = s.sheds
-	res.MaxDepth = s.maxDepth
-	if detector != nil {
-		res.RaceFindings = detector.Findings
+	if err != nil {
+		return nil, err
 	}
-	if dp, ok := eng.Policy.(*sched.DeadlockPolicy); ok {
-		res.SnapshotsTaken = dp.SnapshotsTaken
-		res.SnapshotsActivated = dp.SnapshotsActivated
-		res.EagerForks = dp.EagerForks
-	}
-	if preempted {
-		res.Preempted = true
-		ckStart := time.Now()
-		ck, err := s.buildCheckpoint(res, detector)
-		if err != nil {
-			return nil, err
-		}
-		res.Checkpoint = ck
-		res.CheckpointNanos = time.Since(ckStart).Nanoseconds()
-	}
-	if found != nil {
+	if res.Found != nil {
 		opts.Recorder.Record(telemetry.Event{
 			Kind:          telemetry.EventFound,
-			Steps:         eng.Stats.Steps,
-			States:        eng.Stats.States,
-			Depth:         s.maxDepth,
+			Steps:         res.Steps,
+			States:        res.StatesCreated,
+			Depth:         res.MaxDepth,
 			SolverQueries: int64(res.SolverQueries),
 		})
 	}
@@ -577,6 +455,66 @@ func Synthesize(ctx context.Context, prog *mir.Program, rep *report.Report, opts
 		flushTelemetry(resume.flushDelta(res))
 	} else {
 		flushTelemetry(res)
+	}
+	return res, nil
+}
+
+// runSequential runs the deterministic search: one worker driven through
+// runLoop, from the initial state or from opts.Resume's checkpoint, and
+// checkpointed again when Preempt stops it.
+func runSequential(ctx context.Context, pl *plan, opts Options, start time.Time, emit func(Phase, int)) (*Result, error) {
+	w := newWorker(ctx, pl, opts, 0, 1, start)
+	defer w.release()
+	s := w.s
+	if ck := opts.Resume; ck != nil {
+		if err := ck.validatePlan(pl); err != nil {
+			return nil, err
+		}
+		roots, err := ck.Pool.Decode(pl.prog)
+		if err != nil {
+			return nil, err
+		}
+		if err := s.restore(ck, roots, w.det); err != nil {
+			return nil, err
+		}
+		ck.restoreWorker(w)
+		emit(PhaseSearch, s.front.size())
+	} else {
+		init, err := s.eng.InitialState()
+		if err != nil {
+			return nil, err
+		}
+		emit(PhaseSearch, 1)
+		// Scoring the initial state builds the distance tables, which is
+		// search-phase work: the frontier is seeded after the phase event.
+		s.front = newQueueFrontier(opts.Strategy, pl.schedGuided, len(pl.queueGoals))
+		s.insert(init)
+	}
+	searchWorkers.Add(1)
+	found, timedOut, cancelled, preempted, err := s.runLoop(w.res)
+	searchWorkers.Add(-1)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Found:                found,
+		TimedOut:             timedOut,
+		Cancelled:            cancelled,
+		Duration:             time.Since(start),
+		IntermediateGoalSets: pl.nInter,
+		Terminals:            map[symex.StateStatus]int64{},
+		Workers:              1,
+	}
+	w.fold(res)
+	if preempted {
+		res.Preempted = true
+		ckStart := time.Now()
+		ck, err := s.buildCheckpoint(res, w.det)
+		if err != nil {
+			return nil, err
+		}
+		res.Checkpoint = ck
+		res.CheckpointNanos = time.Since(ckStart).Nanoseconds()
 	}
 	return res, nil
 }
@@ -745,8 +683,8 @@ type searcher struct {
 
 	// front owns the live states: the per-goal virtual priority queues
 	// (heaps with lazy deletion, §3.4 / §6.2), the DFS/RandomPath pool,
-	// and the aging FIFO. Created by run; nil for parallel workers, whose
-	// states live in the shared shards instead.
+	// and the aging FIFO. Created by runSequential; nil for parallel
+	// workers, whose states live in the shared shards instead.
 	front *queueFrontier
 	// route, when set, diverts insertions to a frontier-parallel run's
 	// shared shards instead of this searcher's own frontier. Workers
@@ -790,21 +728,14 @@ func (s *searcher) sampleFrontier() {
 	})
 }
 
-// run drives a fresh search to one of its outcomes: found, space
-// exhausted, timed out (budget or context deadline), cancelled, preempted
-// (Options.Preempt asked for a checkpoint), or a hard error (the epoch
-// guard tripping, which means the reclaim gate was violated).
-func (s *searcher) run(init *symex.State, res *Result) (found *symex.State, timedOut, cancelled, preempted bool, err error) {
-	s.front = newQueueFrontier(s.opts.Strategy, s.schedGuided, len(s.queueGoals))
-	s.insert(init)
-	return s.runLoop(res)
-}
-
-// runLoop is the search loop proper, entered by run with a fresh frontier
-// or by the resume path with a restored one. Preemption is polled at the
-// loop top only — after the ctx/budget checks, before the progress and
-// sampling hooks — so a checkpoint never splits a quantum and the resumed
-// iteration replays the hooks exactly once.
+// runLoop is the sequential search loop, entered with a fresh frontier or
+// a restored one. It drives the search to one of its outcomes: found,
+// space exhausted, timed out (budget or context deadline), cancelled,
+// preempted (Options.Preempt asked for a checkpoint), or a hard error (the
+// epoch guard tripping, which means the reclaim gate was violated).
+// Preemption is polled at the loop top only — after the ctx/budget checks,
+// before the progress and sampling hooks — so a checkpoint never splits a
+// quantum and the resumed iteration replays the hooks exactly once.
 func (s *searcher) runLoop(res *Result) (found *symex.State, timedOut, cancelled, preempted bool, err error) {
 	for s.front.size() > 0 {
 		now := time.Now()

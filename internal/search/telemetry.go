@@ -29,7 +29,7 @@ var (
 	searchFrontier = telemetry.NewHistogram("esd_search_frontier_size",
 		"Live-state pool size sampled on the progress cadence.", 1)
 	searchWorkers = telemetry.NewGauge("esd_search_workers_active",
-		"Search workers currently running: one per sequential synthesis (and per portfolio variant), Parallelism per frontier-parallel synthesis.")
+		"Search workers currently running: one per sequential synthesis, Parallelism per frontier-parallel synthesis.")
 	searchDedupDrops = telemetry.NewCounter("esd_search_dedup_drops_total",
 		"Forked states dropped by the cross-worker dedup set (frontier-parallel runs only).")
 

@@ -1,0 +1,206 @@
+package search
+
+import (
+	"context"
+	"sync"
+	"testing"
+	"time"
+
+	"esd/internal/expr"
+	"esd/internal/lang"
+	"esd/internal/mir"
+	"esd/internal/solver"
+	"esd/internal/telemetry"
+)
+
+// countingPool is a SolverPool that records every solver it hands out and
+// how many come back.
+type countingPool struct {
+	mu     sync.Mutex
+	issued []*solver.Solver
+	gets   int
+	puts   int
+}
+
+func (p *countingPool) Get() *solver.Solver {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s := solver.New()
+	p.issued = append(p.issued, s)
+	p.gets++
+	return s
+}
+
+func (p *countingPool) Put(*solver.Solver) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.puts++
+}
+
+// nopPersist is a persistent tier that never hits.
+type nopPersist struct{}
+
+func (nopPersist) Lookup([]expr.StructKey) (solver.Result, map[string]int64, bool) {
+	return solver.Unknown, nil, false
+}
+func (nopPersist) Publish([]expr.StructKey, solver.Result, map[string]int64) {}
+
+// TestSolverAttachDetach checks the solver discipline of every search
+// shape: each run attaches the request's shared and persistent tiers to
+// the solvers it uses and detaches them before returning — on success,
+// on preemption, and on a rejected resume — and every solver taken from
+// the pool goes back.
+func TestSolverAttachDetach(t *testing.T) {
+	rep, _ := listing1Report(t)
+	prog := lang.MustCompile("listing1.c", listing1)
+
+	opts := func(pool *countingPool) Options {
+		return Options{
+			Strategy:     StrategyESD,
+			Budget:       time.Minute,
+			Seed:         1,
+			Solver:       solver.New(),
+			Solvers:      pool,
+			SharedCache:  solver.NewSharedCache(),
+			PruneFacts:   NewPruneFacts(),
+			PersistCache: nopPersist{},
+		}
+	}
+	check := func(t *testing.T, o Options, pool *countingPool) {
+		t.Helper()
+		all := append([]*solver.Solver{o.Solver}, pool.issued...)
+		for i, s := range all {
+			if s.Shared != nil || s.Persist != nil {
+				t.Errorf("solver %d still attached after the run (shared=%v persist=%v)", i, s.Shared != nil, s.Persist != nil)
+			}
+		}
+		if pool.gets != pool.puts {
+			t.Errorf("pool Get/Put = %d/%d, want equal", pool.gets, pool.puts)
+		}
+	}
+
+	for _, n := range []int{1, 2, 4} {
+		pool := &countingPool{}
+		o := opts(pool)
+		o.Parallelism = n
+		res, err := Synthesize(context.Background(), prog, rep, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Found == nil {
+			t.Fatalf("n=%d: listing1 not reproduced", n)
+		}
+		check(t, o, pool)
+	}
+
+	pool := &countingPool{}
+	o := opts(pool)
+	o.Preempt = func() bool { return true }
+	res, err := Synthesize(context.Background(), prog, rep, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Preempted {
+		t.Fatal("run was not preempted")
+	}
+	check(t, o, pool)
+
+	// A checkpoint whose goal was edited passes the option check but fails
+	// plan validation, after the solver is already set up.
+	ck := *res.Checkpoint
+	ck.Goals = append([]mir.Loc(nil), ck.Goals...)
+	ck.Goals[0].Block++
+	pool = &countingPool{}
+	o = opts(pool)
+	o.Resume = &ck
+	if _, err := Synthesize(context.Background(), prog, rep, o); err == nil {
+		t.Fatal("resume with an edited goal was not rejected")
+	}
+	check(t, o, pool)
+}
+
+// TestResumeChainTelemetry checks that a preempt/resume chain flushes the
+// same totals into the process-wide registry as an uninterrupted run:
+// each segment flushes only its own share of the cumulative counters.
+func TestResumeChainTelemetry(t *testing.T) {
+	rep, _ := listing1Report(t)
+	counters := map[string]*telemetry.Counter{
+		"steps":                     vmSteps,
+		"states":                    vmStates,
+		"forks/branch":              searchForks.With("branch"),
+		"forks/sched":               searchForks.With("sched"),
+		"forks/eager":               searchForks.With("eager"),
+		"forks/snapshot":            searchForks.With("snapshot"),
+		"forks/snapshot_activation": searchForks.With("snapshot_activation"),
+		"pruned/critical_edge":      searchPruned.With(pruneCritical),
+		"pruned/infinite_distance":  searchPruned.With(pruneInfinite),
+		"aging_picks":               searchAgingPicks,
+		"sheds":                     searchSheds,
+		"syntheses/found":           syntheses.With("found"),
+	}
+	snapshot := func() map[string]int64 {
+		m := make(map[string]int64, len(counters))
+		for k, c := range counters {
+			m[k] = c.Value()
+		}
+		return m
+	}
+	delta := func(before map[string]int64) map[string]int64 {
+		m := snapshot()
+		for k := range m {
+			m[k] -= before[k]
+		}
+		return m
+	}
+
+	before := snapshot()
+	prog := lang.MustCompile("listing1.c", listing1)
+	if _, err := Synthesize(context.Background(), prog, rep, checkpointOptions(nil)); err != nil {
+		t.Fatal(err)
+	}
+	want := delta(before)
+	if want["syntheses/found"] != 1 || want["steps"] == 0 {
+		t.Fatalf("uninterrupted run flushed %v", want)
+	}
+
+	before = snapshot()
+	var resume *Checkpoint
+	segments := 0
+	for {
+		segments++
+		if segments > 10_000 {
+			t.Fatal("chain did not converge")
+		}
+		prog := lang.MustCompile("listing1.c", listing1)
+		opts := checkpointOptions(nil)
+		opts.Resume = resume
+		calls := 0
+		opts.Preempt = func() bool {
+			calls++
+			return calls%2 == 0
+		}
+		res, err := Synthesize(context.Background(), prog, rep, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Preempted {
+			break
+		}
+		blob, err := res.Checkpoint.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resume, err = DecodeCheckpoint(blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if segments < 2 {
+		t.Fatalf("chain finished in %d segment(s); preemption never engaged", segments)
+	}
+	got := delta(before)
+	for k, w := range want {
+		if got[k] != w {
+			t.Errorf("%s: chain of %d segments flushed %d, uninterrupted run %d", k, segments, got[k], w)
+		}
+	}
+}

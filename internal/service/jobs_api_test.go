@@ -318,7 +318,6 @@ func TestServiceJobRestartRecovery(t *testing.T) {
 	}
 	var res struct {
 		Found     bool            `json:"found"`
-		Seed      int64           `json:"seed"`
 		Execution json.RawMessage `json:"execution"`
 	}
 	if err := json.Unmarshal(final.Result, &res); err != nil {

@@ -9,7 +9,7 @@
 //	                 -> {"program_id": "...", "instrs": N}
 //	POST /synthesize {"program_id" | "source"+"name" | "app", "report": {...},
 //	                  "budget_ms", "seed", "strategy", "preemption_bound",
-//	                  "race_detector", "parallelism", "portfolio", "stream"}
+//	                  "race_detector", "parallelism", "stream"}
 //	                 -> result JSON, or an SSE stream of "progress" events
 //	                    followed by one "result" event when "stream" is true
 //	                    (or the request Accepts text/event-stream)
@@ -80,13 +80,10 @@ type Config struct {
 	// MaxConcurrent bounds simultaneously running syntheses; requests
 	// beyond it get 429 (default 4).
 	MaxConcurrent int
-	// MaxParallelism caps a request's total intra-synthesis fan-out: each
-	// of "parallelism" (frontier workers) and "portfolio" (racing seed
-	// variants) clamps to it, and their product — the worker count the
-	// request actually spawns — must not exceed it (over-product requests
-	// get 400). Intra-synthesis fan-out multiplies the cores one
-	// admission slot consumes, so the server bounds it independently of
-	// MaxConcurrent (default 8).
+	// MaxParallelism caps a request's intra-synthesis fan-out: a larger
+	// "parallelism" (frontier workers) is clamped to it. Intra-synthesis
+	// fan-out multiplies the cores one admission slot consumes, so the
+	// server bounds it independently of MaxConcurrent (default 8).
 	MaxParallelism int
 	// JobStore persists job records; nil means in-memory (jobs are lost
 	// on restart). esdserve passes a file-backed store (-data-dir) so
@@ -237,12 +234,9 @@ type synthesizeRequest struct {
 	PreemptionBound int    `json:"preemption_bound,omitempty"`
 	RaceDetector    bool   `json:"race_detector,omitempty"`
 	// Parallelism runs the search frontier-parallel with that many
-	// workers; Portfolio races that many seed variants. Each clamps to
-	// the server's MaxParallelism, and their product (the total worker
-	// count: every variant runs its own frontier workers) must not
-	// exceed it — over-product requests are rejected with 400.
+	// workers, clamped to the server's MaxParallelism; negative values
+	// are rejected with 400.
 	Parallelism int `json:"parallelism,omitempty"`
-	Portfolio   int `json:"portfolio,omitempty"`
 	// Telemetry attaches a flight recorder to the synthesis; the result
 	// (each result, for /batch) then carries a "telemetry" report.
 	Telemetry bool `json:"telemetry,omitempty"`
@@ -265,13 +259,9 @@ type statsJSON struct {
 }
 
 type resultJSON struct {
-	Found     bool `json:"found"`
-	TimedOut  bool `json:"timed_out,omitempty"`
-	Cancelled bool `json:"cancelled,omitempty"`
-	// Seed is the seed of the winning search configuration (a portfolio
-	// request's replay handle: re-synthesize with this seed and no
-	// portfolio to reproduce the identical execution).
-	Seed      int64           `json:"seed"`
+	Found     bool            `json:"found"`
+	TimedOut  bool            `json:"timed_out,omitempty"`
+	Cancelled bool            `json:"cancelled,omitempty"`
 	Execution json.RawMessage `json:"execution,omitempty"`
 	OtherBugs []string        `json:"other_bugs,omitempty"`
 	Stats     statsJSON       `json:"stats"`
@@ -411,27 +401,11 @@ func (s *Server) options(req *synthesizeRequest) ([]esd.SynthOption, error) {
 	if req.RaceDetector {
 		opts = append(opts, esd.WithRaceDetection())
 	}
-	if req.Parallelism < 0 || req.Portfolio < 0 {
-		return nil, fmt.Errorf("parallelism and portfolio must be non-negative")
+	if req.Parallelism < 0 {
+		return nil, fmt.Errorf("parallelism must be non-negative")
 	}
-	// Each axis clamps to MaxParallelism (the documented single-axis
-	// behavior), but the axes multiply — a portfolio of k variants each
-	// running n frontier workers spawns n×k workers — so admission
-	// control must also cap the product: clamping independently admitted
-	// up to MaxParallelism² workers per request. An over-product
-	// combination is rejected rather than silently shrunk — there is no
-	// one fair way to scale down a two-axis request, so the caller
-	// chooses.
-	n := max(min(req.Parallelism, s.cfg.MaxParallelism), 1)
-	k := max(min(req.Portfolio, s.cfg.MaxParallelism), 1)
-	if n*k > s.cfg.MaxParallelism {
-		return nil, fmt.Errorf("parallelism × portfolio = %d workers exceeds the server cap %d (each portfolio variant runs its own frontier workers; lower one axis)", n*k, s.cfg.MaxParallelism)
-	}
-	if n > 1 {
+	if n := min(req.Parallelism, s.cfg.MaxParallelism); n > 1 {
 		opts = append(opts, esd.WithParallelism(n))
-	}
-	if k > 1 {
-		opts = append(opts, esd.WithPortfolio(k))
 	}
 	if req.Telemetry {
 		opts = append(opts, esd.WithTelemetry())
@@ -976,8 +950,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"esd_engine_batch_queue_depth", "gauge", "Batch reports queued but not yet picked up by a worker.", st.BatchQueueDepth},
 		{"esd_engine_synthesized_total", "counter", "Completed synthesis calls.", st.Synthesized},
 		{"esd_engine_found_total", "counter", "Syntheses that reproduced their bug.", st.Found},
-		{"esd_engine_portfolio_races_total", "counter", "Portfolio-racing synthesis calls.", st.PortfolioRaces},
-		{"esd_engine_portfolio_wins_total", "counter", "Portfolio races where some variant reproduced the bug.", st.PortfolioWins},
 		{"esd_engine_programs_compiled_total", "counter", "Compile calls that built a new program.", st.ProgramsCompiled},
 		{"esd_engine_compile_cache_hits_total", "counter", "Compile calls served from the source-keyed memo.", st.CompileCacheHits},
 		{"esd_engine_programs_cached", "gauge", "Programs currently held by the compile memo.", int64(st.ProgramsCached)},
@@ -1011,7 +983,6 @@ func toResultJSON(res *esd.Result) resultJSON {
 		Found:     res.Found,
 		TimedOut:  res.TimedOut,
 		Cancelled: res.Cancelled,
-		Seed:      res.Seed,
 		OtherBugs: res.OtherBugs,
 		Stats: statsJSON{
 			DurationMS:    res.Stats.Duration.Milliseconds(),

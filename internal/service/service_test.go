@@ -619,11 +619,10 @@ func TestServiceBadRequests(t *testing.T) {
 	}
 }
 
-// TestServiceParallelAndPortfolio drives the intra-synthesis parallelism
-// options over the wire: a frontier-parallel request reports its worker
-// count, a portfolio request reports its winning seed, and both are
-// capped by the server's MaxParallelism.
-func TestServiceParallelAndPortfolio(t *testing.T) {
+// TestServiceParallelism drives frontier parallelism over the wire: a
+// request reports its worker count, clamped to the server's
+// MaxParallelism, and a negative count is rejected.
+func TestServiceParallelism(t *testing.T) {
 	ts := newTestServer(t, Config{MaxParallelism: 2})
 
 	resp, body := postJSON(t, ts.URL+"/synthesize", map[string]any{
@@ -633,8 +632,7 @@ func TestServiceParallelAndPortfolio(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 	var res struct {
-		Found bool  `json:"found"`
-		Seed  int64 `json:"seed"`
+		Found bool `json:"found"`
 		Stats struct {
 			Workers int `json:"workers"`
 		} `json:"stats"`
@@ -650,73 +648,9 @@ func TestServiceParallelAndPortfolio(t *testing.T) {
 	}
 
 	resp, body = postJSON(t, ts.URL+"/synthesize", map[string]any{
-		"app": "listing1", "budget_ms": 60000, "seed": 5, "portfolio": 2,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatalf("bad response %s: %v", body, err)
-	}
-	if !res.Found {
-		t.Fatalf("portfolio listing1 not found: %s", body)
-	}
-	if res.Seed != 5 && res.Seed != 6 {
-		t.Errorf("portfolio winner seed = %d, want 5 or 6", res.Seed)
-	}
-
-	resp, body = postJSON(t, ts.URL+"/synthesize", map[string]any{
 		"app": "listing1", "parallelism": -1,
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative parallelism: status %d, want 400: %s", resp.StatusCode, body)
-	}
-}
-
-// TestServiceParallelismPortfolioProductCap rejects requests whose
-// parallelism × portfolio product exceeds MaxParallelism: the axes
-// multiply (every portfolio variant runs its own frontier workers), so
-// capping them independently would admit up to MaxParallelism² workers
-// and defeat admission control.
-func TestServiceParallelismPortfolioProductCap(t *testing.T) {
-	ts := newTestServer(t, Config{MaxParallelism: 4})
-
-	// Each axis is within the cap, but the product (4 workers × 2
-	// variants = 8) is not: 400, on both /synthesize and /batch.
-	over := map[string]any{
-		"app": "listing1", "budget_ms": 60000, "parallelism": 4, "portfolio": 2,
-	}
-	resp, body := postJSON(t, ts.URL+"/synthesize", over)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("over-product /synthesize: status %d, want 400: %s", resp.StatusCode, body)
-	}
-	rep, err := apps.Get("listing1").Coredump()
-	if err != nil {
-		t.Fatal(err)
-	}
-	repJSON, _ := rep.Encode()
-	resp, body = postJSON(t, ts.URL+"/batch", map[string]any{
-		"app": "listing1", "parallelism": 4, "portfolio": 2,
-		"reports": []json.RawMessage{repJSON},
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("over-product /batch: status %d, want 400: %s", resp.StatusCode, body)
-	}
-
-	// A combination whose product fits the cap still runs.
-	resp, body = postJSON(t, ts.URL+"/synthesize", map[string]any{
-		"app": "listing1", "budget_ms": 60000, "seed": 1, "parallelism": 2, "portfolio": 2,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("in-cap product: status %d: %s", resp.StatusCode, body)
-	}
-	var res struct {
-		Found bool `json:"found"`
-	}
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatalf("bad response %s: %v", body, err)
-	}
-	if !res.Found {
-		t.Errorf("in-cap product listing1 not found: %s", body)
 	}
 }

@@ -9,13 +9,12 @@ import (
 
 // SharedCache is a concurrency-safe fact layer over solved constraint
 // components, shared by every solver of one synthesis request: all
-// frontier-parallel workers of a run and all seed variants of a portfolio
-// race. Per-worker solvers stay single-threaded and keep their private
-// memo as the first-level cache; on a private miss they consult the
-// shared layer before paying for a solve, and publish the verified
-// verdict after. This is what keeps parallel modes from re-solving the
-// components their siblings already answered — the solver-bound apps'
-// parallel regression.
+// frontier-parallel workers of a run. Per-worker solvers stay
+// single-threaded and keep their private memo as the first-level cache;
+// on a private miss they consult the shared layer before paying for a
+// solve, and publish the verified verdict after. This is what keeps
+// parallel workers from re-solving the components their siblings already
+// answered — the solver-bound apps' parallel regression.
 //
 // Sharing is sound and deterministic because a component verdict is a
 // pure function of the component: the key is the exact sorted slice of

@@ -185,15 +185,6 @@ type WallStats struct {
 	// cold run's.
 	SolverPersistentHits int64 `json:"solver_persistent_hits,omitempty"`
 	SolverVerifyRejects  int64 `json:"solver_verify_rejects,omitempty"`
-	// PortfolioRequested/PortfolioEffective record a portfolio race's
-	// admission decision: the k the caller asked for and the k that
-	// actually raced after clamping to the cores available alongside the
-	// run's frontier workers. They live in the Wall section (not the
-	// deterministic body) because effective k depends on the host's
-	// GOMAXPROCS — and because a portfolio winner's deterministic report
-	// must stay byte-identical to its own single-seed replay.
-	PortfolioRequested int `json:"portfolio_requested,omitempty"`
-	PortfolioEffective int `json:"portfolio_effective,omitempty"`
 	// Workers attributes wall time and work per frontier-parallel worker
 	// (absent for sequential runs). Everything here depends on the OS
 	// scheduler's interleaving, which is why the rows live in the
@@ -240,9 +231,7 @@ type Report struct {
 	GoalQueues int `json:"goal_queues"`
 	// Parallelism is the frontier-worker count when the run was
 	// frontier-parallel (omitted for sequential runs, so an n=1 report
-	// stays byte-identical to the historical layout). Deliberately absent:
-	// the portfolio size — a portfolio winner's report must be
-	// byte-identical to its own single-seed replay.
+	// stays byte-identical to the historical layout).
 	Parallelism int `json:"parallelism,omitempty"`
 	// DedupDrops counts forks dropped by the cross-worker dedup set
 	// (frontier-parallel runs only; omitted when zero).

@@ -56,46 +56,6 @@ func TestParallelOneIsSequential(t *testing.T) {
 	}
 }
 
-// TestPortfolioOneIsSequential is the golden k=1 identity: a portfolio
-// of one is a plain single-seed run.
-func TestPortfolioOneIsSequential(t *testing.T) {
-	eng := esd.New()
-	_, seqFR := synthReport(t, eng)
-	pf, pfFR := synthReport(t, eng, esd.WithPortfolio(1))
-
-	if d1, d2 := detJSON(t, seqFR), detJSON(t, pfFR); !bytes.Equal(d1, d2) {
-		t.Errorf("k=1 DeterministicJSON differs from sequential:\n--- seq ---\n%s\n--- k=1 ---\n%s", d1, d2)
-	}
-	if pf.Seed != 1 {
-		t.Errorf("k=1 Seed = %d, want the base seed 1", pf.Seed)
-	}
-}
-
-// TestPortfolioWinnerReplays is the portfolio double-replay contract: the
-// winner's Result records the seed it actually ran with, and replaying
-// that seed without the portfolio re-synthesizes a byte-identical flight
-// report and the same execution — the race leaves no trace in the
-// winning configuration's deterministic output.
-func TestPortfolioWinnerReplays(t *testing.T) {
-	eng := esd.New()
-	race, raceFR := synthReport(t, eng, esd.WithPortfolio(3))
-	if race.Seed < 1 || race.Seed > 3 {
-		t.Fatalf("winner seed = %d, want base..base+2", race.Seed)
-	}
-
-	replay, replayFR := synthReport(t, eng, esd.WithSeed(race.Seed))
-	if d1, d2 := detJSON(t, raceFR), detJSON(t, replayFR); !bytes.Equal(d1, d2) {
-		t.Errorf("winner's report differs from its single-seed replay (seed %d):\n--- race ---\n%s\n--- replay ---\n%s",
-			race.Seed, d1, d2)
-	}
-	if !race.Execution.SameBug(replay.Execution) {
-		t.Errorf("seed-%d replay synthesized a different execution than the portfolio winner", race.Seed)
-	}
-	if replay.Seed != race.Seed {
-		t.Errorf("replay Seed = %d, want %d", replay.Seed, race.Seed)
-	}
-}
-
 // TestParallelSynthesisViaEngine exercises the full engine path at n=4:
 // the run finds the bug, records its worker count, and the flight report
 // carries the parallelism plus per-worker wall attribution (in the
