@@ -3,11 +3,61 @@ package esd_test
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"esd"
 )
+
+// TestCommittedCheckpointResumes is the upgrade check for stored jobs:
+// testdata/listing1.ckpt.json is a seed-1 listing1 synthesis preempted at
+// its second poll, written by an earlier build, as a jobs.FileStore would
+// keep it across an upgrade. This build must decode it, resume it, and
+// synthesize the golden execution byte for byte. Regenerate with
+// go test -run TestCommittedCheckpointResumes -update, and only for a
+// change that means to alter the checkpoint format or the search.
+func TestCommittedCheckpointResumes(t *testing.T) {
+	eng := esd.New()
+	prog, rep := appProgReport(t, "listing1")
+	opts := []esd.SynthOption{esd.WithBudget(2 * time.Minute), esd.WithSeed(1), esd.WithTelemetry()}
+	path := filepath.Join("testdata", "listing1.ckpt.json")
+	if *update {
+		polls := 0
+		res, err := eng.Synthesize(context.Background(), prog, rep,
+			append(opts, esd.WithPreempt(func() bool { polls++; return polls == 2 }))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Preempted {
+			t.Fatal("listing1 finished before its second poll")
+		}
+		if err := os.WriteFile(path, res.Checkpoint, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	ck, err := esd.DecodeCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Synthesize(context.Background(), prog, rep, append(opts, esd.WithResume(ck))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Found {
+		t.Fatal("the resumed checkpoint did not reproduce the bug")
+	}
+	exec, err := res.Execution.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "listing1.exec.json", exec)
+}
 
 // TestEngineCheckpointResume is the engine-level restart drill: a
 // synthesis time-sliced into worst-case one-pick segments by WithPreempt,
