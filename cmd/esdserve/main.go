@@ -6,8 +6,7 @@
 //	esdserve -addr :8080 [-max-concurrent 4] [-max-parallelism 8]
 //	         [-default-budget 60s] [-max-budget 10m]
 //	         [-data-dir /var/lib/esd] [-job-slice 2s]
-//	         [-cache-dir /var/cache/esd]
-//	         [-interner-high-water 268435456] [-debug-addr localhost:6060]
+//	         [-cache-dir /var/cache/esd] [-debug-addr localhost:6060]
 //
 // Endpoints (see internal/service for the full wire contract):
 //
@@ -19,7 +18,6 @@
 //	GET    /jobs/{id}        poll one job record (result when done)
 //	GET    /jobs/{id}/events SSE stream of the job's state transitions
 //	DELETE /jobs/{id}        cancel and remove a job
-//	POST   /reclaim          force one interner epoch sweep (409 while busy)
 //	GET    /healthz          liveness + engine/interner/job-store observability
 //	GET    /metrics          Prometheus text exposition of the telemetry registry
 //	                         plus engine/service/jobs series
@@ -30,7 +28,7 @@
 //
 // -cache-dir adds the persistent cross-run solver-cache tier: definite
 // component verdicts (keyed by canonical structural fingerprints, so
-// they survive restarts and interner sweeps) are written there and
+// they survive restarts) are written there and
 // consulted by every later synthesis of the same program, including
 // after a server restart. Safe to share with past or future runs — Sat
 // models are re-verified against live terms before a hit is served.
@@ -70,9 +68,7 @@ func main() {
 		maxParallel   = flag.Int("max-parallelism", 8, "cap on per-request frontier parallelism")
 		defaultBudget = flag.Duration("default-budget", 60*time.Second, "budget for requests without budget_ms")
 		maxBudget     = flag.Duration("max-budget", 10*time.Minute, "cap on requested budgets")
-		highWater     = flag.Int64("interner-high-water", 256<<20,
-			"interned-term footprint (bytes) above which idle epoch sweeps reclaim dead terms (0 disables)")
-		debugAddr = flag.String("debug-addr", "",
+		debugAddr     = flag.String("debug-addr", "",
 			"listen address for the pprof debug server (e.g. localhost:6060; empty disables)")
 		dataDir  = flag.String("data-dir", "", "directory for the durable job store (empty = in-memory jobs)")
 		cacheDir = flag.String("cache-dir", "", "directory for the persistent cross-run solver cache (empty = in-memory caching only)")
@@ -100,7 +96,6 @@ func main() {
 	engOpts := []esd.Option{
 		esd.WithDefaultBudget(*defaultBudget),
 		esd.WithMaxConcurrent(*maxConcurrent),
-		esd.WithInternerHighWater(*highWater),
 	}
 	if *cacheDir != "" {
 		engOpts = append(engOpts, esd.WithPersistentCache(*cacheDir))
@@ -147,8 +142,8 @@ func main() {
 		hs.Shutdown(shutdownCtx)
 	}()
 
-	log.Printf("esdserve: listening on %s (max-concurrent=%d, max-parallelism=%d, default-budget=%s, max-budget=%s, interner-high-water=%d)",
-		*addr, *maxConcurrent, *maxParallel, *defaultBudget, *maxBudget, *highWater)
+	log.Printf("esdserve: listening on %s (max-concurrent=%d, max-parallelism=%d, default-budget=%s, max-budget=%s)",
+		*addr, *maxConcurrent, *maxParallel, *defaultBudget, *maxBudget)
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintf(os.Stderr, "esdserve: %v\n", err)
 		os.Exit(1)

@@ -33,11 +33,6 @@ type Engine struct {
 	defaultBudget time.Duration
 	maxConcurrent int
 	onProgress    func(ProgressEvent)
-	// internerHighWater is the reclaim watermark: when the global interned-
-	// term store exceeds this many bytes and no synthesis is in flight, the
-	// engine runs an epoch sweep (expr.TryReclaim). Zero disables the
-	// policy (the pre-reclaim append-only behavior).
-	internerHighWater int64
 
 	// solvers pools warm solvers: a solver's memoized query cache is
 	// keyed by canonical structural term fingerprints, so reusing one
@@ -63,25 +58,7 @@ type Engine struct {
 	found       atomic.Int64
 	compiled    atomic.Int64
 	compileHits atomic.Int64
-	sweeps      atomic.Int64
-	sweptBytes  atomic.Int64
-	// lastQuiesce is the UnixNano of the last forced-quiescence sweep
-	// attempt (the rate limiter for sweepQuiesceWait admission pauses).
-	lastQuiesce atomic.Int64
 }
-
-// Watermark-sweep quiescence tuning. On a server that is never idle, a
-// sweep window has to be made: when the watermark is exceeded and an
-// opportunistic TryReclaim keeps losing to in-flight pins, MaybeReclaim
-// briefly blocks new admissions (expr.ReclaimWait) so running syntheses
-// can drain. sweepQuiesceWait bounds that admission pause; sweepCooldown
-// bounds how often it may be attempted, so a long-running synthesis that
-// cannot drain within the wait costs at most one pause per cooldown.
-// These are vars, not consts, so tests can tighten them.
-var (
-	sweepQuiesceWait = 500 * time.Millisecond
-	sweepCooldown    = 15 * time.Second
-)
 
 // Option configures an Engine at construction.
 type Option func(*Engine)
@@ -101,25 +78,6 @@ func WithMaxConcurrent(n int) Option {
 	}
 }
 
-// WithInternerHighWater sets the reclaim watermark: once the global
-// interned-term store (expr.InternerStats().Bytes) exceeds bytes, the
-// engine runs a stop-the-world epoch sweep at the next moment no
-// synthesis is in flight, reclaiming every term unreachable from the
-// registered roots. Zero (the default) disables reclamation, matching the
-// historical append-only behavior — fine for CLIs, not for a long-lived
-// service. The sweep never runs under an active synthesis: in-flight runs
-// pin the term universe, and admission briefly quiesces while a sweep is
-// in progress. Passing 0 (or a negative value) disables reclamation even
-// if an earlier option in the list enabled it.
-func WithInternerHighWater(bytes int64) Option {
-	return func(e *Engine) {
-		if bytes < 0 {
-			bytes = 0
-		}
-		e.internerHighWater = bytes
-	}
-}
-
 // WithPersistentCache opens (creating if needed) a persistent cross-run
 // solver-fact store in dir and attaches it as the engine's outermost
 // cache tier: every synthesis consults it (scoped to the program's
@@ -127,7 +85,7 @@ func WithInternerHighWater(bytes int64) Option {
 // miss, and publishes every definite component verdict back. Because
 // entries are keyed by canonical structural fingerprints — not process-
 // local intern identities — a verdict written by one process is a hit
-// in the next, across restarts and epoch sweeps.
+// in the next, across restarts.
 //
 // Correctness does not depend on the directory's contents: Sat models
 // are re-verified by concrete evaluation against the live terms before
@@ -343,7 +301,7 @@ func WithTelemetry() SynthOption {
 
 // Checkpoint is a preempted synthesis, serialized: the search frontier,
 // state graph, RNG position, and counters, re-interned on load so it
-// survives interner reclaim epochs and process restarts. Produced by a
+// outlives the terms it was built from and the process. Produced by a
 // WithPreempt run (Result.Checkpoint), consumed by WithResume.
 type Checkpoint = search.Checkpoint
 
@@ -389,15 +347,6 @@ func (e *Engine) Synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 }
 
 func (e *Engine) synthesize(ctx context.Context, prog *Program, rep *BugReport, so search.Options) (*Result, error) {
-	res, err := e.synthesizePinned(ctx, prog, rep, so)
-	// The reclaim check runs after the synthesis pin is released (deferred
-	// in synthesizePinned), so the completing request itself can trigger
-	// the sweep its growth warranted.
-	e.MaybeReclaim()
-	return res, err
-}
-
-func (e *Engine) synthesizePinned(ctx context.Context, prog *Program, rep *BugReport, so search.Options) (*Result, error) {
 	reqStart := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -436,20 +385,14 @@ func (e *Engine) synthesizePinned(ctx context.Context, prog *Program, rep *BugRe
 		so.Solvers = enginePool{e}
 	}
 
-	// Pin the interned-term universe for the whole request — the search
-	// plus the path concretization below — so a watermark sweep can never
-	// land under an in-flight synthesis (the quiescence gate).
-	release := expr.Pin()
-	defer release()
 	e.active.Add(1)
 	defer e.active.Add(-1)
-	// Request-scoped shared fact layers, created under the pin (so the
-	// interner epoch cannot move for their whole lifetime): the solver
-	// component cache and the infinite-distance prune memo are shared by
-	// every frontier worker of this request. They are attached
-	// unconditionally — n=1 runs carry them too, which is what the
-	// determinism contract tests exercise (sharing is sound because the
-	// cached verdicts are pure functions of their keys).
+	// Request-scoped shared fact layers: the solver component cache and
+	// the infinite-distance prune memo are shared by every frontier worker
+	// of this request. They are attached unconditionally — n=1 runs carry
+	// them too, which is what the determinism contract tests exercise
+	// (sharing is sound because the cached verdicts are pure functions of
+	// their keys).
 	if so.SharedCache == nil {
 		so.SharedCache = solver.NewSharedCache()
 	}
@@ -682,58 +625,6 @@ func (e *Engine) SynthesizeBatch(ctx context.Context, prog *Program, reports []*
 	return results, nil
 }
 
-// MaybeReclaim applies the engine's watermark policy: if a high-water
-// mark is configured (WithInternerHighWater) and the interner footprint
-// exceeds it, it runs one epoch sweep at the first opportunity. The
-// opportunistic path costs nothing and sweeps only when nothing is
-// pinned; when in-flight work keeps winning that race (a server that is
-// never idle), a rate-limited fallback briefly pauses new admissions
-// (expr.ReclaimWait) so the running syntheses can drain — otherwise a
-// saturated server would never reclaim at all. The engine calls this
-// after every synthesis; services that hold their own interner pins
-// around request handling call it again after those pins drop.
-func (e *Engine) MaybeReclaim() (expr.ReclaimStats, bool) {
-	hw := e.internerHighWater
-	if hw <= 0 || expr.InternerStats().Bytes < hw {
-		return expr.ReclaimStats{Epoch: expr.Epoch()}, false
-	}
-	if e.active.Load() == 0 {
-		if st, ok := e.tryReclaim(); ok {
-			return st, true
-		}
-	}
-	// In-flight work held the gate. Rate-limited forced quiescence: block
-	// new pins for up to sweepQuiesceWait while the current runs finish.
-	now := time.Now().UnixNano()
-	last := e.lastQuiesce.Load()
-	if now-last < int64(sweepCooldown) || !e.lastQuiesce.CompareAndSwap(last, now) {
-		return expr.ReclaimStats{Epoch: expr.Epoch()}, false
-	}
-	st, ok := expr.ReclaimWait(sweepQuiesceWait)
-	if ok {
-		e.sweeps.Add(1)
-		e.sweptBytes.Add(st.BytesReclaimed)
-	}
-	return st, ok
-}
-
-// Reclaim forces one epoch sweep regardless of the watermark, if no
-// synthesis is in flight. It returns the sweep stats and whether the
-// sweep ran (ok=false: in-flight work held the gate; retry when idle).
-// esdserve exposes this as POST /reclaim.
-func (e *Engine) Reclaim() (expr.ReclaimStats, bool) {
-	return e.tryReclaim()
-}
-
-func (e *Engine) tryReclaim() (expr.ReclaimStats, bool) {
-	st, ok := expr.TryReclaim()
-	if ok {
-		e.sweeps.Add(1)
-		e.sweptBytes.Add(st.BytesReclaimed)
-	}
-	return st, ok
-}
-
 // EngineStats is a point-in-time snapshot of an Engine's cumulative
 // activity and shared-cache health (the /healthz payload of esdserve).
 type EngineStats struct {
@@ -755,16 +646,9 @@ type EngineStats struct {
 	// sharing across runs (process-wide, not per engine).
 	DistCacheHits   int64 `json:"dist_cache_hits"`
 	DistCacheMisses int64 `json:"dist_cache_misses"`
-	// Interner is the global hash-consed term store's footprint, including
-	// the reclaim epoch, sweep count, and cumulative bytes reclaimed.
+	// Interner is the global hash-consed term store's footprint
+	// (process-wide, not per engine).
 	Interner InternerStats `json:"interner"`
-	// InternerHighWater is this engine's reclaim watermark in bytes
-	// (0 = reclamation disabled); Sweeps and SweptBytes count the sweeps
-	// this engine triggered and the bytes they released (the Interner
-	// fields above are process-wide).
-	InternerHighWater int64 `json:"interner_high_water"`
-	Sweeps            int64 `json:"engine_sweeps"`
-	SweptBytes        int64 `json:"engine_swept_bytes"`
 	// PersistentCache snapshots the cross-run solver-fact store
 	// (WithPersistentCache); nil when no cache directory is configured.
 	// PersistentCacheError is why the configured store failed to open
@@ -780,19 +664,16 @@ func (e *Engine) Stats() EngineStats {
 	cached := len(e.programs)
 	e.mu.Unlock()
 	st := EngineStats{
-		Active:            e.active.Load(),
-		BatchQueueDepth:   e.batchQueued.Load(),
-		Synthesized:       e.synthesized.Load(),
-		Found:             e.found.Load(),
-		ProgramsCompiled:  e.compiled.Load(),
-		CompileCacheHits:  e.compileHits.Load(),
-		ProgramsCached:    cached,
-		DistCacheHits:     hits,
-		DistCacheMisses:   misses,
-		Interner:          expr.InternerStats(),
-		InternerHighWater: e.internerHighWater,
-		Sweeps:            e.sweeps.Load(),
-		SweptBytes:        e.sweptBytes.Load(),
+		Active:           e.active.Load(),
+		BatchQueueDepth:  e.batchQueued.Load(),
+		Synthesized:      e.synthesized.Load(),
+		Found:            e.found.Load(),
+		ProgramsCompiled: e.compiled.Load(),
+		CompileCacheHits: e.compileHits.Load(),
+		ProgramsCached:   cached,
+		DistCacheHits:    hits,
+		DistCacheMisses:  misses,
+		Interner:         expr.InternerStats(),
 	}
 	if e.pcache != nil {
 		pst := e.pcache.Stats()

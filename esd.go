@@ -133,8 +133,7 @@ type Result struct {
 	Preempted bool
 	// Checkpoint is the encoded search checkpoint of a preempted run
 	// (nil otherwise). It is self-contained — constraints are re-interned
-	// on load — so it survives interner reclaim epochs and process
-	// restarts.
+	// on load — so it outlives the run's terms and the process.
 	Checkpoint []byte
 	// CheckpointNanos is the wall-clock cost of building the checkpoint
 	// (serialization only, not the search), for capacity planning of the
@@ -192,10 +191,10 @@ type Stats struct {
 	// Workers is the number of frontier-parallel search workers the run
 	// used (1 for a sequential search).
 	Workers int
-	// Interner snapshots the process-wide term store after the run. The
-	// store grows until an epoch sweep reclaims it (see
-	// WithInternerHighWater), so long-lived services watch this for growth
-	// (also surfaced by esdserve's /healthz).
+	// Interner snapshots the process-wide term store after the run: the
+	// terms live runs still hold plus the constant cache, since the garbage
+	// collector reclaims every term nothing references (also surfaced by
+	// esdserve's /healthz).
 	Interner InternerStats
 }
 

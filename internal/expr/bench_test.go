@@ -45,35 +45,3 @@ func BenchmarkConstruct(b *testing.B) {
 		_ = Not(c)
 	}
 }
-
-// BenchmarkReclaim measures the stop-the-world sweep cost as a function
-// of the live-term count: each iteration interns a fixed batch of doomed
-// terms, then mark-sweeps them away while `live` rooted terms survive.
-// ns/op is therefore the admission-quiescence pause a service pays per
-// sweep at that live-set size.
-func BenchmarkReclaim(b *testing.B) {
-	for _, live := range []int{1000, 10000, 100000} {
-		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
-			// Build the rooted live set once: a chain of distinct non-linear
-			// nodes (xor does not fold) rooted in a single term.
-			root := Var("reclaim-bench-root")
-			for i := 0; i < live; i++ {
-				root = Binary(OpXor, root, Const(int64(2000+i)))
-			}
-			Reclaim(root) // settle to a clean baseline
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				for j := 0; j < 4096; j++ {
-					Binary(OpAdd, Var("reclaim-bench-doomed"), Const(int64(1_000_000+i*4096+j)))
-				}
-				b.StartTimer()
-				st := Reclaim(root)
-				if st.TermsReclaimed < 4096 {
-					b.Fatalf("sweep reclaimed %d terms, want >= 4096", st.TermsReclaimed)
-				}
-			}
-		})
-	}
-}

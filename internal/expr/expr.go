@@ -81,12 +81,9 @@ type Expr struct {
 	T, F *Expr  // Ite branches
 
 	hash uint64    // structural hash, computed at construction
-	id   uint64    // process-unique intern ID, for identity-keyed caches
+	id   uint64    // process-unique intern ID, never reused
 	skey StructKey // canonical 128-bit structural fingerprint (structkey.go)
-	vars *varSet   // cached free-variable set
-	mark uint64    // reclaim-generation mark; touched only inside Reclaim's
-	// stop-the-world window (reclaim.go), never concurrently with readers
-	// of the other fields
+	vars []string  // cached free-variable names, sorted (intern.go)
 }
 
 // Const returns a constant term.
@@ -132,9 +129,10 @@ func (e *Expr) IsBoolOp() bool {
 // Hash returns a structural hash of the term.
 func (e *Expr) Hash() uint64 { return e.hash }
 
-// ID returns the term's process-unique intern ID. Structurally equal terms
-// share an ID; use it to key identity-based caches (e.g. the solver's
-// query cache) without hash-collision risk.
+// ID returns the term's process-unique intern ID. Structurally equal live
+// terms share an ID; IDs are never reused, so a term rebuilt after its
+// collection gets a new one, and an ID-keyed entry about a dead term can
+// never alias a live one.
 func (e *Expr) ID() uint64 { return e.id }
 
 // Equal reports structural equality. Interning makes this a pointer
@@ -573,28 +571,16 @@ func (e *Expr) Eval(env map[string]int64) (int64, error) {
 }
 
 // Vars returns the names of e's free variables, deduplicated and sorted.
-// The set is cached at construction, so this is a field read. The slice is
-// shared by every term with the same variable set: callers must not modify
-// it.
-func (e *Expr) Vars() []string { return e.vars.names() }
+// The set is cached at construction, so this is a field read. The slice
+// may be shared with e's subterms: callers must not modify it.
+func (e *Expr) Vars() []string { return e.vars }
 
-// NumVars returns the size of e's free-variable set without materializing
-// the name slice.
-func (e *Expr) NumVars() int { return len(e.vars.ids) }
-
-// VarIDs returns e's free variables as their interned name IDs, sorted
-// ascending. IDs are process-unique and stable for the process lifetime;
-// the slice is shared by every term with the same variable set and must
-// not be modified. This is the allocation-free form of Vars for callers
-// that only need set algebra (the solver's independence partitioning).
-func (e *Expr) VarIDs() []int32 { return e.vars.ids }
+// NumVars returns the size of e's free-variable set.
+func (e *Expr) NumVars() int { return len(e.vars) }
 
 // HasVar reports whether the named variable occurs free in e, using the
 // cached variable set (no tree walk).
-func (e *Expr) HasVar(name string) bool {
-	id, ok := lookupNameID(name)
-	return ok && e.vars.has(id)
-}
+func (e *Expr) HasVar(name string) bool { return hasVar(e.vars, name) }
 
 // Substitute returns e with every occurrence of variable name replaced by
 // replacement, re-simplifying along the way. For repeated substitution of

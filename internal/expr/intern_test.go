@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -86,28 +87,14 @@ func TestHasVarAndVars(t *testing.T) {
 	if e.NumVars() != 2 {
 		t.Fatalf("NumVars = %d, want 2", e.NumVars())
 	}
-	// Terms over the same variable set share the cached Vars slice.
-	o := Binary(OpSub, Var("a"), Var("b"))
-	v1, v2 := e.Vars(), o.Vars()
-	if len(v1) != 2 || v1[0] != "a" || v1[1] != "b" {
-		t.Fatalf("Vars = %v", v1)
+	if v := e.Vars(); len(v) != 2 || v[0] != "a" || v[1] != "b" {
+		t.Fatalf("Vars = %v", v)
 	}
-	if &v1[0] != &v2[0] {
-		t.Fatal("equal variable sets do not share the cached name slice")
+	// A node whose set equals a child's shares the child's slice.
+	if v, w := e.Vars(), e.B.Vars(); &v[0] != &w[0] {
+		t.Fatal("a node does not share its child's equal variable set")
 	}
-}
-
-func TestVarIDsSortedAndShared(t *testing.T) {
-	ab := Binary(OpAdd, Var("a"), Var("b"))
-	ba := Binary(OpSub, Var("b"), Var("a"))
-	ids := ab.VarIDs()
-	if len(ids) != 2 || ids[0] >= ids[1] {
-		t.Fatalf("VarIDs not sorted/deduped: %v", ids)
-	}
-	if &ids[0] != &ba.VarIDs()[0] {
-		t.Fatal("equal variable sets do not share the ID slice")
-	}
-	if len(Const(1).VarIDs()) != 0 {
+	if len(Const(1).Vars()) != 0 {
 		t.Fatal("constant has free variables")
 	}
 }
@@ -149,10 +136,17 @@ func TestConcurrentConstructors(t *testing.T) {
 	}
 }
 
+// TestInternedNodesGrows: interning fresh terms grows the footprint by
+// exactly their nodes and the new variable's name.
 func TestInternedNodesGrows(t *testing.T) {
-	before := InternedNodes()
-	Binary(OpAdd, Var("intern-count-probe"), Const(987654321))
-	if InternedNodes() <= before {
-		t.Fatal("interning a fresh term did not grow the table")
+	before := settleToFloor(t)
+	e := Binary(OpAdd, Var("intern-count-probe"), Const(987654321))
+	after := InternerStats()
+	if after.Terms != before.Terms+3 || after.InternMisses != before.InternMisses+3 {
+		t.Errorf("interning three fresh terms moved the stats from %+v to %+v", before, after)
 	}
+	if want := before.Bytes + 3*exprNodeSize + int64(len("intern-count-probe")); after.Bytes != want {
+		t.Errorf("bytes = %d, want %d", after.Bytes, want)
+	}
+	runtime.KeepAlive(e)
 }

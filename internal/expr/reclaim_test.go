@@ -3,225 +3,248 @@ package expr
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 )
 
-// TestReclaimSweepsDeadTerms: terms unreachable from any root are swept
-// (rebuilding one yields a fresh node with a fresh ID), roots and their
-// transitive children survive with identity intact, and the footprint
-// counters go down by what was swept.
+// The intern table holds its nodes weakly, and cleanups remove collected
+// nodes' entries asynchronously, so every check of what a collection
+// reclaimed polls with a deadline.
+
+// eventually forces a collection and checks cond until it holds, failing
+// the test if it does not within ten seconds.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		TryReclaim()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// settleToFloor waits until every term the package's earlier tests built
+// is collected and forgotten, leaving only the constant cache, and returns
+// that footprint.
+func settleToFloor(t *testing.T) Stats {
+	t.Helper()
+	eventually(t, "the footprint is back at the constant cache", func() bool {
+		st := InternerStats()
+		return st.Terms == len(constCache) && st.Bytes == int64(len(constCache))*exprNodeSize
+	})
+	return InternerStats()
+}
+
+// collectGarbageTerm drops a fresh term and waits until it is collected
+// and its cleanup has removed its entry: evidence that a collection has
+// run and the cleanups it queued are being processed.
+func collectGarbageTerm(t *testing.T) {
+	t.Helper()
+	e := Binary(OpMul, Var("garbage-probe"), Const(int64(nextExprID.Load())+1_000_000))
+	hash, wp := e.hash, weak.Make(e)
+	e = nil
+	eventually(t, "a dropped probe term is collected and forgotten", func() bool { return !entryPresent(hash, wp) })
+}
+
+// entryPresent reports whether the table still holds wp's entry.
+func entryPresent(hash uint64, wp weak.Pointer[Expr]) bool {
+	sh := &shards[hash%internShards]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, x := range sh.m[hash] {
+		if x == wp {
+			return true
+		}
+	}
+	return false
+}
+
+// TestHeldTermSurvivesReclaim: a term that is referenced survives forced
+// collections with its pointer, ID and children intact.
+func TestHeldTermSurvivesReclaim(t *testing.T) {
+	build := func() *Expr {
+		return Binary(OpAdd, Var("held-x"), Binary(OpMul, Var("held-y"), Const(77001)))
+	}
+	held := build()
+	id, child := held.ID(), held.B
+	collectGarbageTerm(t)
+	got := build()
+	if got != held || got.ID() != id || got.B != child {
+		t.Fatalf("held term lost its identity across collections: %p/%d -> %p/%d", held, id, got, got.ID())
+	}
+}
+
+// TestReclaimSweepsDeadTerms: a dropped term is collected; rebuilding it
+// interns a new node with a new ID (IDs are never reused) and the same
+// structural key, and two rebuilds are pointer-equal.
 func TestReclaimSweepsDeadTerms(t *testing.T) {
-	// Build a root DAG and a pile of garbage terms.
-	root := Binary(OpAdd, Var("reclaim-root-x"), Binary(OpMul, Var("reclaim-root-y"), Const(77001)))
-	child := root.B // interior node, reachable only through root
-	var doomed *Expr
-	for i := 0; i < 500; i++ {
-		doomed = Binary(OpXor, Var("reclaim-doomed"), Const(int64(200000+i)))
-	}
-	doomedID := doomed.ID()
+	build := func() *Expr { return Binary(OpXor, Var("doomed-x"), Const(200001)) }
+	e := build()
+	id, key := e.ID(), e.StructuralKey()
+	wp := weak.Make(e)
+	e = nil
+	eventually(t, "the dropped term is collected", func() bool { return wp.Value() == nil })
 
-	before := InternerStats()
-	st := Reclaim(root)
-	after := InternerStats()
-
-	if st.TermsReclaimed < 500 {
-		t.Fatalf("sweep reclaimed %d terms, want >= 500", st.TermsReclaimed)
+	a, b := build(), build()
+	if a != b {
+		t.Fatal("two rebuilds of a collected term interned to different pointers")
 	}
-	if after.Terms != before.Terms-st.TermsReclaimed {
-		t.Errorf("term counter off: before=%d reclaimed=%d after=%d", before.Terms, st.TermsReclaimed, after.Terms)
+	if a.ID() == id {
+		t.Error("intern ID reused after a collection")
 	}
-	if after.Bytes >= before.Bytes {
-		t.Errorf("bytes did not shrink: %d -> %d", before.Bytes, after.Bytes)
-	}
-	if after.Epoch != before.Epoch+1 || after.Sweeps != before.Sweeps+1 {
-		t.Errorf("epoch/sweeps not advanced: %+v -> %+v", before, after)
-	}
-	if after.BytesReclaimed-before.BytesReclaimed != st.BytesReclaimed {
-		t.Errorf("cumulative reclaimed-bytes counter off")
-	}
-	// Reconciliation invariant: the sweep's reported reclaim is exactly the
-	// footprint delta — one accounting path feeds both numbers.
-	if st.BytesReclaimed != before.Bytes-after.Bytes {
-		t.Errorf("sweep reported %d bytes reclaimed, footprint shrank by %d",
-			st.BytesReclaimed, before.Bytes-after.Bytes)
-	}
-
-	// Root identity preserved: rebuilding the same structure re-finds the
-	// same pointers.
-	if got := Binary(OpMul, Var("reclaim-root-y"), Const(77001)); got != child {
-		t.Error("root's child lost its interned identity across the sweep")
-	}
-	// Swept terms re-intern as new nodes with new IDs (never reused), so
-	// stale identity-keyed cache entries cannot alias them.
-	reborn := Binary(OpXor, Var("reclaim-doomed"), Const(int64(200000+499)))
-	if reborn == doomed {
-		t.Error("dead term survived the sweep")
-	}
-	if reborn.ID() == doomedID {
-		t.Error("intern ID reused across a sweep")
+	if a.StructuralKey() != key {
+		t.Error("structural key changed across a collection")
 	}
 }
 
-// TestReclaimRootProvider: a registered provider keeps its terms alive
-// across sweeps; unregistering stops protecting them.
-func TestReclaimRootProvider(t *testing.T) {
-	kept := Binary(OpAdd, Var("provider-kept"), Const(88123))
-	unregister := RegisterRootProvider(func(mark func(*Expr)) { mark(kept) })
-	Reclaim()
-	if got := Binary(OpAdd, Var("provider-kept"), Const(88123)); got != kept {
-		t.Fatal("provider-marked term was swept")
-	}
-	unregister()
-	Reclaim()
-	if got := Binary(OpAdd, Var("provider-kept"), Const(88123)); got == kept {
-		t.Fatal("term survived after its provider unregistered")
-	}
-}
-
-// TestReclaimNameRecycling: names no live term uses are tombstoned and
-// their IDs recycled; surviving names keep resolving.
-func TestReclaimNameRecycling(t *testing.T) {
-	keep := Binary(OpGt, Var("name-keeper"), Const(55660))
-	_ = Var("name-doomed-zzz")
-	if _, ok := lookupNameID("name-doomed-zzz"); !ok {
-		t.Fatal("setup: name not interned")
-	}
-	Reclaim(keep)
-	if _, ok := lookupNameID("name-doomed-zzz"); ok {
-		t.Error("dead name survived the sweep")
-	}
-	if !keep.HasVar("name-keeper") {
-		t.Error("live name stopped resolving after the sweep")
-	}
-	// Re-interning works and reuses a tombstoned slot (no table growth).
-	names := InternerStats().Names
-	v := Var("name-doomed-zzz")
-	if !v.HasVar("name-doomed-zzz") {
-		t.Error("recycled name does not resolve")
-	}
-	if got := InternerStats().Names; got != names+1 {
-		t.Errorf("names counter = %d, want %d", got, names+1)
-	}
-}
-
-// TestSubstEpochFlush: a Subst built before a sweep still substitutes
-// correctly after it (its memo and resolved name ID are epoch-aware).
-func TestSubstEpochFlush(t *testing.T) {
-	target := Binary(OpAdd, Var("subst-epoch-v"), Const(44771))
-	repl := Const(9)
-	sub := NewSubst("subst-epoch-v", repl)
-	want := Binary(OpAdd, Const(9), Const(44771)) // folds to a const
-	if got := sub.Apply(target); got != want {
-		t.Fatalf("pre-sweep Apply = %v, want %v", got, want)
-	}
-	Reclaim(target, repl)
-	if got := sub.Apply(target); got != Const(9+44771) {
-		t.Fatalf("post-sweep Apply = %v, want %v", got, Const(9+44771))
-	}
-}
-
-// TestPinBlocksReclaim: TryReclaim refuses while any pin is held, and
-// pins nest (each release pairs with its own pin; double-release is a
-// no-op).
-func TestPinBlocksReclaim(t *testing.T) {
-	rel1 := Pin()
-	if _, ok := TryReclaim(); ok {
-		t.Fatal("sweep ran under a pin")
-	}
-	rel2 := Pin() // nested
-	rel1()
-	if _, ok := TryReclaim(); ok {
-		t.Fatal("sweep ran under the nested pin")
-	}
-	rel2()
-	rel2() // idempotent
-	if _, ok := TryReclaim(); !ok {
-		t.Fatal("sweep refused with all pins released")
-	}
-}
-
-// TestReclaimWaitDrainsPins: ReclaimWait succeeds where TryReclaim
-// cannot — an in-flight pin that releases during the wait window drains,
-// the sweep runs, and a pin that never releases makes it time out
-// without touching anything.
-func TestReclaimWaitDrainsPins(t *testing.T) {
-	release := Pin()
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		release()
+// TestCleanupSparesNewerNode: the cleanup of a collected node that runs
+// after a node of the same shape was interned again removes only its own
+// entry, never the newer live node's.
+func TestCleanupSparesNewerNode(t *testing.T) {
+	// Park the cleanup goroutine, so the doomed node's cleanup stays
+	// pending while its shape is interned again.
+	started, release := make(chan struct{}), make(chan struct{})
+	blocker := new([32]byte) // not a tiny allocation, so its cleanup runs
+	runtime.AddCleanup(blocker, func(int) {
+		close(started)
+		<-release
+	}, 0)
+	blocker = nil
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
 	}()
-	if _, ok := TryReclaim(); ok {
-		t.Fatal("TryReclaim swept under a live pin")
-	}
-	epoch := Epoch()
-	st, ok := ReclaimWait(2 * time.Second)
-	if !ok {
-		t.Fatal("ReclaimWait did not sweep after the pin drained")
-	}
-	if st.Epoch != epoch+1 {
-		t.Errorf("epoch = %d, want %d", st.Epoch, epoch+1)
+	eventually(t, "the blocking cleanup runs", func() bool {
+		select {
+		case <-started:
+			return true
+		default:
+			return false
+		}
+	})
+
+	build := func() *Expr { return Binary(OpSub, Var("respawn-x"), Const(313131)) }
+	old := build()
+	hash, oldID := old.hash, old.ID()
+	oldWP := weak.Make(old)
+	old = nil
+	eventually(t, "the old node is collected", func() bool { return oldWP.Value() == nil })
+	if !entryPresent(hash, oldWP) {
+		t.Skip("the runtime ran the old node's cleanup alongside the blocked one; cannot stage a pending cleanup")
 	}
 
-	// A pin held past the deadline: bounded timeout, no sweep.
-	release2 := Pin()
-	defer release2()
-	if _, ok := ReclaimWait(30 * time.Millisecond); ok {
-		t.Fatal("ReclaimWait swept despite an undrained pin")
+	fresh := build()
+	if fresh.ID() == oldID {
+		t.Fatal("the rebuild reused the collected node's ID")
 	}
-	if Epoch() != epoch+1 {
-		t.Errorf("timed-out ReclaimWait changed the epoch")
+	close(release)
+	released = true
+	eventually(t, "the old node's cleanup runs", func() bool { return !entryPresent(hash, oldWP) })
+	if !entryPresent(hash, weak.Make(fresh)) {
+		t.Fatal("the old node's cleanup evicted the newer live node")
+	}
+	if got := build(); got != fresh {
+		t.Fatal("after the old cleanup, rebuilding interned a second node")
 	}
 }
 
-// TestConcurrentPinnedBuildersAndReclaim hammers the gate: goroutines
-// build terms under pins while the main goroutine sweeps whenever the
-// gate opens. Run under -race in CI; correctness check is that every
-// pinned session's terms stay self-consistent while pinned.
-func TestConcurrentPinnedBuildersAndReclaim(t *testing.T) {
-	const goroutines = 4
-	const sessions = 60
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(g) + 99))
-			for i := 0; i < sessions; i++ {
-				release := Pin()
-				v := Var(fmt.Sprintf("pinrace-g%d", g))
-				e := Binary(OpAdd, v, Const(int64(300000+r.Intn(10000))))
-				e2 := Binary(OpAdd, v, e.B)
-				if e2 != e {
-					t.Errorf("identity broken under pin: %v vs %v", e, e2)
-				}
-				if got := e.Substitute(fmt.Sprintf("pinrace-g%d", g), Const(1)); got.Op != OpConst {
-					t.Errorf("substitution under pin produced %v", got)
-				}
-				release()
-			}
-		}()
+// TestSubstAcrossReclaim: a Subst keeps the terms in its memo alive, so
+// after collections its results are still the canonical nodes.
+func TestSubstAcrossReclaim(t *testing.T) {
+	build := func() *Expr {
+		return Binary(OpAdd, Binary(OpMul, Var("subst-gc-v"), Var("subst-gc-w")), Const(44771))
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	sweeps := 0
-	for {
-		select {
-		case <-done:
-			if sweeps == 0 {
-				// The builders never all released at once on this schedule;
-				// take the deterministic sweep now that they are done.
-				if _, ok := TryReclaim(); !ok {
-					t.Error("gate still closed after all builders finished")
-				}
+	sub := NewSubst("subst-gc-v", Const(9))
+	first := sub.Apply(build())
+	collectGarbageTerm(t)
+	want := Binary(OpAdd, Binary(OpMul, Const(9), Var("subst-gc-w")), Const(44771))
+	if got := sub.Apply(build()); got != want || got != first {
+		t.Fatalf("Apply after collections = %v (%p), want %v (%p)", got, got, want, first)
+	}
+}
+
+// TestConcurrentBuildersAndReclaim races builders against forced
+// collections: in every round all goroutines build the same random
+// terms, then compare them while still holding them, so two structurally
+// equal live terms at different pointers fail the test. Between rounds
+// the terms are dropped, so later rounds re-intern shapes whose collected
+// nodes' cleanups may still be pending. Run under -race in CI.
+func TestConcurrentBuildersAndReclaim(t *testing.T) {
+	const goroutines = 4
+	const rounds = 30
+	const terms = 64
+	stop := make(chan struct{})
+	var reclaimer sync.WaitGroup
+	reclaimer.Add(1)
+	go func() {
+		defer reclaimer.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				TryReclaim()
 			}
-			return
-		default:
-			if _, ok := TryReclaim(); ok {
-				sweeps++
+		}
+	}()
+	defer func() {
+		close(stop)
+		reclaimer.Wait()
+	}()
+
+	for round := 0; round < rounds; round++ {
+		results := make([][]*Expr, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(int64(round)))
+				v := fmt.Sprintf("race-g%d", g)
+				out := make([]*Expr, terms)
+				for i := range out {
+					e := randomTerm(r, 5)
+					// Goroutine-private terms force insertions alongside
+					// the shared lookups.
+					own := Binary(OpAdd, Var(v), Const(int64(400000+i)))
+					if own.Substitute(v, Const(1)).Op != OpConst {
+						t.Errorf("substitution of %v did not fold", own)
+					}
+					out[i] = e
+				}
+				results[g] = out
+			}()
+		}
+		wg.Wait()
+		for g := 1; g < goroutines; g++ {
+			for i := range results[g] {
+				if results[g][i] != results[0][i] {
+					t.Fatalf("round %d: goroutine %d term %d interned to a different pointer than goroutine 0's", round, g, i)
+				}
 			}
 		}
 	}
+}
+
+// TestReclaimToConstantFloor: once nothing references the terms a run
+// built, the footprint returns to the constant cache, names included.
+func TestReclaimToConstantFloor(t *testing.T) {
+	floor := settleToFloor(t)
+	held := make([]*Expr, 0, 500)
+	for i := 0; i < 500; i++ {
+		held = append(held, Binary(OpXor, Var(fmt.Sprintf("floor-v%d", i)), Const(int64(300000+i))))
+	}
+	if st := InternerStats(); st.Terms != floor.Terms+3*len(held) || st.Bytes <= floor.Bytes {
+		t.Fatalf("building %d terms moved the footprint from %+v to %+v", 3*len(held), floor, st)
+	}
+	runtime.KeepAlive(held)
+	held = nil
+	settleToFloor(t)
 }

@@ -5,8 +5,8 @@ import "fmt"
 // This file is the checkpoint-restore door into the interner. A search
 // checkpoint serializes its constraint terms structurally (op, constant,
 // name, child indices) and must rebuild them as interned nodes on load —
-// possibly in a different process, or in the same process after reclaim
-// sweeps have advanced the interner epoch and evicted the originals.
+// possibly in a different process, or in the same process after the
+// garbage collector has collected the originals.
 //
 // Decoding must NOT re-run the simplifying constructors (Binary, Unary,
 // Ite): a checkpointed term is already a constructor fixed point, but the

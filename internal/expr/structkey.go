@@ -3,12 +3,12 @@ package expr
 // This file implements the canonical structural fingerprint of a term: a
 // 128-bit key that is a pure function of the term's structure (operator,
 // constant value, variable *names*, and the keys of its children). Unlike
-// the intern ID — which is process-unique and minted fresh after every
-// epoch sweep — a StructKey is stable across intern order, epoch sweeps,
-// process restarts, and machines, so it can key caches that outlive the
-// interner: the solver's component caches, the request-scoped SharedCache,
-// and the persistent cross-run tier (internal/pcache). It is the term-level
-// analogue of mir.Program.Fingerprint.
+// the intern ID — which is process-unique and minted fresh whenever a
+// collected term is rebuilt — a StructKey is stable across intern order,
+// collections, process restarts, and machines, so it can key caches that
+// outlive the terms: the solver's component caches, the request-scoped
+// SharedCache, and the persistent cross-run tier (internal/pcache). It is
+// the term-level analogue of mir.Program.Fingerprint.
 //
 // The key is computed once at intern time, exactly like the cached
 // var-sets: children are already interned, so a node's key derives from
@@ -53,7 +53,7 @@ func (k StructKey) IsZero() bool { return k.Hi == 0 && k.Lo == 0 }
 // StructuralKey returns the term's canonical 128-bit structural
 // fingerprint, computed at construction: a field read, like Hash. Two
 // terms have equal keys iff they are structurally equal (up to the
-// 128-bit collision probability) — regardless of interner epoch, build
+// 128-bit collision probability) — regardless of collections, build
 // order, or process.
 func (e *Expr) StructuralKey() StructKey { return e.skey }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // termSpec is a recipe for building a term — a pure description, so the
-// same spec can be rebuilt in any order, in any interner epoch, and must
-// always land on the same structural key.
+// same spec can be rebuilt in any order, before or after its nodes are
+// collected, and must always land on the same structural key.
 type termSpec struct {
 	build func() *Expr
 	label string
@@ -65,13 +65,13 @@ func specCorpus() []termSpec {
 
 // TestStructKeyCanonicality is the satellite property test: the same term
 // built under independent interner populations — a different (shuffled)
-// build order, with unrelated junk interleaved, across a forced epoch
-// sweep that reclaims and re-mints every node — must land on the same
+// build order, with unrelated junk interleaved, after a forced collection
+// that reclaims every node and so re-mints it — must land on the same
 // structural key, while every structurally distinct term in the corpus
 // must get a distinct key. This is what "two independently built
-// interners" means in-process: the interner is global, so a full sweep
-// plus a different construction order is the strongest available
-// perturbation (intern IDs provably differ across the sweep; keys must
+// interners" means in-process: the interner is global, so a full
+// collection plus a different construction order is the strongest
+// available perturbation (intern IDs provably differ across it; keys must
 // not).
 func TestStructKeyCanonicality(t *testing.T) {
 	specs := specCorpus()
@@ -99,12 +99,13 @@ func TestStructKeyCanonicality(t *testing.T) {
 		seen[firstKey[i]] = s.label
 	}
 
-	// Force a sweep with no roots: every corpus node is reclaimed and the
-	// epoch advances, so rebuilding re-interns fresh nodes with fresh IDs.
-	Reclaim()
+	// Nothing holds the corpus nodes any more: a forced collection reclaims
+	// every one outside the constant cache, so rebuilding re-interns fresh
+	// nodes with fresh IDs.
+	TryReclaim()
 
 	// Second build: shuffled order, junk terms interleaved to perturb
-	// intern-table layout and name-ID assignment.
+	// intern-table layout.
 	rng := rand.New(rand.NewSource(42))
 	order := rng.Perm(len(specs))
 	idChanged := false
@@ -112,7 +113,7 @@ func TestStructKeyCanonicality(t *testing.T) {
 		_ = Binary(OpAdd, Var(fmt.Sprintf("junk%d", n)), Const(int64(100000+n)))
 		e := specs[i].build()
 		if got := e.StructuralKey(); got != firstKey[i] {
-			t.Errorf("%s: key changed across sweep+reshuffle: %016x%016x -> %016x%016x",
+			t.Errorf("%s: key changed across collection+reshuffle: %016x%016x -> %016x%016x",
 				specs[i].label, firstKey[i].Hi, firstKey[i].Lo, got.Hi, got.Lo)
 		}
 		if e.ID() != firstID[i] {
@@ -120,10 +121,10 @@ func TestStructKeyCanonicality(t *testing.T) {
 		}
 	}
 	// Sanity-check the perturbation actually did something: at least one
-	// intern ID must have been re-minted (IDs are never reused across
-	// epochs), otherwise the sweep did not exercise what it claims to.
+	// intern ID must have been re-minted (IDs are never reused), otherwise
+	// the collection did not exercise what it claims to.
 	if !idChanged {
-		t.Fatal("epoch sweep re-minted no intern IDs; perturbation is vacuous")
+		t.Fatal("collection re-minted no intern IDs; perturbation is vacuous")
 	}
 }
 

@@ -3,52 +3,23 @@ package expr
 // Subst is a memoized single-variable substitution. The memo is keyed by
 // node identity (valid because terms are interned) and carries across
 // Apply calls, so a constraint set sharing subtrees is rewritten once per
-// distinct node — the DAG cost, not the exponential tree cost.
-//
-// The memo (and the resolved name ID) are epoch-aware: a Reclaim sweep
-// between Apply calls invalidates memoized pointers and may recycle name
-// IDs, so Apply re-resolves and starts a fresh memo when the interner
-// epoch has moved. The replacement term itself must still be live across
-// the sweep (rooted or pinned) — that is the caller's contract, upheld by
-// the engine's quiescence gate.
+// distinct node — the DAG cost, not the exponential tree cost. The memo
+// holds its terms, so none of them is collected while the Subst lives.
 type Subst struct {
-	name  string
-	id    int32 // interned name ID; -1 when the name was never interned
-	repl  *Expr
-	epoch uint64
-	memo  map[*Expr]*Expr
+	name string
+	repl *Expr
+	memo map[*Expr]*Expr
 }
 
 // NewSubst prepares the substitution name -> replacement.
 func NewSubst(name string, replacement *Expr) *Subst {
-	s := &Subst{name: name, repl: replacement, epoch: Epoch()}
-	s.resolve()
-	return s
-}
-
-func (s *Subst) resolve() {
-	id, ok := lookupNameID(s.name)
-	if !ok {
-		// The name appears in no live term, so the substitution is the
-		// identity everywhere.
-		id = -1
-	}
-	s.id = id
+	return &Subst{name: name, repl: replacement}
 }
 
 // Apply returns e with the substitution applied, re-simplifying along the
 // way. Terms whose cached variable set misses the name are returned as-is.
 func (s *Subst) Apply(e *Expr) *Expr {
-	if ep := Epoch(); ep != s.epoch {
-		s.epoch = ep
-		s.memo = nil
-		s.resolve()
-	}
-	return s.apply(e)
-}
-
-func (s *Subst) apply(e *Expr) *Expr {
-	if s.id < 0 || !e.vars.has(s.id) {
+	if !hasVar(e.vars, s.name) {
 		return e
 	}
 	if out, ok := s.memo[e]; ok {
@@ -59,11 +30,11 @@ func (s *Subst) apply(e *Expr) *Expr {
 	case OpVar:
 		out = s.repl // the var-set hit means the name matches
 	case OpNeg, OpNot, OpBNot:
-		out = Unary(e.Op, s.apply(e.A))
+		out = Unary(e.Op, s.Apply(e.A))
 	case OpIte:
-		out = Ite(s.apply(e.A), s.apply(e.T), s.apply(e.F))
+		out = Ite(s.Apply(e.A), s.Apply(e.T), s.Apply(e.F))
 	default:
-		out = Binary(e.Op, s.apply(e.A), s.apply(e.B))
+		out = Binary(e.Op, s.Apply(e.A), s.Apply(e.B))
 	}
 	if s.memo == nil {
 		s.memo = map[*Expr]*Expr{}

@@ -2,29 +2,17 @@ package expr
 
 import "esd/internal/telemetry"
 
-// Registry views over the interner's footprint and reclaim counters. The
-// atomics in intern.go/reclaim.go stay the single source of truth —
+// Registry views over the interner's footprint and traffic counters. The
+// atomics in intern.go stay the single source of truth —
 // InternerStats (the /healthz payload) and these scrape-time views read
 // the same values, so the two surfaces cannot disagree.
 func init() {
 	telemetry.NewGaugeFunc("esd_interner_terms",
-		"Live interned terms in the global hash-consing table.",
+		"Interned terms in the global hash-consing table not yet collected.",
 		func() int64 { return termCount.Load() })
-	telemetry.NewGaugeFunc("esd_interner_names",
-		"Distinct variable names interned.",
-		func() int64 { return nameCount.Load() })
 	telemetry.NewGaugeFunc("esd_interner_bytes",
 		"Estimated retained heap of interned terms and names.",
 		func() int64 { return byteCount.Load() })
-	telemetry.NewGaugeFunc("esd_interner_epoch",
-		"Current reclaim epoch (completed sweeps).",
-		func() int64 { return int64(epochCount.Load()) })
-	telemetry.NewCounterFunc("esd_interner_sweeps_total",
-		"Completed interner reclaim sweeps.",
-		func() int64 { return sweepCount.Load() })
-	telemetry.NewCounterFunc("esd_interner_bytes_reclaimed_total",
-		"Cumulative bytes released by reclaim sweeps.",
-		func() int64 { return reclaimedBytes.Load() })
 	telemetry.NewCounterFunc("esd_interner_hits_total",
 		"Term constructions that found an already-published canonical node.",
 		func() int64 { return internHits.Load() })

@@ -4,7 +4,8 @@
 // structural component key). It is the on-disk realization of ROADMAP
 // item 5 — because keys are expr.StructKeys, not intern identities, a
 // verdict written by one process is a hit in the next, across restarts,
-// epoch sweeps, and (with a shared directory) across a fleet's shards.
+// collections of the terms, and (with a shared directory) across a
+// fleet's shards.
 //
 // The file layout mirrors internal/jobs.FileStore:
 //

@@ -164,7 +164,7 @@ func TestUnknownAndClosedDropped(t *testing.T) {
 func TestSolverIntegration(t *testing.T) {
 	// End-to-end through the real solver: verdicts published by one
 	// process generation (store s1) must be hits in the next (s2),
-	// surviving an expr epoch sweep in between.
+	// surviving the collection of the terms they were built from.
 	dir := t.TempDir()
 	s1, err := Open(dir)
 	if err != nil {
@@ -189,8 +189,8 @@ func TestSolverIntegration(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	c = nil
-	expr.Reclaim()
+	c, sol = nil, nil
+	expr.TryReclaim()
 
 	s2, err := Open(dir)
 	if err != nil {

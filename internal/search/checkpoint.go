@@ -75,13 +75,14 @@ type Checkpoint struct {
 	ElapsedNS int64 `json:"elapsed_ns"`
 	RngDraws  int64 `json:"rng_draws"`
 
-	// VM: cumulative engine stats and the allocator/poll counters a
-	// resumed engine must continue exactly (state IDs are the search's
+	// VM: cumulative engine stats and the allocator counters a resumed
+	// engine must continue exactly (state IDs are the search's
 	// deterministic tie-break; object IDs name memory inside states).
+	// Older checkpoints carry two more VM counters (the context-poll
+	// phase and an interner check count), which decoding ignores.
 	EngStats    symex.Stats `json:"eng_stats"`
 	NextStateID int         `json:"next_state_id"`
 	NextObjID   int         `json:"next_obj_id"`
-	CtxTick     int         `json:"ctx_tick"`
 
 	// Searcher bookkeeping.
 	AllPicks   int   `json:"all_picks"`
@@ -225,7 +226,7 @@ func (s *searcher) buildCheckpoint(res *Result, detector *race.Detector) (*Check
 		idx[st] = i
 	}
 
-	nextStateID, nextObjID, ctxTick := s.eng.CheckpointCounters()
+	nextStateID, nextObjID := s.eng.CheckpointCounters()
 	ck := &Checkpoint{
 		Schema:      CheckpointSchema,
 		Fingerprint: s.prog.Fingerprint(),
@@ -247,7 +248,6 @@ func (s *searcher) buildCheckpoint(res *Result, detector *race.Detector) (*Check
 		EngStats:    s.eng.Stats,
 		NextStateID: nextStateID,
 		NextObjID:   nextObjID,
-		CtxTick:     ctxTick,
 
 		AllPicks:   s.allPicks,
 		FrontPicks: s.front.picks,
@@ -331,7 +331,7 @@ func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.
 		return fmt.Errorf("search: checkpoint decoded %d roots, expected %d", len(roots), len(ck.Pool.Roots))
 	}
 	s.eng.Stats = ck.EngStats
-	s.eng.RestoreCounters(ck.NextStateID, ck.NextObjID, ck.CtxTick)
+	s.eng.RestoreCounters(ck.NextStateID, ck.NextObjID)
 	s.rngSrc.skip(ck.RngDraws)
 	s.allPicks = ck.AllPicks
 	s.agingPicks = ck.AgingPicks
@@ -440,7 +440,6 @@ func (ck *Checkpoint) flushDelta(res *Result) *Result {
 	d.Steps -= ck.EngStats.Steps
 	d.StatesCreated -= ck.EngStats.States
 	d.Concretizations -= ck.EngStats.Concretizations
-	d.EpochChecks -= ck.EngStats.EpochChecks
 	d.BranchForks -= ck.EngStats.BranchForks
 	d.SchedForks -= ck.EngStats.SchedForks
 	d.EagerForks -= ck.PolEagerForks

@@ -25,7 +25,6 @@ type detSummary struct {
 	SchedForks         int64
 	SolverQueries      int
 	Concretizations    int64
-	EpochChecks        int64
 	MaxDepth           int64
 	AgingPicks         int64
 	Sheds              int64
@@ -54,7 +53,6 @@ func summarize(t *testing.T, res *Result, rec *telemetry.Recorder) string {
 		SchedForks:         res.SchedForks,
 		SolverQueries:      res.SolverQueries,
 		Concretizations:    res.Concretizations,
-		EpochChecks:        res.EpochChecks,
 		MaxDepth:           res.MaxDepth,
 		AgingPicks:         res.AgingPicks,
 		Sheds:              res.Sheds,

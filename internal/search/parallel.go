@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,8 +35,8 @@ import (
 //     redundancy source is snapshot activation, where sibling states
 //     carry the same K_S snapshots.
 //   - The first worker to reach a goal state wins and cancels the rest
-//     through the run-scoped context; budget exhaustion and interner
-//     epoch violations propagate the same way.
+//     through the run-scoped context; budget exhaustion propagates the
+//     same way.
 //
 // Determinism: a parallel run's outcome depends on the OS scheduler, so
 // it makes no replay promise itself; the contract is that the *winning
@@ -50,8 +49,8 @@ import (
 const parallelSeedStride = 7919
 
 // runParallel runs the frontier-parallel search with opts.Parallelism
-// workers. Called from Synthesize, which already pinned the interner,
-// normalized defaults, built the plan and emitted the analyze phase.
+// workers. Called from Synthesize, which already normalized defaults,
+// built the plan and emitted the analyze phase.
 func runParallel(ctx context.Context, pl *plan, opts Options, start time.Time, emit func(Phase, int)) (*Result, error) {
 	n := opts.Parallelism
 	runCtx, cancel := context.WithCancel(ctx)
@@ -127,9 +126,6 @@ drive:
 		}
 	}
 
-	if r.err != nil {
-		return nil, r.err
-	}
 	// Every worker goroutine has exited, so reading their structs is
 	// race-free.
 	res := &Result{
@@ -217,9 +213,6 @@ type parallelRun struct {
 	winnerMu sync.Mutex
 	winner   *symex.State
 	winnerW  int
-
-	errOnce sync.Once
-	err     error
 }
 
 // place scores a freshly produced state on the producing worker's
@@ -456,9 +449,8 @@ func (r *parallelRun) budgetExceeded() bool {
 func (r *parallelRun) runWorker(w *worker, wg *sync.WaitGroup) {
 	defer wg.Done()
 	// A worker only exits when the run is ending (found, budget, cancel,
-	// exhaustion, hard error); wake any sleeping peer so it re-observes
-	// the terminal condition instead of waiting for an insert that will
-	// never come.
+	// exhaustion); wake any sleeping peer so it re-observes the terminal
+	// condition instead of waiting for an insert that will never come.
 	defer r.wakeAll()
 	searchWorkers.Add(1)
 	defer searchWorkers.Add(-1)
@@ -476,13 +468,6 @@ func (r *parallelRun) runWorker(w *worker, wg *sync.WaitGroup) {
 		w.lastStats = w.s.eng.Stats.States
 		r.busy.Add(-1)
 		if err != nil {
-			if errors.Is(err, symex.ErrEpochChanged) {
-				// The reclaim gate was violated under a live run: a hard
-				// error for the whole race, not just this worker.
-				r.errOnce.Do(func() { r.err = err })
-				r.done.Store(true)
-				r.cancel()
-			}
 			// ErrInterrupted: the VM observed the cancelled run context
 			// mid-quantum; the driver classifies the outcome.
 			return
@@ -543,10 +528,13 @@ func (r *parallelRun) progress(now time.Time) {
 // deduplication. Two states are interchangeable only when both their
 // execution prefix AND their policy metadata coincide:
 //
-//   - the path condition (interned terms are pointer-equal and pinned for
-//     the whole run, so hashing addresses is sound) plus the schedule,
-//     scheduled thread, and step count pin the execution prefix — given
-//     those, the VM's evolution is deterministic;
+//   - the path condition (structurally equal live terms share one intern
+//     ID, and IDs are never reused, so a collected term's ID cannot stand
+//     for a later, different term the way its address could; at worst a
+//     state equal to one whose terms were collected is admitted again)
+//     plus the schedule, scheduled thread, and step count pin the
+//     execution prefix — given those, the VM's evolution is
+//     deterministic;
 //   - SchedDist, Preemptions, and EagerForks are policy marks that gate
 //     future forking (two positionally identical states with different
 //     eager-fork budgets explore different futures);
@@ -568,7 +556,7 @@ func stateKey(st *symex.State) uint64 {
 	}
 	mix(uint64(len(st.Constraints)))
 	for _, c := range st.Constraints {
-		mix(uint64(uintptr(unsafe.Pointer(c))))
+		mix(c.ID())
 	}
 	mix(uint64(st.Cur))
 	mix(uint64(st.Steps))

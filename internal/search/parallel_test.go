@@ -230,17 +230,20 @@ func TestSharedCacheWarmDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelReclaimQuiescence races a frontier-parallel search against
-// an interner-reclaim hammer. The search pins the term universe for its
-// whole lifetime, so every TryReclaim during it must refuse (pins held)
-// and the search must never observe ErrEpochChanged. Run under -race in
+// TestParallelUnderReclaim races a frontier-parallel search against
+// back-to-back forced collections: terms the workers drop are collected
+// and re-interned mid-run while other workers hold theirs, so shared
+// terms, the dedup set (keyed by intern IDs) and the solver caches all see
+// collections. The search must still reproduce the bug. It is repeated
+// until a collection completes while a search runs. Run under -race in
 // CI, this is the cross-worker stress test for the parallel path.
-func TestParallelReclaimQuiescence(t *testing.T) {
+func TestParallelUnderReclaim(t *testing.T) {
 	rep, _ := listing1Report(t)
 	prog := lang.MustCompile("listing1.c", listing1)
 
 	stop := make(chan struct{})
-	var swept atomic.Int64
+	defer close(stop)
+	var collections atomic.Int64
 	go func() {
 		for {
 			select {
@@ -248,27 +251,30 @@ func TestParallelReclaimQuiescence(t *testing.T) {
 				return
 			default:
 			}
-			if _, ok := expr.TryReclaim(); ok {
-				swept.Add(1)
-			}
-			time.Sleep(100 * time.Microsecond)
+			expr.TryReclaim()
+			collections.Add(1)
 		}
 	}()
 
-	res, err := Synthesize(context.Background(), prog, rep, Options{
-		Strategy:    StrategyESD,
-		Budget:      60 * time.Second,
-		Seed:        3,
-		Parallelism: 4,
-	})
-	close(stop)
-	if err != nil {
-		t.Fatalf("parallel search under reclaim pressure failed: %v", err)
-	}
-	if res.Found == nil {
-		t.Fatalf("parallel search under reclaim pressure found nothing (timedOut=%v)", res.TimedOut)
-	}
-	if n := swept.Load(); n != 0 {
-		t.Fatalf("%d reclaim sweeps landed under a pinned parallel search", n)
+	for run := 0; ; run++ {
+		if run == 50 {
+			t.Fatal("no collection completed during any of 50 searches")
+		}
+		before := collections.Load()
+		res, err := Synthesize(context.Background(), prog, rep, Options{
+			Strategy:    StrategyESD,
+			Budget:      60 * time.Second,
+			Seed:        3,
+			Parallelism: 4,
+		})
+		if err != nil {
+			t.Fatalf("parallel search under forced collections failed: %v", err)
+		}
+		if res.Found == nil {
+			t.Fatalf("parallel search under forced collections found nothing (timedOut=%v)", res.TimedOut)
+		}
+		if collections.Load() > before {
+			return
+		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 //
 // Keys are 128-bit canonical fingerprints of the live stack
 // configuration, built with expr.KeyHasher — the same mixer behind
-// expr.StructKey, so keys are stable across workers, epochs, and
+// expr.StructKey, so keys are stable across workers, collections, and
 // processes. This replaced the exact string serialization: a collision
 // would flip a prune decision, but at 128 bits the probability is
 // ~2^-88 even for a 2^20-configuration run — far below any hardware

@@ -35,7 +35,6 @@ import (
 
 	"esd/internal/cfa"
 	"esd/internal/dist"
-	"esd/internal/expr"
 	"esd/internal/mir"
 	"esd/internal/race"
 	"esd/internal/report"
@@ -298,10 +297,8 @@ type Result struct {
 	// SolverWallNanos is this run's wall time spent inside solver.Check —
 	// Duration minus it is the search loop's own share.
 	SolverWallNanos int64
-	// Concretizations counts solver-backed term pinnings; EpochChecks
-	// counts interner-epoch cross-checks on the VM poll cadence.
+	// Concretizations counts solver-backed term pinnings.
 	Concretizations int64
-	EpochChecks     int64
 	// MaxDepth is the deepest path explored, in executed instructions.
 	MaxDepth int64
 
@@ -367,13 +364,6 @@ func Synthesize(ctx context.Context, prog *mir.Program, rep *report.Report, opts
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Pin the interned-term universe for the run: a reclaim sweep while the
-	// VM is building terms would dangle this search's whole state pool. The
-	// public engine pins around the wider synthesize (search + path
-	// concretization); pinning here as well costs nothing (pins nest) and
-	// protects direct callers — esdexp, the CLIs, tests.
-	release := expr.Pin()
-	defer release()
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = 50_000_000
 	}
@@ -491,11 +481,8 @@ func runSequential(ctx context.Context, pl *plan, opts Options, start time.Time,
 		s.insert(init)
 	}
 	searchWorkers.Add(1)
-	found, timedOut, cancelled, preempted, err := s.runLoop(w.res)
+	found, timedOut, cancelled, preempted := s.runLoop(w.res)
 	searchWorkers.Add(-1)
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Found:                found,
 		TimedOut:             timedOut,
@@ -730,54 +717,48 @@ func (s *searcher) sampleFrontier() {
 
 // runLoop is the sequential search loop, entered with a fresh frontier or
 // a restored one. It drives the search to one of its outcomes: found,
-// space exhausted, timed out (budget or context deadline), cancelled,
-// preempted (Options.Preempt asked for a checkpoint), or a hard error (the
-// epoch guard tripping, which means the reclaim gate was violated).
+// space exhausted, timed out (budget or context deadline), cancelled, or
+// preempted (Options.Preempt asked for a checkpoint).
 // Preemption is polled at the loop top only — after the ctx/budget checks,
 // before the progress and sampling hooks — so a checkpoint never splits a
 // quantum and the resumed iteration replays the hooks exactly once.
-func (s *searcher) runLoop(res *Result) (found *symex.State, timedOut, cancelled, preempted bool, err error) {
+func (s *searcher) runLoop(res *Result) (found *symex.State, timedOut, cancelled, preempted bool) {
 	for s.front.size() > 0 {
 		now := time.Now()
 		if err := s.ctx.Err(); err != nil {
 			timedOut, cancelled = classifyCtxErr(err)
-			return nil, timedOut, cancelled, false, nil
+			return nil, timedOut, cancelled, false
 		}
 		if s.budgetExceeded(now) {
-			return nil, true, false, false, nil
+			return nil, true, false, false
 		}
 		if s.opts.Preempt != nil && s.opts.Preempt() {
-			return nil, false, false, true, nil
+			return nil, false, false, true
 		}
 		s.maybeProgress(now)
 		s.sampleFrontier()
 		st, aged := s.front.pick(s.rng)
 		if st == nil {
-			return nil, false, false, false, nil
+			return nil, false, false, false
 		}
 		if aged {
 			s.agingPicks++
 		}
 		found, err := s.quantum(st, res)
 		if err != nil {
-			if errors.Is(err, symex.ErrEpochChanged) {
-				// Not a scheduling outcome: the interner was swept under
-				// this live run, every held term is suspect. Surface it.
-				return nil, false, false, false, err
-			}
 			// The VM observed the context mid-quantum (the prompt-
 			// cancellation path for long quanta and solver-heavy steps).
 			timedOut, cancelled = classifyCtxErr(s.ctx.Err())
-			return nil, timedOut, cancelled, false, nil
+			return nil, timedOut, cancelled, false
 		}
 		if found != nil {
-			return found, false, false, false, nil
+			return found, false, false, false
 		}
 		if s.front.size() > s.opts.MaxStates {
 			s.shedStates()
 		}
 	}
-	return nil, false, false, false, nil
+	return nil, false, false, false
 }
 
 // classifyCtxErr maps a context error onto the result flags: deadlines are
@@ -998,13 +979,12 @@ func (s *searcher) stateDistance(st *symex.State, goalSet []mir.Loc) int64 {
 // quantum runs st for up to Quantum instructions, absorbing forks into the
 // pool. It returns a state matching the report if one terminates this
 // quantum, and a non-nil error only when the VM observed the cancelled
-// context or the epoch guard (every other engine error abandons the state
-// in place).
+// context (every other engine error abandons the state in place).
 func (s *searcher) quantum(st *symex.State, res *Result) (*symex.State, error) {
 	for i := 0; i < s.opts.Quantum; i++ {
 		succ, err := s.eng.Step(st)
 		if err != nil {
-			if errors.Is(err, symex.ErrInterrupted) || errors.Is(err, symex.ErrEpochChanged) {
+			if errors.Is(err, symex.ErrInterrupted) {
 				return nil, err
 			}
 			// Engine-level errors abandon the state (they indicate an

@@ -13,8 +13,6 @@ var (
 		"Execution states created (initial states plus every fork).")
 	vmConcretizations = telemetry.NewCounter("esd_vm_concretizations_total",
 		"Symbolic terms pinned to concrete values via a solver model.")
-	vmEpochChecks = telemetry.NewCounter("esd_vm_epoch_checks_total",
-		"Interner-epoch cross-checks performed on the VM poll cadence.")
 
 	searchForks = telemetry.NewCounterVec("esd_search_forks_total",
 		"State forks absorbed by the search, by kind (branch = symbolic branch, sched = scheduling-policy fork, eager = deadlock pre-acquisition fork, snapshot = K_S snapshot taken, snapshot_activation = snapshot rollback activated).",
@@ -57,7 +55,6 @@ func flushTelemetry(res *Result) {
 	vmSteps.Add(res.Steps)
 	vmStates.Add(res.StatesCreated)
 	vmConcretizations.Add(res.Concretizations)
-	vmEpochChecks.Add(res.EpochChecks)
 	searchForks.With("branch").Add(res.BranchForks)
 	searchForks.With("sched").Add(res.SchedForks)
 	searchForks.With("eager").Add(int64(res.EagerForks))

@@ -104,7 +104,6 @@ func (w *worker) fold(res *Result) {
 	res.BranchForks += est.BranchForks
 	res.SchedForks += est.SchedForks
 	res.Concretizations += est.Concretizations
-	res.EpochChecks += est.EpochChecks
 	res.SolverQueries += sol.Queries - s.solBase
 	res.SolverHits += sol.CacheHits - w.base.hits
 	res.SolverSharedHits += sol.SharedHits - w.base.shared

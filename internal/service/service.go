@@ -22,12 +22,11 @@
 //	GET  /jobs/{id}/events -> SSE stream of "job" events, one per state
 //	                    transition, closing after a terminal one
 //	DELETE /jobs/{id} -> cancel (if live) and remove the record
-//	POST /reclaim    -> force one interner epoch sweep (409 while busy)
 //	GET  /healthz    -> {"status": "ok", "uptime_ms", "capacity", "active",
 //	                     "compile_cache_hits", "batch_queue_depth",
 //	                     "jobs": {"queued": N, "running": N, ...},
-//	                     "engine": {...}, "interner": {... epoch, sweeps,
-//	                     bytes_reclaimed}}
+//	                     "engine": {...}, "interner": {"terms", "bytes",
+//	                     ...}}
 //	GET  /metrics    -> Prometheus text exposition: the process-wide
 //	                    telemetry registry (search, VM, solver, dist,
 //	                    interner, esd_jobs_* series) plus
@@ -46,9 +45,9 @@
 //
 // Synthesis and batch requests are admission-controlled by a concurrency
 // limit (429 + Retry-After when saturated) and budget-capped per request.
-// Handlers pin the interned-term store for their duration, so the
-// engine's watermark sweep (WithInternerHighWater) only ever runs between
-// requests; admission briefly quiesces while a sweep is in progress.
+// The interned terms a request builds are reclaimed by the garbage
+// collector once nothing references them, so a long-lived server needs no
+// reclaim policy of its own.
 package service
 
 import (
@@ -189,7 +188,6 @@ func New(eng *esd.Engine, cfg Config) *Server {
 	s.mux.HandleFunc("GET /jobs/{id}", s.handleJobGet)
 	s.mux.HandleFunc("GET /jobs/{id}/events", s.handleJobEvents)
 	s.mux.HandleFunc("DELETE /jobs/{id}", s.handleJobDelete)
-	s.mux.HandleFunc("POST /reclaim", s.handleReclaim)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
@@ -418,17 +416,13 @@ func (s *Server) options(req *synthesizeRequest) ([]esd.SynthOption, error) {
 // runJob executes one time slice of a job for the jobs.Manager: resolve
 // the stored wire request, resume from the job's checkpoint if it has
 // one, search until done or preempted, and report the outcome. It runs on
-// a manager worker goroutine with the same pin discipline as the inline
-// handlers.
+// a manager worker goroutine.
 func (s *Server) runJob(ctx context.Context, j *jobs.Job, preempt func() bool) (*jobs.Outcome, error) {
 	var req synthesizeRequest
 	if err := json.Unmarshal(j.Request, &req); err != nil {
 		return nil, fmt.Errorf("decoding job request: %w", err)
 	}
-	defer s.eng.MaybeReclaim()
-	release := expr.Pin()
 	prog, rep, err := s.resolve(&req)
-	release()
 	if err != nil {
 		return nil, err
 	}
@@ -524,10 +518,7 @@ func toJobJSON(j *jobs.Job) jobJSON {
 // Validation runs up front so a bad request fails at submission with a
 // 4xx instead of surfacing later as a failed job.
 func (s *Server) submitJob(w http.ResponseWriter, req *synthesizeRequest) (*jobs.Job, bool) {
-	defer s.eng.MaybeReclaim()
-	release := expr.Pin()
 	_, rep, err := s.resolve(req)
-	release()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return nil, false
@@ -681,21 +672,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	if err := decodeBody(w, r, &req); err != nil {
 		return
 	}
-	// Pin the interned-term universe across resolve: it may build terms
-	// outside the engine's own pin (a first app request runs the user-site
-	// simulator for its coredump), and a sweep must never land under term
-	// construction. The pin is released as soon as resolve returns —
-	// programs and reports hold no terms, and the engine pins again for
-	// the synthesis itself — so the engine's watermark policy (including
-	// its forced-quiescence fallback) runs from an unpinned context. The
-	// deferred MaybeReclaim (registered first, so it runs after the
-	// deferred release) lets the request that pushed the interner over the
-	// watermark trigger the sweep on its way out.
-	defer s.eng.MaybeReclaim()
-	release := expr.Pin()
-	defer release()
 	prog, rep, err := s.resolve(&req)
-	release()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -799,12 +776,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "too many reports (%d > %d)", len(req.Reports), maxBatchReports)
 		return
 	}
-	// Same pin discipline as handleSynthesize: pinned across resolve only.
-	defer s.eng.MaybeReclaim()
-	release := expr.Pin()
-	defer release()
 	_, appRep, err := s.resolve(&req.synthesizeRequest)
-	release()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -900,20 +872,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleReclaim forces one interner epoch sweep (the watermark policy
-// runs the same sweep automatically; this endpoint exists for operators
-// and smoke tests). 409 means syntheses were in flight — the sweep never
-// preempts live work; retry when idle.
-func (s *Server) handleReclaim(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.eng.Reclaim()
-	if !ok {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusConflict, "syntheses in flight; the sweep only runs when the engine is idle")
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// One Stats() snapshot serves both the nested engine block and the
 	// promoted top-level fields, so the two can never disagree.
@@ -953,9 +911,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"esd_engine_programs_compiled_total", "counter", "Compile calls that built a new program.", st.ProgramsCompiled},
 		{"esd_engine_compile_cache_hits_total", "counter", "Compile calls served from the source-keyed memo.", st.CompileCacheHits},
 		{"esd_engine_programs_cached", "gauge", "Programs currently held by the compile memo.", int64(st.ProgramsCached)},
-		{"esd_engine_sweeps_total", "counter", "Interner epoch sweeps triggered by this engine.", st.Sweeps},
-		{"esd_engine_swept_bytes_total", "counter", "Bytes released by this engine's sweeps.", st.SweptBytes},
-		{"esd_engine_interner_high_water_bytes", "gauge", "This engine's reclaim watermark (0 = reclamation disabled).", st.InternerHighWater},
 		{"esd_service_capacity", "gauge", "Admission-control concurrency limit.", int64(s.cfg.MaxConcurrent)},
 		{"esd_service_active", "gauge", "Synthesis slots currently held by requests.", int64(len(s.sem))},
 	}

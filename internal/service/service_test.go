@@ -248,59 +248,6 @@ func TestServiceAppResolveMemoized(t *testing.T) {
 	}
 }
 
-// TestServiceReclaimEndpoint: POST /reclaim forces an epoch sweep when
-// the engine is idle, and /healthz surfaces the epoch, sweep count, and
-// bytes reclaimed.
-func TestServiceReclaimEndpoint(t *testing.T) {
-	ts := newTestServer(t, Config{})
-	// Put some synthesis-era terms in the store first.
-	resp, body := postJSON(t, ts.URL+"/synthesize", map[string]any{
-		"app": "listing1", "budget_ms": 60000, "seed": 1,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("synthesize: %d %s", resp.StatusCode, body)
-	}
-	resp, body = postJSON(t, ts.URL+"/reclaim", map[string]any{})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("reclaim: %d %s", resp.StatusCode, body)
-	}
-	var sweep struct {
-		Epoch          uint64 `json:"epoch"`
-		TermsReclaimed int    `json:"terms_reclaimed"`
-		BytesReclaimed int64  `json:"bytes_reclaimed"`
-	}
-	if err := json.Unmarshal(body, &sweep); err != nil {
-		t.Fatalf("bad reclaim payload %s: %v", body, err)
-	}
-	if sweep.Epoch == 0 {
-		t.Errorf("sweep did not advance the epoch: %s", body)
-	}
-	if sweep.TermsReclaimed <= 0 || sweep.BytesReclaimed <= 0 {
-		t.Errorf("forced sweep reclaimed nothing after a synthesis: %s", body)
-	}
-
-	hresp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hresp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(hresp.Body)
-	var h struct {
-		Interner struct {
-			Epoch          uint64 `json:"epoch"`
-			Sweeps         int64  `json:"sweeps"`
-			BytesReclaimed int64  `json:"bytes_reclaimed"`
-		} `json:"interner"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &h); err != nil {
-		t.Fatalf("bad healthz %s: %v", buf.String(), err)
-	}
-	if h.Interner.Epoch < sweep.Epoch || h.Interner.Sweeps < 1 || h.Interner.BytesReclaimed < sweep.BytesReclaimed {
-		t.Errorf("healthz does not reflect the sweep: %s", buf.String())
-	}
-}
-
 // TestServiceSSEStream asserts the streaming contract on the wire:
 // progress events then exactly one result event, which reports the bug
 // found.

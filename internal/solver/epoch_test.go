@@ -7,12 +7,11 @@ import (
 )
 
 // TestCacheSurvivesEpochChange: the solver cache is keyed by canonical
-// structural keys, not intern identity, so a reclaim sweep — which
-// re-mints every intern ID — must NOT flush it: the first post-sweep
-// query for the same constraints is a hit. (This inverts the pre-refactor
-// identity-keyed behavior, where the sweep forced a flush.) Entries hold
-// only plain name→value models, so surviving the sweep pins no swept-era
-// terms.
+// structural keys, not intern identity, so collecting the constraint
+// terms — which re-mints their intern IDs when they are rebuilt — must
+// not cost the cache its entries: the first query after the rebuild is a
+// hit. Entries hold only plain name→value models, so they keep no term
+// alive.
 func TestCacheSurvivesEpochChange(t *testing.T) {
 	build := func() []*expr.Expr {
 		x := expr.Var("epoch-survive-x")
@@ -34,29 +33,30 @@ func TestCacheSurvivesEpochChange(t *testing.T) {
 		t.Fatal("setup: repeat query did not hit the warm cache")
 	}
 
-	// Sweep with no roots: the constraint terms are reclaimed and rebuilt
-	// from scratch, so their intern IDs change but their structural keys
-	// do not. The warm solver must hit on the very first post-sweep query.
+	// Drop the constraints and force a collection: the terms are
+	// reclaimed and rebuilt from scratch, so their intern IDs change but
+	// their structural keys do not. The warm solver must hit on the very
+	// first query after the rebuild.
 	oldIDs := []uint64{cs[0].ID(), cs[1].ID()}
 	cs = nil
-	expr.Reclaim()
+	expr.TryReclaim()
 	cs = build()
 	if cs[0].ID() == oldIDs[0] && cs[1].ID() == oldIDs[1] {
-		t.Fatal("sweep re-minted no intern IDs; the test perturbs nothing")
+		t.Fatal("collection re-minted no intern IDs; the test perturbs nothing")
 	}
 	hits = s.CacheHits
 	res, model := s.Check(cs)
 	if res != Sat || model == nil {
-		t.Fatalf("post-sweep check: %v", res)
+		t.Fatalf("post-collection check: %v", res)
 	}
 	if s.CacheHits <= hits {
-		t.Error("structural-keyed cache missed after the epoch change")
+		t.Error("structural-keyed cache missed after the terms were re-minted")
 	}
 	// The served model must satisfy the rebuilt terms.
 	for _, c := range cs {
 		v, err := c.Eval(completeModel(model, c))
 		if err != nil || v == 0 {
-			t.Fatalf("post-sweep model %v does not satisfy %v (err=%v)", model, c, err)
+			t.Fatalf("post-collection model %v does not satisfy %v (err=%v)", model, c, err)
 		}
 	}
 }

@@ -127,8 +127,8 @@ func TestPersistentTierVerifyReject(t *testing.T) {
 }
 
 // TestPersistentTierSurvivesEpoch: the persistent tier is the cross-run
-// layer — a sweep plus a full rebuild (the in-process proxy for a process
-// restart) must still hit.
+// layer — a collection plus a full rebuild (the in-process proxy for a
+// process restart) must still hit.
 func TestPersistentTierSurvivesEpoch(t *testing.T) {
 	p := newMapPersist()
 	cs := sharedRange("persist-epoch", 1)
@@ -137,15 +137,15 @@ func TestPersistentTierSurvivesEpoch(t *testing.T) {
 	if res, _ := a.Check(cs); res != Sat {
 		t.Fatal("warmup not sat")
 	}
-	cs = nil
-	expr.Reclaim()
+	cs, a = nil, nil
+	expr.TryReclaim()
 	cs = sharedRange("persist-epoch", 1)
 	b := New()
 	b.Persist = p
 	if res, _ := b.Check(cs); res != Sat {
-		t.Fatal("post-sweep not sat")
+		t.Fatal("post-collection check not sat")
 	}
 	if b.PersistentHits == 0 {
-		t.Error("persistent tier missed after sweep + rebuild")
+		t.Error("persistent tier missed after collection + rebuild")
 	}
 }

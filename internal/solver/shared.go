@@ -19,7 +19,7 @@ import (
 // Sharing is sound and deterministic because a component verdict is a
 // pure function of the component: the key is the exact sorted slice of
 // the conjuncts' canonical structural keys (expr.StructKey — stable
-// across interner epochs, restarts, and processes), and the backtracking
+// across collections, restarts, and processes), and the backtracking
 // search that decides a component is deterministic with a fixed node
 // budget, so whichever solver publishes first publishes the same answer
 // every other solver would have computed. Only definite verdicts (Sat
@@ -27,11 +27,10 @@ import (
 // artifact, not a fact. Model maps are shared read-only, the same
 // invariant the private cache already relies on.
 //
-// Structural keys make the cache epoch-free: entries hold no term
-// pointers (models are plain name→value maps), and a term re-interned
-// after a reclaim sweep hashes to the same key, so a sweep invalidates
-// nothing. The epoch-flush machinery the identity-keyed version carried
-// is gone; the cache's lifetime is bounded by the request that owns it.
+// Structural keys keep the cache valid across collections: entries hold
+// no term pointers (models are plain name→value maps), and a term
+// re-interned after its collection hashes to the same key. The cache's
+// lifetime is bounded by the request that owns it.
 type SharedCache struct {
 	shards [sharedShards]sharedShard
 

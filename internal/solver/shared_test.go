@@ -90,8 +90,9 @@ func TestSharedCacheRejectsUnknown(t *testing.T) {
 }
 
 // TestSharedCacheSurvivesEpoch: shared entries are keyed structurally and
-// hold no term pointers, so a reclaim sweep must NOT flush them — terms
-// rebuilt after the sweep (fresh intern IDs, same structure) still hit.
+// hold no term pointers, so collecting the terms must not cost them —
+// terms rebuilt after a collection (fresh intern IDs, same structure)
+// still hit.
 func TestSharedCacheSurvivesEpoch(t *testing.T) {
 	sc := NewSharedCache()
 	cs := sharedRange("epoch-shared", 1)
@@ -103,23 +104,23 @@ func TestSharedCacheSurvivesEpoch(t *testing.T) {
 	if sc.Stats().Entries == 0 {
 		t.Fatal("setup: nothing published")
 	}
-	cs = nil
-	expr.Reclaim()
+	cs, s = nil, nil
+	expr.TryReclaim()
 	// Rebuild the same components from scratch; structural keys are
-	// unchanged, so the pre-sweep entries answer.
+	// unchanged, so the entries published before the collection answer.
 	cs = sharedRange("epoch-shared", 1)
 	key, keys := structKey(cs)
 	ent, ok := sc.lookup(key, keys)
 	if !ok {
-		t.Fatal("structurally keyed entry lost across the epoch sweep")
+		t.Fatal("structurally keyed entry lost across the collection")
 	}
 	if ent.res != Sat {
-		t.Fatalf("post-sweep verdict: %v, want sat", ent.res)
+		t.Fatalf("post-collection verdict: %v, want sat", ent.res)
 	}
 	for _, c := range cs {
 		v, err := c.Eval(completeModel(ent.model, c))
 		if err != nil || v == 0 {
-			t.Fatalf("post-sweep model %v does not satisfy %v (err=%v)", ent.model, c, err)
+			t.Fatalf("post-collection model %v does not satisfy %v (err=%v)", ent.model, c, err)
 		}
 	}
 }

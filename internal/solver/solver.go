@@ -67,10 +67,10 @@ type Solver struct {
 	// cache memoizes query results by the canonical structural key of the
 	// constraint set (expr.StructKey): the sorted slice of 128-bit
 	// structural fingerprints of the conjuncts. Structural keys — unlike
-	// the intern IDs this cache used to be keyed on — survive interner
-	// epoch sweeps, so a warm pooled solver keeps its facts across
-	// reclaims; a false hit requires a full 128-bit collision between
-	// distinct terms, which is negligible against every other failure mode.
+	// intern IDs — survive the collection and re-interning of the terms,
+	// so a warm pooled solver keeps its facts across requests; a false
+	// hit requires a full 128-bit collision between distinct terms, which
+	// is negligible against every other failure mode.
 	// Entries are stored both for full queries and for each independent
 	// component, so extending a path condition by one conjunct re-solves
 	// only the component the new conjunct touches.
@@ -264,10 +264,10 @@ func (s *Solver) Check(constraints []*expr.Expr) (Result, map[string]int64) {
 		s.WallNanos += ns
 		solverWall.Add(ns)
 	}()
-	// No epoch flush: cache keys are structural (expr.StructKey), not
-	// intern identities, so entries remain valid — and keep hitting — when
-	// a reclaim sweep re-mints every term. Models hold plain name→value
-	// maps and pin no swept-era term pointers.
+	// Cache keys are structural (expr.StructKey), not intern identities,
+	// so entries remain valid — and keep hitting — when collected terms
+	// are re-interned. Models hold plain name→value maps and keep no term
+	// alive.
 	s.Queries++
 	solverQueries.Inc()
 	key, keys := structKey(constraints)
@@ -433,9 +433,9 @@ func partition(cs []*expr.Expr) [][]*expr.Expr {
 		}
 		return i
 	}
-	owner := map[int32]int{} // variable ID -> first conjunct mentioning it
+	owner := map[string]int{} // variable -> first conjunct mentioning it
 	for i, c := range cs {
-		for _, v := range c.VarIDs() {
+		for _, v := range c.Vars() {
 			if j, ok := owner[v]; ok {
 				parent[find(i)] = find(j)
 			} else {
@@ -494,8 +494,8 @@ func completeModel(model map[string]int64, c *expr.Expr) map[string]int64 {
 // structKey canonicalizes a constraint set to its sorted, deduplicated
 // structural-key slice plus a 64-bit bucket hash of it. The slice is the
 // exact cache key (compared in full by matchEntry); the bucket hash only
-// picks the chain. Because structural keys are stable across interner
-// epochs, restarts, and processes, the same constraint set always
+// picks the chain. Because structural keys are stable across
+// collections, restarts, and processes, the same constraint set always
 // canonicalizes to the same key everywhere — the property the shared and
 // persistent tiers are built on.
 func structKey(cs []*expr.Expr) (uint64, []expr.StructKey) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"esd/internal/expr"
 	"esd/internal/mir"
 	"esd/internal/solver"
 )
@@ -15,13 +14,6 @@ import (
 // executes inside the VM — symbolic search quanta, scheduling-policy
 // forks, concrete playback — without per-instruction context overhead.
 var ErrInterrupted = errors.New("symex: interrupted by context")
-
-// ErrEpochChanged is returned by Step when the interner epoch advanced
-// mid-execution: a Reclaim sweep ran under a live run, which means the
-// quiescence gate (expr.Pin around every synthesis) was violated and this
-// run's terms may dangle. Failing loudly here turns a silent
-// use-after-sweep into a deterministic error the search propagates.
-var ErrEpochChanged = errors.New("symex: interner epoch advanced mid-execution (reclaim swept under a live run)")
 
 // ctxCheckPeriod is how many steps may execute between context checks.
 // At the VM's per-step cost this bounds the cancellation latency to well
@@ -80,9 +72,6 @@ type Stats struct {
 	// Concretizations counts symbolic values pinned to concrete ones via a
 	// solver model (the §5.2 playback mechanism applied mid-search).
 	Concretizations int64
-	// EpochChecks counts interner-epoch cross-checks performed on the
-	// context-poll cadence (the PR-5 use-after-sweep guard).
-	EpochChecks int64
 }
 
 // Engine executes MIR programs symbolically.
@@ -112,14 +101,10 @@ type Engine struct {
 	nextStateID int
 	nextObjID   int
 	ctxTick     int
-	// epoch is the interner epoch the engine was built in; Step checks it
-	// on the context-poll cadence and fails with ErrEpochChanged if a
-	// reclaim sweep lands under a live run.
-	epoch uint64
 }
 
-// tick polls the engine's context and the interner epoch on a coarse step
-// cadence, returning ErrInterrupted or ErrEpochChanged when either fires.
+// tick polls the engine's context on a coarse step cadence, returning
+// ErrInterrupted once it is done.
 func (e *Engine) tick() error {
 	e.ctxTick++
 	if e.ctxTick < ctxCheckPeriod {
@@ -133,16 +118,12 @@ func (e *Engine) tick() error {
 		default:
 		}
 	}
-	e.Stats.EpochChecks++
-	if expr.Epoch() != e.epoch {
-		return ErrEpochChanged
-	}
 	return nil
 }
 
 // New returns an engine for prog.
 func New(prog *mir.Program, s *solver.Solver) *Engine {
-	return &Engine{Prog: prog, Solver: s, EnvLen: 8, nextObjID: 1, epoch: expr.Epoch()}
+	return &Engine{Prog: prog, Solver: s, EnvLen: 8, nextObjID: 1}
 }
 
 // SetIDBase offsets the IDs this engine assigns to states and objects.

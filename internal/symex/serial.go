@@ -16,7 +16,7 @@ import (
 //
 //   - interned terms: encoded child-first into one table, rebuilt through
 //     expr.Reintern so the decoded nodes are canonical under the current
-//     interner (checkpoints survive reclaim epochs and process restarts);
+//     interner (checkpoints outlive the original terms and the process);
 //   - COW objects: forked states share Object pointers until first write,
 //     and the table dedups by pointer — decoded address spaces start with
 //     empty ownership, so the first write after resume clones exactly as
@@ -554,19 +554,16 @@ func (dec *poolDecoder) decodeStates() error {
 	return nil
 }
 
-// CheckpointCounters exposes the engine's ID allocators and context-poll
-// phase for checkpointing. State IDs are the search's deterministic
-// tie-break and object IDs name memory inside states, so a resumed engine
-// must continue both sequences exactly where the checkpointed one stopped;
-// ctxTick preserves the step-poll phase so Stats.EpochChecks stays
-// replay-identical too.
-func (e *Engine) CheckpointCounters() (nextStateID, nextObjID, ctxTick int) {
-	return e.nextStateID, e.nextObjID, e.ctxTick
+// CheckpointCounters exposes the engine's ID allocators for checkpointing.
+// State IDs are the search's deterministic tie-break and object IDs name
+// memory inside states, so a resumed engine must continue both sequences
+// exactly where the checkpointed one stopped.
+func (e *Engine) CheckpointCounters() (nextStateID, nextObjID int) {
+	return e.nextStateID, e.nextObjID
 }
 
 // RestoreCounters restores the allocators captured by CheckpointCounters.
-func (e *Engine) RestoreCounters(nextStateID, nextObjID, ctxTick int) {
+func (e *Engine) RestoreCounters(nextStateID, nextObjID int) {
 	e.nextStateID = nextStateID
 	e.nextObjID = nextObjID
-	e.ctxTick = ctxTick
 }

@@ -260,7 +260,7 @@ func (r *Registry) NewHistogram(name, help string, scale float64) *Histogram {
 
 // NewCounterFunc registers a counter whose value is read from fn at scrape
 // time — the view used to surface pre-existing cumulative stats (interner
-// sweeps, dist shared-cache hits) without a second accounting path.
+// hits, dist shared-cache hits) without a second accounting path.
 func (r *Registry) NewCounterFunc(name, help string, fn func() int64) {
 	r.register(&instrument{name: name, help: help, kind: kindCounter, fn: fn})
 }

@@ -20,12 +20,13 @@ import (
 // soakVariant builds the i-th distinct-source soak program: a small
 // input-dependent null-dereference crash whose constants (and therefore
 // whose interned symbolic terms) differ per variant, modeling a service
-// whose tenants upload ever-new programs. The mixer is deliberately
-// non-linear (xor/mul chains do not constant-fold), so symbolically
-// executing each variant interns a fresh batch of distinct terms — the
-// source-churning load the reclaim watermark exists for. trigger is the
-// input value that reproduces the crash.
-func soakVariant(i int) (name, src string, trigger int64) {
+// whose tenants upload ever-new programs. Each variant reads its own
+// input name, so its variable names are fresh too. The mixer is
+// deliberately non-linear (xor/mul chains do not constant-fold), so
+// symbolically executing each variant interns a fresh batch of distinct
+// terms. trigger is the input value that reproduces the crash.
+func soakVariant(i int) (name, src, input string, trigger int64) {
+	input = fmt.Sprintf("k%d", i)
 	trigger = int64(40000 + 17*i)
 	var b strings.Builder
 	fmt.Fprintf(&b, "// soak variant %d - input-dependent NULL dereference.\nint out;\nint table[8];\n\nint mix(int v) {\n\tint acc = v;\n", i)
@@ -39,7 +40,7 @@ func soakVariant(i int) (name, src string, trigger int64) {
 }
 
 int main() {
-	int k = input("k");
+	int k = input(%q);
 	out = mix(k);
 	int *p = table;
 	if (k == %d) {
@@ -49,12 +50,12 @@ int main() {
 		return p[0];
 	}
 	return 0;
-}`, trigger, int64(600000+3*i))
-	return fmt.Sprintf("soak%d.c", i), b.String(), trigger
+}`, input, trigger, int64(600000+3*i))
+	return fmt.Sprintf("soak%d.c", i), b.String(), input, trigger
 }
 
-// soakOutcome is what must be identical between the reclaim and
-// no-reclaim runs: whether the bug was reproduced and the search effort.
+// soakOutcome is what a served run must share with a run on a fresh
+// engine: whether the bug was reproduced and the search effort.
 type soakOutcome struct {
 	Found bool `json:"found"`
 	Stats struct {
@@ -62,52 +63,25 @@ type soakOutcome struct {
 	} `json:"stats"`
 }
 
-// postSynthesize drives one /synthesize request and returns the outcome.
-func postSynthesize(t *testing.T, url string, body map[string]any) soakOutcome {
-	t.Helper()
-	data, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/synthesize", "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("synthesize status %d: %s", resp.StatusCode, buf.String())
-	}
-	var out soakOutcome
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("bad response %s: %v", buf.String(), err)
-	}
-	return out
+// soakRequest is one variant's /synthesize body and its reference
+// outcome from a fresh engine.
+type soakRequest struct {
+	body map[string]any
+	want soakOutcome
 }
 
-// TestInternerReclaimSoak is the tentpole's acceptance gate: N
-// distinct-source /synthesize requests through a watermark-configured
-// engine must keep the interner footprint plateaued (within 2x the
-// watermark) instead of growing linearly, while every result — found flag
-// and step count, at a fixed seed — matches a no-reclaim reference run.
-func TestInternerReclaimSoak(t *testing.T) {
-	if testing.Short() {
-		t.Skip("drives dozens of HTTP syntheses; skipped with -short")
-	}
-	const variants = 24
-	type vt struct {
-		name, src string
-		repJSON   json.RawMessage
-	}
-	vts := make([]vt, variants)
-	for i := range vts {
-		name, src, trigger := soakVariant(i)
+// soakRequests builds 24 variants, starting at variant first, and runs
+// each once on its own fresh engine for the reference outcome.
+func soakRequests(t *testing.T, first int) []soakRequest {
+	t.Helper()
+	reqs := make([]soakRequest, 24)
+	for i := range reqs {
+		name, src, input, trigger := soakVariant(first + i)
 		prog, err := esd.CompileMiniC(name, src)
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
-		rep, err := esd.SimulateUserSite(prog, &esd.UserInputs{Named: map[string]int64{"k": trigger}})
+		rep, err := esd.SimulateUserSite(prog, &esd.UserInputs{Named: map[string]int64{input: trigger}})
 		if err != nil {
 			t.Fatalf("variant %d user site: %v", i, err)
 		}
@@ -115,142 +89,196 @@ func TestInternerReclaimSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vts[i] = vt{name: name, src: src, repJSON: repJSON}
-	}
-
-	run := func(ts *httptest.Server) (outcomes []soakOutcome, perReq []int64, peak int64) {
-		for _, v := range vts {
-			before := expr.InternerStats().Bytes
-			out := postSynthesize(t, ts.URL, map[string]any{
-				"name": v.name, "source": v.src, "report": v.repJSON,
-				"seed": 1, "budget_ms": 60000,
-			})
-			outcomes = append(outcomes, out)
-			after := expr.InternerStats().Bytes
-			if after > peak {
-				peak = after
-			}
-			perReq = append(perReq, after-before)
+		res, err := esd.New().Synthesize(context.Background(), prog, rep, esd.WithBudget(time.Minute), esd.WithSeed(1))
+		if err != nil {
+			t.Fatalf("variant %d on a fresh engine: %v", i, err)
 		}
-		return outcomes, perReq, peak
-	}
-
-	// Reference run: no watermark, append-only growth.
-	engRef := esd.New()
-	tsRef := httptest.NewServer(service.New(engRef, service.Config{}))
-	defer tsRef.Close()
-	ref, perReq, _ := run(tsRef)
-	for i, out := range ref {
-		if !out.Found {
-			t.Fatalf("reference run: variant %d not reproduced", i)
+		if !res.Found {
+			t.Fatalf("variant %d not reproduced on a fresh engine", i)
 		}
-	}
-	var avgGrowth int64
-	for _, g := range perReq {
-		avgGrowth += g
-	}
-	avgGrowth /= int64(len(perReq))
-	if avgGrowth <= 0 {
-		t.Fatalf("soak programs are not churning the interner (avg growth %d bytes/request)", avgGrowth)
-	}
-
-	// Reclaim run: sweep to the live baseline, then set the watermark a
-	// few requests' growth above it so sweeps must fire several times over
-	// the soak.
-	if _, ok := expr.TryReclaim(); !ok {
-		t.Fatal("could not establish the baseline sweep (something holds a pin)")
-	}
-	base := expr.InternerStats().Bytes
-	hw := base + 4*avgGrowth
-	if min := base + 16<<10; hw < min {
-		hw = min
-	}
-	eng := esd.New(esd.WithInternerHighWater(hw))
-	ts := httptest.NewServer(service.New(eng, service.Config{}))
-	defer ts.Close()
-	got, _, peak := run(ts)
-
-	for i := range got {
-		if got[i].Found != ref[i].Found || got[i].Stats.Steps != ref[i].Stats.Steps {
-			t.Errorf("variant %d diverged under reclamation: found=%v/%v steps=%d/%d",
-				i, got[i].Found, ref[i].Found, got[i].Stats.Steps, ref[i].Stats.Steps)
+		reqs[i].body = map[string]any{
+			"name": name, "source": src, "report": json.RawMessage(repJSON),
+			"seed": 1, "budget_ms": 60000,
 		}
+		reqs[i].want.Found = res.Found
+		reqs[i].want.Stats.Steps = res.Stats.Steps
 	}
-	st := eng.Stats()
-	if st.Sweeps < 2 {
-		t.Errorf("watermark policy swept %d times, want >= 2 (hw=%d, avg growth %d/request)",
-			st.Sweeps, hw, avgGrowth)
-	}
-	if peak > 2*hw {
-		t.Errorf("interner footprint did not plateau: peak %d bytes > 2x watermark %d", peak, hw)
-	}
-	if final := expr.InternerStats().Bytes; final > 2*hw {
-		t.Errorf("final footprint %d bytes > 2x watermark %d", final, hw)
-	}
-	t.Logf("soak: %d variants, avg growth %d B/request, watermark %d B, peak %d B, sweeps %d, bytes reclaimed %d",
-		variants, avgGrowth, hw, peak, st.Sweeps, st.SweptBytes)
+	return reqs
 }
 
-// TestReclaimUnderSaturation proves the forced-quiescence fallback: an
-// engine that is never idle (overlapping syntheses back-to-back) must
-// still reclaim once over the watermark — MaybeReclaim's rate-limited
-// ReclaimWait pauses admission until the in-flight runs drain. Without
-// the fallback, a saturated server never sees the zero-pin instant the
-// opportunistic path needs and leaks forever.
-func TestReclaimUnderSaturation(t *testing.T) {
-	restore := esd.SetSweepQuiesceTuning(2*time.Second, 10*time.Millisecond)
-	defer restore()
-	prog, rep := appProgReport(t, "listing1")
-	eng := esd.New(esd.WithMaxConcurrent(2), esd.WithInternerHighWater(1))
+// postSynthesize drives one /synthesize request and returns the outcome.
+// It reports failures with t.Error, so it is safe off the test goroutine.
+func postSynthesize(t *testing.T, url string, body map[string]any) (soakOutcome, bool) {
+	t.Helper()
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Error(err)
+		return soakOutcome{}, false
+	}
+	resp, err := http.Post(url+"/synthesize", "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Error(err)
+		return soakOutcome{}, false
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("synthesize status %d: %s", resp.StatusCode, buf.String())
+		return soakOutcome{}, false
+	}
+	var out soakOutcome
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Errorf("bad response %s: %v", buf.String(), err)
+		return soakOutcome{}, false
+	}
+	return out, true
+}
 
-	// Two workers keep the engine continuously busy: there is always at
-	// least one synthesis in flight for the duration.
+// internerFloor forces collections until the interner footprint holds
+// still over three polls, and returns it.
+func internerFloor(t *testing.T) expr.Stats {
+	t.Helper()
+	prev := expr.InternerStats()
+	deadline := time.Now().Add(10 * time.Second)
+	for still := 0; still < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the interner footprint never settled (last %+v)", prev)
+		}
+		expr.TryReclaim()
+		time.Sleep(5 * time.Millisecond)
+		cur := expr.InternerStats()
+		if cur.Terms == prev.Terms && cur.Bytes == prev.Bytes {
+			still++
+		} else {
+			still = 0
+		}
+		prev = cur
+	}
+	return prev
+}
+
+// backToFloor forces collections until the footprint is no larger than
+// floor, failing the test if that takes over ten seconds.
+func backToFloor(t *testing.T, floor expr.Stats, when string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		expr.TryReclaim()
+		st := expr.InternerStats()
+		if st.Terms <= floor.Terms && st.Bytes <= floor.Bytes {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: interner holds %d terms / %d B, above the pre-soak floor of %d / %d",
+				when, st.Terms, st.Bytes, floor.Terms, floor.Bytes)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestInternerReclaimSoak is the memory bound of a long-lived server with
+// no configuration: 24 distinct-source /synthesize requests through an
+// esdserve on a default engine must each leave the interner, once
+// collected, at its pre-soak floor — terms and variable names alike —
+// while every result (found flag and step count, at a fixed seed)
+// matches a run on a fresh engine.
+func TestInternerReclaimSoak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives dozens of syntheses; skipped with -short")
+	}
+	floor := internerFloor(t)
+	reqs := soakRequests(t, 0)
+	backToFloor(t, floor, "after the fresh-engine runs")
+	ts := httptest.NewServer(service.New(esd.New(), service.Config{}))
+	defer ts.Close()
+	for i, r := range reqs {
+		misses := expr.InternerStats().InternMisses
+		got, ok := postSynthesize(t, ts.URL, r.body)
+		if !ok {
+			t.FailNow()
+		}
+		if got != r.want {
+			t.Errorf("variant %d served found=%v steps=%d, fresh engine found=%v steps=%d",
+				i, got.Found, got.Stats.Steps, r.want.Found, r.want.Stats.Steps)
+		}
+		if expr.InternerStats().InternMisses == misses {
+			t.Fatalf("variant %d interned no new terms; the soak churns nothing", i)
+		}
+		backToFloor(t, floor, fmt.Sprintf("after variant %d", i))
+	}
+}
+
+// TestReclaimUnderSaturation is the soak on a server that is never idle:
+// 4 concurrent clients post 24 further variants while a goroutine forces
+// collections, so terms are collected under live syntheses. Every result
+// must still match a fresh engine's, and once the load stops the
+// interner must be back at its floor. CI runs it under -race.
+func TestReclaimUnderSaturation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives dozens of syntheses; skipped with -short")
+	}
+	const clients = 4
+	floor := internerFloor(t)
+	reqs := soakRequests(t, 24)
+	backToFloor(t, floor, "after the fresh-engine runs")
+	ts := httptest.NewServer(service.New(esd.New(), service.Config{MaxConcurrent: clients}))
+	defer ts.Close()
+
 	stop := make(chan struct{})
+	collected := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				collected <- n
+				return
+			default:
+			}
+			expr.TryReclaim()
+			n++
+			time.Sleep(time.Millisecond)
+		}
+	}()
 	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
+	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				res, err := eng.Synthesize(context.Background(), prog, rep,
-					esd.WithBudget(time.Minute), esd.WithSeed(1))
-				if err != nil {
-					t.Errorf("synthesize under saturation: %v", err)
-					return
-				}
-				if !res.Found {
-					t.Error("listing1 not reproduced under saturation")
-					return
+			for i := c; i < len(reqs); i += clients {
+				got, ok := postSynthesize(t, ts.URL, reqs[i].body)
+				if ok && got != reqs[i].want {
+					t.Errorf("variant %d served found=%v steps=%d under load, fresh engine found=%v steps=%d",
+						i, got.Found, got.Stats.Steps, reqs[i].want.Found, reqs[i].want.Stats.Steps)
 				}
 			}
 		}()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for eng.Stats().Sweeps == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	close(stop)
 	wg.Wait()
-	if st := eng.Stats(); st.Sweeps == 0 {
-		t.Fatal("saturated engine never reclaimed: the quiescence fallback did not fire")
+	close(stop)
+	if n := <-collected; n == 0 {
+		t.Fatal("no collection ran under the load")
 	}
+	backToFloor(t, floor, "after the load")
 }
 
-// TestReclaimQuiescenceUnderLoad proves the sweep gate: with an
-// always-over watermark and a goroutine hammering forced sweeps,
-// concurrent syntheses must never have the interner swept out from under
-// them — every run still reproduces its bug, no ErrEpochChanged
-// surfaces, and the race detector (CI runs this test under -race) sees
-// no unsynchronized access.
+// TestReclaimQuiescenceUnderLoad checks that collections need no
+// quiescence: while 3 goroutines run listing1 three times each on one
+// engine, the test goroutine forces collections back to back. Every run
+// must reproduce the bug with the step count of an unloaded run at the
+// same seed, and once the runs finish the interner must be back at its
+// floor. CI runs it under -race.
 func TestReclaimQuiescenceUnderLoad(t *testing.T) {
 	prog, rep := appProgReport(t, "listing1")
-	// Watermark of one byte: every completed synthesis attempts a sweep.
-	eng := esd.New(esd.WithMaxConcurrent(4), esd.WithInternerHighWater(1))
+	eng := esd.New(esd.WithMaxConcurrent(4))
+	ref, err := eng.Synthesize(context.Background(), prog, rep, esd.WithBudget(time.Minute), esd.WithSeed(1))
+	if err != nil || !ref.Found {
+		t.Fatalf("listing1 unloaded: found=%v err=%v", ref != nil && ref.Found, err)
+	}
+	wantSteps := ref.Stats.Steps
+	ref = nil
+	floor := internerFloor(t)
 
 	const workers = 3
 	const runsPerWorker = 3
@@ -263,12 +291,15 @@ func TestReclaimQuiescenceUnderLoad(t *testing.T) {
 				res, err := eng.Synthesize(context.Background(), prog, rep,
 					esd.WithBudget(time.Minute), esd.WithSeed(1))
 				if err != nil {
-					t.Errorf("synthesize under sweep pressure: %v", err)
+					t.Errorf("synthesize under forced collections: %v", err)
 					return
 				}
 				if !res.Found {
-					t.Error("listing1 not reproduced under sweep pressure")
+					t.Error("listing1 not reproduced under forced collections")
 					return
+				}
+				if res.Stats.Steps != wantSteps {
+					t.Errorf("listing1 took %d steps under forced collections, %d unloaded", res.Stats.Steps, wantSteps)
 				}
 			}
 		}()
@@ -276,20 +307,16 @@ func TestReclaimQuiescenceUnderLoad(t *testing.T) {
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	forced := 0
-	for {
+	for running := true; running; {
 		select {
 		case <-done:
-			// Quiesced now: a forced sweep must succeed.
-			if _, ok := eng.Reclaim(); !ok {
-				t.Error("sweep still gated after all syntheses finished")
-			}
-			t.Logf("quiescence: %d forced sweeps interleaved with %d syntheses", forced, workers*runsPerWorker)
-			return
+			running = false
 		default:
-			if _, ok := eng.Reclaim(); ok {
-				forced++
-			}
+			expr.TryReclaim()
+			forced++
 			time.Sleep(200 * time.Microsecond)
 		}
 	}
+	t.Logf("%d forced collections interleaved with %d syntheses", forced, workers*runsPerWorker)
+	backToFloor(t, floor, "after the syntheses")
 }
