@@ -200,80 +200,127 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// linTerm is a bounded-depth linear decomposition: sum(coeff[v]*v) + k.
-type linTerm struct {
-	coeff map[string]int64
-	k     int64
+// linCoef is one variable's coefficient in a linear form.
+type linCoef struct {
+	name string
+	c    int64
 }
 
-// linearOf extracts a linear form from small Add/Sub/Mul-const/Neg trees.
-// ok is false for anything outside that fragment (or too deep to be worth
-// scanning at construction time).
-func linearOf(e *Expr, depth int) (linTerm, bool) {
+// linTerm is a bounded-depth linear decomposition: sum(c*name) + k, its
+// coefficients sorted by name. A coefficient may be zero: scaling wraps,
+// and plus keeps its left operand's zeros (see plus).
+type linTerm struct {
+	co []linCoef
+	k  int64
+}
+
+// linBufSize is the number of coefficients foldLinear's forms hold on the
+// stack before their scratch spills to the heap; the shallow cancellations
+// it exists for use a handful.
+const linBufSize = 16
+
+// linearOf extracts a linear form from small Add/Sub/Mul-const/Neg trees,
+// appending its coefficients to buf (returned, possibly grown). The form is
+// a window of buf that no other form shares, so the caller may scale it in
+// place. ok is false for anything outside that fragment (or too deep to be
+// worth scanning at construction time).
+func linearOf(e *Expr, depth int, buf []linCoef) (linTerm, []linCoef, bool) {
 	if depth <= 0 {
-		return linTerm{}, false
+		return linTerm{}, buf, false
 	}
 	switch e.Op {
 	case OpConst:
-		return linTerm{k: e.C}, true
+		return linTerm{k: e.C}, buf, true
 	case OpVar:
-		return linTerm{coeff: map[string]int64{e.Name: 1}}, true
+		buf = append(buf, linCoef{e.Name, 1})
+		return linTerm{co: buf[len(buf)-1 : len(buf) : len(buf)]}, buf, true
 	case OpNeg:
-		l, ok := linearOf(e.A, depth-1)
+		l, buf, ok := linearOf(e.A, depth-1, buf)
 		if !ok {
-			return linTerm{}, false
+			return linTerm{}, buf, false
 		}
-		return l.scaled(-1), true
+		return l.scaled(-1), buf, true
 	case OpAdd, OpSub:
-		l1, ok := linearOf(e.A, depth-1)
+		l1, buf, ok := linearOf(e.A, depth-1, buf)
 		if !ok {
-			return linTerm{}, false
+			return linTerm{}, buf, false
 		}
-		l2, ok := linearOf(e.B, depth-1)
+		l2, buf, ok := linearOf(e.B, depth-1, buf)
 		if !ok {
-			return linTerm{}, false
+			return linTerm{}, buf, false
 		}
 		if e.Op == OpSub {
 			l2 = l2.scaled(-1)
 		}
-		return l1.plus(l2), true
+		l, buf := l1.plus(l2, buf)
+		return l, buf, true
 	case OpMul:
 		if c, ok := e.B.IsConst(); ok {
-			l, lok := linearOf(e.A, depth-1)
-			if lok {
-				return l.scaled(c), true
+			if l, buf, ok := linearOf(e.A, depth-1, buf); ok {
+				return l.scaled(c), buf, true
 			}
 		}
 		if c, ok := e.A.IsConst(); ok {
-			l, lok := linearOf(e.B, depth-1)
-			if lok {
-				return l.scaled(c), true
+			if l, buf, ok := linearOf(e.B, depth-1, buf); ok {
+				return l.scaled(c), buf, true
 			}
 		}
 	}
-	return linTerm{}, false
+	return linTerm{}, buf, false
 }
 
+// scaled multiplies l by c in place (coefficients that wrap to zero stay).
 func (l linTerm) scaled(c int64) linTerm {
-	out := linTerm{k: l.k * c, coeff: map[string]int64{}}
-	for v, co := range l.coeff {
-		out.coeff[v] = co * c
+	for i := range l.co {
+		l.co[i].c *= c
 	}
-	return out
+	l.k *= c
+	return l
 }
 
-func (l linTerm) plus(o linTerm) linTerm {
-	out := linTerm{k: l.k + o.k, coeff: map[string]int64{}}
-	for v, co := range l.coeff {
-		out.coeff[v] = co
-	}
-	for v, co := range o.coeff {
-		out.coeff[v] += co
-		if out.coeff[v] == 0 {
-			delete(out.coeff, v)
+// plus appends the sum l+o to buf. A variable only l mentions keeps its
+// coefficient even when it is zero; one o mentions is dropped when its
+// summed coefficient is zero.
+func (l linTerm) plus(o linTerm, buf []linCoef) (linTerm, []linCoef) {
+	start := len(buf)
+	i, j := 0, 0
+	for i < len(l.co) || j < len(o.co) {
+		switch {
+		case j == len(o.co) || (i < len(l.co) && l.co[i].name < o.co[j].name):
+			buf = append(buf, l.co[i])
+			i++
+		case i == len(l.co) || o.co[j].name < l.co[i].name:
+			if o.co[j].c != 0 {
+				buf = append(buf, o.co[j])
+			}
+			j++
+		default:
+			if c := l.co[i].c + o.co[j].c; c != 0 {
+				buf = append(buf, linCoef{l.co[i].name, c})
+			}
+			i++
+			j++
 		}
 	}
-	return out
+	return linTerm{co: buf[start:len(buf):len(buf)], k: l.k + o.k}, buf
+}
+
+// unionSize counts the distinct variables of two sorted coefficient lists.
+func unionSize(a, b []linCoef) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].name < b[j].name:
+			i++
+		case b[j].name < a[i].name:
+			j++
+		default:
+			i++
+			j++
+		}
+		n++
+	}
+	return n + len(a) - i + len(b) - j
 }
 
 // linearDepth bounds the construction-time linear scan: deep chains are
@@ -284,44 +331,36 @@ const linearDepth = 6
 // foldLinear rebuilds an Add/Sub term in canonical form when doing so
 // eliminates variables (e.g. (seed+3) - (seed+40) → -37).
 func foldLinear(op Op, a, b *Expr) (*Expr, bool) {
-	la, ok := linearOf(a, linearDepth)
+	var arr [linBufSize]linCoef
+	la, buf, ok := linearOf(a, linearDepth, arr[:0])
 	if !ok {
 		return nil, false
 	}
-	lb, ok := linearOf(b, linearDepth)
+	lb, buf, ok := linearOf(b, linearDepth, buf)
 	if !ok {
 		return nil, false
 	}
 	if op == OpSub {
 		lb = lb.scaled(-1)
 	}
-	sum := la.plus(lb)
+	sum, _ := la.plus(lb, buf)
 	// Only rebuild when the combination removed variables; otherwise keep
 	// the user's structure (cheaper than re-normalizing everything).
-	before := map[string]bool{}
-	for v := range la.coeff {
-		before[v] = true
-	}
-	for v := range lb.coeff {
-		before[v] = true
-	}
-	if len(sum.coeff) >= len(before) {
+	if len(sum.co) >= unionSize(la.co, lb.co) {
 		return nil, false
 	}
-	switch len(sum.coeff) {
+	switch len(sum.co) {
 	case 0:
 		return Const(sum.k), true
 	case 1:
-		for v, c := range sum.coeff {
-			var t *Expr = Var(v)
-			if c != 1 {
-				t = intern(OpMul, 0, "", t, Const(c), nil, nil)
-			}
-			if sum.k == 0 {
-				return t, true
-			}
-			return intern(OpAdd, 0, "", t, Const(sum.k), nil, nil), true
+		var t *Expr = Var(sum.co[0].name)
+		if c := sum.co[0].c; c != 1 {
+			t = intern(OpMul, 0, "", t, Const(c), nil, nil)
 		}
+		if sum.k == 0 {
+			return t, true
+		}
+		return intern(OpAdd, 0, "", t, Const(sum.k), nil, nil), true
 	}
 	return nil, false
 }

@@ -25,24 +25,27 @@ package expr
 // serialization of parts changes; the persistent store embeds it in its
 // schema string so stale on-disk keys are discarded rather than mismatched.
 
+import "cmp"
+
 // StructKeyVersion identifies the structural-hash algorithm. Persistent
 // stores of structural keys must record it and discard entries written
 // under a different version.
 const StructKeyVersion = 1
 
 // StructKey is a 128-bit canonical structural fingerprint. It is
-// comparable (usable as a map key) and has a total order (Less) so key
+// comparable (usable as a map key) and has a total order (Compare) so key
 // slices can be sorted into canonical form.
 type StructKey struct {
 	Hi, Lo uint64
 }
 
-// Less orders keys lexicographically by (Hi, Lo).
-func (k StructKey) Less(o StructKey) bool {
-	if k.Hi != o.Hi {
-		return k.Hi < o.Hi
+// Compare orders keys lexicographically by (Hi, Lo), returning -1, 0 or
+// +1 (the shape slices.SortFunc takes).
+func (k StructKey) Compare(o StructKey) int {
+	if c := cmp.Compare(k.Hi, o.Hi); c != 0 {
+		return c
 	}
-	return k.Lo < o.Lo
+	return cmp.Compare(k.Lo, o.Lo)
 }
 
 // IsZero reports whether k is the zero key. Interned terms never have a

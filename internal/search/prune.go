@@ -106,19 +106,20 @@ func (p *PruneFacts) Stats() PruneFactsStats {
 
 // pruneFactKey fingerprints the stack configuration the infinite-distance
 // gate depends on: every live thread's full stack of locations, in thread
-// order. Exited threads contribute nothing (the gate skips them), and
-// explicit frame/thread markers keep boundaries unambiguous so distinct
-// configurations cannot fingerprint equal except by 128-bit collision.
+// order, hashed straight from the frames. Exited threads contribute
+// nothing (the gate skips them), and explicit frame/thread markers keep
+// boundaries unambiguous so distinct configurations cannot fingerprint
+// equal except by 128-bit collision.
 func pruneFactKey(st *symex.State) expr.StructKey {
 	h := expr.NewKeyHasher()
 	for _, t := range st.Threads {
 		if t.Status == symex.ThreadExited {
 			continue
 		}
-		for _, l := range t.Stack() {
-			h.Str(l.Fn)
-			h.Word(uint64(int64(l.Block)))
-			h.Word(uint64(int64(l.Index)))
+		for _, f := range t.Frames {
+			h.Str(f.Fn.Name)
+			h.Word(uint64(int64(f.Block)))
+			h.Word(uint64(int64(f.Idx)))
 			h.Word(1) // frame marker
 		}
 		h.Word(2) // thread marker

@@ -684,6 +684,18 @@ type searcher struct {
 	allPicks   int
 	agingPicks int64
 	sheds      int64
+
+	// stack is the scoring scratch: stateDistance, schedDistance and
+	// prunable read each live thread's call stack into it in turn instead
+	// of copying one per thread per score.
+	stack []mir.Loc
+}
+
+// threadStack reads t's call stack into the searcher's scratch. The slice
+// is valid until the next call.
+func (s *searcher) threadStack(t *symex.Thread) []mir.Loc {
+	s.stack = t.AppendStack(s.stack[:0])
+	return s.stack
 }
 
 // frontierSamplePeriod is the pick-count cadence of flight-recorder
@@ -934,7 +946,7 @@ func (s *searcher) schedDistance(st *symex.State) int64 {
 			if t.Status == symex.ThreadExited {
 				continue
 			}
-			if d := s.calc.SyncDistance(t.Stack(), g); d < best {
+			if d := s.calc.SyncDistance(s.threadStack(t), g); d < best {
 				best = d
 				if best == 0 {
 					break
@@ -966,7 +978,7 @@ func (s *searcher) stateDistance(st *symex.State, goalSet []mir.Loc) int64 {
 		if t.Status == symex.ThreadExited {
 			continue
 		}
-		stack := t.Stack()
+		stack := s.threadStack(t)
 		for _, g := range goalSet {
 			if d := s.calc.StateDistance(stack, g); d < best {
 				best = d
@@ -1084,7 +1096,7 @@ func (s *searcher) prunable(st *symex.State) string {
 			if t.Status == symex.ThreadExited {
 				continue
 			}
-			if a.StackMayReachGoal(t.Stack()) {
+			if a.StackMayReachGoal(s.threadStack(t)) {
 				reachable = true
 				break
 			}
@@ -1127,8 +1139,8 @@ func (s *searcher) prunable(st *symex.State) string {
 // proximity from every live thread — the instruction-granular
 // unreachability proof behind the pruneInfinite gate.
 func (s *searcher) infiniteDistance(st *symex.State) bool {
-	for _, g := range s.finalGoals {
-		if s.stateDistance(st, []mir.Loc{g}) >= dist.Infinite {
+	for i := range s.finalGoals {
+		if s.stateDistance(st, s.finalGoals[i:i+1]) >= dist.Infinite {
 			return true
 		}
 	}

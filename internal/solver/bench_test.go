@@ -56,3 +56,27 @@ func BenchmarkCheckCached(b *testing.B) {
 		s.Check(cs)
 	}
 }
+
+// BenchmarkCaseSplit measures the backtracking search behind a component
+// propagation cannot decide: a product of two inputs pinned to a
+// semiprime, which the solver splits on candidate values and bisects,
+// substituting each candidate through the set. Fresh solver per iteration,
+// so every split is paid for.
+func BenchmarkCaseSplit(b *testing.B) {
+	x, y := expr.Var("x"), expr.Var("y")
+	cs := []*expr.Expr{
+		expr.Binary(expr.OpEq, expr.Binary(expr.OpMul, x, y), expr.Const(391)),
+		expr.Binary(expr.OpGt, x, expr.Const(1)),
+		expr.Binary(expr.OpGt, y, expr.Const(1)),
+		expr.Binary(expr.OpLt, x, expr.Const(100)),
+		expr.Binary(expr.OpLt, y, expr.Const(100)),
+		expr.Binary(expr.OpLe, x, y),
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := New()
+		if res, m := s.Check(cs); res != Sat || m["x"] != 17 {
+			b.Fatalf("check: %v %v, want sat with x=17", res, m)
+		}
+	}
+}

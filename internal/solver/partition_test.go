@@ -19,7 +19,7 @@ func TestPartitionComponents(t *testing.T) {
 		ltc(d, 5),
 		eqc(expr.Binary(expr.OpAdd, c, d), 7), // joins c and d
 	}
-	comps := partition(cs)
+	comps := New().partition(cs)
 	if len(comps) != 2 {
 		t.Fatalf("got %d components, want 2: %v", len(comps), comps)
 	}

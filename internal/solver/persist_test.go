@@ -102,7 +102,7 @@ func TestPersistentTierHit(t *testing.T) {
 func TestPersistentTierVerifyReject(t *testing.T) {
 	p := newMapPersist()
 	cs := sharedRange("poison", 1)
-	_, keys := structKey(flatten(cs))
+	_, keys := structKey(nil, New().flatten(cs))
 	// Model 0 violates x >= 11: a corrupt store entry.
 	p.Publish(keys, Sat, map[string]int64{"poison-x1": 0})
 

@@ -79,7 +79,7 @@ func TestSharedCacheCrossSolver(t *testing.T) {
 // published as a fact.
 func TestSharedCacheRejectsUnknown(t *testing.T) {
 	sc := NewSharedCache()
-	key, keys := structKey(sharedRange("unk", 1))
+	key, keys := structKey(nil, sharedRange("unk", 1))
 	sc.publish(key, keys, Unknown, nil)
 	if st := sc.Stats(); st.Publishes != 0 || st.Entries != 0 {
 		t.Fatalf("Unknown was published: %+v", st)
@@ -109,7 +109,7 @@ func TestSharedCacheSurvivesEpoch(t *testing.T) {
 	// Rebuild the same components from scratch; structural keys are
 	// unchanged, so the entries published before the collection answer.
 	cs = sharedRange("epoch-shared", 1)
-	key, keys := structKey(cs)
+	key, keys := structKey(nil, cs)
 	ent, ok := sc.lookup(key, keys)
 	if !ok {
 		t.Fatal("structurally keyed entry lost across the collection")

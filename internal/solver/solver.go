@@ -19,6 +19,7 @@ package solver
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -57,8 +58,13 @@ const (
 	MaxValue = 1 << 40
 )
 
-// Solver holds tunables and the memoized query cache. A Solver is not safe
-// for concurrent use; create one per worker.
+// Solver holds tunables, the memoized query cache, and the scratch its
+// queries work in. A Solver is not safe for concurrent use: one goroutine
+// uses it at a time (each search worker owns one; pools hand one to a
+// single run). The scratch makes a query allocate only what outlives it —
+// cache entries, published facts, models — and is emptied of terms before
+// every Check returns, so an idle or pooled solver keeps no term from
+// collection.
 type Solver struct {
 	// MaxNodes bounds the number of search nodes explored per query before
 	// answering Unknown.
@@ -110,6 +116,33 @@ type Solver struct {
 	// delta around every query batch to attribute synthesis wall time to the
 	// solver versus the search loop.
 	WallNanos int64
+
+	scratch
+}
+
+// scratch is a Solver's per-query working storage.
+type scratch struct {
+	sub       expr.Subst          // the case split's substitution (substituteAll)
+	query     []*expr.Expr        // MayBeTrue/MustBeTrue: path ∧ cond
+	flat      []*expr.Expr        // flatten's output
+	seen      map[*expr.Expr]bool // flatten's duplicate filter
+	parent    []int               // partition's union-find forest
+	slot      []int               // partition: root conjunct -> component index
+	owner     map[string]int      // partition: variable -> first conjunct mentioning it
+	comps     [][]*expr.Expr      // partition's components
+	queryKeys []expr.StructKey    // structKey of the whole query
+	compKeys  []expr.StructKey    // structKey of one component
+}
+
+// dropTerms empties the scratch that holds terms; Check calls it before
+// returning.
+func (sc *scratch) dropTerms() {
+	clear(sc.flat)
+	sc.flat = sc.flat[:0]
+	for i := range sc.comps {
+		clear(sc.comps[i])
+	}
+	sc.comps = sc.comps[:0]
 }
 
 type cacheEntry struct {
@@ -260,6 +293,7 @@ func (l linear) add(o linear) linear {
 func (s *Solver) Check(constraints []*expr.Expr) (Result, map[string]int64) {
 	start := time.Now()
 	defer func() {
+		s.dropTerms()
 		ns := time.Since(start).Nanoseconds()
 		s.WallNanos += ns
 		solverWall.Add(ns)
@@ -270,7 +304,8 @@ func (s *Solver) Check(constraints []*expr.Expr) (Result, map[string]int64) {
 	// alive.
 	s.Queries++
 	solverQueries.Inc()
-	key, keys := structKey(constraints)
+	key, keys := structKey(s.queryKeys, constraints)
+	s.queryKeys = keys
 	if ent, ok := s.cacheGet(key, keys); ok {
 		s.CacheHits++
 		queryHits.Inc()
@@ -278,7 +313,7 @@ func (s *Solver) Check(constraints []*expr.Expr) (Result, map[string]int64) {
 	}
 	queryMisses.Inc()
 
-	cs := flatten(constraints)
+	cs := s.flatten(constraints)
 	// Trivial scan first.
 	for _, c := range cs {
 		if v, ok := c.IsConst(); ok && v == 0 {
@@ -298,7 +333,7 @@ func (s *Solver) Check(constraints []*expr.Expr) (Result, map[string]int64) {
 	// (and cached) on its own. Path-condition queries grow by one conjunct
 	// at a time, so all but the touched component hit the cache.
 	res, model := Sat, map[string]int64{}
-	for _, comp := range partition(cs) {
+	for _, comp := range s.partition(cs) {
 		solverComponentSize.Observe(int64(len(comp)))
 		r, m := s.checkComponent(comp)
 		if r == Unsat {
@@ -328,7 +363,8 @@ func (s *Solver) Check(constraints []*expr.Expr) (Result, map[string]int64) {
 // order is private → shared (this run's workers) → persistent (cross-run,
 // verify-on-load) → solve.
 func (s *Solver) checkComponent(cs []*expr.Expr) (Result, map[string]int64) {
-	key, keys := structKey(cs)
+	key, keys := structKey(s.compKeys, cs)
+	s.compKeys = keys
 	if ent, ok := s.cacheGet(key, keys); ok {
 		s.CacheHits++
 		componentHits.Inc()
@@ -356,9 +392,9 @@ func (s *Solver) checkComponent(cs []*expr.Expr) (Result, map[string]int64) {
 			if res == Unsat || modelSatisfies(cs, model) {
 				s.PersistentHits++
 				persistentHits.Inc()
-				s.cachePut(key, keys, res, model)
+				owned := s.cachePut(key, keys, res, model)
 				if s.Shared != nil {
-					s.Shared.publish(key, keys, res, model)
+					s.Shared.publish(key, owned, res, model)
 				}
 				return res, model
 			}
@@ -388,15 +424,15 @@ func (s *Solver) checkComponent(cs []*expr.Expr) (Result, map[string]int64) {
 		// answer on repeat queries).
 		res, model = Unknown, nil
 	}
-	s.cachePut(key, keys, res, model)
+	owned := s.cachePut(key, keys, res, model)
 	if s.Shared != nil {
 		// Publish only after verification: the shared layer carries the
 		// same "Sat entries hold verified models" invariant as the private
 		// cache (publish drops Unknown itself).
-		s.Shared.publish(key, keys, res, model)
+		s.Shared.publish(key, owned, res, model)
 	}
 	if s.Persist != nil && res != Unknown {
-		s.Persist.Publish(keys, res, model)
+		s.Persist.Publish(owned, res, model)
 	}
 	return res, model
 }
@@ -415,66 +451,89 @@ func modelSatisfies(cs []*expr.Expr, model map[string]int64) bool {
 
 // partition splits conjuncts into connected components of the
 // variable-sharing graph, preserving conjunct order within each component.
-// Variable-free conjuncts form their own singleton components.
-func partition(cs []*expr.Expr) [][]*expr.Expr {
+// Variable-free conjuncts form their own singleton components. The
+// components live in the solver's scratch until the query returns.
+func (s *Solver) partition(cs []*expr.Expr) [][]*expr.Expr {
+	s.comps = s.comps[:0]
 	if len(cs) <= 1 {
-		return [][]*expr.Expr{cs}
+		gi := s.newComp()
+		s.comps[gi] = append(s.comps[gi], cs...)
+		return s.comps
 	}
 	// Union-find over conjunct indices, joined through variables.
-	parent := make([]int, len(cs))
-	for i := range parent {
-		parent[i] = i
+	parent := s.parent[:0]
+	for i := range cs {
+		parent = append(parent, i)
 	}
-	var find func(int) int
-	find = func(i int) int {
+	s.parent = parent
+	find := func(i int) int {
 		for parent[i] != i {
 			parent[i] = parent[parent[i]]
 			i = parent[i]
 		}
 		return i
 	}
-	owner := map[string]int{} // variable -> first conjunct mentioning it
+	if s.owner == nil {
+		s.owner = map[string]int{}
+	}
 	for i, c := range cs {
 		for _, v := range c.Vars() {
-			if j, ok := owner[v]; ok {
+			if j, ok := s.owner[v]; ok {
 				parent[find(i)] = find(j)
 			} else {
-				owner[v] = i
+				s.owner[v] = i
 			}
 		}
 	}
-	groups := map[int]int{} // root -> output index
-	var out [][]*expr.Expr
+	clear(s.owner)
+	slot := s.slot[:0]
+	for range cs {
+		slot = append(slot, -1)
+	}
+	s.slot = slot
 	for i, c := range cs {
 		r := find(i)
-		gi, ok := groups[r]
-		if !ok {
-			gi = len(out)
-			groups[r] = gi
-			out = append(out, nil)
+		if slot[r] < 0 {
+			slot[r] = s.newComp()
 		}
-		out[gi] = append(out[gi], c)
+		s.comps[slot[r]] = append(s.comps[slot[r]], c)
 	}
-	return out
+	return s.comps
+}
+
+// newComp appends an empty component to the scratch, reusing the storage a
+// component at that index had in an earlier query, and returns its index.
+func (s *Solver) newComp() int {
+	n := len(s.comps)
+	if n < cap(s.comps) {
+		s.comps = s.comps[:n+1]
+		s.comps[n] = s.comps[n][:0]
+	} else {
+		s.comps = append(s.comps, nil)
+	}
+	return n
 }
 
 // MayBeTrue reports whether cond can be true under the path constraints.
 func (s *Solver) MayBeTrue(path []*expr.Expr, cond *expr.Expr) (bool, Result) {
-	cs := make([]*expr.Expr, 0, len(path)+1)
-	cs = append(cs, path...)
-	cs = append(cs, expr.Truth(cond))
-	res, _ := s.Check(cs)
+	res := s.checkWith(path, expr.Truth(cond))
 	return res == Sat, res
 }
 
 // MustBeTrue reports whether cond is implied by the path constraints
 // (i.e. path ∧ ¬cond is unsatisfiable).
 func (s *Solver) MustBeTrue(path []*expr.Expr, cond *expr.Expr) (bool, Result) {
-	cs := make([]*expr.Expr, 0, len(path)+1)
-	cs = append(cs, path...)
-	cs = append(cs, expr.Not(cond))
-	res, _ := s.Check(cs)
+	res := s.checkWith(path, expr.Not(cond))
 	return res == Unsat, res
+}
+
+// checkWith decides path ∧ c, building the conjunction in the solver's
+// scratch.
+func (s *Solver) checkWith(path []*expr.Expr, c *expr.Expr) Result {
+	s.query = append(append(s.query[:0], path...), c)
+	res, _ := s.Check(s.query)
+	clear(s.query)
+	return res
 }
 
 // completeModel fills in zero for variables the search never needed to pin.
@@ -497,13 +556,14 @@ func completeModel(model map[string]int64, c *expr.Expr) map[string]int64 {
 // picks the chain. Because structural keys are stable across
 // collections, restarts, and processes, the same constraint set always
 // canonicalizes to the same key everywhere — the property the shared and
-// persistent tiers are built on.
-func structKey(cs []*expr.Expr) (uint64, []expr.StructKey) {
-	keys := make([]expr.StructKey, len(cs))
-	for i, c := range cs {
-		keys[i] = c.StructuralKey()
+// persistent tiers are built on. The keys are built in dst's storage, so
+// whatever keeps them past the query must copy them (cachePut does).
+func structKey(dst []expr.StructKey, cs []*expr.Expr) (uint64, []expr.StructKey) {
+	keys := dst[:0]
+	for _, c := range cs {
+		keys = append(keys, c.StructuralKey())
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
+	slices.SortFunc(keys, expr.StructKey.Compare)
 	// Deduplicate: a repeated conjunct is the same constraint.
 	w := 0
 	for i, k := range keys {
@@ -550,39 +610,48 @@ func (s *Solver) cacheGet(key uint64, keys []expr.StructKey) (cacheEntry, bool) 
 	return cacheEntry{}, false
 }
 
-func (s *Solver) cachePut(key uint64, keys []expr.StructKey, res Result, model map[string]int64) {
-	// Upsert: a full query and its single component share one key slice;
+// cachePut stores a verdict under keys (which may be scratch) and returns
+// the entry's own copy of them, which the shared and persistent tiers may
+// keep too.
+func (s *Solver) cachePut(key uint64, keys []expr.StructKey, res Result, model map[string]int64) []expr.StructKey {
+	// Upsert: a full query and its single component have the same keys;
 	// keeping one entry per key avoids duplicates and shadowing.
 	chain := s.cache[key]
 	if i := matchEntry(chain, keys); i >= 0 {
-		chain[i] = cacheEntry{keys: keys, res: res, model: model}
-		return
+		chain[i].res, chain[i].model = res, model
+		return chain[i].keys
 	}
+	keys = slices.Clone(keys)
 	s.cache[key] = append(chain, cacheEntry{keys: keys, res: res, model: model})
+	return keys
 }
 
 // flatten splits top-level logical-ands into separate conjuncts and drops
-// duplicate conjuncts (identity comparison — terms are interned).
-func flatten(cs []*expr.Expr) []*expr.Expr {
-	out := make([]*expr.Expr, 0, len(cs))
-	seen := make(map[*expr.Expr]bool, len(cs))
-	var walk func(e *expr.Expr)
-	walk = func(e *expr.Expr) {
-		if e.Op == expr.OpLAnd {
-			walk(e.A)
-			walk(e.B)
-			return
-		}
-		t := expr.Truth(e)
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
+// duplicate conjuncts (identity comparison — terms are interned). The
+// result lives in the solver's scratch until the query returns.
+func (s *Solver) flatten(cs []*expr.Expr) []*expr.Expr {
+	if s.seen == nil {
+		s.seen = map[*expr.Expr]bool{}
 	}
+	s.flat = s.flat[:0]
 	for _, c := range cs {
-		walk(c)
+		s.flattenConj(c)
 	}
-	return out
+	clear(s.seen)
+	return s.flat
+}
+
+func (s *Solver) flattenConj(e *expr.Expr) {
+	if e.Op == expr.OpLAnd {
+		s.flattenConj(e.A)
+		s.flattenConj(e.B)
+		return
+	}
+	t := expr.Truth(e)
+	if !s.seen[t] {
+		s.seen[t] = true
+		s.flat = append(s.flat, t)
+	}
 }
 
 func dropTrue(cs []*expr.Expr) []*expr.Expr {
@@ -684,7 +753,7 @@ func (st *searchState) search(cs []*expr.Expr) (Result, map[string]int64) {
 	for _, val := range cands {
 		mark := len(st.trail)
 		st.setDom(v, interval{val, val})
-		ncs := substituteAll(cs, v, val)
+		ncs := st.solver.substituteAll(cs, v, val)
 		r, m := st.search(ncs)
 		st.undo(mark)
 		if r == Sat {
@@ -735,15 +804,19 @@ func unsatOrUnknown(sawUnknown bool) Result {
 	return Unsat
 }
 
-func substituteAll(cs []*expr.Expr, v string, val int64) []*expr.Expr {
+// substituteAll returns cs with v replaced by val. One Subst serves the
+// whole set, so subtrees common to several constraints are rewritten once;
+// constraints whose cached var-set misses v are returned as-is by Apply
+// (no walk, no copy). The Subst is the solver's own, retargeted here and
+// emptied before returning, so its memo's storage is reused by every
+// substitution of every query and pins no term in between.
+func (s *Solver) substituteAll(cs []*expr.Expr, v string, val int64) []*expr.Expr {
 	out := make([]*expr.Expr, 0, len(cs))
-	// One Subst for the whole set: the memo is shared, so subtrees common
-	// to several constraints are rewritten once. Constraints whose cached
-	// var-set misses v are returned as-is by Apply (no walk, no copy).
-	sub := expr.NewSubst(v, expr.Const(val))
+	s.sub.Reset(v, expr.Const(val))
 	for _, e := range cs {
-		out = append(out, sub.Apply(e))
+		out = append(out, s.sub.Apply(e))
 	}
+	s.sub.Reset("", nil)
 	return out
 }
 
@@ -887,7 +960,7 @@ func (st *searchState) propagate(cs []*expr.Expr) ([]*expr.Expr, Result) {
 					}
 				}
 				if mentioned {
-					cs = substituteAll(cs, v, d.lo)
+					cs = st.solver.substituteAll(cs, v, d.lo)
 					changed = true
 				}
 			}

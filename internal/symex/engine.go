@@ -101,6 +101,18 @@ type Engine struct {
 	nextStateID int
 	nextObjID   int
 	ctxTick     int
+	// one backs the successor slice of a step that did not fork (see
+	// Step and single). It keeps the last such state reachable until the
+	// next step; an engine serves one run, so that pins nothing past it.
+	one [1]*State
+}
+
+// single returns st as a step's only successor, in the engine's own
+// one-element array, so a step that does not fork — most steps — allocates
+// no successor slice. The slice is valid until the next Step.
+func (e *Engine) single(st *State) []*State {
+	e.one[0] = st
+	return e.one[:]
 }
 
 // tick polls the engine's context on a coarse step cadence, returning
@@ -200,7 +212,10 @@ func (e *Engine) InitialState() (*State, error) {
 // It returns the set of live successor states: typically {st}, or {st,
 // fork} at a symbolic branch, or {} when the state terminated. Terminated
 // and policy-forked states are also returned so the search can inspect
-// them; callers check Status.
+// them; callers check Status. The returned slice is valid until the
+// engine's next Step: a step that does not fork returns the engine's own
+// one-element array, so callers consume the slice before stepping again
+// (and copy it if they must keep it).
 func (e *Engine) Step(st *State) ([]*State, error) {
 	if err := e.tick(); err != nil {
 		return nil, err
@@ -233,7 +248,7 @@ func (e *Engine) Step(st *State) ([]*State, error) {
 		if st.Cur != t.ID {
 			// The policy preempted the current thread in place; the pending
 			// instruction executes when the thread is next scheduled.
-			return []*State{st}, nil
+			return e.single(st), nil
 		}
 	}
 	if approved {
@@ -257,7 +272,7 @@ func (e *Engine) reschedule(st *State) ([]*State, error) {
 	runnable := st.RunnableThreads()
 	if len(runnable) == 0 {
 		e.detectTerminal(st)
-		return []*State{st}, nil
+		return e.single(st), nil
 	}
 	next := -1
 	if e.Policy != nil {
@@ -274,7 +289,7 @@ func (e *Engine) reschedule(st *State) ([]*State, error) {
 		}
 	}
 	st.SwitchTo(next)
-	return []*State{st}, nil
+	return e.single(st), nil
 }
 
 // detectTerminal classifies a state with no runnable threads: clean exit,

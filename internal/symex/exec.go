@@ -49,7 +49,7 @@ func (e *Engine) crash(st *State, in *mir.Instr, kind CrashKind, format string, 
 		Message: fmt.Sprintf(format, args...),
 	}
 	st.countStep()
-	return []*State{st}
+	return e.single(st)
 }
 
 // abortState abandons a state the engine cannot reason about (solver
@@ -57,7 +57,16 @@ func (e *Engine) crash(st *State, in *mir.Instr, kind CrashKind, format string, 
 func (e *Engine) abortState(st *State, why string) []*State {
 	st.Status = StateAborted
 	_ = why
-	return []*State{st}
+	return e.single(st)
+}
+
+// withForks returns st followed by the states forked off it this step;
+// without forks that is single(st).
+func (e *Engine) withForks(st *State, forks []*State) []*State {
+	if len(forks) == 0 {
+		return e.single(st)
+	}
+	return append([]*State{st}, forks...)
 }
 
 // addConstraint appends c to the path condition and tightens the interval
@@ -155,13 +164,13 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 		}
 		st.advance()
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 
 	case mir.Const:
 		f.Regs[in.Dst] = IntVal(in.Imm)
 		st.advance()
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 
 	case mir.Bin:
 		v, crashMsg := e.evalBin(st, expr.Op(in.ALU), e.operand(f, in.A), e.operand(f, in.B))
@@ -175,7 +184,7 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 		f.Regs[in.Dst] = v
 		st.advance()
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 
 	case mir.Un:
 		a := e.operand(f, in.A)
@@ -189,7 +198,7 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 		}
 		st.advance()
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 
 	case mir.Alloca:
 		obj := &Object{ID: e.NewObjID(), Kind: ObjStack, Size: int(in.Imm), Cells: make([]Value, in.Imm)}
@@ -198,7 +207,7 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 		f.Regs[in.Dst] = PtrVal(obj.ID, 0)
 		st.advance()
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 
 	case mir.GlobalAddr:
 		id := st.GlobalObj(in.Sym)
@@ -208,13 +217,13 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 		f.Regs[in.Dst] = PtrVal(id, 0)
 		st.advance()
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 
 	case mir.FuncAddr:
 		f.Regs[in.Dst] = FnVal(in.Sym)
 		st.advance()
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 
 	case mir.Load:
 		return e.execAccess(st, in, false)
@@ -225,7 +234,7 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 	case mir.Jmp:
 		st.jumpTo(in.Then)
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 
 	case mir.Br:
 		return e.execBranch(st, in)
@@ -263,7 +272,7 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 		}
 		st.advance()
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 
 	case mir.Getenv:
 		id, ok := st.envBufs[in.Sym]
@@ -301,7 +310,7 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 		f.Regs[in.Dst] = PtrVal(id, 0)
 		st.advance()
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 
 	case mir.Input:
 		// Sequence numbers are per input name, so variable identity does
@@ -326,7 +335,7 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 		}
 		st.advance()
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 
 	case mir.Malloc:
 		sz := e.operand(f, in.A)
@@ -348,14 +357,14 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 		f.Regs[in.Dst] = PtrVal(obj.ID, 0)
 		st.advance()
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 
 	case mir.Free:
 		v := e.operand(f, in.A)
 		if v.IsZero() {
 			st.advance()
 			st.countStep()
-			return []*State{st}, nil // free(NULL) is a no-op
+			return e.single(st), nil // free(NULL) is a no-op
 		}
 		if v.Ptr == nil {
 			return e.crash(st, in, CrashInvalidFree, "free of non-pointer value %s", v), nil
@@ -377,7 +386,7 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 		st.Mem.MarkFreed(obj.ID)
 		st.advance()
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 
 	case mir.ThreadCreate:
 		return e.execThreadCreate(st, in)
@@ -478,7 +487,7 @@ func (e *Engine) execDiv(st *State, in *mir.Instr, op expr.Op) ([]*State, error)
 		f.Regs[in.Dst] = Scalar(expr.Binary(op, a.E, b.E))
 		st.advance()
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 	}
 	zero := expr.Binary(expr.OpEq, b.E, expr.Const(0))
 	mayZero, mayNonZero, unknown := e.feasibleBoth(st, zero)
@@ -501,7 +510,7 @@ func (e *Engine) execDiv(st *State, in *mir.Instr, op expr.Op) ([]*State, error)
 	f.Regs[in.Dst] = Scalar(expr.Binary(op, a.E, b.E))
 	st.advance()
 	st.countStep()
-	return append([]*State{st}, out...), nil
+	return e.withForks(st, out), nil
 }
 
 func (e *Engine) execBranch(st *State, in *mir.Instr) ([]*State, error) {
@@ -521,7 +530,7 @@ func (e *Engine) execBranch(st *State, in *mir.Instr) ([]*State, error) {
 			st.jumpTo(in.Else)
 		}
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 	}
 	tcond := expr.Truth(condE)
 	mayT, mayF, unknown := e.feasibleBoth(st, tcond)
@@ -541,11 +550,11 @@ func (e *Engine) execBranch(st *State, in *mir.Instr) ([]*State, error) {
 	case mayT:
 		st.jumpTo(in.Then)
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 	case mayF:
 		st.jumpTo(in.Else)
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 	default:
 		// Both sides unsatisfiable: the path condition itself is
 		// contradictory; abandon.
@@ -638,7 +647,7 @@ func (e *Engine) execAccess(st *State, in *mir.Instr, isWrite bool) ([]*State, e
 	}
 	st.advance()
 	st.countStep()
-	return append([]*State{st}, out...), nil
+	return e.withForks(st, out), nil
 }
 
 func (e *Engine) execCall(st *State, in *mir.Instr) ([]*State, error) {
@@ -669,7 +678,7 @@ func (e *Engine) execCall(st *State, in *mir.Instr) ([]*State, error) {
 	t := st.CurThread()
 	t.Frames = append(t.Frames, nf)
 	st.countStep()
-	return []*State{st}, nil
+	return e.single(st), nil
 }
 
 func (e *Engine) execRet(st *State, in *mir.Instr) ([]*State, error) {
@@ -697,7 +706,7 @@ func (e *Engine) execRet(st *State, in *mir.Instr) ([]*State, error) {
 			// Process exit: main returning ends the program.
 			st.Status = StateExited
 			st.ExitCode = v
-			return []*State{st}, nil
+			return e.single(st), nil
 		}
 		return e.reschedule(st)
 	}
@@ -705,7 +714,7 @@ func (e *Engine) execRet(st *State, in *mir.Instr) ([]*State, error) {
 	if f.RetDst >= 0 {
 		caller.Regs[f.RetDst] = v
 	}
-	return []*State{st}, nil
+	return e.single(st), nil
 }
 
 func (e *Engine) execAssert(st *State, in *mir.Instr) ([]*State, error) {
@@ -714,7 +723,7 @@ func (e *Engine) execAssert(st *State, in *mir.Instr) ([]*State, error) {
 	if !cond.IsScalar() {
 		st.advance() // non-null pointer asserts trivially hold
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 	}
 	if c, ok := cond.E.IsConst(); ok {
 		if c == 0 {
@@ -722,7 +731,7 @@ func (e *Engine) execAssert(st *State, in *mir.Instr) ([]*State, error) {
 		}
 		st.advance()
 		st.countStep()
-		return []*State{st}, nil
+		return e.single(st), nil
 	}
 	tcond := expr.Truth(cond.E)
 	mayPass, mayFail, unknown := e.feasibleBoth(st, tcond)
@@ -744,5 +753,5 @@ func (e *Engine) execAssert(st *State, in *mir.Instr) ([]*State, error) {
 	st.addConstraint(tcond)
 	st.advance()
 	st.countStep()
-	return append([]*State{st}, out...), nil
+	return e.withForks(st, out), nil
 }

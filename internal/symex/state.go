@@ -94,11 +94,17 @@ func (t *Thread) Top() *Frame {
 // Stack returns the thread's call stack, outermost first, as instruction
 // locations (the shape bug-report stack traces take).
 func (t *Thread) Stack() []mir.Loc {
-	out := make([]mir.Loc, len(t.Frames))
-	for i, f := range t.Frames {
-		out[i] = f.Loc()
+	return t.AppendStack(make([]mir.Loc, 0, len(t.Frames)))
+}
+
+// AppendStack appends the thread's call stack, outermost first, to dst and
+// returns the extended slice: Stack without the allocation, for callers
+// that score many states through one buffer.
+func (t *Thread) AppendStack(dst []mir.Loc) []mir.Loc {
+	for _, f := range t.Frames {
+		dst = append(dst, f.Loc())
 	}
-	return out
+	return dst
 }
 
 // MutexKey identifies a mutex or condition variable by its memory cell.

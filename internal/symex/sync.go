@@ -31,7 +31,7 @@ func (e *Engine) execThreadCreate(st *State, in *mir.Instr) ([]*State, error) {
 	if e.Policy != nil {
 		e.Policy.AfterSync(e, st, in, NoMutex)
 	}
-	return []*State{st}, nil
+	return e.single(st), nil
 }
 
 func (e *Engine) execThreadJoin(st *State, in *mir.Instr) ([]*State, error) {
@@ -59,7 +59,7 @@ func (e *Engine) execThreadJoin(st *State, in *mir.Instr) ([]*State, error) {
 		if e.Policy != nil {
 			e.Policy.AfterSync(e, st, in, NoMutex)
 		}
-		return []*State{st}, nil
+		return e.single(st), nil
 	}
 	t.Status = ThreadBlockedJoin
 	t.WaitTid = target.ID
@@ -82,7 +82,7 @@ func (e *Engine) execMutex(st *State, in *mir.Instr) ([]*State, error) {
 		if e.Policy != nil {
 			e.Policy.AfterSync(e, st, in, key)
 		}
-		return []*State{st}, nil
+		return e.single(st), nil
 
 	case mir.MutexLock:
 		m := st.Mutexes[key]
@@ -99,7 +99,7 @@ func (e *Engine) execMutex(st *State, in *mir.Instr) ([]*State, error) {
 			if e.Policy != nil {
 				e.Policy.AfterSync(e, st, in, key)
 			}
-			return []*State{st}, nil
+			return e.single(st), nil
 		}
 		// Held (possibly by this very thread: default mutexes self-deadlock,
 		// which is exactly the SQLite #1672 mechanism).
@@ -124,7 +124,7 @@ func (e *Engine) execMutex(st *State, in *mir.Instr) ([]*State, error) {
 		if e.Policy != nil {
 			e.Policy.AfterSync(e, st, in, key)
 		}
-		return []*State{st}, nil
+		return e.single(st), nil
 	}
 	return nil, fmt.Errorf("symex: bad mutex opcode %v", in.Op)
 }
@@ -185,7 +185,7 @@ func (e *Engine) execCond(st *State, in *mir.Instr) ([]*State, error) {
 				if e.Policy != nil {
 					e.Policy.AfterSync(e, st, in, mkey)
 				}
-				return []*State{st}, nil
+				return e.single(st), nil
 			}
 			t.Status = ThreadBlockedMutex
 			t.WaitMutex = mkey
@@ -215,7 +215,7 @@ func (e *Engine) execCond(st *State, in *mir.Instr) ([]*State, error) {
 		if e.Policy != nil {
 			e.Policy.AfterSync(e, st, in, ckey)
 		}
-		return []*State{st}, nil
+		return e.single(st), nil
 	}
 	return nil, fmt.Errorf("symex: bad cond opcode %v", in.Op)
 }
