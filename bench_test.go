@@ -5,8 +5,9 @@
 //	go test -bench=. -benchmem                   # everything (minutes)
 //	go test -bench BenchmarkTable1 -benchtime 1x # one pass of Table 1
 //
-// EXPERIMENTS.md records representative output and compares its shape to
-// the paper's numbers.
+// internal/exp (driven by the esdexp command) holds the evaluation loops
+// these benchmarks time and says what each artifact preserves of the
+// paper's numbers: the comparison shape, not absolute times.
 package esd_test
 
 import (
@@ -21,8 +22,8 @@ import (
 	"esd/internal/search"
 )
 
-// benchCfg is the scaled-down 1-hour cap (see DESIGN.md). Raise the
-// timeout for paper-scale runs (esdexp -timeout accepts any cap).
+// benchCfg scales the paper's 1-hour cap (§7) down, as internal/exp does.
+// Raise the timeout for paper-scale runs (esdexp -timeout accepts any cap).
 func benchCfg() exp.Config {
 	return exp.Config{Timeout: 20 * time.Second, Seed: 1}
 }

@@ -80,3 +80,47 @@ func BenchmarkCaseSplit(b *testing.B) {
 		}
 	}
 }
+
+// ls4Component is the component shape every ls4 case split decides: one
+// input x, a quotient x/8 bounded to 1 and kept nonzero, and the bounds
+// 0 <= k % (x/8) < 8 for k = 0…12. The unsat variant adds the negated
+// bound for k = 13; propagation does not read through the division, so
+// without the range refutation the split bisects x's whole universe.
+func ls4Component(unsat bool) []*expr.Expr {
+	x := expr.Var("x")
+	q := expr.Binary(expr.OpDiv, x, expr.Const(8))
+	cs := []*expr.Expr{
+		expr.Binary(expr.OpGe, x, expr.Const(8)),
+		expr.Binary(expr.OpLe, q, expr.Const(1)),
+		expr.Binary(expr.OpNe, q, expr.Const(0)),
+	}
+	bound := func(k int64) *expr.Expr {
+		return expr.Binary(expr.OpLt, expr.Binary(expr.OpMod, expr.Const(k), q), expr.Const(8))
+	}
+	for k := int64(0); k <= 12; k++ {
+		cs = append(cs, expr.Binary(expr.OpGe, expr.Binary(expr.OpMod, expr.Const(k), q), expr.Const(0)), bound(k))
+	}
+	if unsat {
+		cs = append(cs, expr.Not(bound(13)))
+	}
+	return cs
+}
+
+// BenchmarkOneVarSplit measures deciding the ls4 component and its Sat
+// sibling on a fresh solver per iteration, so no cache tier answers.
+func BenchmarkOneVarSplit(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		want Result
+	}{{"unsat", Unsat}, {"sat", Sat}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cs := ls4Component(bc.want == Unsat)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if res, _ := New().Check(cs); res != bc.want {
+					b.Fatalf("check: %v, want %v", res, bc.want)
+				}
+			}
+		})
+	}
+}

@@ -8,6 +8,18 @@
 // alone cannot decide, the search branches on candidate values mined from
 // the constraints themselves (with interval bisection as a fallback).
 //
+// Components whose conjuncts all mention one variable are decided by
+// concrete evaluation wherever that suffices. Before the case split, such a
+// component's variable gets a range from the conjuncts that bound it
+// directly or through division by a positive constant, which propagation
+// does not read through; an empty range, or a small one in which every
+// value falsifies some conjunct, is Unsat without a split (refute). Inside
+// the split, a candidate value for the last variable left is decided by
+// evaluating the conjuncts at it rather than by substituting it and
+// searching the folded result (evalLeaf). Neither changes an answer the
+// split would give, save that refute may say Unsat where the split would
+// say Unknown.
+//
 // The solver is sound: Sat answers always come with a model that is
 // verified by concrete evaluation before being returned, and Unsat is only
 // reported when the search space is exhausted. When the node budget runs
@@ -132,6 +144,7 @@ type scratch struct {
 	comps     [][]*expr.Expr      // partition's components
 	queryKeys []expr.StructKey    // structKey of the whole query
 	compKeys  []expr.StructKey    // structKey of one component
+	env       map[string]int64    // evalAt's one-variable environment
 }
 
 // dropTerms empties the scratch that holds terms; Check calls it before
@@ -416,7 +429,10 @@ func (s *Solver) checkComponent(cs []*expr.Expr) (Result, map[string]int64) {
 			}
 		}
 	}
-	res, model := st.search(cs)
+	res, model := Unsat, map[string]int64(nil)
+	if !s.refute(cs) {
+		res, model = st.search(cs)
+	}
 	if res == Sat && !modelSatisfies(cs, model) {
 		// Verify before caching: a bogus model must not enter the cache as
 		// Sat (a single-conjunct component shares its cache key with the
@@ -435,6 +451,133 @@ func (s *Solver) checkComponent(cs []*expr.Expr) (Result, map[string]int64) {
 		s.Persist.Publish(owned, res, model)
 	}
 	return res, model
+}
+
+// refute reports whether a component over one variable x is unsatisfiable
+// by evaluation alone. It intersects the universe with the range of every
+// conjunct that bounds x directly or through division by a positive
+// constant (rangeOf). An empty range is Unsat; so is a range narrower than
+// enumWidth in which every value sends some conjunct to 0. It never answers
+// Sat: a component it cannot refute goes to the case split unchanged, so
+// every Sat model is the case split's.
+func (s *Solver) refute(cs []*expr.Expr) bool {
+	x := soleVar(cs)
+	if x == "" {
+		return false
+	}
+	r := fullInterval()
+	for _, c := range cs {
+		r = r.intersect(rangeOf(c))
+	}
+	if r.empty() {
+		return true
+	}
+	if r.width() >= enumWidth {
+		return false
+	}
+	for v := r.lo; v <= r.hi; v++ {
+		if s.evalAt(cs, x, v) != evalFalse {
+			return false
+		}
+	}
+	return true
+}
+
+// rangeOf returns an interval holding every x that satisfies c when c is
+// "x REL k" or "(x / d) REL k" with constants k and d > 0, and the universe
+// for any other conjunct. Bounds that leave the int64 range saturate, which
+// keeps them beyond the universe on the side they fall.
+func rangeOf(c *expr.Expr) interval {
+	op := c.Op
+	switch op {
+	case expr.OpEq, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
+	default:
+		return fullInterval()
+	}
+	k, ok := c.B.IsConst()
+	if !ok {
+		return fullInterval()
+	}
+	// x is x/1, so the division rules below serve both shapes.
+	x, d := c.A, int64(1)
+	if x.Op == expr.OpDiv {
+		if d, ok = x.B.IsConst(); !ok || d <= 0 {
+			return fullInterval()
+		}
+		x = x.A
+	}
+	if x.Op != expr.OpVar {
+		return fullInterval()
+	}
+	// x/d < k is x/d <= k-1, and x/d > k is x/d >= k+1.
+	switch op {
+	case expr.OpLt:
+		op, k = expr.OpLe, satAdd(k, -1)
+	case expr.OpGt:
+		op, k = expr.OpGe, satAdd(k, 1)
+	}
+	// Division truncates toward zero: x/d <= k holds up to the last x of
+	// k's quotient run (k·d+d-1 for k >= 0, k·d below zero), and x/d >= k
+	// from the first (k·d above zero, k·d-d+1 for k <= 0).
+	r := interval{-satLimit, satLimit}
+	if op != expr.OpGe {
+		r.hi = satMul(k, d)
+		if k >= 0 {
+			r.hi = satAdd(r.hi, d-1)
+		}
+	}
+	if op != expr.OpLe {
+		r.lo = satMul(k, d)
+		if k <= 0 {
+			r.lo = satAdd(r.lo, 1-d)
+		}
+	}
+	return r
+}
+
+// soleVar returns the variable every conjunct mentions when it is the only
+// one each mentions, and "" otherwise.
+func soleVar(cs []*expr.Expr) string {
+	x := ""
+	for _, c := range cs {
+		vars := c.Vars()
+		if len(vars) != 1 || (x != "" && vars[0] != x) {
+			return ""
+		}
+		x = vars[0]
+	}
+	return x
+}
+
+// evalOutcome is the verdict of a conjunct list at one point.
+type evalOutcome int
+
+const (
+	evalTrue  evalOutcome = iota // every conjunct evaluates to nonzero
+	evalFalse                    // some conjunct evaluates to 0
+	evalError                    // none does, but one fails to evaluate
+)
+
+// evalAt evaluates the conjuncts at x = v; x must be the only variable
+// they mention. A conjunct that evaluates to 0 decides the point even when
+// another fails to evaluate (division by zero, a shift out of range). The
+// environment is the solver's scratch, so a point allocates nothing.
+func (sc *scratch) evalAt(cs []*expr.Expr, x string, v int64) evalOutcome {
+	if sc.env == nil {
+		sc.env = map[string]int64{}
+	}
+	clear(sc.env)
+	sc.env[x] = v
+	out := evalTrue
+	for _, c := range cs {
+		r, err := c.Eval(sc.env)
+		if err != nil {
+			out = evalError
+		} else if r == 0 {
+			return evalFalse
+		}
+	}
+	return out
 }
 
 // modelSatisfies reports whether the model makes every conjunct true under
@@ -723,16 +866,7 @@ func (st *searchState) search(cs []*expr.Expr) (Result, map[string]int64) {
 		return Unsat, nil
 	}
 	if len(cs) == 0 {
-		// All constraints discharged; pick any in-domain value per var.
-		model := map[string]int64{}
-		for v, d := range st.domains {
-			val := int64(0)
-			if !d.contains(0) {
-				val = d.lo
-			}
-			model[v] = val
-		}
-		return Sat, model
+		return Sat, st.leafModel()
 	}
 
 	// Choose branch variable: smallest domain among vars in remaining
@@ -749,13 +883,21 @@ func (st *searchState) search(cs []*expr.Expr) (Result, map[string]int64) {
 	// Candidate values: constants from constraints mentioning v, domain
 	// endpoints, zero, midpoint.
 	cands := st.candidates(cs, v, dom)
+	last := soleVar(cs) == v
 	sawUnknown := false
 	for _, val := range cands {
-		mark := len(st.trail)
-		st.setDom(v, interval{val, val})
-		ncs := st.solver.substituteAll(cs, v, val)
-		r, m := st.search(ncs)
-		st.undo(mark)
+		var r Result
+		var m map[string]int64
+		decided := false
+		if last {
+			r, m, decided = st.evalLeaf(cs, v, val)
+		}
+		if !decided {
+			mark := len(st.trail)
+			st.setDom(v, interval{val, val})
+			r, m = st.search(st.solver.substituteAll(cs, v, val))
+			st.undo(mark)
+		}
 		if r == Sat {
 			m[v] = val
 			return Sat, m
@@ -795,6 +937,43 @@ func (st *searchState) search(cs []*expr.Expr) (Result, map[string]int64) {
 		return unsatOrUnknown(sawUnknown), nil
 	}
 	return Unknown, nil
+}
+
+// leafModel is the model of a node whose constraints are all discharged:
+// each variable takes 0 if its domain holds 0, else its domain's low end.
+func (st *searchState) leafModel() map[string]int64 {
+	model := make(map[string]int64, len(st.domains))
+	for v, d := range st.domains {
+		val := int64(0)
+		if !d.contains(0) {
+			val = d.lo
+		}
+		model[v] = val
+	}
+	return model
+}
+
+// evalLeaf decides the child node x = val by evaluation, where x is the
+// only variable cs mentions. Substituting a constant for the last variable
+// folds each conjunct through Binary, Unary and Ite, whose folding is the
+// evalBinConst that Eval uses, so wherever Eval succeeds it gives the
+// child's answer: Sat with the leaf model when every conjunct holds, Unsat
+// when one is 0. The child's budget check and node are spent here. When a
+// conjunct fails to evaluate and none is 0, decided is false and the child
+// takes the substitution path.
+func (st *searchState) evalLeaf(cs []*expr.Expr, x string, val int64) (res Result, model map[string]int64, decided bool) {
+	if st.budget <= 0 {
+		return Unknown, nil, true
+	}
+	out := st.solver.evalAt(cs, x, val)
+	if out == evalError {
+		return Unknown, nil, false
+	}
+	st.budget--
+	if out == evalFalse {
+		return Unsat, nil, true
+	}
+	return Sat, st.leafModel(), true
 }
 
 func unsatOrUnknown(sawUnknown bool) Result {
@@ -1322,6 +1501,11 @@ func (st *searchState) pickVar(cs []*expr.Expr) string {
 	return best
 }
 
+// enumWidth is the width under which a variable's values are enumerated
+// outright: candidates lists every value of a narrower domain, and refute
+// tries every value of a narrower range.
+const enumWidth = 64
+
 // candidates mines promising concrete values for variable v.
 func (st *searchState) candidates(cs []*expr.Expr, v string, dom interval) []int64 {
 	set := map[int64]bool{}
@@ -1364,7 +1548,7 @@ func (st *searchState) candidates(cs []*expr.Expr, v string, dom interval) []int
 	}
 	// Small domains are enumerated exhaustively, which keeps the search
 	// complete once propagation has narrowed a variable down.
-	if dom.width() < 64 {
+	if dom.width() < enumWidth {
 		for x := dom.lo; x <= dom.hi; x++ {
 			set[x] = true
 		}
