@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -147,6 +148,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if ck.Schema != CheckpointSchema {
 		return nil, fmt.Errorf("search: unsupported checkpoint schema %q (want %q)", ck.Schema, CheckpointSchema)
 	}
+	if ck.Pool == nil {
+		return nil, fmt.Errorf("search: checkpoint has no state pool")
+	}
 	return ck, nil
 }
 
@@ -204,11 +208,17 @@ func (c *countingSource) Int63() int64 {
 
 func (c *countingSource) Seed(seed int64) { c.src.Seed(seed) }
 
-// skip advances the source by n draws (resume replay).
-func (c *countingSource) skip(n int64) {
+// skip advances the source by n draws (resume replay). n comes from a
+// checkpoint, so the replay polls ctx and gives up once it is done: a
+// corrupt draw count cannot pin the resuming goroutine.
+func (c *countingSource) skip(ctx context.Context, n int64) error {
 	for i := int64(0); i < n; i++ {
+		if i%(1<<16) == 0 && ctx.Err() != nil {
+			return fmt.Errorf("search: replaying %d rng draws: %w", n, ctx.Err())
+		}
 		c.Int63()
 	}
+	return nil
 }
 
 // buildCheckpoint serializes the searcher at the run-loop top. res must
@@ -217,13 +227,13 @@ func (c *countingSource) skip(n int64) {
 // detection is off).
 func (s *searcher) buildCheckpoint(res *Result, detector *race.Detector) (*Checkpoint, error) {
 	roots := make([]*symex.State, 0, len(s.front.alive))
-	for st := range s.front.alive {
-		roots = append(roots, st)
+	for _, ls := range s.front.alive {
+		roots = append(roots, ls.st)
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].ID < roots[j].ID })
-	idx := make(map[*symex.State]int, len(roots))
+	idx := make(map[int]int, len(roots)) // state ID -> root index
 	for i, st := range roots {
-		idx[st] = i
+		idx[st.ID] = i
 	}
 
 	nextStateID, nextObjID := s.eng.CheckpointCounters()
@@ -277,7 +287,7 @@ func (s *searcher) buildCheckpoint(res *Result, detector *race.Detector) (*Check
 	if s.opts.Strategy == StrategyESD {
 		ck.AliveKeys = make([][]int64, len(roots))
 		for i, st := range roots {
-			keys := s.front.alive[st]
+			keys := s.front.alive[st.ID].keys
 			fits := make([]int64, len(keys))
 			for q, k := range keys {
 				fits[q] = k.fit
@@ -286,20 +296,20 @@ func (s *searcher) buildCheckpoint(res *Result, detector *race.Detector) (*Check
 		}
 		ck.Heaps = make([][]HeapSlot, len(s.front.heaps))
 		for q, h := range s.front.heaps {
-			for _, e := range h {
-				if i, live := idx[e.st]; live {
-					ck.Heaps[q] = append(ck.Heaps[q], HeapSlot{S: i, F: e.key.fit})
+			for _, k := range h {
+				if i, live := idx[k.id]; live {
+					ck.Heaps[q] = append(ck.Heaps[q], HeapSlot{S: i, F: k.fit})
 				}
 			}
 		}
-		for _, st := range s.front.fifo {
-			if i, live := idx[st]; live {
+		for _, id := range s.front.fifo {
+			if i, live := idx[id]; live {
 				ck.FIFO = append(ck.FIFO, i)
 			}
 		}
 	} else {
 		for _, st := range s.front.pool {
-			if i, live := idx[st]; live {
+			if i, live := idx[st.ID]; live {
 				ck.PoolOrder = append(ck.PoolOrder, i)
 			} else {
 				// Dead slots stay: RandomPath draws rng.Intn(len(pool)),
@@ -330,9 +340,14 @@ func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.
 	if len(roots) != len(ck.Pool.Roots) {
 		return fmt.Errorf("search: checkpoint decoded %d roots, expected %d", len(roots), len(ck.Pool.Roots))
 	}
+	if ck.RngDraws < 0 {
+		return fmt.Errorf("search: checkpoint has %d rng draws", ck.RngDraws)
+	}
 	s.eng.Stats = ck.EngStats
 	s.eng.RestoreCounters(ck.NextStateID, ck.NextObjID)
-	s.rngSrc.skip(ck.RngDraws)
+	if err := s.rngSrc.skip(s.ctx, ck.RngDraws); err != nil {
+		return err
+	}
 	s.allPicks = ck.AllPicks
 	s.agingPicks = ck.AgingPicks
 	s.sheds = ck.Sheds
@@ -353,6 +368,12 @@ func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.
 
 	s.front = newQueueFrontier(s.opts.Strategy, s.schedGuided, len(s.queueGoals))
 	s.front.picks = ck.FrontPicks
+	for _, st := range roots {
+		if _, dup := s.front.alive[st.ID]; dup {
+			return fmt.Errorf("search: checkpoint has two roots with state ID %d", st.ID)
+		}
+		s.front.alive[st.ID] = liveState{st: st}
+	}
 	if s.opts.Strategy == StrategyESD {
 		if len(ck.AliveKeys) != len(roots) {
 			return fmt.Errorf("search: checkpoint has %d key rows for %d roots", len(ck.AliveKeys), len(roots))
@@ -372,31 +393,28 @@ func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.
 			// Direct alive/heaps assembly (not insert): the heap contents
 			// below carry the lazy-deletion history insert would not
 			// recreate.
-			s.front.alive[st] = keys
+			s.front.alive[st.ID] = liveState{st: st, keys: keys}
 		}
 		for q, slots := range ck.Heaps {
 			for _, sl := range slots {
 				if sl.S < 0 || sl.S >= len(roots) {
 					return fmt.Errorf("search: heap %d references invalid root %d", q, sl.S)
 				}
-				st := roots[sl.S]
-				s.front.heaps[q].push(heapEntry{st: st, key: esdKey{fit: sl.F, id: st.ID}})
+				s.front.heaps[q].push(esdKey{fit: sl.F, id: roots[sl.S].ID})
 			}
 		}
 		for _, ri := range ck.FIFO {
 			if ri < 0 || ri >= len(roots) {
 				return fmt.Errorf("search: fifo references invalid root %d", ri)
 			}
-			s.front.fifo = append(s.front.fifo, roots[ri])
+			s.front.fifo = append(s.front.fifo, roots[ri].ID)
 		}
 	} else {
 		// One shared tombstone stands in for every dead slot: the pool is
-		// compacted positionally and the tombstone is never in alive, so
-		// it replays a dead slot's behavior (one discarded draw) exactly.
-		tombstone := &symex.State{}
-		for _, st := range roots {
-			s.front.alive[st] = nil
-		}
+		// compacted positionally and the tombstone's ID is never in alive,
+		// so it replays a dead slot's behavior (one discarded draw)
+		// exactly.
+		tombstone := &symex.State{ID: -1}
 		for _, ri := range ck.PoolOrder {
 			switch {
 			case ri == poolTombstone:

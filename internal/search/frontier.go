@@ -14,6 +14,12 @@ import (
 // queueFrontier behind its own mutex, and the sequential searcher is
 // simply the one-shard case with no lock.
 //
+// The heaps and the FIFO hold state IDs, never states: alive is the only
+// structure that reaches a queued state, so a state that leaves the
+// frontier is collectable at once, however many stale entries it left
+// behind. Those entries die lazily, and a compaction at pick time drops
+// them in bulk once they have doubled the entry count (see maybeCompact).
+//
 // A queueFrontier is not safe for concurrent use; parallel callers hold
 // their shard's lock around every method.
 type queueFrontier struct {
@@ -21,22 +27,32 @@ type queueFrontier struct {
 	schedGuided bool
 	numQueues   int
 
-	// alive maps each live state to the per-queue ESD keys it was scored
-	// with at insertion (nil for non-ESD strategies). Heap and FIFO
-	// entries die lazily; membership here is the liveness truth.
-	alive map[*symex.State][]esdKey
+	// alive maps each live state's ID to the state and the per-queue ESD
+	// keys it was scored with at insertion (nil keys for non-ESD
+	// strategies). Heap and FIFO entries die lazily; membership here is
+	// the liveness truth.
+	alive map[int]liveState
 	// pool is the ordered live-state slice for DFS/RandomPath.
 	pool []*symex.State
 	// heaps are the per-goal virtual priority queues (lazy deletion).
-	heaps []stateHeap
-	// fifo holds live states in insertion order; every agingPeriod-th ESD
-	// pick drains from here instead of the fitness heaps. Pure best-first
-	// livelocks when scheduling policies fork equal-fitness states faster
-	// than lineages terminate (every successor waits behind the whole
-	// band); the aging pick guarantees each state is eventually run, which
-	// is what completes multi-party deadlock lineages.
-	fifo  []*symex.State
+	heaps []keyHeap
+	// fifo holds live state IDs in insertion order; every agingPeriod-th
+	// ESD pick drains from here instead of the fitness heaps. Pure
+	// best-first livelocks when scheduling policies fork equal-fitness
+	// states faster than lineages terminate (every successor waits behind
+	// the whole band); the aging pick guarantees each state is eventually
+	// run, which is what completes multi-party deadlock lineages.
+	fifo  []int
 	picks int
+	// compactAt is the heap and FIFO entry count at which the next pick
+	// compacts.
+	compactAt int
+}
+
+// liveState is one alive entry: the state and its insertion keys.
+type liveState struct {
+	st   *symex.State
+	keys []esdKey
 }
 
 func newQueueFrontier(strategy Strategy, schedGuided bool, numQueues int) *queueFrontier {
@@ -44,8 +60,9 @@ func newQueueFrontier(strategy Strategy, schedGuided bool, numQueues int) *queue
 		strategy:    strategy,
 		schedGuided: schedGuided,
 		numQueues:   numQueues,
-		alive:       map[*symex.State][]esdKey{},
-		heaps:       make([]stateHeap, numQueues),
+		alive:       map[int]liveState{},
+		heaps:       make([]keyHeap, numQueues),
+		compactAt:   compactFloor,
 	}
 }
 
@@ -54,24 +71,79 @@ func (f *queueFrontier) size() int { return len(f.alive) }
 
 // insert adds a live state with its per-queue keys (nil outside ESD).
 func (f *queueFrontier) insert(st *symex.State, keys []esdKey) {
-	f.alive[st] = keys
+	f.alive[st.ID] = liveState{st: st, keys: keys}
 	if f.strategy == StrategyESD {
 		for q := range f.heaps {
-			f.heaps[q].push(heapEntry{st: st, key: keys[q]})
+			f.heaps[q].push(keys[q])
 		}
 		if f.schedGuided {
 			// Only schedule-guided searches drain the aging FIFO; feeding
-			// it otherwise would pin every dead state against GC.
-			f.fifo = append(f.fifo, st)
+			// it otherwise would only grow it.
+			f.fifo = append(f.fifo, st.ID)
 		}
 	} else {
 		f.pool = append(f.pool, st)
 	}
 }
 
-// remove takes a state out of the frontier (heap entries die lazily).
-func (f *queueFrontier) remove(st *symex.State) {
-	delete(f.alive, st)
+// take removes the live state with the given ID from the frontier and
+// returns it (nil when it is not live; its entries die lazily).
+func (f *queueFrontier) take(id int) *symex.State {
+	ls, ok := f.alive[id]
+	if !ok {
+		return nil
+	}
+	delete(f.alive, id)
+	return ls.st
+}
+
+// compactFloor is the entry count below which a frontier never compacts:
+// tiny heaps are cheaper to leave alone.
+const compactFloor = 1024
+
+// maybeCompact drops every heap and FIFO entry whose state is no longer
+// live and re-heapifies, once the entries have doubled since the last
+// compaction (so its cost is amortized over the pushes that doubled
+// them). Call it only at pick time, while none of this frontier's states
+// is in flight: a state missing from alive then never comes back, so its
+// entries could only ever be popped and skipped. A parallel shard breaks
+// that rule for states in flight on other workers; dropping their stale
+// entries loses no state, because a live state has its current key in
+// every heap of the shard that holds it.
+//
+// Compaction changes no pick. Stale entries of live states stay (a
+// re-inserted state can still be picked on an older key), and since
+// (fit, id) is a total order in which equal keys name the same state, a
+// binary heap's pop sequence depends only on its multiset of keys, not
+// on its layout.
+func (f *queueFrontier) maybeCompact() {
+	n := len(f.fifo)
+	for _, h := range f.heaps {
+		n += len(h)
+	}
+	if n < f.compactAt {
+		return
+	}
+	n = 0
+	for q, h := range f.heaps {
+		kept := h[:0]
+		for _, k := range h {
+			if _, live := f.alive[k.id]; live {
+				kept = append(kept, k)
+			}
+		}
+		kept.heapify()
+		f.heaps[q] = kept
+		n += len(kept)
+	}
+	fifo := f.fifo[:0]
+	for _, id := range f.fifo {
+		if _, live := f.alive[id]; live {
+			fifo = append(fifo, id)
+		}
+	}
+	f.fifo = fifo
+	f.compactAt = max(2*(n+len(fifo)), compactFloor)
 }
 
 // pick removes and returns the next state to run per strategy, plus
@@ -79,6 +151,7 @@ func (f *queueFrontier) remove(st *symex.State) {
 // runs with the same seed pick identically.
 func (f *queueFrontier) pick(rng *rand.Rand) (*symex.State, bool) {
 	if f.strategy == StrategyESD {
+		f.maybeCompact()
 		return f.pickESD(rng)
 	}
 	// DFS / RandomPath operate on the pool slice, compacting dead entries.
@@ -92,8 +165,7 @@ func (f *queueFrontier) pick(rng *rand.Rand) (*symex.State, bool) {
 		}
 		st := f.pool[idx]
 		f.pool = append(f.pool[:idx], f.pool[idx+1:]...)
-		if _, ok := f.alive[st]; ok {
-			f.remove(st)
+		if f.take(st.ID) != nil {
 			return st, false
 		}
 	}
@@ -110,9 +182,9 @@ func (f *queueFrontier) peekQueue(q int) (esdKey, bool) {
 		if len(*h) == 0 {
 			return esdKey{}, false
 		}
-		e := (*h)[0]
-		if _, live := f.alive[e.st]; live {
-			return e.key, true
+		k := (*h)[0]
+		if _, live := f.alive[k.id]; live {
+			return k, true
 		}
 		h.pop()
 	}
@@ -123,13 +195,12 @@ func (f *queueFrontier) peekQueue(q int) (esdKey, bool) {
 // queue's heap, so an empty queue means an empty frontier.
 func (f *queueFrontier) popQueue(q int) *symex.State {
 	for {
-		e, ok := f.heaps[q].pop()
+		k, ok := f.heaps[q].pop()
 		if !ok {
 			return nil
 		}
-		if _, live := f.alive[e.st]; live {
-			f.remove(e.st)
-			return e.st
+		if st := f.take(k.id); st != nil {
+			return st
 		}
 	}
 }
@@ -138,11 +209,9 @@ func (f *queueFrontier) popQueue(q int) *symex.State {
 // already taken die lazily, as in the heaps).
 func (f *queueFrontier) pickFIFO() *symex.State {
 	for len(f.fifo) > 0 {
-		st := f.fifo[0]
-		f.fifo[0] = nil // release the popped slot's backing-array reference
+		id := f.fifo[0]
 		f.fifo = f.fifo[1:]
-		if _, ok := f.alive[st]; ok {
-			f.remove(st)
+		if st := f.take(id); st != nil {
 			return st
 		}
 	}
@@ -164,29 +233,15 @@ func (f *queueFrontier) pickESD(rng *rand.Rand) (*symex.State, bool) {
 		}
 	}
 	for attempts := 0; attempts < 2*len(f.heaps); attempts++ {
-		q := rng.Intn(len(f.heaps))
-		for {
-			e, ok := f.heaps[q].pop()
-			if !ok {
-				break // this queue is drained; try another
-			}
-			if _, live := f.alive[e.st]; live {
-				f.remove(e.st)
-				return e.st, false
-			}
+		if st := f.popQueue(rng.Intn(len(f.heaps))); st != nil {
+			return st, false
 		}
+		// This queue is drained; try another.
 	}
 	// All sampled queues empty: scan for any remaining live state.
 	for q := range f.heaps {
-		for {
-			e, ok := f.heaps[q].pop()
-			if !ok {
-				break
-			}
-			if _, live := f.alive[e.st]; live {
-				f.remove(e.st)
-				return e.st, false
-			}
+		if st := f.popQueue(q); st != nil {
+			return st, false
 		}
 	}
 	return nil, false
@@ -205,31 +260,23 @@ func (f *queueFrontier) shedWorst() int {
 	if f.strategy != StrategyESD {
 		// No fitness to rank by: keep the newest half (the pool tail),
 		// matching DFS's preference for deep states.
-		type entry struct {
-			st   *symex.State
-			keys []esdKey
-		}
 		keepFrom := len(f.pool) / 2
-		kept := make([]entry, 0, len(f.pool)-keepFrom)
+		kept := make([]liveState, 0, len(f.pool)-keepFrom)
 		for _, st := range f.pool[keepFrom:] {
-			if keys, ok := f.alive[st]; ok {
-				kept = append(kept, entry{st, keys})
+			if ls, ok := f.alive[st.ID]; ok {
+				kept = append(kept, ls)
 			}
 		}
 		dropped := f.size() - len(kept)
 		f.reset()
-		for _, e := range kept {
-			f.insert(e.st, e.keys)
+		for _, ls := range kept {
+			f.insert(ls.st, ls.keys)
 		}
 		return dropped
 	}
-	type scored struct {
-		st   *symex.State
-		keys []esdKey
-	}
-	arr := make([]scored, 0, f.size())
-	for st, keys := range f.alive {
-		arr = append(arr, scored{st, keys})
+	arr := make([]liveState, 0, f.size())
+	for _, ls := range f.alive {
+		arr = append(arr, ls)
 	}
 	// Rank by the final-goal key (the last queue), as the sequential shed
 	// does; keys are total (unique state IDs), so the order is
@@ -239,8 +286,8 @@ func (f *queueFrontier) shedWorst() int {
 	keep := len(arr) / 2
 	dropped := len(arr) - keep
 	f.reset()
-	for i := 0; i < keep; i++ {
-		f.insert(arr[i].st, arr[i].keys)
+	for _, ls := range arr[:keep] {
+		f.insert(ls.st, ls.keys)
 	}
 	return dropped
 }
@@ -248,57 +295,67 @@ func (f *queueFrontier) shedWorst() int {
 // reset clears every structure, dropping backing arrays so shed states
 // become collectable. The pick cadence (picks) survives.
 func (f *queueFrontier) reset() {
-	f.alive = map[*symex.State][]esdKey{}
+	f.alive = map[int]liveState{}
 	f.pool = nil
 	f.fifo = nil
-	f.heaps = make([]stateHeap, f.numQueues)
+	f.heaps = make([]keyHeap, f.numQueues)
+	f.compactAt = compactFloor
 }
 
-type heapEntry struct {
-	st  *symex.State
-	key esdKey
+// keyHeap is a binary min-heap of esdKeys. A key names its state by ID.
+type keyHeap []esdKey
+
+func (h *keyHeap) push(k esdKey) {
+	*h = append(*h, k)
+	h.up(len(*h) - 1)
 }
 
-// stateHeap is a binary min-heap over esdKey.
-type stateHeap []heapEntry
-
-func (h *stateHeap) push(e heapEntry) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !(*h)[i].key.less((*h)[p].key) {
-			break
-		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
-		i = p
-	}
-}
-
-func (h *stateHeap) pop() (heapEntry, bool) {
+func (h *keyHeap) pop() (esdKey, bool) {
 	old := *h
 	if len(old) == 0 {
-		return heapEntry{}, false
+		return esdKey{}, false
 	}
 	top := old[0]
 	n := len(old) - 1
 	old[0] = old[n]
 	*h = old[:n]
-	i := 0
+	h.down(0)
+	return top, true
+}
+
+// heapify restores the heap order of an arbitrary key slice.
+func (h keyHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h keyHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].less(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (h keyHeap) down(i int) {
+	n := len(h)
 	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
-		if l < n && (*h)[l].key.less((*h)[m].key) {
+		if l < n && h[l].less(h[m]) {
 			m = l
 		}
-		if r < n && (*h)[r].key.less((*h)[m].key) {
+		if r < n && h[r].less(h[m]) {
 			m = r
 		}
 		if m == i {
 			break
 		}
-		(*h)[i], (*h)[m] = (*h)[m], (*h)[i]
+		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	return top, true
 }

@@ -372,6 +372,11 @@ func (r *parallelRun) take(w *worker) *symex.State {
 // that shard's next-best, so the order stays approximately global, and
 // the retry loop rescans if the shard drained entirely.
 //
+// Each shard compacts its heaps under its lock before the peek. That may
+// drop the stale entries of a state another worker is running, which only
+// forgets older keys of that state: parallel order depends on timing
+// anyway, and no state is lost (see queueFrontier.maybeCompact).
+//
 // The anti-starvation aging pick keeps its cadence per worker (the
 // sequential frontier counts per frontier; with one frontier per run
 // that was the same thing) and drains the first non-empty FIFO in ring
@@ -417,6 +422,7 @@ func (r *parallelRun) pickBest(w *worker) (*symex.State, bool) {
 			idx := (w.id + i) % n
 			shard := r.shards[idx]
 			shard.mu.Lock()
+			shard.f.maybeCompact()
 			key, ok := shard.f.peekQueue(q)
 			shard.mu.Unlock()
 			if ok && (best < 0 || key.less(bestKey)) {

@@ -1158,8 +1158,8 @@ func (s *searcher) shedStates() {
 		k  esdKey
 	}
 	arr := make([]scored, 0, s.front.size())
-	for st := range s.front.alive {
-		arr = append(arr, scored{st, s.esdKey(st, goalSet, s.schedDistance(st))})
+	for _, ls := range s.front.alive {
+		arr = append(arr, scored{ls.st, s.esdKey(ls.st, goalSet, s.schedDistance(ls.st))})
 	}
 	sort.Slice(arr, func(i, j int) bool { return arr[i].k.less(arr[j].k) })
 	keep := len(arr) / 2

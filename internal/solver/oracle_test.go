@@ -119,18 +119,21 @@ func (oc oracleCase) bruteSat() bool {
 // TestDivisionOracle checks the solver against brute force on generated
 // components with division and modulo, the operators its bounds
 // propagation does not read through and its range refutation does. Each
-// case goes through two solvers sharing one SharedCache, so verdicts the
-// second takes from the shared tier are checked as well as solved ones.
-// Unknown is allowed (it is the budget's answer); a Sat whose model fails
-// evaluation, a Sat brute force refutes, and an Unsat brute force
-// satisfies are not.
+// case goes through three solvers. The first two share one SharedCache,
+// so verdicts the second takes from the shared tier are checked as well
+// as solved ones. The first also publishes to an in-memory persistent
+// tier, which is all the third has, so verdicts served from the
+// persistent tier are checked too. Unknown is allowed (it is the budget's
+// answer); a Sat whose model fails evaluation, a Sat brute force refutes,
+// and an Unsat brute force satisfies are not.
 func TestDivisionOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	shared := NewSharedCache()
-	solvers := []*Solver{New(), New()}
-	for _, s := range solvers {
-		s.Shared = shared
-	}
+	persist := newMapPersist()
+	solvers := []*Solver{New(), New(), New()}
+	solvers[0].Shared, solvers[0].Persist = shared, persist
+	solvers[1].Shared = shared
+	solvers[2].Persist = persist
 	const cases = 3000
 	counts := map[Result]int{}
 	for i := 0; i < cases; i++ {
@@ -154,6 +157,10 @@ func TestDivisionOracle(t *testing.T) {
 	if solvers[1].SharedHits == 0 {
 		t.Fatal("the second solver took no answer from the shared tier: the test no longer checks it")
 	}
-	t.Logf("%d cases: %d sat, %d unsat, %d unknown; second solver: %d shared hits",
-		cases, counts[Sat], counts[Unsat], counts[Unknown], solvers[1].SharedHits)
+	if solvers[2].PersistentHits == 0 {
+		t.Fatal("the third solver took no answer from the persistent tier: the test no longer checks it")
+	}
+	t.Logf("%d cases: %d sat, %d unsat, %d unknown; second solver: %d shared hits; third solver: %d persistent hits, %d rejects",
+		cases, counts[Sat], counts[Unsat], counts[Unknown], solvers[1].SharedHits,
+		solvers[2].PersistentHits, solvers[2].VerifyRejects)
 }

@@ -192,7 +192,7 @@ func (e *Engine) InitialState() (*State, error) {
 	e.nextStateID++
 	e.Stats.States++
 	for _, g := range e.Prog.Globals {
-		obj := &Object{ID: e.NewObjID(), Kind: ObjGlobal, Size: g.Size, Name: g.Name, Cells: make([]Value, g.Size)}
+		obj := newObject(e.NewObjID(), ObjGlobal, g.Size, g.Name)
 		for i, v := range g.Init {
 			obj.Cells[i] = IntVal(v)
 		}

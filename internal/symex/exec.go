@@ -12,7 +12,7 @@ func (e *Engine) operand(f *Frame, op mir.Operand) Value {
 	switch op.Kind {
 	case mir.Reg:
 		v := f.Regs[op.R]
-		if v.E == nil && v.Ptr == nil && v.Fn == "" {
+		if v.E == nil {
 			return IntVal(0) // uninitialized registers read as zero
 		}
 		return v
@@ -141,14 +141,14 @@ func (e *Engine) concretize(st *State, v *expr.Expr) (int64, bool) {
 
 // mutexKeyOf resolves a value to a mutex/condvar identity.
 func (e *Engine) mutexKeyOf(st *State, v Value) (MutexKey, bool) {
-	if v.Ptr == nil {
+	if !v.isPtr() {
 		return NoMutex, false
 	}
-	off, ok := e.concretize(st, v.Ptr.Off)
+	off, ok := e.concretize(st, v.E)
 	if !ok {
 		return NoMutex, false
 	}
-	return MutexKey{Obj: v.Ptr.Obj, Off: off}, true
+	return MutexKey{Obj: v.ref, Off: off}, true
 }
 
 // exec executes one instruction in the current thread.
@@ -201,9 +201,9 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 		return e.single(st), nil
 
 	case mir.Alloca:
-		obj := &Object{ID: e.NewObjID(), Kind: ObjStack, Size: int(in.Imm), Cells: make([]Value, in.Imm)}
+		obj := newObject(e.NewObjID(), ObjStack, int(in.Imm), "")
 		st.Mem.Add(obj)
-		f.Allocas = append(f.Allocas, obj.ID)
+		t.allocas = append(t.allocas, obj.ID)
 		f.Regs[in.Dst] = PtrVal(obj.ID, 0)
 		st.advance()
 		st.countStep()
@@ -277,7 +277,7 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 	case mir.Getenv:
 		id, ok := st.envBufs[in.Sym]
 		if !ok {
-			obj := &Object{ID: e.NewObjID(), Kind: ObjEnv, Size: e.EnvLen, Name: in.Sym, Cells: make([]Value, e.EnvLen)}
+			obj := newObject(e.NewObjID(), ObjEnv, e.EnvLen, in.Sym)
 			var concrete []int64
 			if e.Inputs != nil {
 				concrete = e.Inputs.Getenv(in.Sym)
@@ -352,7 +352,7 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 		if n > 1<<20 {
 			return e.crash(st, in, CrashAbort, "malloc of %d cells exceeds model limit", n), nil
 		}
-		obj := &Object{ID: e.NewObjID(), Kind: ObjHeap, Size: int(n), Cells: make([]Value, n)}
+		obj := newObject(e.NewObjID(), ObjHeap, int(n), "")
 		st.Mem.Add(obj)
 		f.Regs[in.Dst] = PtrVal(obj.ID, 0)
 		st.advance()
@@ -366,14 +366,14 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 			st.countStep()
 			return e.single(st), nil // free(NULL) is a no-op
 		}
-		if v.Ptr == nil {
+		if !v.isPtr() {
 			return e.crash(st, in, CrashInvalidFree, "free of non-pointer value %s", v), nil
 		}
-		off, ok := v.Ptr.Off.IsConst()
+		off, ok := v.E.IsConst()
 		if !ok || off != 0 {
-			return e.crash(st, in, CrashInvalidFree, "free of interior pointer obj%d+%s", v.Ptr.Obj, v.Ptr.Off), nil
+			return e.crash(st, in, CrashInvalidFree, "free of interior pointer obj%d+%s", v.ref, v.E), nil
 		}
-		obj := st.Mem.Object(v.Ptr.Obj)
+		obj := st.Mem.Object(v.ref)
 		if obj == nil {
 			return e.crash(st, in, CrashInvalidFree, "free of unknown object"), nil
 		}
@@ -408,35 +408,35 @@ func (e *Engine) evalBin(st *State, op expr.Op, a, b Value) (Value, string) {
 	if a.IsScalar() && b.IsScalar() {
 		return Scalar(expr.Binary(op, a.E, b.E)), ""
 	}
-	// Function values: only equality comparisons.
-	if a.Fn != "" || b.Fn != "" {
+	// Function values: only equality comparisons. A function value equals
+	// exactly the values naming the same function (see Value).
+	if a.isFn() || b.isFn() {
 		switch op {
 		case expr.OpEq:
-			return Scalar(expr.Bool(a.Fn != "" && a.Fn == b.Fn)), ""
+			return Scalar(expr.Bool(a == b)), ""
 		case expr.OpNe:
-			return Scalar(expr.Bool(!(a.Fn != "" && a.Fn == b.Fn))), ""
+			return Scalar(expr.Bool(a != b)), ""
 		}
 		return Value{}, fmt.Sprintf("arithmetic on function value (%v)", op)
 	}
-	// Pointer cases.
-	pa, pb := a.Ptr, b.Ptr
+	// Pointer cases: E is a pointer's offset, ref its object.
 	switch {
-	case pa != nil && pb == nil:
+	case b.IsScalar(): // pointer op integer
 		switch op {
 		case expr.OpAdd:
-			return Value{Ptr: &Pointer{Obj: pa.Obj, Off: expr.Binary(expr.OpAdd, pa.Off, b.E)}}, ""
+			return Value{E: expr.Binary(expr.OpAdd, a.E, b.E), ref: a.ref}, ""
 		case expr.OpSub:
-			return Value{Ptr: &Pointer{Obj: pa.Obj, Off: expr.Binary(expr.OpSub, pa.Off, b.E)}}, ""
+			return Value{E: expr.Binary(expr.OpSub, a.E, b.E), ref: a.ref}, ""
 		case expr.OpEq:
 			return IntVal(0), "" // a live pointer never equals an integer
 		case expr.OpNe:
 			return IntVal(1), ""
 		}
 		return Value{}, fmt.Sprintf("unsupported pointer-integer operation %v", op)
-	case pa == nil && pb != nil:
+	case a.IsScalar(): // integer op pointer
 		switch op {
 		case expr.OpAdd:
-			return Value{Ptr: &Pointer{Obj: pb.Obj, Off: expr.Binary(expr.OpAdd, pb.Off, a.E)}}, ""
+			return Value{E: expr.Binary(expr.OpAdd, b.E, a.E), ref: b.ref}, ""
 		case expr.OpEq:
 			return IntVal(0), ""
 		case expr.OpNe:
@@ -444,26 +444,26 @@ func (e *Engine) evalBin(st *State, op expr.Op, a, b Value) (Value, string) {
 		}
 		return Value{}, fmt.Sprintf("unsupported integer-pointer operation %v", op)
 	default: // both pointers
-		sameObj := pa.Obj == pb.Obj
+		sameObj := a.ref == b.ref
 		switch op {
 		case expr.OpSub:
 			if sameObj {
-				return Scalar(expr.Binary(expr.OpSub, pa.Off, pb.Off)), ""
+				return Scalar(expr.Binary(expr.OpSub, a.E, b.E)), ""
 			}
 			return Value{}, "subtraction of pointers to different objects"
 		case expr.OpEq:
 			if sameObj {
-				return Scalar(expr.Binary(expr.OpEq, pa.Off, pb.Off)), ""
+				return Scalar(expr.Binary(expr.OpEq, a.E, b.E)), ""
 			}
 			return IntVal(0), ""
 		case expr.OpNe:
 			if sameObj {
-				return Scalar(expr.Binary(expr.OpNe, pa.Off, pb.Off)), ""
+				return Scalar(expr.Binary(expr.OpNe, a.E, b.E)), ""
 			}
 			return IntVal(1), ""
 		case expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
 			if sameObj {
-				return Scalar(expr.Binary(op, pa.Off, pb.Off)), ""
+				return Scalar(expr.Binary(op, a.E, b.E)), ""
 			}
 			return Value{}, "relational comparison of pointers to different objects"
 		}
@@ -568,7 +568,7 @@ func (e *Engine) execAccess(st *State, in *mir.Instr, isWrite bool) ([]*State, e
 	base := e.operand(f, in.A)
 	offV := e.operand(f, in.B)
 
-	if base.Fn != "" {
+	if base.isFn() {
 		return e.crash(st, in, CrashSegFault, "dereference of function value"), nil
 	}
 	if base.IsScalar() {
@@ -580,14 +580,14 @@ func (e *Engine) execAccess(st *State, in *mir.Instr, isWrite bool) ([]*State, e
 	if !offV.IsScalar() {
 		return e.crash(st, in, CrashSegFault, "non-scalar index"), nil
 	}
-	obj := st.Mem.Object(base.Ptr.Obj)
+	obj := st.Mem.Object(base.ref)
 	if obj == nil {
 		return e.crash(st, in, CrashSegFault, "dereference of unmapped object"), nil
 	}
 	if obj.Freed {
 		return e.crash(st, in, CrashSegFault, "use of freed memory (obj%d %q)", obj.ID, obj.Name), nil
 	}
-	off := expr.Binary(expr.OpAdd, base.Ptr.Off, offV.E)
+	off := expr.Binary(expr.OpAdd, base.E, offV.E)
 	size := int64(obj.Size)
 
 	var out []*State
@@ -657,10 +657,10 @@ func (e *Engine) execCall(st *State, in *mir.Instr) ([]*State, error) {
 		fn = e.Prog.Funcs[in.Sym]
 	} else {
 		fv := e.operand(f, in.A)
-		if fv.Fn == "" {
+		if !fv.isFn() {
 			return e.crash(st, in, CrashSegFault, "indirect call through non-function value %s", fv), nil
 		}
-		fn = e.Prog.Funcs[fv.Fn]
+		fn = e.Prog.Funcs[fv.E.Name]
 	}
 	if fn == nil {
 		return e.crash(st, in, CrashSegFault, "call to undefined function"), nil
@@ -668,15 +668,12 @@ func (e *Engine) execCall(st *State, in *mir.Instr) ([]*State, error) {
 	if len(in.Args) != len(fn.Params) {
 		return e.crash(st, in, CrashSegFault, "call to %s with %d args (want %d)", fn.Name, len(in.Args), len(fn.Params)), nil
 	}
-	args := make([]Value, len(in.Args))
-	for i, a := range in.Args {
-		args[i] = e.operand(f, a)
+	nf := &Frame{Fn: fn, Regs: make([]Value, fn.NumRegs), RetDst: in.Dst}
+	for i, a := range in.Args[:min(len(in.Args), len(nf.Regs))] {
+		nf.Regs[i] = e.operand(f, a)
 	}
 	st.advance() // return resumes after the call
-	nf := &Frame{Fn: fn, Regs: make([]Value, fn.NumRegs), RetDst: in.Dst}
-	copy(nf.Regs, args)
-	t := st.CurThread()
-	t.Frames = append(t.Frames, nf)
+	st.CurThread().pushFrame(nf)
 	st.countStep()
 	return e.single(st), nil
 }
@@ -688,9 +685,10 @@ func (e *Engine) execRet(st *State, in *mir.Instr) ([]*State, error) {
 	if in.A.Kind != mir.None {
 		v = e.operand(f, in.A)
 	}
-	for _, id := range f.Allocas {
+	for _, id := range t.allocas[f.allocaBase:] {
 		st.Mem.MarkFreed(id)
 	}
+	t.allocas = t.allocas[:f.allocaBase]
 	t.Frames = t.Frames[:len(t.Frames)-1]
 	st.countStep()
 	if len(t.Frames) == 0 {

@@ -1,11 +1,14 @@
 package symex
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"esd/internal/expr"
+	"esd/internal/mir"
 	"esd/internal/solver"
 )
 
@@ -166,6 +169,69 @@ func TestStateForkIsolation(t *testing.T) {
 		}
 		if len(st.Schedule) != 0 {
 			t.Fatal("schedule leaked to parent")
+		}
+	}
+}
+
+// TestConcurrentSnapshotFork: frontier-parallel workers fork one frozen
+// K_S snapshot at once. Forking a state that owns none of its objects
+// must stay a pure read of it (CI runs this under the race detector), and
+// each child's copy-on-write must keep its writes to itself.
+func TestConcurrentSnapshotFork(t *testing.T) {
+	b := mir.NewFuncBuilder("main")
+	b.EmitRet(mir.I(0))
+	prog := mir.NewProgram("snap")
+	prog.AddGlobal(&mir.Global{Name: "g", Size: 4, Init: []int64{1, 2, 3, 4}})
+	prog.AddFunc(b.F)
+	e := New(prog, solver.New())
+	init, err := e.InitialState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := e.ForkState(init) // never stepped: owns nothing
+	g := snap.GlobalObj("g")
+
+	const workers, forks = 8, 200
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			children := make([]*State, forks)
+			for i := range children {
+				children[i] = snap.Fork()
+			}
+			own := func(i int) int64 { return int64(100000*(w+1) + i) }
+			for i, c := range children {
+				if !c.Mem.Write(g, int64(i%4), IntVal(own(i))) {
+					errs <- "child write failed"
+					return
+				}
+			}
+			for i, c := range children {
+				for off := int64(0); off < 4; off++ {
+					want := off + 1
+					if off == int64(i%4) {
+						want = own(i)
+					}
+					v, ok := c.Mem.Read(g, off)
+					if got, _ := v.E.IsConst(); !ok || got != want {
+						errs <- fmt.Sprintf("worker %d child %d reads g[%d] = %v, want %d", w, i, off, v, want)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+	for off := int64(0); off < 4; off++ {
+		if v, ok := snap.Mem.Read(g, off); !ok || v.String() != fmt.Sprint(off+1) {
+			t.Errorf("snapshot g[%d] = %v after the forks, want %d", off, v, off+1)
 		}
 	}
 }

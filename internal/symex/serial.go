@@ -198,10 +198,10 @@ func (enc *poolEncoder) expr(e *expr.Expr) int {
 
 func (enc *poolEncoder) value(v Value) SerialValue {
 	switch {
-	case v.Ptr != nil:
-		return SerialValue{P: true, Obj: v.Ptr.Obj, Off: enc.expr(v.Ptr.Off)}
-	case v.Fn != "":
-		return SerialValue{Fn: v.Fn}
+	case v.isPtr():
+		return SerialValue{P: true, Obj: v.ref, Off: enc.expr(v.E)}
+	case v.isFn():
+		return SerialValue{Fn: v.E.Name}
 	default:
 		return SerialValue{E: enc.expr(v.E)}
 	}
@@ -289,10 +289,10 @@ func (enc *poolEncoder) state(st *State) int {
 			WaitMutex: t.WaitMutex, WaitCond: t.WaitCond, WaitTid: t.WaitTid,
 			Result: enc.value(t.Result), CondPhase: t.CondPhase,
 		}
-		for _, f := range t.Frames {
+		for fi, f := range t.Frames {
 			sf := SerialFrame{
 				Fn: f.Fn.Name, Block: f.Block, Idx: f.Idx, RetDst: f.RetDst,
-				Allocas: f.Allocas, Regs: make([]SerialValue, len(f.Regs)),
+				Allocas: t.frameAllocas(fi), Regs: make([]SerialValue, len(f.Regs)),
 			}
 			for i, r := range f.Regs {
 				sf.Regs[i] = enc.value(r)
@@ -353,9 +353,26 @@ func (p *Pool) Decode(prog *mir.Program) ([]*State, error) {
 	return roots, nil
 }
 
+// maxTermNodes bounds a decoded term's size counted as a tree, a shared
+// subterm once per use. Decoding replays each state's constraints through
+// a Box, which walks them as trees, so a few crafted self-sharing nodes
+// could otherwise make decoding exponential. Terms the VM builds are
+// orders of magnitude smaller.
+const maxTermNodes = 1 << 16
+
 func (dec *poolDecoder) decodeExprs() error {
 	dec.exprs = make([]*expr.Expr, len(dec.p.Exprs))
+	nodes := make([]int, len(dec.p.Exprs)) // tree sizes
 	for i, se := range dec.p.Exprs {
+		nodes[i] = 1
+		for _, c := range [...]int{se.A, se.B, se.T, se.F} {
+			if c >= 1 && c <= i {
+				nodes[i] += nodes[c-1]
+			}
+		}
+		if nodes[i] > maxTermNodes {
+			return fmt.Errorf("symex: expr %d has more than %d nodes as a tree", i+1, maxTermNodes)
+		}
 		child := func(idx int) (*expr.Expr, error) {
 			if idx == 0 {
 				return nil, nil
@@ -403,13 +420,22 @@ func (dec *poolDecoder) expr(idx int) (*expr.Expr, error) {
 func (dec *poolDecoder) value(sv SerialValue) (Value, error) {
 	switch {
 	case sv.P:
+		if sv.Obj < 1 {
+			return Value{}, fmt.Errorf("symex: pointer to invalid object ID %d", sv.Obj)
+		}
 		off, err := dec.expr(sv.Off)
 		if err != nil {
 			return Value{}, err
 		}
-		return Value{Ptr: &Pointer{Obj: sv.Obj, Off: off}}, nil
+		if off == nil {
+			return Value{}, fmt.Errorf("symex: pointer to object %d has no offset", sv.Obj)
+		}
+		return Value{E: off, ref: sv.Obj}, nil
 	case sv.Fn != "":
-		return Value{Fn: sv.Fn}, nil
+		if dec.prog.Funcs[sv.Fn] == nil {
+			return Value{}, fmt.Errorf("symex: function value names unknown function %q", sv.Fn)
+		}
+		return FnVal(sv.Fn), nil
 	default:
 		e, err := dec.expr(sv.E)
 		if err != nil {
@@ -422,11 +448,11 @@ func (dec *poolDecoder) value(sv SerialValue) (Value, error) {
 func (dec *poolDecoder) decodeObjs() error {
 	dec.objs = make([]*Object, len(dec.p.Objs))
 	for i, so := range dec.p.Objs {
-		o := &Object{
-			ID: so.ID, Kind: ObjKind(so.Kind), Size: so.Size,
-			Name: so.Name, Freed: so.Freed,
-			Cells: make([]Value, len(so.Cells)),
+		if so.Size != len(so.Cells) {
+			return fmt.Errorf("symex: object %d has size %d but %d cells", so.ID, so.Size, len(so.Cells))
 		}
+		o := newObject(so.ID, ObjKind(so.Kind), so.Size, so.Name)
+		o.Freed = so.Freed
 		for ci, sc := range so.Cells {
 			v, err := dec.value(sc)
 			if err != nil {
@@ -486,6 +512,9 @@ func (dec *poolDecoder) decodeStates() error {
 			o := dec.objs[oi-1]
 			st.Mem.objects[o.ID] = o
 		}
+		if ss.Cur < 0 || ss.Cur >= len(ss.Threads) {
+			return fmt.Errorf("symex: state %d schedules thread index %d of %d", ss.ID, ss.Cur, len(ss.Threads))
+		}
 		for _, sth := range ss.Threads {
 			t := &Thread{
 				ID: sth.ID, Status: ThreadStatus(sth.Status),
@@ -500,16 +529,20 @@ func (dec *poolDecoder) decodeStates() error {
 				if !ok {
 					return fmt.Errorf("symex: checkpoint references unknown function %q (program changed?)", sf.Fn)
 				}
+				if err := checkFrame(fn, sf, t.Top()); err != nil {
+					return fmt.Errorf("symex: state %d: %w", ss.ID, err)
+				}
 				f := &Frame{
 					Fn: fn, Block: sf.Block, Idx: sf.Idx, RetDst: sf.RetDst,
-					Allocas: sf.Allocas, Regs: make([]Value, len(sf.Regs)),
+					Regs: make([]Value, len(sf.Regs)),
 				}
 				for ri, sr := range sf.Regs {
 					if f.Regs[ri], err = dec.value(sr); err != nil {
 						return err
 					}
 				}
-				t.Frames = append(t.Frames, f)
+				t.pushFrame(f)
+				t.allocas = append(t.allocas, sf.Allocas...)
 			}
 			st.Threads = append(st.Threads, t)
 		}
@@ -550,6 +583,22 @@ func (dec *poolDecoder) decodeStates() error {
 		for _, e := range ss.EnvBufs {
 			st.envBufs[e.Name] = e.ID
 		}
+	}
+	return nil
+}
+
+// checkFrame rejects a serialized frame the VM could not step or return
+// from: a position outside fn, a register file not sized for fn, or a
+// return register outside the caller's (nil for a thread's first frame).
+func checkFrame(fn *mir.Func, sf SerialFrame, caller *Frame) error {
+	if sf.Block < 0 || sf.Block >= len(fn.Blocks) || sf.Idx < 0 || sf.Idx > len(fn.Blocks[sf.Block].Instrs) {
+		return fmt.Errorf("frame of %s at b%d.%d is outside the function", fn.Name, sf.Block, sf.Idx)
+	}
+	if len(sf.Regs) != fn.NumRegs {
+		return fmt.Errorf("frame of %s has %d registers, want %d", fn.Name, len(sf.Regs), fn.NumRegs)
+	}
+	if sf.RetDst < -1 || caller != nil && sf.RetDst >= len(caller.Regs) {
+		return fmt.Errorf("frame of %s returns into register %d", fn.Name, sf.RetDst)
 	}
 	return nil
 }

@@ -41,19 +41,20 @@ func (s ThreadStatus) String() string {
 
 // Frame is one activation record.
 type Frame struct {
-	Fn      *mir.Func
-	Block   int
-	Idx     int
-	Regs    []Value
-	RetDst  int   // caller register receiving the return value (-1 none)
-	Allocas []int // stack objects to release on return
+	Fn     *mir.Func
+	Block  int
+	Idx    int
+	Regs   []Value
+	RetDst int // caller register receiving the return value (-1 none)
+	// allocaBase is where this frame's stack objects start in its
+	// thread's allocas; they are released when the frame returns.
+	allocaBase int
 }
 
 func (f *Frame) clone() *Frame {
 	n := *f
 	n.Regs = make([]Value, len(f.Regs))
 	copy(n.Regs, f.Regs)
-	n.Allocas = append([]int(nil), f.Allocas...)
 	return &n
 }
 
@@ -72,6 +73,11 @@ type Thread struct {
 	// CondPhase tracks condition-variable wait progress: 0 = not waiting,
 	// 1 = waiting for a signal, 2 = signaled, reacquiring the mutex.
 	CondPhase int
+	// allocas is the thread's stack of stack-object IDs, outermost frame's
+	// first: each frame owns the tail from its allocaBase on. One stack
+	// per thread, rather than a slice per frame, lets a call and its
+	// allocas allocate nothing for the bookkeeping.
+	allocas []int
 }
 
 func (t *Thread) clone() *Thread {
@@ -80,7 +86,23 @@ func (t *Thread) clone() *Thread {
 	for i, f := range t.Frames {
 		n.Frames[i] = f.clone()
 	}
+	n.allocas = append([]int(nil), t.allocas...)
 	return &n
+}
+
+// pushFrame enters f, which starts with no stack objects.
+func (t *Thread) pushFrame(f *Frame) {
+	f.allocaBase = len(t.allocas)
+	t.Frames = append(t.Frames, f)
+}
+
+// frameAllocas returns the stack objects of t.Frames[i].
+func (t *Thread) frameAllocas(i int) []int {
+	end := len(t.allocas)
+	if i+1 < len(t.Frames) {
+		end = t.Frames[i+1].allocaBase
+	}
+	return t.allocas[t.Frames[i].allocaBase:end]
 }
 
 // Top returns the innermost frame, or nil for an exited thread.

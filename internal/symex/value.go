@@ -17,17 +17,23 @@ import (
 )
 
 // Value is a runtime value: a symbolic scalar, a pointer, or a function.
+// It is two words, one term and one integer, so a pointer value costs no
+// allocation and the garbage collector scans one pointer word per
+// register or memory cell:
+//
+//   - a scalar has ref 0 and its term in E (nil: never written);
+//   - a pointer has its object's ID in ref (IDs start at 1) and its cell
+//     offset, possibly symbolic, in E;
+//   - a function has ref fnRef and, in E, the interned variable term named
+//     after the function. Interned terms are canonical, so two function
+//     values name the same function exactly when they are equal.
 type Value struct {
-	Ptr *Pointer   // non-nil for pointers
-	Fn  string     // non-empty for function values
-	E   *expr.Expr // scalar term when Ptr == nil and Fn == ""
+	E   *expr.Expr
+	ref int
 }
 
-// Pointer is an object reference with a (possibly symbolic) cell offset.
-type Pointer struct {
-	Obj int
-	Off *expr.Expr
-}
+// fnRef is the ref of every function value.
+const fnRef = -1
 
 // Scalar wraps a term as a value.
 func Scalar(e *expr.Expr) Value { return Value{E: e} }
@@ -36,15 +42,19 @@ func Scalar(e *expr.Expr) Value { return Value{E: e} }
 func IntVal(v int64) Value { return Value{E: expr.Const(v)} }
 
 // PtrVal returns a pointer value with concrete offset.
-func PtrVal(obj int, off int64) Value {
-	return Value{Ptr: &Pointer{Obj: obj, Off: expr.Const(off)}}
-}
+func PtrVal(obj int, off int64) Value { return Value{E: expr.Const(off), ref: obj} }
 
 // FnVal returns a function value.
-func FnVal(name string) Value { return Value{Fn: name} }
+func FnVal(name string) Value { return Value{E: expr.Var(name), ref: fnRef} }
 
 // IsScalar reports whether v is a scalar.
-func (v Value) IsScalar() bool { return v.Ptr == nil && v.Fn == "" }
+func (v Value) IsScalar() bool { return v.ref == 0 }
+
+// isPtr reports whether v is a pointer; v.ref is then its object's ID.
+func (v Value) isPtr() bool { return v.ref > 0 }
+
+// isFn reports whether v is a function; v.E.Name is then its name.
+func (v Value) isFn() bool { return v.ref < 0 }
 
 // IsZero reports whether v is the concrete scalar 0 (the null pointer).
 func (v Value) IsZero() bool {
@@ -58,10 +68,10 @@ func (v Value) IsZero() bool {
 // String renders the value for debugger output.
 func (v Value) String() string {
 	switch {
-	case v.Ptr != nil:
-		return fmt.Sprintf("ptr(obj%d+%s)", v.Ptr.Obj, v.Ptr.Off)
-	case v.Fn != "":
-		return fmt.Sprintf("fn(%s)", v.Fn)
+	case v.isPtr():
+		return fmt.Sprintf("ptr(obj%d+%s)", v.ref, v.E)
+	case v.isFn():
+		return fmt.Sprintf("fn(%s)", v.E.Name)
 	case v.E == nil:
 		return "undef"
 	default:
@@ -88,70 +98,99 @@ type Object struct {
 	Name  string // global/env name for diagnostics
 	Cells []Value
 	Freed bool
+	// owner tags the one address space that may write the object in
+	// place (see AddrSpace); every other space clones it first.
+	owner *cowOwner
+}
+
+// cellObject is a one-cell Object allocated together with its cell. Most
+// stack objects are one cell (a scalar local whose address is taken), so
+// an alloca, and the clone of its object, is one allocation.
+type cellObject struct {
+	Object
+	cell [1]Value
+}
+
+// newObject returns an object of size zeroed cells.
+func newObject(id int, kind ObjKind, size int, name string) *Object {
+	if size == 1 {
+		c := &cellObject{Object: Object{ID: id, Kind: kind, Size: size, Name: name}}
+		c.Cells = c.cell[:]
+		return &c.Object
+	}
+	return &Object{ID: id, Kind: kind, Size: size, Name: name, Cells: make([]Value, size)}
 }
 
 func (o *Object) clone() *Object {
-	c := *o
-	c.Cells = make([]Value, len(o.Cells))
+	c := newObject(o.ID, o.Kind, len(o.Cells), o.Name)
+	c.Size = o.Size
+	c.Freed = o.Freed
 	copy(c.Cells, o.Cells)
-	return &c
+	return c
 }
+
+// cowOwner identifies one address space for copy-on-write. Each space
+// allocates its own, so two live spaces never share one, whichever engine
+// created them; its non-zero size gives every owner a distinct address.
+type cowOwner struct{ _ byte }
 
 // AddrSpace is a copy-on-write map from object IDs to objects. Fork shares
 // all objects between parent and child; the first write in either side
 // clones the touched object (the Klee object-level COW of §6.1 that makes
-// snapshots cheap).
+// snapshots cheap). An object records the owner of the one space that may
+// write it in place: the space that created or cloned it, until that
+// space forks.
 type AddrSpace struct {
 	objects map[int]*Object
-	owned   map[int]bool // objects this address space may mutate in place
+	self    *cowOwner // the owner this space tags its objects with
+	owns    bool      // some object carries self
 }
 
 // NewAddrSpace returns an empty address space.
 func NewAddrSpace() *AddrSpace {
-	return &AddrSpace{objects: map[int]*Object{}, owned: map[int]bool{}}
+	return &AddrSpace{objects: map[int]*Object{}, self: new(cowOwner)}
 }
 
 // Fork returns a copy sharing all objects; both sides lose in-place write
 // ownership.
 func (as *AddrSpace) Fork() *AddrSpace {
-	n := &AddrSpace{objects: make(map[int]*Object, len(as.objects)), owned: map[int]bool{}}
+	n := &AddrSpace{objects: make(map[int]*Object, len(as.objects)), self: new(cowOwner)}
 	for id, o := range as.objects {
 		n.objects[id] = o
 	}
-	// The parent loses ownership of everything it shared — but only write
-	// when it actually owned something. Frozen K_S snapshot states (whose
-	// owned set is always empty: a snapshot is forked fresh and never
-	// stepped while stored) are forked concurrently by frontier-parallel
-	// workers, and keeping this a pure read for them is what makes that
-	// safe.
-	if len(as.owned) > 0 {
-		as.owned = map[int]bool{}
+	// The parent gives up what it owned by taking a fresh owner, but only
+	// when it owned something. Frozen K_S snapshot states (which own
+	// nothing: a snapshot is forked fresh and never stepped while stored)
+	// are forked concurrently by frontier-parallel workers, and keeping
+	// this a pure read for them is what makes that safe.
+	if as.owns {
+		as.self = new(cowOwner)
+		as.owns = false
 	}
 	return n
 }
 
 // Add installs a freshly created object (owned by this space).
 func (as *AddrSpace) Add(o *Object) {
+	o.owner = as.self
+	as.owns = true
 	as.objects[o.ID] = o
-	as.owned[o.ID] = true
 }
 
 // Object returns the object with the given ID, or nil.
 func (as *AddrSpace) Object(id int) *Object { return as.objects[id] }
 
-// mutable returns an object that may be written in place, cloning if it is
-// shared with a forked state.
-func (as *AddrSpace) mutable(id int) *Object {
-	o := as.objects[id]
-	if o == nil {
-		return nil
+// writable returns o, which this space maps, ready to be written in
+// place: o itself when this space owns it, else a clone this space owns.
+func (as *AddrSpace) writable(o *Object) *Object {
+	if o.owner == as.self {
+		return o
 	}
-	if !as.owned[id] {
-		o = o.clone()
-		as.objects[id] = o
-		as.owned[id] = true
-	}
-	return o
+	c := o.clone()
+	c.owner = as.self
+	as.owns = true
+	as.objects[c.ID] = c
+	return c
 }
 
 // Read returns the cell at (obj, off); ok is false when out of bounds or
@@ -162,8 +201,8 @@ func (as *AddrSpace) Read(obj int, off int64) (Value, bool) {
 		return Value{}, false
 	}
 	v := o.Cells[off]
-	if v.E == nil && v.Ptr == nil && v.Fn == "" {
-		v = IntVal(0)
+	if v.E == nil {
+		v = IntVal(0) // never-written cells read as zero
 	}
 	return v, true
 }
@@ -174,8 +213,7 @@ func (as *AddrSpace) Write(obj int, off int64, v Value) bool {
 	if o == nil || o.Freed || off < 0 || off >= int64(o.Size) {
 		return false
 	}
-	o = as.mutable(obj)
-	o.Cells[off] = v
+	as.writable(o).Cells[off] = v
 	return true
 }
 
@@ -186,8 +224,7 @@ func (as *AddrSpace) MarkFreed(id int) bool {
 	if o == nil || o.Freed {
 		return false
 	}
-	o = as.mutable(id)
-	o.Freed = true
+	as.writable(o).Freed = true
 	return true
 }
 
