@@ -93,10 +93,7 @@ func main() {
 		log.Printf("esdserve: durable job store in %s", *dataDir)
 	}
 
-	engOpts := []esd.Option{
-		esd.WithDefaultBudget(*defaultBudget),
-		esd.WithMaxConcurrent(*maxConcurrent),
-	}
+	var engOpts []esd.Option
 	if *cacheDir != "" {
 		engOpts = append(engOpts, esd.WithPersistentCache(*cacheDir))
 	}

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +20,7 @@ import (
 
 // DefaultBudget is the per-synthesis wall-clock budget applied when
 // neither a SynthOption nor the context imposes a tighter bound; override
-// it per engine with WithDefaultBudget or per call with WithBudget.
+// it per call with WithBudget.
 const DefaultBudget = 10 * time.Minute
 
 // Engine is the long-lived synthesis core: it amortizes compiled
@@ -30,10 +29,6 @@ const DefaultBudget = 10 * time.Minute
 // concurrent use. Create one per process (or per tenant) with New; the
 // esdserve service and the CLIs all run on top of it.
 type Engine struct {
-	defaultBudget time.Duration
-	maxConcurrent int
-	onProgress    func(ProgressEvent)
-
 	// solvers pools warm solvers: a solver's memoized query cache is
 	// keyed by canonical structural term fingerprints, so reusing one
 	// across requests (even for different programs) only adds hits.
@@ -53,7 +48,6 @@ type Engine struct {
 	programs map[string]*Program // Compile cache, keyed by source hash
 
 	active      atomic.Int64
-	batchQueued atomic.Int64
 	synthesized atomic.Int64
 	found       atomic.Int64
 	compiled    atomic.Int64
@@ -62,21 +56,6 @@ type Engine struct {
 
 // Option configures an Engine at construction.
 type Option func(*Engine)
-
-// WithDefaultBudget sets the wall-clock budget used by syntheses that do
-// not specify their own (default DefaultBudget).
-func WithDefaultBudget(d time.Duration) Option {
-	return func(e *Engine) { e.defaultBudget = d }
-}
-
-// WithMaxConcurrent bounds the batch worker pool (default GOMAXPROCS).
-func WithMaxConcurrent(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.maxConcurrent = n
-		}
-	}
-}
 
 // WithPersistentCache opens (creating if needed) a persistent cross-run
 // solver-fact store in dir and attaches it as the engine's outermost
@@ -118,36 +97,12 @@ func (e *Engine) Close() error {
 	return e.pcache.Close()
 }
 
-// WithProgress installs an engine-wide default progress hook, used by
-// syntheses that do not pass their own OnProgress option. The engine
-// serializes calls to it, so a single hook shared by concurrent
-// Synthesize calls never runs concurrently with itself.
-func WithProgress(fn func(ProgressEvent)) Option {
-	return func(e *Engine) { e.onProgress = fn }
-}
-
 // New builds an Engine with the given options.
 func New(opts ...Option) *Engine {
-	e := &Engine{
-		defaultBudget: DefaultBudget,
-		maxConcurrent: runtime.GOMAXPROCS(0),
-		programs:      map[string]*Program{},
-	}
+	e := &Engine{programs: map[string]*Program{}}
 	e.solvers.New = func() any { return solver.New() }
 	for _, o := range opts {
 		o(e)
-	}
-	if fn := e.onProgress; fn != nil {
-		// The engine is documented safe for concurrent use, so the shared
-		// default hook must not become a data race when two Synthesize
-		// calls fall back to it (per-call OnProgress hooks belong to their
-		// caller and stay unserialized).
-		var mu sync.Mutex
-		e.onProgress = func(ev ProgressEvent) {
-			mu.Lock()
-			defer mu.Unlock()
-			fn(ev)
-		}
 	}
 	return e
 }
@@ -213,11 +168,7 @@ const (
 	PhaseDone    = search.PhaseDone
 )
 
-// Ablate disables individual search-focusing techniques (the §7.3
-// ablation study). The zero value runs full ESD.
-type Ablate = search.Ablate
-
-// SynthOption tunes one Synthesize or SynthesizeBatch call.
+// SynthOption tunes one Synthesize call.
 type SynthOption func(*search.Options)
 
 // WithStrategy selects the search strategy (default ESD).
@@ -225,8 +176,8 @@ func WithStrategy(s Strategy) SynthOption {
 	return func(o *search.Options) { o.Strategy = s }
 }
 
-// WithBudget bounds the synthesis wall-clock time. Zero means the
-// engine's default budget; the context's deadline applies when tighter.
+// WithBudget bounds the synthesis wall-clock time. Zero means
+// DefaultBudget; the context's deadline applies when tighter.
 func WithBudget(d time.Duration) SynthOption {
 	return func(o *search.Options) { o.Budget = d }
 }
@@ -248,16 +199,6 @@ func WithRaceDetection() SynthOption {
 	return func(o *search.Options) { o.WithRaceDetector = true }
 }
 
-// WithAblate disables individual search-focusing techniques.
-func WithAblate(a Ablate) SynthOption {
-	return func(o *search.Options) { o.Ablate = a }
-}
-
-// WithMaxSteps bounds total executed instructions (0 = default 50M).
-func WithMaxSteps(n int64) SynthOption {
-	return func(o *search.Options) { o.MaxSteps = n }
-}
-
 // WithParallelism runs the search frontier-parallel: n workers share one
 // sharded priority frontier (stealing work from each other's shards),
 // one cross-worker dedup set, and the compiled program and distance
@@ -272,29 +213,18 @@ func WithParallelism(n int) SynthOption {
 	return func(o *search.Options) { o.Parallelism = n }
 }
 
-// OnProgress streams progress events for this call (overrides the
-// engine-wide hook). The callback runs synchronously on the synthesis
-// goroutine — keep it fast. SynthesizeBatch serializes calls across its
-// workers, so a single callback never runs concurrently with itself.
+// OnProgress streams progress events for this call. The callback runs
+// synchronously on the synthesis goroutine — keep it fast.
 func OnProgress(fn func(ProgressEvent)) SynthOption {
 	return func(o *search.Options) { o.OnProgress = fn }
 }
 
-// WithBatchWorkers caps the worker pool of the SynthesizeBatch call it
-// is passed to (at most the engine's WithMaxConcurrent). Services use it
-// to charge a batch against their own admission budget. Ignored by
-// Synthesize.
-func WithBatchWorkers(n int) SynthOption {
-	return func(o *search.Options) { o.BatchWorkers = n }
-}
-
-// WithTelemetry attaches a flight recorder to the call: the Result (each
-// result, for SynthesizeBatch) carries a Report with the run's counter
-// summary and a ring-buffered trace of phase transitions and sampled
-// frontier snapshots. Disabled, the recorder costs one nil check per
-// sample site; enabled, sampling is keyed to deterministic pick counts, so
-// the report's DeterministicJSON is byte-identical across replays of the
-// same seed.
+// WithTelemetry attaches a flight recorder to the call: the Result
+// carries a Report with the run's counter summary and a ring-buffered
+// trace of phase transitions and sampled frontier snapshots. Disabled,
+// the recorder costs one nil check per sample site; enabled, sampling is
+// keyed to deterministic pick counts, so the report's DeterministicJSON is
+// byte-identical across replays of the same seed.
 func WithTelemetry() SynthOption {
 	return func(o *search.Options) { o.Recorder = telemetry.NewRecorder(0) }
 }
@@ -327,9 +257,9 @@ func WithPreempt(fn func() bool) SynthOption {
 
 // WithResume continues a preempted synthesis from its checkpoint instead
 // of starting fresh. The program, report goals, and determinism-steering
-// options (strategy, seed, quantum, step and state caps, ablations) must
-// match the checkpointed run's; the budget may differ. Combine with
-// WithPreempt to keep time-slicing the resumed run.
+// options (strategy, seed, preemption bound) must match the checkpointed
+// run's; the budget may differ. Combine with WithPreempt to keep
+// time-slicing the resumed run.
 func WithResume(ck *Checkpoint) SynthOption {
 	return func(o *search.Options) { o.Resume = ck }
 }
@@ -343,16 +273,12 @@ func (e *Engine) Synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 	for _, o := range opts {
 		o(&so)
 	}
-	return e.synthesize(ctx, prog, rep, so)
-}
-
-func (e *Engine) synthesize(ctx context.Context, prog *Program, rep *BugReport, so search.Options) (*Result, error) {
 	reqStart := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if so.Budget == 0 {
-		so.Budget = e.defaultBudget
+		so.Budget = DefaultBudget
 	}
 	// Honor a context deadline tighter than the budget: the search's own
 	// wall-clock check then fires first and reports TimedOut without
@@ -370,9 +296,6 @@ func (e *Engine) synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 			}
 			so.Budget = rem
 		}
-	}
-	if so.OnProgress == nil {
-		so.OnProgress = e.onProgress
 	}
 	if so.Solver == nil {
 		sol := e.solvers.Get().(*solver.Solver)
@@ -542,97 +465,11 @@ func buildFlightReport(so search.Options, rep *BugReport, res *search.Result, so
 	}
 }
 
-// SynthesizeBatch synthesizes every report against one program, fanning
-// out over a bounded worker pool (WithMaxConcurrent). All workers share
-// the compiled program, its fingerprint-keyed distance tables, and the
-// engine's warm solver pool — the per-request setup a one-shot call pays
-// is paid once per batch. Results align with reports by index; per-report
-// failures land in Result.Err rather than aborting the batch. Progress
-// events carry the report index in ProgressEvent.Report.
-func (e *Engine) SynthesizeBatch(ctx context.Context, prog *Program, reports []*BugReport, opts ...SynthOption) ([]*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var base search.Options
-	for _, o := range opts {
-		o(&base)
-	}
-	results := make([]*Result, len(reports))
-	if len(reports) == 0 {
-		return results, nil
-	}
-	workers := e.maxConcurrent
-	if base.BatchWorkers > 0 && base.BatchWorkers < workers {
-		workers = base.BatchWorkers
-	}
-	if workers > len(reports) {
-		workers = len(reports)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// One mutex serializes the user's progress callback across workers:
-	// the OnProgress contract is a single-goroutine callback, and batch
-	// fan-out must not silently turn it into a data race.
-	var progressMu sync.Mutex
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				e.batchQueued.Add(-1)
-				if err := ctx.Err(); err != nil {
-					results[i] = &Result{Cancelled: true, Err: err}
-					continue
-				}
-				so := base
-				if so.Recorder != nil {
-					// A recorder is single-run state: the base one would be
-					// shared (and raced on) by every worker, so each report
-					// records into its own.
-					so.Recorder = telemetry.NewRecorder(0)
-				}
-				if so.OnProgress == nil {
-					so.OnProgress = e.onProgress
-				}
-				if fn := so.OnProgress; fn != nil {
-					report := i
-					so.OnProgress = func(ev ProgressEvent) {
-						ev.Report = report
-						progressMu.Lock()
-						defer progressMu.Unlock()
-						fn(ev)
-					}
-				}
-				res, err := e.synthesize(ctx, prog, reports[i], so)
-				if err != nil {
-					res = &Result{Err: err}
-				}
-				results[i] = res
-			}
-		}()
-	}
-	// The whole batch is queued up front (workers drain the unbuffered
-	// channel), so the gauge reports how many reports still await a worker.
-	e.batchQueued.Add(int64(len(reports)))
-	for i := range reports {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return results, nil
-}
-
 // EngineStats is a point-in-time snapshot of an Engine's cumulative
 // activity and shared-cache health (the /healthz payload of esdserve).
 type EngineStats struct {
 	// Active is the number of syntheses currently running.
 	Active int64 `json:"active"`
-	// BatchQueueDepth is the number of batch reports queued but not yet
-	// picked up by a worker, summed over in-flight SynthesizeBatch calls.
-	BatchQueueDepth int64 `json:"batch_queue_depth"`
 	// Synthesized counts completed synthesis calls; Found counts the
 	// subset that reproduced their bug.
 	Synthesized int64 `json:"synthesized"`
@@ -665,7 +502,6 @@ func (e *Engine) Stats() EngineStats {
 	e.mu.Unlock()
 	st := EngineStats{
 		Active:           e.active.Load(),
-		BatchQueueDepth:  e.batchQueued.Load(),
 		Synthesized:      e.synthesized.Load(),
 		Found:            e.found.Load(),
 		ProgramsCompiled: e.compiled.Load(),

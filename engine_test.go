@@ -115,84 +115,39 @@ func TestEnginePreExpiredDeadline(t *testing.T) {
 	}
 }
 
-// TestEngineBatchSharesState is the acceptance gate for batch cache
-// sharing: 8 reports against one program must reuse the fingerprint-keyed
-// distance tables (every search after the first is a cache hit) and all
-// reproduce the bug.
+// TestEngineBatchSharesState is the acceptance gate for cross-call cache
+// sharing: 8 reports against one program, synthesized one after another
+// on one engine, must reuse the fingerprint-keyed distance tables (every
+// search after the first is a cache hit) and all reproduce the bug.
 func TestEngineBatchSharesState(t *testing.T) {
 	prog, rep := appProgReport(t, "listing1")
-	eng := esd.New(esd.WithMaxConcurrent(4))
+	eng := esd.New()
 
-	reports := make([]*esd.BugReport, 8)
-	for i := range reports {
-		reports[i] = rep
-	}
+	const reports = 8
 	hits0, _ := dist.SharedCacheStats()
-	results, err := eng.SynthesizeBatch(context.Background(), prog, reports,
-		esd.WithBudget(time.Minute), esd.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits1, _ := dist.SharedCacheStats()
-	if len(results) != len(reports) {
-		t.Fatalf("got %d results for %d reports", len(results), len(reports))
-	}
-	for i, r := range results {
-		if r == nil || r.Err != nil {
-			t.Fatalf("report %d failed: %+v", i, r)
+	for i := 0; i < reports; i++ {
+		r, err := eng.Synthesize(context.Background(), prog, rep,
+			esd.WithBudget(time.Minute), esd.WithSeed(1))
+		if err != nil {
+			t.Fatalf("report %d failed: %v", i, err)
 		}
 		if !r.Found {
 			t.Errorf("report %d not reproduced", i)
 		}
 	}
+	hits1, _ := dist.SharedCacheStats()
 	// At most one of the 8 searches can miss (the one that builds the
 	// tables); with the program already warm, all 8 hit.
-	if gained := hits1 - hits0; gained < int64(len(reports))-1 {
-		t.Errorf("distance-table cache hits during batch = %d, want >= %d",
-			gained, len(reports)-1)
+	if gained := hits1 - hits0; gained < reports-1 {
+		t.Errorf("distance-table cache hits across the calls = %d, want >= %d",
+			gained, reports-1)
 	}
 	st := eng.Stats()
-	if st.Synthesized < int64(len(reports)) {
-		t.Errorf("engine counted %d syntheses, want >= %d", st.Synthesized, len(reports))
+	if st.Synthesized < reports {
+		t.Errorf("engine counted %d syntheses, want >= %d", st.Synthesized, reports)
 	}
 	if st.Interner.Terms <= 0 || st.Interner.Bytes <= 0 {
 		t.Errorf("interner stats not populated: %+v", st.Interner)
-	}
-}
-
-// TestEngineBatchCancellation: cancelling a batch cancels in-flight
-// syntheses and marks unstarted ones Cancelled without searching.
-func TestEngineBatchCancellation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("starts real ls3 syntheses; skipped with -short")
-	}
-	prog, rep := appProgReport(t, "ls3")
-	eng := esd.New(esd.WithMaxConcurrent(2))
-	reports := make([]*esd.BugReport, 6)
-	for i := range reports {
-		reports[i] = rep
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	time.AfterFunc(100*time.Millisecond, cancel)
-	start := time.Now()
-	results, err := eng.SynthesizeBatch(ctx, prog, reports, esd.WithBudget(5*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Errorf("cancelled batch took %v", elapsed)
-	}
-	for i, r := range results {
-		if r == nil {
-			t.Fatalf("result %d missing", i)
-		}
-		if r.Found {
-			t.Skipf("report %d finished before cancellation on this machine", i)
-		}
-		if !r.Cancelled {
-			t.Errorf("result %d: Cancelled=false (TimedOut=%v Err=%v)", i, r.TimedOut, r.Err)
-		}
 	}
 }
 
@@ -245,7 +200,7 @@ func TestEngineProgressStream(t *testing.T) {
 }
 
 // TestEngineCompileCache: identical source compiles once; the second call
-// returns the same *Program (the handle batch synthesis shares).
+// returns the same *Program (the handle repeated syntheses share).
 func TestEngineCompileCache(t *testing.T) {
 	eng := esd.New()
 	const src = `int main() { return 0; }`
@@ -266,29 +221,5 @@ func TestEngineCompileCache(t *testing.T) {
 	st := eng.Stats()
 	if st.ProgramsCompiled != 1 || st.CompileCacheHits != 1 {
 		t.Errorf("compile stats = %+v, want 1 compiled / 1 hit", st)
-	}
-}
-
-// TestDefaultBudgetOption: the engine-level default budget replaces the
-// old wrapper-buried 10-minute constant and is honored when no per-call
-// budget is given — an ls3 search (which needs seconds) under a 300ms
-// default must stop at the default and report TimedOut.
-func TestDefaultBudgetOption(t *testing.T) {
-	prog, rep := appProgReport(t, "ls3")
-	eng := esd.New(esd.WithDefaultBudget(300 * time.Millisecond))
-	start := time.Now()
-	res, err := eng.Synthesize(context.Background(), prog, rep, esd.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Found {
-		t.Skip("ls3 found within 300ms on this machine; nothing to assert")
-	}
-	if !res.TimedOut || res.Cancelled {
-		t.Errorf("TimedOut=%v Cancelled=%v, want TimedOut=true Cancelled=false",
-			res.TimedOut, res.Cancelled)
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Errorf("default budget of 300ms ran for %v", elapsed)
 	}
 }

@@ -13,8 +13,8 @@
 //
 // The entry point is the Engine: a long-lived, concurrency-safe synthesis
 // core that amortizes compiled programs, per-program distance tables, and
-// warm solver caches across requests, supports context cancellation and
-// streaming progress, and fans batches of reports out over a worker pool:
+// warm solver caches across requests, and supports context cancellation
+// and streaming progress:
 //
 //	eng := esd.New()                          // one per process
 //	prog, _ := eng.Compile("app.c", source)   // memoized by source
@@ -25,10 +25,11 @@
 //	player, _ := esd.NewPlayer(prog, res.Execution, esd.Strict)
 //	final, _  := player.Run(1e6)   // deterministically reproduces the bug
 //
-// Many reports against one program — the §8 triage workload — go through
-// SynthesizeBatch, which shares one set of distance tables and compiled
-// state across the pool. cmd/esdserve exposes the same engine over
-// HTTP/JSON with SSE progress streaming.
+// Many reports against one program — the §8 triage workload — are one
+// Synthesize call each on the same engine, which shares the compiled
+// program, its distance tables and the warm solvers across the calls.
+// cmd/esdserve exposes the same engine over HTTP/JSON, running every
+// request as a job on its worker pool, with SSE progress streaming.
 //
 // A single synthesis can also spend multiple cores: WithParallelism(n)
 // shards the best-first frontier across n workers (work stealing, shared
@@ -46,7 +47,6 @@ import (
 	"esd/internal/replay"
 	"esd/internal/report"
 	"esd/internal/search"
-	"esd/internal/symex"
 	"esd/internal/telemetry"
 	"esd/internal/trace"
 	"esd/internal/usersite"
@@ -139,9 +139,6 @@ type Result struct {
 	// (serialization only, not the search), for capacity planning of the
 	// job scheduler's slice length.
 	CheckpointNanos int64
-	// Err records a per-report failure inside SynthesizeBatch (always nil
-	// on results returned directly by Synthesize, which returns its error).
-	Err error
 
 	// report is the flight-recorder report, populated only when the call
 	// ran with WithTelemetry.
@@ -253,13 +250,4 @@ func SimulateUserSite(prog *Program, in *UserInputs) (*BugReport, error) {
 		return nil, err
 	}
 	return &BugReport{R: rep}, nil
-}
-
-// ReportFromFailure converts a failed concrete run into a bug report.
-func ReportFromFailure(st *symex.State) (*BugReport, error) {
-	r, err := report.FromState(st)
-	if err != nil {
-		return nil, err
-	}
-	return &BugReport{R: r}, nil
 }

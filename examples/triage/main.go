@@ -47,28 +47,20 @@ func main() {
 			"dir_seed": 1, "dir_count": 3, "term_width": 80}}},
 	}
 
-	// The §8 triage workload is exactly what the engine's batch entry
-	// point is for: every ticket shares one compiled program, one set of
-	// distance tables, and the warm solver pool.
-	var reports []*esd.BugReport
+	// Every ticket is one Synthesize call on the same engine, so they all
+	// share one compiled program, one set of distance tables, and the warm
+	// solver pool.
+	eng := esd.New()
+	execs := map[string]*esd.Execution{}
 	for _, tk := range tickets {
 		rep, err := esd.SimulateUserSite(prog, tk.in)
 		if err != nil {
 			log.Fatalf("%s: user site: %v", tk.id, err)
 		}
-		reports = append(reports, rep)
-	}
-	eng := esd.New()
-	results, err := eng.SynthesizeBatch(context.Background(), prog, reports,
-		esd.WithBudget(60*time.Second), esd.WithSeed(1))
-	if err != nil {
-		log.Fatal(err)
-	}
-	execs := map[string]*esd.Execution{}
-	for i, tk := range tickets {
-		res := results[i]
-		if res.Err != nil {
-			log.Fatalf("%s: %v", tk.id, res.Err)
+		res, err := eng.Synthesize(context.Background(), prog, rep,
+			esd.WithBudget(60*time.Second), esd.WithSeed(1))
+		if err != nil {
+			log.Fatalf("%s: %v", tk.id, err)
 		}
 		if !res.Found {
 			log.Fatalf("%s: synthesis failed", tk.id)

@@ -224,8 +224,8 @@ var sharedCalcs = struct {
 
 // Shared-cache traffic counters: a hit is a ForProgram call that found an
 // existing entry (the caller shares tables built by an earlier run —
-// exactly what batch synthesis over one program is supposed to do, and
-// what its tests assert).
+// exactly what many syntheses over one program are supposed to do, and
+// what the engine's tests assert).
 var sharedHits, sharedMisses atomic.Int64
 
 // SharedCacheStats reports cumulative ForProgram cache hits and misses.

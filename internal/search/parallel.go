@@ -114,7 +114,7 @@ func runParallel(ctx context.Context, pl *plan, opts Options, start time.Time, e
 	// safe for concurrent use), sampling the shared atomics on a wall
 	// cadence. A parallel trace is inherently nondeterministic, so there
 	// is no pick-count cadence to preserve here — the n=1 path keeps it.
-	ticker := time.NewTicker(opts.ProgressInterval)
+	ticker := time.NewTicker(progressInterval)
 	defer ticker.Stop()
 drive:
 	for {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"esd/internal/apps"
 	"esd/internal/expr"
 	"esd/internal/lang"
 	"esd/internal/replay"
@@ -105,10 +106,19 @@ func TestParallelNormalizesToSequential(t *testing.T) {
 // budget, not space exhaustion), not Cancelled, Outcome() "timeout".
 // The parallel path used to be able to diverge here because its budget
 // check folded differently into the terminal flags than the sequential
-// loop's.
+// loop's. Workers check the cap only between quanta, so the target must
+// be one that four overlapping 32-step quanta cannot reach either:
+// listing1's deadlock sometimes was, pipeline's is not.
 func TestParallelStepCapOutcomeMatchesSequential(t *testing.T) {
-	rep, _ := listing1Report(t)
-	prog := lang.MustCompile("listing1.c", listing1)
+	a := apps.Get("pipeline")
+	prog, err := a.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := a.Coredump()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, n := range []int{1, 4} {
 		res, err := Synthesize(context.Background(), prog, rep, Options{

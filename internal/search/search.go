@@ -120,23 +120,15 @@ type Options struct {
 	Solver *solver.Solver
 
 	// OnProgress, when set, receives phase transitions and periodic
-	// search-progress snapshots. It is called synchronously from the
-	// search loop: implementations must be fast and must not call back
-	// into the search.
+	// search-progress snapshots (at most one per progressInterval). It is
+	// called synchronously from the search loop: implementations must be
+	// fast and must not call back into the search.
 	OnProgress func(ProgressEvent)
 	// Recorder, when non-nil, receives the flight-recorder trace: phase
 	// transitions and frontier snapshots sampled on a deterministic
 	// pick-count cadence (never wall-clock), so two runs with the same seed
 	// record identical traces. A nil Recorder costs one pointer check.
 	Recorder *telemetry.Recorder
-	// BatchWorkers caps the engine's batch worker pool for one
-	// SynthesizeBatch call (0 = the engine default). The search itself
-	// ignores it; it rides in the canonical options record so every layer
-	// speaks one type.
-	BatchWorkers int
-	// ProgressInterval is the minimum spacing of periodic progress events
-	// (default 250ms). Phase transitions are always delivered.
-	ProgressInterval time.Duration
 
 	// Parallelism, when > 1, runs the search with that many frontier
 	// workers over one sharded priority frontier (work stealing,
@@ -189,6 +181,10 @@ type Options struct {
 	Resume *Checkpoint
 }
 
+// progressInterval is the minimum spacing of periodic progress events.
+// Phase transitions are always delivered.
+const progressInterval = 250 * time.Millisecond
+
 // SolverPool hands out solvers for frontier-parallel workers. The engine
 // adapts its process-wide warm pool to this; Get must return a solver not
 // in use by anyone else, and Put returns it when the worker is done.
@@ -230,9 +226,6 @@ type ProgressEvent struct {
 	// Phase is the pipeline stage; a phase's first event marks its
 	// transition.
 	Phase Phase
-	// Report is the index of the report within a batch (0 outside
-	// batches; set by the batch driver, not the search).
-	Report int
 	// Time is the wall-clock timestamp of the event; consumers derive step
 	// rates from (Time, Steps) deltas without assuming a delivery cadence.
 	Time time.Time
@@ -372,9 +365,6 @@ func Synthesize(ctx context.Context, prog *mir.Program, rep *report.Report, opts
 	}
 	if opts.MaxStates == 0 {
 		opts.MaxStates = 8192
-	}
-	if opts.ProgressInterval == 0 {
-		opts.ProgressInterval = 250 * time.Millisecond
 	}
 	if opts.Parallelism <= 1 {
 		// One worker is the sequential searcher.
@@ -783,9 +773,9 @@ func classifyCtxErr(err error) (timedOut, cancelled bool) {
 }
 
 // maybeProgress emits a periodic PhaseSearch snapshot, rate-limited to one
-// per ProgressInterval.
+// per progressInterval.
 func (s *searcher) maybeProgress(now time.Time) {
-	if now.Sub(s.lastProgress) < s.opts.ProgressInterval {
+	if now.Sub(s.lastProgress) < progressInterval {
 		return
 	}
 	s.lastProgress = now

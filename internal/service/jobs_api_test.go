@@ -224,7 +224,7 @@ func TestServiceJobEvents(t *testing.T) {
 // let the job finish first — the contract is only that DELETE removes the
 // record either way.)
 func TestServiceJobDelete(t *testing.T) {
-	ts := newTestServer(t, Config{JobWorkers: 1})
+	ts := newTestServer(t, Config{MaxConcurrent: 1})
 	j := submitJobReq(t, ts.URL, map[string]any{
 		"app": "ls3", "budget_ms": 120000, "seed": 1,
 	})
@@ -269,7 +269,7 @@ func TestServiceJobRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{JobStore: st1, JobSlice: 200 * time.Millisecond, JobWorkers: 1}
+	cfg := Config{JobStore: st1, JobSlice: 200 * time.Millisecond, MaxConcurrent: 1}
 	srv1 := New(esd.New(), cfg)
 	ts1 := httptest.NewServer(srv1)
 

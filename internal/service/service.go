@@ -23,7 +23,7 @@
 //	                    transition, closing after a terminal one
 //	DELETE /jobs/{id} -> cancel (if live) and remove the record
 //	GET  /healthz    -> {"status": "ok", "uptime_ms", "capacity", "active",
-//	                     "compile_cache_hits", "batch_queue_depth",
+//	                     "compile_cache_hits",
 //	                     "jobs": {"queued": N, "running": N, ...},
 //	                     "engine": {...}, "interner": {"terms", "bytes",
 //	                     ...}}
@@ -34,14 +34,16 @@
 //	                    this server's engine
 //
 // Every synthesis runs as a job on the durable job subsystem
-// (internal/jobs): /jobs is the asynchronous face (submit, poll, stream,
-// cancel), and /synthesize and /batch are thin synchronous wrappers that
-// submit, wait, and clean up after themselves. Jobs are time-sliced —
-// a job still running after the configured slice is preempted into a
-// persisted search checkpoint and requeued behind waiting work — and,
-// with a file-backed store (Config.JobStore), survive process restarts:
-// on startup, queued and checkpointed jobs re-enter the run queue and
-// resume from their last checkpoint with byte-identical results.
+// (internal/jobs), whose worker pool is the server's only fan-out: /jobs
+// is the asynchronous face (submit, poll, stream, cancel), and
+// /synthesize and /batch are thin synchronous wrappers that submit (one
+// job per report), wait, and clean up after themselves. Jobs are
+// time-sliced — a job still running after the configured slice is
+// preempted into a persisted search checkpoint and requeued behind
+// waiting work — and, with a file-backed store (Config.JobStore),
+// survive process restarts: on startup, queued and checkpointed jobs
+// re-enter the run queue and resume from their last checkpoint with
+// byte-identical results.
 //
 // Synthesis and batch requests are admission-controlled by a concurrency
 // limit (429 + Retry-After when saturated) and budget-capped per request.
@@ -76,8 +78,9 @@ type Config struct {
 	DefaultBudget time.Duration
 	// MaxBudget caps requested budgets (default 10m).
 	MaxBudget time.Duration
-	// MaxConcurrent bounds simultaneously running syntheses; requests
-	// beyond it get 429 (default 4).
+	// MaxConcurrent bounds simultaneously running syntheses: it is both
+	// the admission limit (requests beyond it get 429) and the number of
+	// job workers that run job slices (default 4).
 	MaxConcurrent int
 	// MaxParallelism caps a request's intra-synthesis fan-out: a larger
 	// "parallelism" (frontier workers) is clamped to it. Intra-synthesis
@@ -93,9 +96,6 @@ type Config struct {
 	// requeued behind waiting work (default 2s; negative disables
 	// preemption).
 	JobSlice time.Duration
-	// JobWorkers bounds concurrently running job slices (default
-	// MaxConcurrent).
-	JobWorkers int
 }
 
 // maxTrackedPrograms bounds the /compile id → program map (see the
@@ -131,9 +131,6 @@ func (c Config) withDefaults() Config {
 		c.JobSlice = 2 * time.Second
 	case c.JobSlice < 0:
 		c.JobSlice = 0 // preemption disabled
-	}
-	if c.JobWorkers == 0 {
-		c.JobWorkers = c.MaxConcurrent
 	}
 	return c
 }
@@ -171,7 +168,7 @@ func New(eng *esd.Engine, cfg Config) *Server {
 	mgr, err := jobs.NewManager(jobs.Config{
 		Store:   cfg.JobStore,
 		Run:     s.runJob,
-		Workers: cfg.JobWorkers,
+		Workers: cfg.MaxConcurrent,
 		Slice:   cfg.JobSlice,
 	})
 	if err != nil {
@@ -270,8 +267,7 @@ type resultJSON struct {
 }
 
 type progressJSON struct {
-	Phase  string `json:"phase"`
-	Report int    `json:"report,omitempty"`
+	Phase string `json:"phase"`
 	// TSMS is the event's wall-clock timestamp (Unix milliseconds);
 	// consumers derive step rates from (ts_ms, steps) deltas.
 	TSMS          int64 `json:"ts_ms"`
@@ -882,7 +878,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"capacity":           s.cfg.MaxConcurrent,
 		"active":             len(s.sem),
 		"compile_cache_hits": st.CompileCacheHits,
-		"batch_queue_depth":  st.BatchQueueDepth,
 		"engine":             st,
 		"interner":           expr.InternerStats(),
 		"jobs":               s.jobs.Depths(),
@@ -905,7 +900,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		value           int64
 	}{
 		{"esd_engine_active", "gauge", "Syntheses currently running on this server's engine.", st.Active},
-		{"esd_engine_batch_queue_depth", "gauge", "Batch reports queued but not yet picked up by a worker.", st.BatchQueueDepth},
 		{"esd_engine_synthesized_total", "counter", "Completed synthesis calls.", st.Synthesized},
 		{"esd_engine_found_total", "counter", "Syntheses that reproduced their bug.", st.Found},
 		{"esd_engine_programs_compiled_total", "counter", "Compile calls that built a new program.", st.ProgramsCompiled},
@@ -948,9 +942,6 @@ func toResultJSON(res *esd.Result) resultJSON {
 			Interner:      res.Stats.Interner,
 		},
 	}
-	if res.Err != nil {
-		out.Error = res.Err.Error()
-	}
 	out.Telemetry = res.Report()
 	if res.Execution != nil {
 		if data, err := res.Execution.JSON(); err == nil {
@@ -963,7 +954,6 @@ func toResultJSON(res *esd.Result) resultJSON {
 func toProgressJSON(ev esd.ProgressEvent) progressJSON {
 	return progressJSON{
 		Phase:         ev.Phase.String(),
-		Report:        ev.Report,
 		TSMS:          ev.Time.UnixMilli(),
 		ElapsedMS:     ev.Elapsed.Milliseconds(),
 		Steps:         ev.Steps,

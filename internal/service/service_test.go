@@ -353,7 +353,6 @@ func TestServiceHealthz(t *testing.T) {
 		Status           string `json:"status"`
 		Capacity         int    `json:"capacity"`
 		CompileCacheHits *int64 `json:"compile_cache_hits"`
-		BatchQueueDepth  *int64 `json:"batch_queue_depth"`
 		Interner         struct {
 			Terms  int   `json:"terms"`
 			Bytes  int64 `json:"bytes"`
@@ -372,8 +371,8 @@ func TestServiceHealthz(t *testing.T) {
 	if h.Interner.Terms <= 0 || h.Interner.Bytes <= 0 || h.Interner.Shards <= 0 {
 		t.Errorf("interner stats missing: %s", buf.String())
 	}
-	if h.CompileCacheHits == nil || h.BatchQueueDepth == nil {
-		t.Errorf("healthz missing promoted compile_cache_hits/batch_queue_depth: %s", buf.String())
+	if h.CompileCacheHits == nil {
+		t.Errorf("healthz missing promoted compile_cache_hits: %s", buf.String())
 	}
 }
 
@@ -453,7 +452,6 @@ func TestServiceMetrics(t *testing.T) {
 		"esd_synthesis_duration_seconds_count",
 		"esd_engine_synthesized_total",
 		"esd_engine_compile_cache_hits_total",
-		"esd_engine_batch_queue_depth",
 		"esd_service_capacity",
 		"esd_service_active",
 	} {

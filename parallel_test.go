@@ -90,3 +90,68 @@ func TestParallelSynthesisViaEngine(t *testing.T) {
 		t.Error("DeterministicJSON leaked shared-cache hit counts")
 	}
 }
+
+// frontierGateSlack is the parallel regression gate's tolerance: a
+// frontier n=4 run fails when its wall exceeds seq × slack + 250ms. The
+// multiplicative slack absorbs shared-machine noise and the additive term
+// constant goroutine overhead; the bug the gate pins down was a 3×
+// slowdown, far outside both.
+const frontierGateSlack = 1.25
+
+// gateAttempts is how many paired measurements a wall-clock gate takes
+// before it fails. One pair can lose to load alone: go test ./... runs
+// other packages' tests beside these, and a frontier-parallel search's
+// step count depends on thread timing (on 2 vCPUs under load, ls4 at n=4
+// took about 43 M steps in 2 of 47 runs, against 0.9–7.7 M unloaded and
+// 9.7 M sequential). The regressions the gates exist for lose every pair.
+const gateAttempts = 3
+
+// TestParallelNotSlowerThanSequential is the parallel regression gate:
+// on ls4, the solver-bound app, a frontier n=4 synthesis must not lose to
+// the sequential one on the same engine. Both run through the Engine, so
+// the request-shared solver cache and prune memo are attached as in
+// production; without them ls4 at n=4 once lost 3× to n=1, because every
+// worker re-solved its siblings' components.
+func TestParallelNotSlowerThanSequential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second ls4 syntheses; skipped with -short")
+	}
+	if raceEnabled {
+		t.Skip("wall-clock gate; meaningless under the race detector's slowdown")
+	}
+	prog, rep := appProgReport(t, "ls4")
+	eng := esd.New()
+	run := func(budget time.Duration, opts ...esd.SynthOption) (time.Duration, *esd.Result) {
+		t.Helper()
+		opts = append([]esd.SynthOption{esd.WithBudget(budget), esd.WithSeed(1)}, opts...)
+		start := time.Now()
+		res, err := eng.Synthesize(context.Background(), prog, rep, opts...)
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Found && !res.TimedOut {
+			t.Fatalf("ls4 search space exhausted without the bug (workers %d)", res.Stats.Workers)
+		}
+		t.Logf("ls4 workers=%d wall=%.2fs steps=%d found=%v shared_hits=%d",
+			res.Stats.Workers, wall.Seconds(), res.Stats.Steps, res.Found, res.Stats.SolverSharedHits)
+		return wall, res
+	}
+	var seq, par, limit time.Duration
+	for attempt := 1; attempt <= gateAttempts; attempt++ {
+		var res *esd.Result
+		if seq, res = run(5 * time.Minute); !res.Found {
+			t.Fatal("sequential ls4 ran out of its 5-minute budget")
+		}
+		limit = time.Duration(float64(seq)*frontierGateSlack) + 250*time.Millisecond
+		// The limit is the n=4 run's budget: a run still searching then
+		// has failed this attempt whatever it would have taken.
+		if par, _ = run(limit, esd.WithParallelism(4)); par <= limit {
+			return
+		}
+		t.Logf("attempt %d of %d: n=4 wall %.2fs exceeds seq %.2fs (limit %.2fs)",
+			attempt, gateAttempts, par.Seconds(), seq.Seconds(), limit.Seconds())
+	}
+	t.Errorf("parallel regression: ls4 frontier n=4 wall exceeded seq × %.2f + 250ms in all %d attempts (last: %.2fs against %.2fs)",
+		frontierGateSlack, gateAttempts, par.Seconds(), limit.Seconds())
+}

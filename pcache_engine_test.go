@@ -118,3 +118,80 @@ func TestPersistentCacheOpenFailureDegrades(t *testing.T) {
 		t.Errorf("Close on a degraded engine: %v", err)
 	}
 }
+
+// persistSolverSlack is the warm-replay gate's tolerance on solver wall:
+// warm solver time must stay under cold × slack + 100ms. Persistent hits
+// replace solves with a lookup plus one model evaluation, so warm solver
+// wall should drop outright; the slack only absorbs timer noise.
+const persistSolverSlack = 1.10
+
+// TestPersistentCacheWarmSolverWall checks that the persistent tier pays
+// where it should: on ls4, the solver-bound app, a cold engine fills an
+// empty cache directory, then a fresh engine on the same directory (as
+// across a process restart, so no pooled solver carries over) must take
+// persistent hits, reject none of its own store's models, synthesize the
+// byte-identical execution, and spend no more solver wall than the cold
+// run. Solver wall is wall-clock time, so like the parallel gate it takes
+// up to gateAttempts cold/warm pairs, each on a fresh directory.
+func TestPersistentCacheWarmSolverWall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second ls4 syntheses; skipped with -short")
+	}
+	if raceEnabled {
+		t.Skip("wall-clock gate; meaningless under the race detector's slowdown")
+	}
+	prog, rep := appProgReport(t, "ls4")
+	run := func(dir, mode string) (*esd.Result, []byte) {
+		t.Helper()
+		eng := esd.New(esd.WithPersistentCache(dir))
+		if err := eng.PersistentCacheError(); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		res, err := eng.Synthesize(context.Background(), prog, rep,
+			esd.WithBudget(5*time.Minute), esd.WithSeed(1))
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatalf("%s: closing store: %v", mode, err)
+		}
+		if !res.Found {
+			t.Fatalf("%s: ls4 not synthesized (timed out %v)", mode, res.TimedOut)
+		}
+		exec, err := res.Execution.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("ls4 %s wall=%.2fs solver=%.2fs steps=%d persistent_hits=%d rejects=%d",
+			mode, wall.Seconds(), time.Duration(res.Stats.SolverWallNanos).Seconds(),
+			res.Stats.Steps, res.Stats.SolverPersistentHits, res.Stats.SolverVerifyRejects)
+		return res, exec
+	}
+	var coldSolver, warmSolver, limit time.Duration
+	for attempt := 1; attempt <= gateAttempts; attempt++ {
+		dir := t.TempDir()
+		cold, coldExec := run(dir, "cold")
+		warm, warmExec := run(dir, "warm")
+		if warm.Stats.SolverPersistentHits == 0 {
+			t.Fatal("warm run took no persistent hits")
+		}
+		if n := warm.Stats.SolverVerifyRejects; n != 0 {
+			t.Fatalf("warm run rejected %d of its own store's models", n)
+		}
+		if !bytes.Equal(coldExec, warmExec) {
+			t.Fatal("synthesized executions differ cold vs warm")
+		}
+		coldSolver = time.Duration(cold.Stats.SolverWallNanos)
+		warmSolver = time.Duration(warm.Stats.SolverWallNanos)
+		limit = time.Duration(float64(coldSolver)*persistSolverSlack) + 100*time.Millisecond
+		if warmSolver <= limit {
+			return
+		}
+		t.Logf("attempt %d of %d: warm solver wall %.2fs exceeds cold %.2fs (limit %.2fs)",
+			attempt, gateAttempts, warmSolver.Seconds(), coldSolver.Seconds(), limit.Seconds())
+	}
+	t.Errorf("warm solver wall exceeded cold × %.2f + 100ms in all %d attempts (last: %.2fs against %.2fs)",
+		persistSolverSlack, gateAttempts, warmSolver.Seconds(), limit.Seconds())
+}

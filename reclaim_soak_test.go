@@ -271,7 +271,7 @@ func TestReclaimUnderSaturation(t *testing.T) {
 // floor. CI runs it under -race.
 func TestReclaimQuiescenceUnderLoad(t *testing.T) {
 	prog, rep := appProgReport(t, "listing1")
-	eng := esd.New(esd.WithMaxConcurrent(4))
+	eng := esd.New()
 	ref, err := eng.Synthesize(context.Background(), prog, rep, esd.WithBudget(time.Minute), esd.WithSeed(1))
 	if err != nil || !ref.Found {
 		t.Fatalf("listing1 unloaded: found=%v err=%v", ref != nil && ref.Found, err)
