@@ -60,11 +60,12 @@ type Option func(*Engine)
 // WithPersistentCache opens (creating if needed) a persistent cross-run
 // solver-fact store in dir and attaches it as the engine's outermost
 // cache tier: every synthesis consults it (scoped to the program's
-// structural fingerprint) when the private and request-shared tiers
-// miss, and publishes every definite component verdict back. Because
-// entries are keyed by canonical structural fingerprints — not process-
-// local intern identities — a verdict written by one process is a hit
-// in the next, across restarts.
+// structural fingerprint) when a solver's private tier misses (and, in
+// a frontier-parallel run, the workers' shared tier), and publishes
+// every definite component verdict back. Because entries are keyed by
+// canonical structural fingerprints — not process-local intern
+// identities — a verdict written by one process is a hit in the next,
+// across restarts.
 //
 // Correctness does not depend on the directory's contents: Sat models
 // are re-verified by concrete evaluation against the live terms before
@@ -201,14 +202,14 @@ func WithRaceDetection() SynthOption {
 
 // WithParallelism runs the search frontier-parallel: n workers share one
 // sharded priority frontier (stealing work from each other's shards),
-// one cross-worker dedup set, and the compiled program and distance
-// tables, each running its own symbolic VM and solver; the first worker
-// to reach the goal cancels the rest. n <= 1 runs the unchanged
-// sequential searcher, so WithParallelism(1) is bit-identical to the
-// default. Frontier-parallel runs explore the same state space as the
-// sequential search but in a schedule-dependent order, so their step
-// counts and flight traces vary run to run; the synthesized execution
-// still strict-replays exactly.
+// one cross-worker dedup set, one solver fact layer for the run, and the
+// compiled program and distance tables, each running its own symbolic VM
+// and solver; the first worker to reach the goal cancels the rest. n <= 1
+// runs the unchanged sequential searcher, so WithParallelism(1) is
+// bit-identical to the default. Frontier-parallel runs explore the same
+// state space as the sequential search but in a schedule-dependent order,
+// so their step counts and flight traces vary run to run; the synthesized
+// execution still strict-replays exactly.
 func WithParallelism(n int) SynthOption {
 	return func(o *search.Options) { o.Parallelism = n }
 }
@@ -257,9 +258,9 @@ func WithPreempt(fn func() bool) SynthOption {
 
 // WithResume continues a preempted synthesis from its checkpoint instead
 // of starting fresh. The program, report goals, and determinism-steering
-// options (strategy, seed, preemption bound) must match the checkpointed
-// run's; the budget may differ. Combine with WithPreempt to keep
-// time-slicing the resumed run.
+// options (strategy, seed, preemption bound, race detection) must match
+// the checkpointed run's; the budget may differ. Combine with WithPreempt
+// to keep time-slicing the resumed run.
 func WithResume(ck *Checkpoint) SynthOption {
 	return func(o *search.Options) { o.Resume = ck }
 }
@@ -310,22 +311,9 @@ func (e *Engine) Synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 
 	e.active.Add(1)
 	defer e.active.Add(-1)
-	// Request-scoped shared fact layers: the solver component cache and
-	// the infinite-distance prune memo are shared by every frontier worker
-	// of this request. They are attached unconditionally — n=1 runs carry
-	// them too, which is what the determinism contract tests exercise
-	// (sharing is sound because the cached verdicts are pure functions of
-	// their keys).
-	if so.SharedCache == nil {
-		so.SharedCache = solver.NewSharedCache()
-	}
-	if so.PruneFacts == nil {
-		so.PruneFacts = search.NewPruneFacts()
-	}
 	if so.PersistCache == nil && e.pcache != nil {
-		// The persistent tier sits outside the request-shared cache and is
-		// scoped by the program's structural fingerprint; every worker of
-		// this request shares the one view.
+		// The persistent tier is scoped by the program's structural
+		// fingerprint; every worker of this request shares the one view.
 		so.PersistCache = e.pcache.ForProgram(prog.MIR.Fingerprint())
 	}
 	res, err := search.Synthesize(ctx, prog.MIR, rep.R, so)
@@ -379,13 +367,10 @@ func (e *Engine) Synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 	if res.Found != nil {
 		emit(PhaseSolve)
 		solveStart := time.Now()
-		// The solve phase re-checks the winner's path condition; the search
-		// already decided (and published) those components, so attaching
-		// the request cache turns most of the phase into lookups. Detach
-		// before the pooled solver goes back (deferred Put above).
-		so.Solver.Shared = so.SharedCache
+		// The solve phase re-checks the winner's path condition. After a
+		// sequential search the solver's private cache already holds those
+		// components.
 		ex, err := trace.FromState(res.Found, so.Solver)
-		so.Solver.Shared = nil
 		solveNS = time.Since(solveStart).Nanoseconds()
 		if err != nil {
 			return nil, fmt.Errorf("esd: solving synthesized path: %w", err)

@@ -33,7 +33,9 @@
 //
 // A single synthesis can also spend multiple cores: WithParallelism(n)
 // shards the best-first frontier across n workers (work stealing, shared
-// dedup, first-to-goal wins). See the package README's "Parallel
+// dedup, one solver fact cache shared by the workers, first-to-goal
+// wins). A sequential synthesis has no workers to share facts with and
+// attaches no shared cache. See the package README's "Parallel
 // synthesis" section for its determinism contract.
 package esd
 
@@ -166,9 +168,9 @@ type Stats struct {
 	BranchForks     int64
 	SolverQueries   int
 	SolverCacheHits int
-	// SolverSharedHits counts component verdicts reused from the request's
-	// shared cross-worker solver cache (0 for runs where every component
-	// was first solved by the solver that needed it).
+	// SolverSharedHits counts component verdicts a frontier-parallel
+	// run's workers took from each other through the run's shared solver
+	// cache (always 0 for a sequential run).
 	SolverSharedHits int
 	// SolverPersistentHits counts component verdicts served from the
 	// engine's persistent cross-run cache (WithPersistentCache; 0 when no

@@ -72,10 +72,9 @@ func mix64(x uint64) uint64 {
 }
 
 // KeyHasher builds a 128-bit structural fingerprint incrementally. It is
-// the canonical hasher for anything that wants StructKey-compatible
-// stability guarantees (the search layer uses it to fingerprint stack
-// configurations for prune facts). The zero value is NOT ready to use;
-// call NewKeyHasher.
+// the canonical hasher behind StructKey, for anything that wants the same
+// stability guarantees. The zero value is NOT ready to use; call
+// NewKeyHasher.
 type KeyHasher struct {
 	hi, lo uint64
 }

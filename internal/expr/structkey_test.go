@@ -183,8 +183,8 @@ func TestStructKeyLargeCorpusDistinct(t *testing.T) {
 }
 
 // TestKeyHasherStreams checks that the incremental hasher distinguishes
-// boundary-ambiguous inputs (the prune-fact layer depends on this when it
-// serializes stack frames).
+// boundary-ambiguous inputs (a caller hashing a sequence of records
+// depends on this).
 func TestKeyHasherStreams(t *testing.T) {
 	sum := func(f func(h *KeyHasher)) StructKey {
 		h := NewKeyHasher()

@@ -60,7 +60,8 @@ type Checkpoint struct {
 
 	// Identity: a resume must run the same search. Budget deliberately
 	// absent — it bounds wall clock, which is outside the deterministic
-	// body, and a resuming caller may lengthen it.
+	// body, and a resuming caller may lengthen it. Quantum and MaxStates
+	// record the search's fixed quantum and live-state cap.
 	Strategy        Strategy  `json:"strategy"`
 	Seed            int64     `json:"seed"`
 	Quantum         int       `json:"quantum"`
@@ -111,11 +112,12 @@ type Checkpoint struct {
 	PrunedInfinite int64                       `json:"pruned_infinite,omitempty"`
 
 	// Solver share consumed so far (query count is deterministic; the
-	// hit/wall numbers only keep the cumulative Result honest).
-	SolverQueries    int   `json:"solver_queries"`
-	SolverHits       int   `json:"solver_hits"`
-	SolverSharedHits int   `json:"solver_shared_hits"`
-	SolverWallNS     int64 `json:"solver_wall_ns"`
+	// hit/wall numbers only keep the cumulative Result honest). Older
+	// checkpoints also carry a shared-hit count, which decoding ignores:
+	// only sequential runs checkpoint, and they share no solver facts.
+	SolverQueries int   `json:"solver_queries"`
+	SolverHits    int   `json:"solver_hits"`
+	SolverWallNS  int64 `json:"solver_wall_ns"`
 	// Persistent-tier consumption (additive fields: checkpoints written
 	// before the tier existed decode as 0, which is correct — they
 	// consumed none).
@@ -155,8 +157,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 }
 
 // compatible rejects a resume whose program or options would not replay
-// the checkpointed search (called before the plan exists; validatePlan
-// checks the plan-derived layout).
+// the checkpointed search (called before the plan exists; worker.resume
+// checks the race detector and the plan-derived layout).
 func (ck *Checkpoint) compatible(prog *mir.Program, opts Options) error {
 	if ck.Schema != CheckpointSchema {
 		return fmt.Errorf("search: unsupported checkpoint schema %q", ck.Schema)
@@ -165,7 +167,7 @@ func (ck *Checkpoint) compatible(prog *mir.Program, opts Options) error {
 		return fmt.Errorf("search: checkpoint is for program fingerprint %x, not %x", ck.Fingerprint, fp)
 	}
 	if ck.Strategy != opts.Strategy || ck.Seed != opts.Seed ||
-		ck.Quantum != opts.Quantum || ck.MaxStates != opts.MaxStates ||
+		ck.Quantum != quantumSteps || ck.MaxStates != maxLiveStates ||
 		ck.MaxSteps != opts.MaxSteps || ck.PreemptionBound != opts.PreemptionBound ||
 		ck.Ablate != opts.Ablate {
 		return fmt.Errorf("search: checkpoint options do not match the resume request")
@@ -243,8 +245,8 @@ func (s *searcher) buildCheckpoint(res *Result, detector *race.Detector) (*Check
 
 		Strategy:        s.opts.Strategy,
 		Seed:            s.opts.Seed,
-		Quantum:         s.opts.Quantum,
-		MaxStates:       s.opts.MaxStates,
+		Quantum:         quantumSteps,
+		MaxStates:       maxLiveStates,
 		MaxSteps:        s.opts.MaxSteps,
 		PreemptionBound: s.opts.PreemptionBound,
 		WithRace:        detector != nil,
@@ -276,7 +278,6 @@ func (s *searcher) buildCheckpoint(res *Result, detector *race.Detector) (*Check
 
 		SolverQueries:        res.SolverQueries,
 		SolverHits:           res.SolverHits,
-		SolverSharedHits:     res.SolverSharedHits,
 		SolverWallNS:         res.SolverWallNanos,
 		SolverPersistentHits: res.SolverPersistentHits,
 		SolverVerifyRejects:  res.SolverVerifyRejects,
@@ -429,6 +430,30 @@ func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.
 	return nil
 }
 
+// resume restores a fresh sequential worker from a checkpoint that
+// compatible accepted: the race-detector setting and the plan layout must
+// match the checkpointed run's, then the state pool is decoded, the
+// searcher restored and the worker's accumulators seeded. The detector
+// is checked here, not in compatible, because a race report turns it on
+// whatever the options say.
+func (w *worker) resume(ck *Checkpoint, pl *plan) error {
+	if on := w.det != nil; ck.WithRace != on {
+		return fmt.Errorf("search: checkpoint race detection is %v, the resume request's is %v", ck.WithRace, on)
+	}
+	if err := ck.validatePlan(pl); err != nil {
+		return err
+	}
+	roots, err := ck.Pool.Decode(pl.prog)
+	if err != nil {
+		return err
+	}
+	if err := w.s.restore(ck, roots, w.det); err != nil {
+		return err
+	}
+	ck.restoreWorker(w)
+	return nil
+}
+
 // restoreWorker seeds a resumed worker's accumulators with the
 // checkpoint's and shifts its solver baselines by the checkpointed
 // consumption, so the folded Result and the progress events stay
@@ -443,7 +468,6 @@ func (ck *Checkpoint) restoreWorker(w *worker) {
 	w.res.PrunedInfinite = ck.PrunedInfinite
 	w.s.solBase -= ck.SolverQueries
 	w.base.hits -= ck.SolverHits
-	w.base.shared -= ck.SolverSharedHits
 	w.base.persist -= ck.SolverPersistentHits
 	w.base.rejects -= ck.SolverVerifyRejects
 	w.base.wallNS -= ck.SolverWallNS

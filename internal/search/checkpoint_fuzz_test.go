@@ -18,9 +18,10 @@ import (
 var committedCheckpoint = filepath.Join("..", "..", "testdata", "listing1.ckpt.json")
 
 // checkpointRestorer returns the resume path of a listing1 search short
-// of running the loop: decode, the compatibility and plan checks, the
-// recorder and pool decode, and the searcher restore. It returns the
-// restored worker, which the caller releases, or the first error.
+// of running the loop: decode, the compatibility checks, the recorder
+// restore and worker.resume (the race-detector and plan checks, the pool
+// decode and the searcher restore). It returns the restored worker, which
+// the caller releases, or the first error.
 func checkpointRestorer(tb testing.TB) func(data []byte) (*worker, error) {
 	tb.Helper()
 	a := apps.Get("listing1")
@@ -33,7 +34,7 @@ func checkpointRestorer(tb testing.TB) func(data []byte) (*worker, error) {
 		tb.Fatal(err)
 	}
 	// The committed checkpoint's options, normalized as Synthesize does.
-	opts := Options{Strategy: StrategyESD, Seed: 1, Quantum: 32, MaxStates: 8192, MaxSteps: 50_000_000}
+	opts := Options{Strategy: StrategyESD, Seed: 1, MaxSteps: 50_000_000}
 	pl, err := buildPlan(prog, rep, opts)
 	if err != nil {
 		tb.Fatal(err)
@@ -47,23 +48,15 @@ func checkpointRestorer(tb testing.TB) func(data []byte) (*worker, error) {
 			return nil, err
 		}
 		telemetry.NewRecorder(0).Restore(ck.Recorder)
-		if err := ck.validatePlan(pl); err != nil {
-			return nil, err
-		}
-		roots, err := ck.Pool.Decode(pl.prog)
-		if err != nil {
-			return nil, err
-		}
 		// A corrupt draw count makes the rng replay long; the deadline
 		// turns that into an error.
 		ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 		defer cancel()
-		w := newWorker(ctx, pl, opts, 0, 1, time.Now())
-		if err := w.s.restore(ck, roots, w.det); err != nil {
+		w := newWorker(ctx, pl, opts, 0, 1, time.Now(), nil)
+		if err := w.resume(ck, pl); err != nil {
 			w.release()
 			return nil, err
 		}
-		ck.restoreWorker(w)
 		return w, nil
 	}
 }

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -317,6 +318,38 @@ func TestCheckpointCompatibility(t *testing.T) {
 	par.Parallelism = 2
 	if _, err := Synthesize(context.Background(), prog, rep, par); err == nil {
 		t.Fatal("parallel resume was not rejected")
+	}
+}
+
+// TestCheckpointRaceDetectorMismatch rejects a resume whose race-detector
+// setting differs from the checkpointed run's, in both directions: the
+// detector picks the scheduling policy of crash reports and carries state
+// the checkpoint restores, so the resumed run would not be the same
+// search.
+func TestCheckpointRaceDetectorMismatch(t *testing.T) {
+	rep, _ := listing1Report(t)
+	prog := lang.MustCompile("listing1.c", listing1)
+	for _, on := range []bool{true, false} {
+		opts := checkpointOptions(nil)
+		opts.WithRaceDetector = on
+		opts.Preempt = func() bool { return true }
+		res, err := Synthesize(context.Background(), prog, rep, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Preempted {
+			t.Fatal("search was not preempted")
+		}
+		if res.Checkpoint.WithRace != on {
+			t.Fatalf("checkpoint records race detection %v, the run had %v", res.Checkpoint.WithRace, on)
+		}
+		resume := checkpointOptions(nil)
+		resume.WithRaceDetector = !on
+		resume.Resume = res.Checkpoint
+		_, err = Synthesize(context.Background(), prog, rep, resume)
+		if err == nil || !strings.Contains(err.Error(), "race detection") {
+			t.Errorf("checkpoint race detection %v, resume request %v: error %v, want a race-detection mismatch", on, !on, err)
+		}
 	}
 }
 

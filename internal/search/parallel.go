@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"esd/internal/dist"
+	"esd/internal/solver"
 	"esd/internal/symex"
 	"esd/internal/telemetry"
 )
@@ -25,11 +26,16 @@ import (
 //     worker: a full searcher with its own symex VM (with a disjoint
 //     state-ID range, so the priority tie-break stays total), solver,
 //     scheduling-policy instance, and race detector, reusing
-//     quantum/admit/terminal/prunable verbatim. Only the loop differs
+//     quantum/admit/keep/terminal verbatim. Only the loop differs
 //     (take/runWorker instead of runLoop) and insertion is diverted
-//     (searcher.route): forks are scored by the producing worker and
-//     placed round-robin into the shared shards. The Result is folded
-//     from the workers the same way too (worker.fold).
+//     (searcher.route): forks are gated and scored by the producing
+//     worker and placed round-robin, with their keys, into the shared
+//     shards. The Result is folded from the workers the same way too
+//     (worker.fold).
+//   - The workers' solvers share one run-scoped fact layer
+//     (solver.SharedCache): a component verdict one worker pays for is a
+//     lookup for its siblings, which explore near-identical path
+//     conditions. A sequential run has no siblings and attaches none.
 //   - A shared dedup set drops states whose decision history (path
 //     condition + schedule) another worker already admitted — the
 //     redundancy source is snapshot activation, where sibling states
@@ -67,7 +73,7 @@ func runParallel(ctx context.Context, pl *plan, opts Options, start time.Time, e
 	r.idleCond = sync.NewCond(&r.idleMu)
 	r.bestFit.Store(dist.Infinite)
 	// The shed budget is global and work-conserving: the run holds the
-	// same aggregate capacity as before (n × MaxStates — shedding is
+	// same aggregate capacity as before (n × maxLiveStates — shedding is
 	// lossy, and an aggregate below that in practice cost big-frontier
 	// runs like ls4 their bug), but no single shard has a private cap.
 	// A fixed per-shard threshold shed whenever round-robin placement
@@ -76,17 +82,18 @@ func runParallel(ctx context.Context, pl *plan, opts Options, start time.Time, e
 	// spare; under the global budget, capacity rebalances toward loaded
 	// shards and a shed happens only when the whole run is over budget.
 	// States are copy-on-write, so the memory multiplier is far below n×.
-	r.shedBudget = int64(n) * int64(opts.MaxStates)
+	r.shedBudget = int64(n) * maxLiveStates
 	for i := range r.shards {
 		r.shards[i] = &frontierShard{
 			f: newQueueFrontier(opts.Strategy, pl.schedGuided, len(pl.queueGoals)),
 		}
 	}
 
+	shared := solver.NewSharedCache()
 	workers := make([]*worker, n)
 	for i := range workers {
-		w := newWorker(runCtx, pl, opts, i, n, start)
-		w.s.route = func(st *symex.State) { r.place(w, st) }
+		w := newWorker(runCtx, pl, opts, i, n, start, shared)
+		w.s.route = func(st *symex.State, keys []esdKey) { r.place(w, st, keys) }
 		workers[i] = w
 	}
 	defer func() {
@@ -99,7 +106,7 @@ func runParallel(ctx context.Context, pl *plan, opts Options, start time.Time, e
 	if err != nil {
 		return nil, err
 	}
-	r.place(workers[0], init)
+	workers[0].s.seed(init)
 	emit(PhaseSearch, 1)
 
 	var wg sync.WaitGroup
@@ -177,8 +184,9 @@ type parallelRun struct {
 	start  time.Time
 
 	shards []*frontierShard
-	// shedBudget is the global live-state budget (n × MaxStates); shedMu
-	// serializes the all-shard shed that runs when the budget overflows.
+	// shedBudget is the global live-state budget (n × maxLiveStates);
+	// shedMu serializes the all-shard shed that runs when the budget
+	// overflows.
 	shedBudget int64
 	shedMu     sync.Mutex
 	dedup      *dedupSet
@@ -215,21 +223,17 @@ type parallelRun struct {
 	winnerW  int
 }
 
-// place scores a freshly produced state on the producing worker's
-// searcher, drops it if another worker already admitted an equivalent
-// decision history, and otherwise inserts it into the next shard
-// round-robin (shedding that shard if it overflowed its share).
-func (r *parallelRun) place(w *worker, st *symex.State) {
-	var keys []esdKey
-	if w.s.opts.Strategy == StrategyESD {
-		keys = w.s.scoreState(st)
-		// Propagate the worker's improving final-goal fitness to the
-		// shared progress view.
-		for {
-			cur := r.bestFit.Load()
-			if w.s.bestFit >= cur || r.bestFit.CompareAndSwap(cur, w.s.bestFit) {
-				break
-			}
+// place takes a state the producing worker admitted, with the keys it
+// scored it with, drops it if another worker already admitted an
+// equivalent decision history, and otherwise inserts it into the next
+// shard round-robin (shedding when the run is over its budget).
+func (r *parallelRun) place(w *worker, st *symex.State, keys []esdKey) {
+	// Propagate the worker's improving final-goal fitness to the shared
+	// progress view.
+	for {
+		cur := r.bestFit.Load()
+		if w.s.bestFit >= cur || r.bestFit.CompareAndSwap(cur, w.s.bestFit) {
+			break
 		}
 	}
 	if r.dedup.seen(stateKey(st)) {
@@ -255,7 +259,8 @@ func (r *parallelRun) place(w *worker, st *symex.State) {
 
 // shedOverBudget runs the work-conserving shed: when the run's aggregate
 // live count exceeds the global budget, every shard drops its worse half
-// (the same keep-half policy the sequential search applies at MaxStates).
+// (the same keep-half policy the sequential search applies at
+// maxLiveStates).
 // shedMu serializes shedders and the re-check under it collapses the
 // thundering herd of workers that observed the same overflow.
 func (r *parallelRun) shedOverBudget() {

@@ -3,6 +3,8 @@ package search
 import (
 	"context"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -141,23 +143,46 @@ func TestParallelStepCapOutcomeMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelSharedCacheReuse attaches the request-scoped shared solver
-// cache and prune memo to a frontier-parallel run and checks the fact
-// flow is visible: definite verdicts get published, and the per-worker
-// reuse attribution sums to the run total.
+// promCounter reads one unlabeled series of the process-wide telemetry
+// registry. Tests in this package run one at a time, so a before/after
+// pair of readings is one run's delta.
+func promCounter(t *testing.T, series string) int64 {
+	t.Helper()
+	var b strings.Builder
+	if err := telemetry.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("series %s not in the registry", series)
+	return 0
+}
+
+// TestParallelSharedCacheReuse checks the fact flow of the run-scoped
+// shared solver cache a frontier-parallel run creates for its workers:
+// definite verdicts get published, the per-worker reuse attribution sums
+// to the run total, and that total is what the cache itself served.
 func TestParallelSharedCacheReuse(t *testing.T) {
 	rep, _ := listing1Report(t)
 	prog := lang.MustCompile("listing1.c", listing1)
 
-	sc := solver.NewSharedCache()
-	pf := NewPruneFacts()
+	const (
+		publishes = "esd_solver_shared_publishes_total"
+		hits      = `esd_solver_cache_hits_total{cache="shared"}`
+	)
+	pub0, hits0 := promCounter(t, publishes), promCounter(t, hits)
 	res, err := Synthesize(context.Background(), prog, rep, Options{
 		Strategy:    StrategyESD,
 		Budget:      60 * time.Second,
 		Seed:        1,
 		Parallelism: 4,
-		SharedCache: sc,
-		PruneFacts:  pf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,9 +190,8 @@ func TestParallelSharedCacheReuse(t *testing.T) {
 	if res.Found == nil {
 		t.Fatalf("shared-cache parallel search found nothing (timedOut=%v)", res.TimedOut)
 	}
-	st := sc.Stats()
-	if st.Publishes == 0 || st.Entries == 0 {
-		t.Errorf("no component verdicts published into the shared cache: %+v", st)
+	if got := promCounter(t, publishes) - pub0; got == 0 {
+		t.Error("no component verdicts published into the run's shared cache")
 	}
 	var workerHits int
 	for _, ww := range res.WorkerWall {
@@ -177,33 +201,30 @@ func TestParallelSharedCacheReuse(t *testing.T) {
 		t.Errorf("WorkerWall shared hits sum %d != Result.SolverSharedHits %d",
 			workerHits, res.SolverSharedHits)
 	}
-	if got := int(st.Hits); got != res.SolverSharedHits {
+	if got := int(promCounter(t, hits) - hits0); got != res.SolverSharedHits {
 		t.Errorf("cache-side hits %d != solver-side shared hits %d", got, res.SolverSharedHits)
 	}
 }
 
-// TestSharedCacheWarmDeterminism is the determinism contract for the
-// shared fact layer: a sequential (n=1-equivalent) run with a warm
-// SharedCache and PruneFacts — pre-filled by an identical prior run —
-// must stay byte-identical to the cold run in everything deterministic:
-// the flight trace and every replay-stable Result counter. Only wall
-// time and hit counts (which never enter the deterministic surface) may
-// differ.
+// TestSharedCacheWarmDeterminism is the determinism contract for warm
+// solver facts: a sequential run on a solver whose private cache an
+// identical prior run filled must stay byte-identical to the cold run in
+// everything deterministic: the flight trace and every replay-stable
+// Result counter. Only wall time and hit counts (which never enter the
+// deterministic surface) may differ.
 func TestSharedCacheWarmDeterminism(t *testing.T) {
 	rep, _ := listing1Report(t)
 	prog := lang.MustCompile("listing1.c", listing1)
 
-	sc := solver.NewSharedCache()
-	pf := NewPruneFacts()
+	sol := solver.New()
 	run := func() (*Result, []telemetry.Event) {
 		rec := telemetry.NewRecorder(0)
 		res, err := Synthesize(context.Background(), prog, rep, Options{
-			Strategy:    StrategyESD,
-			Budget:      60 * time.Second,
-			Seed:        1,
-			SharedCache: sc,
-			PruneFacts:  pf,
-			Recorder:    rec,
+			Strategy: StrategyESD,
+			Budget:   60 * time.Second,
+			Seed:     1,
+			Solver:   sol,
+			Recorder: rec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -219,8 +240,12 @@ func TestSharedCacheWarmDeterminism(t *testing.T) {
 	if warm.Found == nil {
 		t.Fatal("warm run found nothing")
 	}
-	if warm.SolverSharedHits == 0 {
-		t.Error("warm run took nothing from the shared cache; the warmth test is vacuous")
+	if warm.SolverQueries == 0 || warm.SolverHits < warm.SolverQueries {
+		t.Errorf("warm run answered %d of its %d queries from the cache; the warmth test is vacuous",
+			warm.SolverHits, warm.SolverQueries)
+	}
+	if warm.SolverSharedHits != 0 {
+		t.Errorf("sequential run took %d shared hits; it has no siblings to share with", warm.SolverSharedHits)
 	}
 	type det struct {
 		Steps, States, Branch, Sched int64
@@ -233,10 +258,10 @@ func TestSharedCacheWarmDeterminism(t *testing.T) {
 			r.SolverQueries, r.Pruned, r.AgingPicks, r.Sheds, r.MaxDepth}
 	}
 	if d(cold) != d(warm) {
-		t.Errorf("warm shared cache changed deterministic counters:\ncold %+v\nwarm %+v", d(cold), d(warm))
+		t.Errorf("warm solver changed deterministic counters:\ncold %+v\nwarm %+v", d(cold), d(warm))
 	}
 	if !reflect.DeepEqual(coldEv, warmEv) {
-		t.Errorf("warm shared cache changed the flight trace (%d vs %d events)", len(coldEv), len(warmEv))
+		t.Errorf("warm solver changed the flight trace (%d vs %d events)", len(coldEv), len(warmEv))
 	}
 }
 

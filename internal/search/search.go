@@ -8,7 +8,8 @@
 // distance (§4.1). At every step a queue is chosen uniformly at random and
 // its best state runs for a quantum of instructions; forks join the pool,
 // and states that static analysis proves cannot reach the goal are
-// abandoned (the critical-edge pruning of §3.2).
+// abandoned (the critical-edge pruning of §3.2), as are states whose
+// proximity score puts a final goal at Infinite distance.
 //
 // The baselines are DFS (exhaustive-equivalent) and RandomPath, each
 // combined with Chess-style preemption bounding for multithreaded programs
@@ -19,10 +20,11 @@
 // that many workers, each with its own symbolic VM and solver over the
 // shared compiled program and distance tables; workers steal from each
 // other's shards, a cross-worker dedup set suppresses re-exploration,
-// and the first worker to reach the goal cancels the rest. Both searches
-// set up their workers and fold their results through the same code (see
-// worker.go); Parallelism <= 1 runs the sequential loop, whose picks,
-// preemption polls and sheds are the determinism contract.
+// their solvers share one run-scoped fact cache, and the first worker to
+// reach the goal cancels the rest. Both searches set up their workers and
+// fold their results through the same code (see worker.go); Parallelism
+// <= 1 runs the sequential loop, whose picks, preemption polls and sheds
+// are the determinism contract.
 package search
 
 import (
@@ -92,13 +94,8 @@ type Options struct {
 	Budget time.Duration
 	// MaxSteps bounds total executed instructions (0 = default 50M).
 	MaxSteps int64
-	// Quantum is the number of instructions a picked state runs before the
-	// scheduler reconsiders (default 32).
-	Quantum int
 	// Seed drives the queue-selection randomness (deterministic runs).
 	Seed int64
-	// MaxStates caps the live state pool (default 8192).
-	MaxStates int
 
 	// PreemptionBound, when > 0, replaces ESD's bug-aware scheduling policy
 	// with Chess-style preemption bounding (the KC baseline; the paper
@@ -143,27 +140,13 @@ type Options struct {
 	// fresh solvers when it is nil.
 	Solvers SolverPool
 
-	// SharedCache, when non-nil, is the request-scoped cross-solver fact
-	// layer: every solver this search uses (the sequential solver, every
-	// frontier worker's) is attached to it for the run and detached
-	// before pooled solvers are returned, so siblings reuse each other's
-	// component verdicts instead of re-solving them. The engine creates
-	// one per synthesis. Sharing is deterministic — verdicts are pure
-	// functions of the component — so attaching it keeps n=1
-	// bit-identical to sequential.
-	SharedCache *solver.SharedCache
-	// PruneFacts, when non-nil, is the request-scoped shared memo of
-	// infinite-distance prune verdicts (see PruneFacts). Like SharedCache
-	// it is created by the engine and shared across workers; verdicts
-	// depend on the report's goals, so it must never cross requests.
-	PruneFacts *PruneFacts
 	// PersistCache, when non-nil, is the cross-run persistent solver fact
 	// tier (scoped by the engine to this program's fingerprint). Every
-	// solver the search uses is attached to it for the run, below the
-	// SharedCache in the lookup order. Serving persisted verdicts is
-	// deterministic for the same reason sharing is — verdicts are pure
-	// functions of the component, Sat models are re-verified on load —
-	// so a warm run is bit-identical to a cold one, just faster.
+	// solver the search uses is attached to it for the run, below a
+	// frontier-parallel run's shared cache in the lookup order. Serving
+	// persisted verdicts is deterministic — verdicts are pure functions
+	// of the component, Sat models are re-verified on load — so a warm
+	// run is bit-identical to a cold one, just faster.
 	PersistCache solver.PersistentCache
 
 	// Preempt, when set, is polled at the top of every sequential
@@ -184,6 +167,15 @@ type Options struct {
 // progressInterval is the minimum spacing of periodic progress events.
 // Phase transitions are always delivered.
 const progressInterval = 250 * time.Millisecond
+
+// quantumSteps is the number of instructions a picked state runs before
+// the search picks again.
+const quantumSteps = 32
+
+// maxLiveStates caps the sequential search's live state pool: past it the
+// worse half is shed. A frontier-parallel run's global budget is n times
+// it.
+const maxLiveStates = 8192
 
 // SolverPool hands out solvers for frontier-parallel workers. The engine
 // adapts its process-wide warm pool to this; Get must return a solver not
@@ -271,11 +263,11 @@ type Result struct {
 	BranchForks   int64
 	SolverQueries int
 	SolverHits    int
-	// SolverSharedHits counts component verdicts this run's solvers took
-	// from the request's shared fact layer (a subset of the work that
-	// would otherwise be re-solved; 0 when no SharedCache is attached).
-	// Like SolverHits it varies with cache warmth and never enters the
-	// deterministic flight body.
+	// SolverSharedHits counts component verdicts the workers of a
+	// frontier-parallel run took from each other through the run's
+	// shared fact layer (0 in sequential runs, which have no siblings).
+	// Like SolverHits it varies with timing and cache warmth and never
+	// enters the deterministic flight body.
 	SolverSharedHits int
 	// SolverPersistentHits counts component verdicts served from the
 	// persistent cross-run tier (0 when no PersistCache is attached);
@@ -360,12 +352,6 @@ func Synthesize(ctx context.Context, prog *mir.Program, rep *report.Report, opts
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = 50_000_000
 	}
-	if opts.Quantum == 0 {
-		opts.Quantum = 32
-	}
-	if opts.MaxStates == 0 {
-		opts.MaxStates = 8192
-	}
 	if opts.Parallelism <= 1 {
 		// One worker is the sequential searcher.
 		opts.Parallelism = 0
@@ -443,21 +429,13 @@ func Synthesize(ctx context.Context, prog *mir.Program, rep *report.Report, opts
 // runLoop, from the initial state or from opts.Resume's checkpoint, and
 // checkpointed again when Preempt stops it.
 func runSequential(ctx context.Context, pl *plan, opts Options, start time.Time, emit func(Phase, int)) (*Result, error) {
-	w := newWorker(ctx, pl, opts, 0, 1, start)
+	w := newWorker(ctx, pl, opts, 0, 1, start, nil)
 	defer w.release()
 	s := w.s
 	if ck := opts.Resume; ck != nil {
-		if err := ck.validatePlan(pl); err != nil {
+		if err := w.resume(ck, pl); err != nil {
 			return nil, err
 		}
-		roots, err := ck.Pool.Decode(pl.prog)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.restore(ck, roots, w.det); err != nil {
-			return nil, err
-		}
-		ck.restoreWorker(w)
 		emit(PhaseSearch, s.front.size())
 	} else {
 		init, err := s.eng.InitialState()
@@ -468,7 +446,7 @@ func runSequential(ctx context.Context, pl *plan, opts Options, start time.Time,
 		// Scoring the initial state builds the distance tables, which is
 		// search-phase work: the frontier is seeded after the phase event.
 		s.front = newQueueFrontier(opts.Strategy, pl.schedGuided, len(pl.queueGoals))
-		s.insert(init)
+		s.seed(init)
 	}
 	searchWorkers.Add(1)
 	found, timedOut, cancelled, preempted := s.runLoop(w.res)
@@ -665,8 +643,8 @@ type searcher struct {
 	front *queueFrontier
 	// route, when set, diverts insertions to a frontier-parallel run's
 	// shared shards instead of this searcher's own frontier. Workers
-	// reuse quantum/admit/terminal/prunable verbatim through this hook.
-	route func(*symex.State)
+	// reuse quantum/admit/keep/terminal verbatim through this hook.
+	route func(*symex.State, []esdKey)
 
 	// Flight-recorder and per-run counters: allPicks drives the
 	// deterministic frontier-sampling cadence across all strategies;
@@ -676,8 +654,8 @@ type searcher struct {
 	sheds      int64
 
 	// stack is the scoring scratch: stateDistance, schedDistance and
-	// prunable read each live thread's call stack into it in turn instead
-	// of copying one per thread per score.
+	// mayReachGoals read each live thread's call stack into it in turn
+	// instead of copying one per thread per score.
 	stack []mir.Loc
 }
 
@@ -756,7 +734,7 @@ func (s *searcher) runLoop(res *Result) (found *symex.State, timedOut, cancelled
 		if found != nil {
 			return found, false, false, false
 		}
-		if s.front.size() > s.opts.MaxStates {
+		if s.front.size() > maxLiveStates {
 			s.shedStates()
 		}
 	}
@@ -796,38 +774,52 @@ func (s *searcher) maybeProgress(now time.Time) {
 	})
 }
 
-// insert adds a live state to the frontier — this searcher's own, or the
-// shared shards of a frontier-parallel run when route is set.
-func (s *searcher) insert(st *symex.State) {
+// seed inserts the initial state, scored but never gated.
+func (s *searcher) seed(init *symex.State) {
+	keys, _ := s.scoreState(init)
+	s.insert(init, keys)
+}
+
+// insert adds an admitted live state with its keys to the frontier —
+// this searcher's own, or the shared shards of a frontier-parallel run
+// when route is set — and only then lets it move the deepest path and
+// the best final-goal fitness that progress events and the trace report.
+func (s *searcher) insert(st *symex.State, keys []esdKey) {
 	if st.Steps > s.maxDepth {
 		s.maxDepth = st.Steps
 	}
+	for q := s.finalStart; q < len(keys); q++ {
+		if keys[q].fit < s.bestFit {
+			s.bestFit = keys[q].fit
+		}
+	}
 	if s.route != nil {
-		s.route(st)
+		s.route(st, keys)
 		return
 	}
-	s.front.insert(st, s.scoreState(st))
+	s.front.insert(st, keys)
 }
 
 // scoreState computes the per-queue ESD keys of a state (nil for the
-// other strategies), tracking the best final-goal fitness seen. The
-// schedule-distance component is queue-independent (it measures progress
-// toward the reported bug's full goal set), so it is computed once per
-// scoring and shared across the per-queue keys.
-func (s *searcher) scoreState(st *symex.State) []esdKey {
+// other strategies) and reports whether some final goal is at Infinite
+// data distance from it. The schedule-distance component is
+// queue-independent (it measures progress toward the reported bug's full
+// goal set), so it is computed once per scoring and shared across the
+// per-queue keys.
+func (s *searcher) scoreState(st *symex.State) (keys []esdKey, unreachable bool) {
 	if s.opts.Strategy != StrategyESD {
-		return nil
+		return nil, false
 	}
 	sched := s.schedDistance(st)
-	keys := make([]esdKey, len(s.queueGoals))
-	for q := range s.queueGoals {
-		key := s.esdKey(st, s.queueGoals[q], sched)
-		if q >= s.finalStart && key.fit < s.bestFit {
-			s.bestFit = key.fit
+	keys = make([]esdKey, len(s.queueGoals))
+	for q, goalSet := range s.queueGoals {
+		d := s.stateDistance(st, goalSet)
+		if q >= s.finalStart && d >= dist.Infinite {
+			unreachable = true
 		}
-		keys[q] = key
+		keys[q] = esdKey{fit: combineFitness(d, sched), id: st.ID}
 	}
-	return keys
+	return keys, unreachable
 }
 
 func (s *searcher) budgetExceeded(now time.Time) bool {
@@ -871,11 +863,7 @@ func combineFitness(dataD, syncD int64) int64 {
 }
 
 func (s *searcher) esdKey(st *symex.State, goalSet []mir.Loc, sched int64) esdKey {
-	d := int64(0)
-	if !s.opts.Ablate.NoProximity {
-		d = s.stateDistance(st, goalSet)
-	}
-	return esdKey{fit: combineFitness(d, sched), id: st.ID}
+	return esdKey{fit: combineFitness(s.stateDistance(st, goalSet), sched), id: st.ID}
 }
 
 // schedDistance is the graded §4.1 schedule-distance of a state: the
@@ -961,8 +949,12 @@ func add(a, b int64) int64 {
 
 // stateDistance estimates the state's proximity to the nearest member of
 // goalSet: the minimum over live threads of Algorithm 1's stack-aware
-// distance.
+// distance. The NoProximity ablation reads every state at distance 0, so
+// the search runs without any distance information.
 func (s *searcher) stateDistance(st *symex.State, goalSet []mir.Loc) int64 {
+	if s.opts.Ablate.NoProximity {
+		return 0
+	}
 	best := int64(dist.Infinite)
 	for _, t := range st.Threads {
 		if t.Status == symex.ThreadExited {
@@ -978,12 +970,13 @@ func (s *searcher) stateDistance(st *symex.State, goalSet []mir.Loc) int64 {
 	return best
 }
 
-// quantum runs st for up to Quantum instructions, absorbing forks into the
-// pool. It returns a state matching the report if one terminates this
-// quantum, and a non-nil error only when the VM observed the cancelled
-// context (every other engine error abandons the state in place).
+// quantum runs st for up to quantumSteps instructions, absorbing forks
+// into the pool. It returns a state matching the report if one terminates
+// this quantum, and a non-nil error only when the VM observed the
+// cancelled context (every other engine error abandons the state in
+// place).
 func (s *searcher) quantum(st *symex.State, res *Result) (*symex.State, error) {
-	for i := 0; i < s.opts.Quantum; i++ {
+	for i := 0; i < quantumSteps; i++ {
 		succ, err := s.eng.Step(st)
 		if err != nil {
 			if errors.Is(err, symex.ErrInterrupted) {
@@ -1008,11 +1001,7 @@ func (s *searcher) quantum(st *symex.State, res *Result) (*symex.State, error) {
 			return s.terminal(st, res), nil
 		}
 	}
-	if reason := s.prunable(st); reason != "" {
-		s.countPrune(res, reason)
-		return nil, nil // statically cannot reach the goal: abandon (§3.2)
-	}
-	s.insert(st)
+	s.keep(st, res)
 	return nil, nil
 }
 
@@ -1022,21 +1011,32 @@ func (s *searcher) admit(f *symex.State, res *Result) *symex.State {
 	if f.Status != symex.StateRunning {
 		return s.terminal(f, res)
 	}
-	if reason := s.prunable(f); reason != "" {
-		s.countPrune(res, reason)
-		return nil
-	}
-	s.insert(f)
+	s.keep(f, res)
 	return nil
 }
 
-// countPrune splits abandoned states by the gate that proved them dead.
-func (s *searcher) countPrune(res *Result, reason string) {
-	if reason == pruneCritical {
+// keep runs a live state through the two pruning gates and inserts a
+// survivor with the keys it was scored with (§3.2). The critical-edge
+// gate runs first. The second gate reads the score: the proximity
+// calculator's Infinite is an instruction-granular unreachability proof,
+// stronger than the block-level gate because it also accounts for
+// non-returning calls on every path (a thread stuck below a frame that
+// can never return is dead even when its blocks look goal-reaching), so a
+// state some final goal is at Infinite data distance from is abandoned
+// too. Under the NoProximity ablation no distance is Infinite, so only
+// the first gate runs.
+func (s *searcher) keep(st *symex.State, res *Result) {
+	gated := s.gated(st)
+	if gated && !s.mayReachGoals(st) {
 		res.PrunedCritical++
-	} else {
-		res.PrunedInfinite++
+		return
 	}
+	keys, unreachable := s.scoreState(st)
+	if gated && unreachable {
+		res.PrunedInfinite++
+		return
+	}
+	s.insert(st, keys)
 }
 
 // terminal classifies a finished state: the reported bug, a different bug,
@@ -1066,20 +1066,22 @@ const (
 	pruneInfinite = "infinite_distance"
 )
 
-// prunable implements critical-edge path abandonment: a state none of
-// whose threads can still reach some goal is dead (§3.2, §3.3). It returns
-// the gate that proved the state dead ("" when it stays live).
-func (s *searcher) prunable(st *symex.State) string {
+// gated reports whether the pruning gates may abandon st. Only ESD
+// searches prune, and the NoCriticalEdges ablation turns both gates off.
+// Deadlock schedule synthesis deliberately runs threads PAST their goal
+// locks and rolls them back through K_S snapshots (§4.1); as long as a
+// state can still be rolled back, static reachability of its current
+// program points is not evidence of deadness.
+func (s *searcher) gated(st *symex.State) bool {
 	if s.opts.Ablate.NoCriticalEdges || s.opts.Strategy != StrategyESD {
-		return ""
+		return false
 	}
-	// Deadlock schedule synthesis deliberately runs threads PAST their
-	// goal locks and rolls them back through K_S snapshots (§4.1); as long
-	// as a state can still be rolled back, static reachability of its
-	// current program points is not evidence of deadness.
-	if s.rep.Kind == report.KindDeadlock && len(st.Snapshots) > 0 {
-		return ""
-	}
+	return s.rep.Kind != report.KindDeadlock || len(st.Snapshots) == 0
+}
+
+// mayReachGoals is the critical-edge gate: a state none of whose threads
+// can still reach some goal is dead (§3.2, §3.3).
+func (s *searcher) mayReachGoals(st *symex.State) bool {
 	for _, a := range s.analyses {
 		reachable := false
 		for _, t := range st.Threads {
@@ -1092,49 +1094,10 @@ func (s *searcher) prunable(st *symex.State) string {
 			}
 		}
 		if !reachable {
-			return pruneCritical
+			return false
 		}
 	}
-	// Second gate: the proximity calculator's Infinite is an instruction-
-	// granular unreachability proof — stronger than the block-level check
-	// above because it also accounts for non-returning calls on every path
-	// (a thread stuck below a frame that can never return is dead even when
-	// its blocks look goal-reaching). Gated on NoProximity so the §7.3
-	// ablation really runs without any distance information.
-	if s.opts.Ablate.NoProximity {
-		return ""
-	}
-	if pf := s.opts.PruneFacts; pf != nil {
-		// The verdict is a pure function of (live stacks, final goals),
-		// so the shared memo returns exactly what infiniteDistance would
-		// compute — reuse changes no decision, only who pays for it.
-		key := pruneFactKey(st)
-		inf, ok := pf.lookup(key)
-		if !ok {
-			inf = s.infiniteDistance(st)
-			pf.publish(key, inf)
-		}
-		if inf {
-			return pruneInfinite
-		}
-		return ""
-	}
-	if s.infiniteDistance(st) {
-		return pruneInfinite
-	}
-	return ""
-}
-
-// infiniteDistance reports whether some final goal is at Infinite
-// proximity from every live thread — the instruction-granular
-// unreachability proof behind the pruneInfinite gate.
-func (s *searcher) infiniteDistance(st *symex.State) bool {
-	for i := range s.finalGoals {
-		if s.stateDistance(st, s.finalGoals[i:i+1]) >= dist.Infinite {
-			return true
-		}
-	}
-	return false
+	return true
 }
 
 // shedStates drops the worst states when the pool overflows: keep the half
@@ -1144,12 +1107,12 @@ func (s *searcher) infiniteDistance(st *symex.State) bool {
 func (s *searcher) shedStates() {
 	goalSet := s.queueGoals[len(s.queueGoals)-1]
 	type scored struct {
-		st *symex.State
+		ls liveState
 		k  esdKey
 	}
 	arr := make([]scored, 0, s.front.size())
 	for _, ls := range s.front.alive {
-		arr = append(arr, scored{ls.st, s.esdKey(ls.st, goalSet, s.schedDistance(ls.st))})
+		arr = append(arr, scored{ls, s.esdKey(ls.st, goalSet, s.schedDistance(ls.st))})
 	}
 	sort.Slice(arr, func(i, j int) bool { return arr[i].k.less(arr[j].k) })
 	keep := len(arr) / 2
@@ -1163,6 +1126,8 @@ func (s *searcher) shedStates() {
 	})
 	s.front.reset() // drop backing arrays: shed states must become collectable
 	for i := 0; i < keep; i++ {
-		s.insert(arr[i].st)
+		// A kept state has not run since it was admitted, so it goes
+		// back with the keys it was admitted with.
+		s.front.insert(arr[i].ls.st, arr[i].ls.keys)
 	}
 }

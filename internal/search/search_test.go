@@ -218,6 +218,61 @@ int main() {
 	}
 }
 
+// TestInfiniteDistanceGate covers the second pruning gate. When a == 3
+// the program calls spin, which never returns, on its way to the crash
+// site. Block-level reachability (the critical-edge gate) still sees a
+// path from that call to the crash, but the proximity calculator proves
+// the crash at Infinite distance, so the score prunes the state. The
+// a != 7 state that returns without crashing is the critical-edge
+// gate's one prune. The spin call sits on the else side because a
+// branch's else side is the fork, gated as it is admitted: both prunes
+// happen inside the first quantum, so at n=2 no other worker can reach
+// the crash first and cancel the run before a gate fires.
+func TestInfiniteDistanceGate(t *testing.T) {
+	src := `
+int spin(int n) { return spin(n + 1); }
+int main() {
+	int a = input("a");
+	int *p = 0;
+	if (a != 3) {
+	} else {
+		spin(a);
+	}
+	if (a == 7) {
+		return *p;   // crash site
+	}
+	return 0;
+}`
+	prog := lang.MustCompile("spin.c", src)
+	in := &usersite.Inputs{Named: map[string]int64{"a": 7}}
+	st, err := usersite.RunOnce(prog, in, usersite.Options{}, 0)
+	if err != nil || st.Status != symex.StateCrashed {
+		t.Fatalf("setup: %v %v", err, st.Summary())
+	}
+	rep, err := report.FromState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2} {
+		res, err := Synthesize(context.Background(), prog, rep, Options{
+			Strategy:    StrategyESD,
+			Budget:      20 * time.Second,
+			Seed:        1,
+			Parallelism: n,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Found == nil {
+			t.Fatalf("n=%d: crash not synthesized (steps=%d)", n, res.Steps)
+		}
+		if res.PrunedCritical != 1 || res.PrunedInfinite != 1 {
+			t.Errorf("n=%d: pruned %d by the critical-edge gate and %d by the infinite-distance gate, want 1 and 1",
+				n, res.PrunedCritical, res.PrunedInfinite)
+		}
+	}
+}
+
 func TestDFSFindsTrivialCrash(t *testing.T) {
 	src := `
 int main() {

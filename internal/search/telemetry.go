@@ -31,15 +31,6 @@ var (
 	searchDedupDrops = telemetry.NewCounter("esd_search_dedup_drops_total",
 		"Forked states dropped by the cross-worker dedup set (frontier-parallel runs only).")
 
-	// Shared prune-fact memo events (incremented on the hot path: the memo
-	// is cross-worker, so there is no single run to flush from).
-	pruneFactHits = telemetry.NewCounter("esd_search_prune_fact_hits_total",
-		"Infinite-distance verdicts reused from the shared cross-worker prune memo.")
-	pruneFactMisses = telemetry.NewCounter("esd_search_prune_fact_misses_total",
-		"Shared prune-memo lookups that had to compute the verdict.")
-	pruneFactPublishes = telemetry.NewCounter("esd_search_prune_fact_publishes_total",
-		"Infinite-distance verdicts published into shared prune memos.")
-
 	syntheses = telemetry.NewCounterVec("esd_syntheses_total",
 		"Completed synthesis runs, by outcome.",
 		"outcome")

@@ -47,11 +47,12 @@ type solverBase struct {
 }
 
 // newWorker sets up worker i of n. Its solver is opts.Solver for worker
-// 0, else one from opts.Solvers, else a fresh one; the request's shared
-// and persistent fact tiers are attached to it until release. Workers of
-// a frontier-parallel run (n > 1) get disjoint state-ID ranges — states
+// 0, else one from opts.Solvers, else a fresh one; shared (a
+// frontier-parallel run's fact layer, nil for a sequential run) and the
+// persistent tier are attached to it until release. Workers of a
+// frontier-parallel run (n > 1) get disjoint state-ID ranges — states
 // migrate between engines when stolen — and their own rng streams.
-func newWorker(ctx context.Context, pl *plan, opts Options, i, n int, start time.Time) *worker {
+func newWorker(ctx context.Context, pl *plan, opts Options, i, n int, start time.Time, shared *solver.SharedCache) *worker {
 	w := &worker{id: i, res: &Result{Terminals: map[symex.StateStatus]int64{}}}
 	sol := opts.Solver
 	if i > 0 || sol == nil {
@@ -63,9 +64,9 @@ func newWorker(ctx context.Context, pl *plan, opts Options, i, n int, start time
 		}
 	}
 	// Each solver stays single-threaded, but on a private-cache miss it
-	// consults (and publishes into) the concurrency-safe request tiers, so
+	// consults (and publishes into) the concurrency-safe shared tiers, so
 	// workers stop re-solving each other's components.
-	sol.Shared = opts.SharedCache
+	sol.Shared = shared
 	sol.Persist = opts.PersistCache
 	w.base = solverBase{
 		hits:    sol.CacheHits,
@@ -84,8 +85,8 @@ func newWorker(ctx context.Context, pl *plan, opts Options, i, n int, start time
 	return w
 }
 
-// release detaches the request's fact tiers from the worker's solver and
-// returns a pooled solver. A stale attachment would leak this request's
+// release detaches the shared fact tiers from the worker's solver and
+// returns a pooled solver. A stale attachment would leak this run's
 // facts into the solver's next run and pin a dead cache alive.
 func (w *worker) release() {
 	w.s.sol.Shared = nil

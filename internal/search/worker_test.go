@@ -46,10 +46,10 @@ func (nopPersist) Lookup([]expr.StructKey) (solver.Result, map[string]int64, boo
 func (nopPersist) Publish([]expr.StructKey, solver.Result, map[string]int64) {}
 
 // TestSolverAttachDetach checks the solver discipline of every search
-// shape: each run attaches the request's shared and persistent tiers to
-// the solvers it uses and detaches them before returning — on success,
-// on preemption, and on a rejected resume — and every solver taken from
-// the pool goes back.
+// shape: each run attaches its fact tiers (the persistent one, and a
+// frontier-parallel run's shared one) to the solvers it uses and
+// detaches them before returning — on success, on preemption, and on a
+// rejected resume — and every solver taken from the pool goes back.
 func TestSolverAttachDetach(t *testing.T) {
 	rep, _ := listing1Report(t)
 	prog := lang.MustCompile("listing1.c", listing1)
@@ -61,8 +61,6 @@ func TestSolverAttachDetach(t *testing.T) {
 			Seed:         1,
 			Solver:       solver.New(),
 			Solvers:      pool,
-			SharedCache:  solver.NewSharedCache(),
-			PruneFacts:   NewPruneFacts(),
 			PersistCache: nopPersist{},
 		}
 	}

@@ -8,13 +8,13 @@ import (
 )
 
 // SharedCache is a concurrency-safe fact layer over solved constraint
-// components, shared by every solver of one synthesis request: all
-// frontier-parallel workers of a run. Per-worker solvers stay
-// single-threaded and keep their private memo as the first-level cache;
-// on a private miss they consult the shared layer before paying for a
-// solve, and publish the verified verdict after. This is what keeps
-// parallel workers from re-solving the components their siblings already
-// answered — the solver-bound apps' parallel regression.
+// components, shared by the solvers of one frontier-parallel run's
+// workers; the search creates one per parallel run, and a sequential run,
+// with its one solver, has none. Per-worker solvers stay single-threaded
+// and keep their private memo as the first-level cache; on a private miss
+// they consult the shared layer before paying for a solve, and publish
+// the verified verdict after, so parallel workers do not re-solve the
+// components their siblings already answered.
 //
 // Sharing is sound and deterministic because a component verdict is a
 // pure function of the component: the key is the exact sorted slice of
@@ -30,7 +30,7 @@ import (
 // Structural keys keep the cache valid across collections: entries hold
 // no term pointers (models are plain name→value maps), and a term
 // re-interned after its collection hashes to the same key. The cache's
-// lifetime is bounded by the request that owns it.
+// lifetime is bounded by the run that owns it.
 type SharedCache struct {
 	shards [sharedShards]sharedShard
 

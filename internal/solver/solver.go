@@ -95,10 +95,10 @@ type Solver struct {
 	cache map[uint64][]cacheEntry
 
 	// Shared, when non-nil, is the cross-solver fact layer of the current
-	// run (see SharedCache): consulted after the private cache misses on a
-	// component, published into after a component is decided. The search
-	// layer attaches it for the run's duration and detaches it before the
-	// solver returns to a pool.
+	// frontier-parallel run (see SharedCache): consulted after the private
+	// cache misses on a component, published into after a component is
+	// decided. The search layer attaches it for the run's duration and
+	// detaches it before the solver returns to a pool.
 	Shared *SharedCache
 
 	// Persist, when non-nil, is the cross-run persistent fact tier:

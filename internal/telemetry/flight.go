@@ -172,9 +172,10 @@ type WallStats struct {
 	SolveNS  int64 `json:"solve_ns"`
 	// SolverCacheHits counts query-cache hits (warm-solver dependent).
 	SolverCacheHits int64 `json:"solver_cache_hits"`
-	// SolverSharedHits counts component verdicts the run's solvers reused
-	// from the request's shared cross-worker fact cache (warmth-dependent
-	// like cache hits, hence wall-section only).
+	// SolverSharedHits counts component verdicts a frontier-parallel
+	// run's workers reused from their shared fact cache (0 for a
+	// sequential run; timing-dependent like cache hits, hence
+	// wall-section only).
 	SolverSharedHits int64 `json:"solver_shared_hits,omitempty"`
 	// SolverPersistentHits counts component verdicts served from the
 	// cross-run persistent cache; SolverVerifyRejects counts persistent

@@ -3,10 +3,13 @@ package esd_test
 import (
 	"bytes"
 	"context"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"esd"
+	"esd/internal/telemetry"
 )
 
 // synthReport runs one listing1 synthesis with the given options (plus
@@ -91,6 +94,46 @@ func TestParallelSynthesisViaEngine(t *testing.T) {
 	}
 }
 
+// promCounter reads one unlabeled series of the process-wide telemetry
+// registry. The package's tests run one at a time, so a before/after
+// pair of readings is one synthesis's delta.
+func promCounter(t *testing.T, series string) int64 {
+	t.Helper()
+	var b strings.Builder
+	if err := telemetry.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("series %s not in the registry", series)
+	return 0
+}
+
+// TestSharedFactsOnlyInParallelRuns: solver facts are shared between the
+// workers of a frontier-parallel run, so a sequential synthesis, which
+// has no siblings, publishes nothing to a shared cache, while an n=2 one
+// does. Each runs on a fresh engine, whose solvers start cold.
+func TestSharedFactsOnlyInParallelRuns(t *testing.T) {
+	const series = "esd_solver_shared_publishes_total"
+	before := promCounter(t, series)
+	synthReport(t, esd.New())
+	if got := promCounter(t, series) - before; got != 0 {
+		t.Errorf("sequential synthesis published %d verdicts to a shared cache, want 0", got)
+	}
+	before = promCounter(t, series)
+	synthReport(t, esd.New(), esd.WithParallelism(2))
+	if got := promCounter(t, series) - before; got == 0 {
+		t.Error("n=2 synthesis published no verdicts to its workers' shared cache")
+	}
+}
+
 // frontierGateSlack is the parallel regression gate's tolerance: a
 // frontier n=4 run fails when its wall exceeds seq × slack + 250ms. The
 // multiplicative slack absorbs shared-machine noise and the additive term
@@ -108,10 +151,10 @@ const gateAttempts = 3
 
 // TestParallelNotSlowerThanSequential is the parallel regression gate:
 // on ls4, the solver-bound app, a frontier n=4 synthesis must not lose to
-// the sequential one on the same engine. Both run through the Engine, so
-// the request-shared solver cache and prune memo are attached as in
-// production; without them ls4 at n=4 once lost 3× to n=1, because every
-// worker re-solved its siblings' components.
+// the sequential one on the same engine. Both run through the Engine as
+// in production, where the n=4 run's workers share one solver fact layer.
+// ls4 at n=4 once lost 3× to n=1, before the workers shared facts and
+// each re-solved its siblings' components.
 func TestParallelNotSlowerThanSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second ls4 syntheses; skipped with -short")
