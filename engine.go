@@ -29,8 +29,8 @@ const DefaultBudget = 10 * time.Minute
 // concurrent use. Create one per process (or per tenant) with New; the
 // esdserve service and the CLIs all run on top of it.
 type Engine struct {
-	// solvers pools warm solvers: a solver's memoized query cache is
-	// keyed by canonical structural term fingerprints, so reusing one
+	// solvers pools warm solvers: a solver's memo of component verdicts
+	// is keyed by canonical structural term fingerprints, so reusing one
 	// across requests (even for different programs) only adds hits.
 	// Solvers are single-threaded, so concurrent syntheses each take
 	// their own.

@@ -162,11 +162,14 @@ type InternerStats = expr.Stats
 
 // Stats summarizes search effort.
 type Stats struct {
-	Duration        time.Duration
-	Steps           int64
-	States          int64
-	BranchForks     int64
-	SolverQueries   int
+	Duration      time.Duration
+	Steps         int64
+	States        int64
+	BranchForks   int64
+	SolverQueries int
+	// SolverCacheHits counts components answered by the solver's private
+	// memo: a query adds one per component found there, so it varies with
+	// how warm the pooled solver is.
 	SolverCacheHits int
 	// SolverSharedHits counts component verdicts a frontier-parallel
 	// run's workers took from each other through the run's shared solver

@@ -71,59 +71,58 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// KeyHasher builds a 128-bit structural fingerprint incrementally. It is
-// the canonical hasher behind StructKey, for anything that wants the same
-// stability guarantees. The zero value is NOT ready to use; call
-// NewKeyHasher.
-type KeyHasher struct {
+// keyHasher builds a 128-bit structural fingerprint incrementally: the
+// canonical hasher behind StructKey. The zero value is NOT ready to use;
+// call newKeyHasher.
+type keyHasher struct {
 	hi, lo uint64
 }
 
-// NewKeyHasher returns a hasher seeded with fixed non-zero constants, so
+// newKeyHasher returns a hasher seeded with fixed non-zero constants, so
 // equal input sequences produce equal sums in any process.
-func NewKeyHasher() KeyHasher {
-	return KeyHasher{hi: 0x6a09e667f3bcc908, lo: 0xbb67ae8584caa73b}
+func newKeyHasher() keyHasher {
+	return keyHasher{hi: 0x6a09e667f3bcc908, lo: 0xbb67ae8584caa73b}
 }
 
-// Word mixes one 64-bit word into both lanes. The lanes absorb different
+// word mixes one 64-bit word into both lanes. The lanes absorb different
 // bijections of v (the hi lane pre-multiplies by an odd constant) and are
 // cross-coupled, so a collision requires both 64-bit lanes to collide on
 // correlated state — effectively a 128-bit event.
-func (h *KeyHasher) Word(v uint64) {
+func (h *keyHasher) word(v uint64) {
 	h.lo = mix64(h.lo ^ v)
 	h.hi = mix64(h.hi ^ (v*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d))
 	h.hi += h.lo
 }
 
-// Str mixes a string: its length, then its bytes packed big-endian into
+// str mixes a string: its length, then its bytes packed big-endian into
 // 64-bit words. The length prefix disambiguates concatenations across
-// consecutive Str calls.
-func (h *KeyHasher) Str(s string) {
-	h.Word(uint64(len(s)))
+// consecutive str calls.
+func (h *keyHasher) str(s string) {
+	h.word(uint64(len(s)))
 	var w uint64
 	n := 0
 	for i := 0; i < len(s); i++ {
 		w = w<<8 | uint64(s[i])
 		n++
 		if n == 8 {
-			h.Word(w)
+			h.word(w)
 			w, n = 0, 0
 		}
 	}
 	if n > 0 {
-		h.Word(w)
+		h.word(w)
 	}
 }
 
-// Key mixes an existing 128-bit key (e.g. a child term's StructuralKey).
-func (h *KeyHasher) Key(k StructKey) {
-	h.Word(k.Hi)
-	h.Word(k.Lo)
+// key mixes an existing 128-bit key (e.g. a child term's StructuralKey).
+func (h *keyHasher) key(k StructKey) {
+	h.word(k.Hi)
+	h.word(k.Lo)
 }
 
-// Sum finalizes and returns the 128-bit fingerprint. The hasher may keep
-// absorbing after a Sum; Sum itself does not mutate state.
-func (h *KeyHasher) Sum() StructKey {
+// sum finalizes and returns the 128-bit fingerprint. The hasher may keep
+// absorbing after a sum; sum itself does not mutate state.
+func (h *keyHasher) sum() StructKey {
 	return StructKey{
 		Hi: mix64(h.hi ^ (h.lo >> 32) ^ (h.lo << 32)),
 		Lo: mix64(h.lo ^ h.hi),
@@ -136,17 +135,17 @@ func (h *KeyHasher) Sum() StructKey {
 // each child tagged by its position so (a,b) and (b,a) differ, and absent
 // children contribute an explicit marker so (a,nil) and (nil,a) differ.
 func structKeyParts(op Op, c int64, name string, a, b, t, f *Expr) StructKey {
-	h := NewKeyHasher()
-	h.Word(uint64(op))
-	h.Word(uint64(c))
-	h.Str(name)
+	h := newKeyHasher()
+	h.word(uint64(op))
+	h.word(uint64(c))
+	h.str(name)
 	for _, ch := range [...]*Expr{a, b, t, f} {
 		if ch == nil {
-			h.Word(0)
+			h.word(0)
 			continue
 		}
-		h.Word(1)
-		h.Key(ch.skey)
+		h.word(1)
+		h.key(ch.skey)
 	}
-	return h.Sum()
+	return h.sum()
 }

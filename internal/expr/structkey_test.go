@@ -186,24 +186,24 @@ func TestStructKeyLargeCorpusDistinct(t *testing.T) {
 // boundary-ambiguous inputs (a caller hashing a sequence of records
 // depends on this).
 func TestKeyHasherStreams(t *testing.T) {
-	sum := func(f func(h *KeyHasher)) StructKey {
-		h := NewKeyHasher()
+	sum := func(f func(h *keyHasher)) StructKey {
+		h := newKeyHasher()
 		f(&h)
-		return h.Sum()
+		return h.sum()
 	}
-	a := sum(func(h *KeyHasher) { h.Str("ab"); h.Str("c") })
-	b := sum(func(h *KeyHasher) { h.Str("a"); h.Str("bc") })
-	c := sum(func(h *KeyHasher) { h.Str("abc") })
+	a := sum(func(h *keyHasher) { h.str("ab"); h.str("c") })
+	b := sum(func(h *keyHasher) { h.str("a"); h.str("bc") })
+	c := sum(func(h *keyHasher) { h.str("abc") })
 	if a == b || a == c || b == c {
 		t.Fatalf("string boundary ambiguity: %v %v %v", a, b, c)
 	}
-	w1 := sum(func(h *KeyHasher) { h.Word(1); h.Word(2) })
-	w2 := sum(func(h *KeyHasher) { h.Word(2); h.Word(1) })
+	w1 := sum(func(h *keyHasher) { h.word(1); h.word(2) })
+	w2 := sum(func(h *keyHasher) { h.word(2); h.word(1) })
 	if w1 == w2 {
 		t.Fatal("word order insensitive")
 	}
 	// Determinism across hasher instances.
-	if a != sum(func(h *KeyHasher) { h.Str("ab"); h.Str("c") }) {
+	if a != sum(func(h *keyHasher) { h.str("ab"); h.str("c") }) {
 		t.Fatal("hasher is not deterministic")
 	}
 }

@@ -110,10 +110,10 @@ type Options struct {
 
 	// Solver, when non-nil, is the solver of the sequential search (worker
 	// 0 of a frontier-parallel one) instead of a fresh one. Passing a warm
-	// solver shares its memoized query cache across runs (entries are keyed
-	// by canonical structural term fingerprints, so they are valid for any
-	// program). A Solver is not safe for concurrent use: callers hand each
-	// concurrent search its own.
+	// solver shares its memo of component verdicts across runs (entries
+	// are keyed by canonical structural term fingerprints, so they are
+	// valid for any program). A Solver is not safe for concurrent use:
+	// callers hand each concurrent search its own.
 	Solver *solver.Solver
 
 	// OnProgress, when set, receives phase transitions and periodic
@@ -262,7 +262,9 @@ type Result struct {
 	StatesCreated int64
 	BranchForks   int64
 	SolverQueries int
-	SolverHits    int
+	// SolverHits counts components answered by the solvers' private memos
+	// (one per component a query finds there).
+	SolverHits int
 	// SolverSharedHits counts component verdicts the workers of a
 	// frontier-parallel run took from each other through the run's
 	// shared fact layer (0 in sequential runs, which have no siblings).
@@ -279,8 +281,8 @@ type Result struct {
 	// SchedForks counts scheduling-policy forks (the sched share of the
 	// fork split; BranchForks is the symbolic-branch share).
 	SchedForks int64
-	// SolverWallNanos is this run's wall time spent inside solver.Check —
-	// Duration minus it is the search loop's own share.
+	// SolverWallNanos is this run's wall time spent answering solver
+	// queries — Duration minus it is the search loop's own share.
 	SolverWallNanos int64
 	// Concretizations counts solver-backed term pinnings.
 	Concretizations int64

@@ -33,12 +33,15 @@
 //	                    esd_engine_*/esd_service_* series rendered from
 //	                    this server's engine
 //
-// Every synthesis runs as a job on the durable job subsystem
-// (internal/jobs), whose worker pool is the server's only fan-out: /jobs
-// is the asynchronous face (submit, poll, stream, cancel), and
-// /synthesize and /batch are thin synchronous wrappers that submit (one
-// job per report), wait, and clean up after themselves. Jobs are
-// time-sliced — a job still running after the configured slice is
+// Every synthesis but a streaming one runs as a job on the durable job
+// subsystem (internal/jobs), whose worker pool runs them: /jobs is the
+// asynchronous face (submit, poll, stream, cancel), and /batch and a
+// non-streaming /synthesize are thin synchronous wrappers that submit (one
+// job per report), wait, and clean up after themselves. A streaming
+// /synthesize ("stream": true, or an Accept of text/event-stream) calls
+// Engine.Synthesize on its handler goroutine under its admission slot
+// instead, so it is never time-sliced, checkpointed or listed under /jobs.
+// Jobs are time-sliced — a job still running after the configured slice is
 // preempted into a persisted search checkpoint and requeued behind
 // waiting work — and, with a file-backed store (Config.JobStore),
 // survive process restarts: on startup, queued and checkpointed jobs

@@ -11,10 +11,11 @@ import (
 // The race detector's instrumentation allocates, so the allocation guards
 // build only without it.
 
-// TestWarmMayBeTrueAllocatesNothing: a branch-feasibility query the
-// private cache already answers builds its conjunction and its structural
-// key in the solver's scratch, so it allocates nothing. Most of a
-// synthesis's queries take this path.
+// TestWarmMayBeTrueAllocatesNothing: a branch-feasibility query whose
+// components the private cache already answers builds its conjunction,
+// partition and component keys in the solver's scratch and merges no
+// model, so it allocates nothing. Most of a synthesis's queries take this
+// path.
 func TestWarmMayBeTrueAllocatesNothing(t *testing.T) {
 	s := New()
 	path := pathConstraints(16)

@@ -24,8 +24,9 @@ func pathConstraints(n int) []*expr.Expr {
 }
 
 // BenchmarkConcretize measures the solver work behind symex concretization:
-// deciding a growing path condition and extracting a model. Fresh solver
-// per iteration so the query cache does not short-circuit the measurement.
+// deciding a path condition and extracting a model. Fresh solver per
+// iteration, so every component is solved rather than answered by the
+// memo.
 func BenchmarkConcretize(b *testing.B) {
 	for _, n := range []int{4, 16, 48} {
 		b.Run(fmt.Sprintf("conjuncts=%d", n), func(b *testing.B) {
@@ -44,8 +45,11 @@ func BenchmarkConcretize(b *testing.B) {
 }
 
 // BenchmarkCheckCached measures the repeated-query path: the same
-// constraint set checked against a warm solver, as happens when the VM
-// re-queries a path condition after appending one conjunct.
+// constraint set checked against a warm solver, which flattens and
+// partitions it, answers every component from the private memo, and
+// merges their models into the one map Check returns. Path conditions
+// that grow by one conjunct take this path for all but the touched
+// component.
 func BenchmarkCheckCached(b *testing.B) {
 	cs := pathConstraints(32)
 	s := New()

@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"esd/internal/expr"
@@ -91,5 +93,36 @@ func TestCacheKeyedByIdentity(t *testing.T) {
 	}
 	if s.Queries != q+1 || s.CacheHits != hits+1 {
 		t.Fatalf("permuted+duplicated set missed the cache: queries %d hits %d", s.Queries, s.CacheHits)
+	}
+}
+
+// TestCacheHitsCountComponents: CacheHits counts components answered by
+// the private memo, so replaying a run's queries on the solver that
+// answered them counts one hit per component, and a warmer solver never
+// reads fewer hits than a colder one. Six queries each append a conjunct
+// over a new variable, so the k-th has k components: the first pass finds
+// the k-1 it shares with its predecessor (15 in all), the second finds
+// all 21.
+func TestCacheHitsCountComponents(t *testing.T) {
+	var path []*expr.Expr
+	var queries [][]*expr.Expr
+	for i := range 6 {
+		path = append(path, gtc(expr.Var(fmt.Sprintf("hc%d", i)), int64(i)))
+		queries = append(queries, slices.Clone(path))
+	}
+	s := New()
+	pass := func() int {
+		hits := s.CacheHits
+		for _, q := range queries {
+			if res, _ := s.Check(q); res != Sat {
+				t.Fatalf("query over %d variables: %v, want sat", len(q), res)
+			}
+		}
+		return s.CacheHits - hits
+	}
+	cold := pass()
+	warm := pass()
+	if cold != 15 || warm != 21 {
+		t.Fatalf("hits per pass: cold %d, warm %d; want 15 and 21", cold, warm)
 	}
 }

@@ -30,6 +30,7 @@ package solver
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -70,28 +71,29 @@ const (
 	MaxValue = 1 << 40
 )
 
-// Solver holds tunables, the memoized query cache, and the scratch its
-// queries work in. A Solver is not safe for concurrent use: one goroutine
-// uses it at a time (each search worker owns one; pools hand one to a
-// single run). The scratch makes a query allocate only what outlives it —
-// cache entries, published facts, models — and is emptied of terms before
-// every Check returns, so an idle or pooled solver keeps no term from
-// collection.
+// Solver holds tunables, the memo of component verdicts, and the scratch
+// its queries work in. A Solver is not safe for concurrent use: one
+// goroutine uses it at a time (each search worker owns one; pools hand one
+// to a single run). The scratch makes a query allocate only what outlives
+// it — cache entries, published facts, models — and is emptied of terms
+// before every query returns, so an idle or pooled solver keeps no term
+// from collection.
 type Solver struct {
 	// MaxNodes bounds the number of search nodes explored per query before
 	// answering Unknown.
 	MaxNodes int
 
-	// cache memoizes query results by the canonical structural key of the
-	// constraint set (expr.StructKey): the sorted slice of 128-bit
-	// structural fingerprints of the conjuncts. Structural keys — unlike
-	// intern IDs — survive the collection and re-interning of the terms,
-	// so a warm pooled solver keeps its facts across requests; a false
-	// hit requires a full 128-bit collision between distinct terms, which
-	// is negligible against every other failure mode.
-	// Entries are stored both for full queries and for each independent
-	// component, so extending a path condition by one conjunct re-solves
-	// only the component the new conjunct touches.
+	// cache is the private memo: it maps each independent component a
+	// query partitions into to its verdict, keyed by the canonical
+	// structural key of the component (expr.StructKey): the sorted slice
+	// of 128-bit structural fingerprints of its conjuncts. Structural keys
+	// — unlike intern IDs — survive the collection and re-interning of the
+	// terms, so a warm pooled solver keeps its facts across requests; a
+	// false hit requires a full 128-bit collision between distinct terms,
+	// which is negligible against every other failure mode. It holds
+	// components only and never evicts: a query's verdict and model follow
+	// from its components' entries, so extending a path condition by one
+	// conjunct re-solves only the component the new conjunct touches.
 	cache map[uint64][]cacheEntry
 
 	// Shared, when non-nil, is the cross-solver fact layer of the current
@@ -110,7 +112,10 @@ type Solver struct {
 	Persist PersistentCache
 
 	// Stats
-	Queries   int
+	Queries int
+	// CacheHits counts components answered by the private memo; a query
+	// adds one per component it finds there, so a warmer solver never
+	// reads fewer hits for the same queries.
 	CacheHits int
 	// SharedHits counts component answers this solver took from the
 	// attached SharedCache (the per-worker reuse attribution; the cache's
@@ -124,9 +129,9 @@ type Solver struct {
 	// holds entries from a different term semantics (or corruption) —
 	// harmless for correctness, fatal for its hit rate.
 	VerifyRejects int
-	// WallNanos accumulates wall time spent inside Check. Search reads its
-	// delta around every query batch to attribute synthesis wall time to the
-	// solver versus the search loop.
+	// WallNanos accumulates wall time spent answering queries. Search reads
+	// its delta around every query batch to attribute synthesis wall time to
+	// the solver versus the search loop.
 	WallNanos int64
 
 	scratch
@@ -134,21 +139,20 @@ type Solver struct {
 
 // scratch is a Solver's per-query working storage.
 type scratch struct {
-	sub       expr.Subst          // the case split's substitution (substituteAll)
-	query     []*expr.Expr        // MayBeTrue/MustBeTrue: path ∧ cond
-	flat      []*expr.Expr        // flatten's output
-	seen      map[*expr.Expr]bool // flatten's duplicate filter
-	parent    []int               // partition's union-find forest
-	slot      []int               // partition: root conjunct -> component index
-	owner     map[string]int      // partition: variable -> first conjunct mentioning it
-	comps     [][]*expr.Expr      // partition's components
-	queryKeys []expr.StructKey    // structKey of the whole query
-	compKeys  []expr.StructKey    // structKey of one component
-	env       map[string]int64    // evalAt's one-variable environment
+	sub      expr.Subst          // the case split's substitution (substituteAll)
+	query    []*expr.Expr        // MayBeTrue/MustBeTrue: path ∧ cond
+	flat     []*expr.Expr        // flatten's output
+	seen     map[*expr.Expr]bool // flatten's duplicate filter
+	parent   []int               // partition's union-find forest
+	slot     []int               // partition: root conjunct -> component index
+	owner    map[string]int      // partition: variable -> first conjunct mentioning it
+	comps    [][]*expr.Expr      // partition's components
+	compKeys []expr.StructKey    // structKey of one component
+	env      map[string]int64    // evalAt's one-variable environment
 }
 
-// dropTerms empties the scratch that holds terms; Check calls it before
-// returning.
+// dropTerms empties the scratch that holds terms; every query calls it
+// before returning.
 func (sc *scratch) dropTerms() {
 	clear(sc.flat)
 	sc.flat = sc.flat[:0]
@@ -159,7 +163,7 @@ func (sc *scratch) dropTerms() {
 }
 
 type cacheEntry struct {
-	keys  []expr.StructKey // sorted structural keys of the constraint set
+	keys  []expr.StructKey // sorted structural keys of the component
 	res   Result
 	model map[string]int64
 }
@@ -304,6 +308,20 @@ func (l linear) add(o linear) linear {
 // terms. On Sat, the returned model maps every free variable to a value
 // that is verified to satisfy all constraints.
 func (s *Solver) Check(constraints []*expr.Expr) (Result, map[string]int64) {
+	model := map[string]int64{}
+	if res := s.decide(constraints, model); res != Sat {
+		return res, nil
+	}
+	return Sat, model
+}
+
+// decide answers a query from its independent components and, when model
+// is non-nil, copies every Sat component's model into it. The verdict is a
+// pure function of the component verdicts, which the private memo keeps
+// for the solver's lifetime, so a repeated query costs one flatten, one
+// partition and one memo lookup per component, and no key is built over
+// the whole query.
+func (s *Solver) decide(constraints []*expr.Expr, model map[string]int64) Result {
 	start := time.Now()
 	defer func() {
 		s.dropTerms()
@@ -311,64 +329,43 @@ func (s *Solver) Check(constraints []*expr.Expr) (Result, map[string]int64) {
 		s.WallNanos += ns
 		solverWall.Add(ns)
 	}()
-	// Cache keys are structural (expr.StructKey), not intern identities,
-	// so entries remain valid — and keep hitting — when collected terms
-	// are re-interned. Models hold plain name→value maps and keep no term
-	// alive.
 	s.Queries++
 	solverQueries.Inc()
-	key, keys := structKey(s.queryKeys, constraints)
-	s.queryKeys = keys
-	if ent, ok := s.cacheGet(key, keys); ok {
-		s.CacheHits++
-		queryHits.Inc()
-		return ent.res, ent.model
-	}
-	queryMisses.Inc()
 
 	cs := s.flatten(constraints)
 	// Trivial scan first.
 	for _, c := range cs {
 		if v, ok := c.IsConst(); ok && v == 0 {
-			s.cachePut(key, keys, Unsat, nil)
-			return Unsat, nil
+			return Unsat
 		}
 	}
 	cs = dropTrue(cs)
 	if len(cs) == 0 {
-		model := map[string]int64{}
-		s.cachePut(key, keys, Sat, model)
-		return Sat, model
+		return Sat
 	}
 
 	// Independence partitioning: conjuncts over disjoint variable sets
 	// cannot influence each other, so each connected component is decided
 	// (and cached) on its own. Path-condition queries grow by one conjunct
 	// at a time, so all but the touched component hit the cache.
-	res, model := Sat, map[string]int64{}
+	res := Sat
 	for _, comp := range s.partition(cs) {
 		solverComponentSize.Observe(int64(len(comp)))
 		r, m := s.checkComponent(comp)
-		if r == Unsat {
-			res, model = Unsat, nil
-			break
-		}
-		if r == Unknown {
-			res, model = Unknown, nil
-			continue // keep scanning: a later Unsat component dominates
-		}
-		if res == Sat {
-			for k, v := range m {
-				model[k] = v
-			}
+		switch {
+		case r == Unsat:
+			return Unsat
+		case r == Unknown:
+			res = Unknown // keep scanning: a later Unsat component dominates
+		case model != nil:
+			maps.Copy(model, m)
 		}
 	}
 	// No full-query re-verification: every Sat component model was verified
 	// by concrete evaluation before it was cached (checkComponent), and
 	// components have disjoint variable sets, so the merged model satisfies
 	// the conjunction by construction.
-	s.cachePut(key, keys, res, model)
-	return res, model
+	return res
 }
 
 // checkComponent decides one variable-connected constraint group, with its
@@ -434,10 +431,7 @@ func (s *Solver) checkComponent(cs []*expr.Expr) (Result, map[string]int64) {
 		res, model = st.search(cs)
 	}
 	if res == Sat && !modelSatisfies(cs, model) {
-		// Verify before caching: a bogus model must not enter the cache as
-		// Sat (a single-conjunct component shares its cache key with the
-		// full query, so an unverified entry would shadow the fail-closed
-		// answer on repeat queries).
+		// Verify before caching: a bogus model must not enter the cache as Sat.
 		res, model = Unknown, nil
 	}
 	owned := s.cachePut(key, keys, res, model)
@@ -671,10 +665,10 @@ func (s *Solver) MustBeTrue(path []*expr.Expr, cond *expr.Expr) (bool, Result) {
 }
 
 // checkWith decides path ∧ c, building the conjunction in the solver's
-// scratch.
+// scratch. It merges no model: its callers read only the verdict.
 func (s *Solver) checkWith(path []*expr.Expr, c *expr.Expr) Result {
 	s.query = append(append(s.query[:0], path...), c)
-	res, _ := s.Check(s.query)
+	res := s.decide(s.query, nil)
 	clear(s.query)
 	return res
 }
@@ -693,29 +687,22 @@ func completeModel(model map[string]int64, c *expr.Expr) map[string]int64 {
 	return env
 }
 
-// structKey canonicalizes a constraint set to its sorted, deduplicated
-// structural-key slice plus a 64-bit bucket hash of it. The slice is the
-// exact cache key (compared in full by matchEntry); the bucket hash only
-// picks the chain. Because structural keys are stable across
-// collections, restarts, and processes, the same constraint set always
-// canonicalizes to the same key everywhere — the property the shared and
-// persistent tiers are built on. The keys are built in dst's storage, so
-// whatever keeps them past the query must copy them (cachePut does).
+// structKey canonicalizes a component to its sorted structural-key slice
+// plus a 64-bit bucket hash of it. The slice is the exact cache key
+// (compared in full by matchEntry); the bucket hash only picks the chain.
+// A component repeats no key: flatten drops repeated terms, and interning
+// gives structurally equal terms one pointer. Because structural keys are
+// stable across collections, restarts, and processes, the same component
+// always canonicalizes to the same key everywhere — the property the
+// shared and persistent tiers are built on. The keys are built in dst's
+// storage, so whatever keeps them past the query must copy them (cachePut
+// does).
 func structKey(dst []expr.StructKey, cs []*expr.Expr) (uint64, []expr.StructKey) {
 	keys := dst[:0]
 	for _, c := range cs {
 		keys = append(keys, c.StructuralKey())
 	}
 	slices.SortFunc(keys, expr.StructKey.Compare)
-	// Deduplicate: a repeated conjunct is the same constraint.
-	w := 0
-	for i, k := range keys {
-		if i == 0 || k != keys[w-1] {
-			keys[w] = k
-			w++
-		}
-	}
-	keys = keys[:w]
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
 	for _, k := range keys {
@@ -753,25 +740,19 @@ func (s *Solver) cacheGet(key uint64, keys []expr.StructKey) (cacheEntry, bool) 
 	return cacheEntry{}, false
 }
 
-// cachePut stores a verdict under keys (which may be scratch) and returns
-// the entry's own copy of them, which the shared and persistent tiers may
-// keep too.
+// cachePut stores the verdict of a component the private memo missed
+// under keys (which may be scratch) and returns the entry's own copy of
+// them, which the shared and persistent tiers may keep too.
 func (s *Solver) cachePut(key uint64, keys []expr.StructKey, res Result, model map[string]int64) []expr.StructKey {
-	// Upsert: a full query and its single component have the same keys;
-	// keeping one entry per key avoids duplicates and shadowing.
-	chain := s.cache[key]
-	if i := matchEntry(chain, keys); i >= 0 {
-		chain[i].res, chain[i].model = res, model
-		return chain[i].keys
-	}
 	keys = slices.Clone(keys)
-	s.cache[key] = append(chain, cacheEntry{keys: keys, res: res, model: model})
+	s.cache[key] = append(s.cache[key], cacheEntry{keys: keys, res: res, model: model})
 	return keys
 }
 
 // flatten splits top-level logical-ands into separate conjuncts and drops
-// duplicate conjuncts (identity comparison — terms are interned). The
-// result lives in the solver's scratch until the query returns.
+// duplicate conjuncts (identity comparison — terms are interned), which is
+// what keeps a repeated conjunct out of a component's key. The result
+// lives in the solver's scratch until the query returns.
 func (s *Solver) flatten(cs []*expr.Expr) []*expr.Expr {
 	if s.seen == nil {
 		s.seen = map[*expr.Expr]bool{}

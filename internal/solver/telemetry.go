@@ -8,17 +8,17 @@ import "esd/internal/telemetry"
 // shows the fleet-wide solver-vs-search split.
 var (
 	solverQueries = telemetry.NewCounter("esd_solver_queries_total",
-		"Satisfiability queries issued (Check calls).")
+		"Satisfiability queries issued (Check, MayBeTrue and MustBeTrue calls).")
 	solverWall = telemetry.NewCounter("esd_solver_wall_nanoseconds_total",
-		"Cumulative wall time spent inside solver.Check.")
+		"Cumulative wall time spent answering solver queries.")
 	solverCacheHits = telemetry.NewCounterVec("esd_solver_cache_hits_total",
-		"Memoized-answer hits, by cache layer (query = full constraint set, component = independence partition).",
+		"Memoized component answers, by cache tier (component = the solver's private memo, shared, persistent).",
 		"cache")
 	solverCacheMisses = telemetry.NewCounterVec("esd_solver_cache_misses_total",
-		"Memoized-answer misses, by cache layer.",
+		"Memoized component answers missed, by cache tier.",
 		"cache")
 	solverComponentSize = telemetry.NewHistogram("esd_solver_component_size",
-		"Conjuncts per independence-partition component decided by Check.", 1)
+		"Conjuncts per independence-partition component a query decided.", 1)
 
 	// The shared layer's lookups happen only on private-component misses,
 	// so shared hits+misses ≤ component misses by construction; the
@@ -31,8 +31,6 @@ var (
 	persistVerifyRejects = telemetry.NewCounter("esd_solver_persistent_verify_rejects_total",
 		"Persistent-tier Sat entries whose model failed re-verification by concrete evaluation and were discarded.")
 
-	queryHits        = solverCacheHits.With("query")
-	queryMisses      = solverCacheMisses.With("query")
 	componentHits    = solverCacheHits.With("component")
 	componentMisses  = solverCacheMisses.With("component")
 	sharedHits       = solverCacheHits.With("shared")

@@ -163,14 +163,15 @@ type SolverStats struct {
 type WallStats struct {
 	// TotalNS is the end-to-end synthesis wall time; SearchNS is the
 	// search loop's share excluding solver calls; SolverNS is wall time
-	// inside solver.Check during the search; SolveNS is the final
+	// answering solver queries during the search; SolveNS is the final
 	// path-concretization (PhaseSolve) wall time. TotalNS ≈ SearchNS +
 	// SolverNS + SolveNS (the remainder is analysis and bookkeeping).
 	TotalNS  int64 `json:"total_ns"`
 	SearchNS int64 `json:"search_ns"`
 	SolverNS int64 `json:"solver_ns"`
 	SolveNS  int64 `json:"solve_ns"`
-	// SolverCacheHits counts query-cache hits (warm-solver dependent).
+	// SolverCacheHits counts components answered by the solver's private
+	// memo (warm-solver dependent).
 	SolverCacheHits int64 `json:"solver_cache_hits"`
 	// SolverSharedHits counts component verdicts a frontier-parallel
 	// run's workers reused from their shared fact cache (0 for a
@@ -205,7 +206,7 @@ type WorkerWall struct {
 	// BusyNS is wall time the worker spent executing quanta (the rest of
 	// its life was stealing scans and blocked idle waits).
 	BusyNS int64 `json:"busy_ns"`
-	// SolverNS is the worker's wall time inside solver.Check.
+	// SolverNS is the worker's wall time answering solver queries.
 	SolverNS int64 `json:"solver_ns"`
 	// SharedHits counts component verdicts this worker took from the
 	// shared cross-worker fact cache instead of re-solving.
