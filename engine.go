@@ -201,15 +201,15 @@ func WithRaceDetection() SynthOption {
 }
 
 // WithParallelism runs the search frontier-parallel: n workers share one
-// sharded priority frontier (stealing work from each other's shards),
-// one cross-worker dedup set, one solver fact layer for the run, and the
-// compiled program and distance tables, each running its own symbolic VM
-// and solver; the first worker to reach the goal cancels the rest. n <= 1
-// runs the unchanged sequential searcher, so WithParallelism(1) is
-// bit-identical to the default. Frontier-parallel runs explore the same
-// state space as the sequential search but in a schedule-dependent order,
-// so their step counts and flight traces vary run to run; the synthesized
-// execution still strict-replays exactly.
+// priority frontier behind one lock, one dedup set, one solver fact
+// layer for the run, and the compiled program and distance tables, each
+// running its own symbolic VM and solver; the first worker to reach the
+// goal cancels the rest. n <= 1 runs the unchanged sequential searcher,
+// so WithParallelism(1) is bit-identical to the default.
+// Frontier-parallel runs explore the sequential search's state space,
+// less the duplicate decision histories the dedup set drops, in a
+// schedule-dependent order, so their step counts and flight traces vary
+// run to run; the synthesized execution still strict-replays exactly.
 func WithParallelism(n int) SynthOption {
 	return func(o *search.Options) { o.Parallelism = n }
 }
@@ -298,16 +298,17 @@ func (e *Engine) Synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 			so.Budget = rem
 		}
 	}
-	if so.Solver == nil {
-		sol := e.solvers.Get().(*solver.Solver)
-		defer e.solvers.Put(sol)
-		so.Solver = sol
+	// Every worker (one, or Parallelism of a frontier-parallel run) draws
+	// a warm solver from the engine's pool instead of building a cold one.
+	so.Solvers = make([]*solver.Solver, max(so.Parallelism, 1))
+	for i := range so.Solvers {
+		so.Solvers[i] = e.solvers.Get().(*solver.Solver)
 	}
-	if so.Solvers == nil {
-		// Frontier-parallel workers draw their per-worker solvers from
-		// the engine's warm pool instead of building cold ones.
-		so.Solvers = enginePool{e}
-	}
+	defer func() {
+		for _, sol := range so.Solvers {
+			e.solvers.Put(sol)
+		}
+	}()
 
 	e.active.Add(1)
 	defer e.active.Add(-1)
@@ -370,7 +371,7 @@ func (e *Engine) Synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 		// The solve phase re-checks the winner's path condition. After a
 		// sequential search the solver's private cache already holds those
 		// components.
-		ex, err := trace.FromState(res.Found, so.Solver)
+		ex, err := trace.FromState(res.Found, so.Solvers[0])
 		solveNS = time.Since(solveStart).Nanoseconds()
 		if err != nil {
 			return nil, fmt.Errorf("esd: solving synthesized path: %w", err)
@@ -385,13 +386,6 @@ func (e *Engine) Synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 	}
 	return out, nil
 }
-
-// enginePool adapts the engine's warm solver pool to the search package's
-// SolverPool interface (per-worker solvers for frontier-parallel runs).
-type enginePool struct{ e *Engine }
-
-func (p enginePool) Get() *solver.Solver  { return p.e.solvers.Get().(*solver.Solver) }
-func (p enginePool) Put(s *solver.Solver) { p.e.solvers.Put(s) }
 
 // buildFlightReport assembles the WithTelemetry report from a finished
 // run: the search's deterministic counters and trace, plus the wall-clock

@@ -32,7 +32,7 @@
 // request as a job on its worker pool, with SSE progress streaming.
 //
 // A single synthesis can also spend multiple cores: WithParallelism(n)
-// shards the best-first frontier across n workers (work stealing, shared
+// runs n workers over one best-first frontier behind one lock (shared
 // dedup, one solver fact cache shared by the workers, first-to-goal
 // wins). A sequential synthesis has no workers to share facts with and
 // attaches no shared cache. See the package README's "Parallel

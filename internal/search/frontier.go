@@ -9,10 +9,8 @@ import (
 
 // queueFrontier owns one frontier's live-state structures: the §3.4
 // virtual priority queues (ESD), the plain pool (DFS/RandomPath), and the
-// anti-starvation FIFO. It was extracted from the searcher so a
-// frontier-parallel run can shard the frontier: each shard is one
-// queueFrontier behind its own mutex, and the sequential searcher is
-// simply the one-shard case with no lock.
+// anti-starvation FIFO. The sequential searcher owns one; the workers of a
+// frontier-parallel run share one behind parallelRun.mu.
 //
 // The heaps and the FIFO hold state IDs, never states: alive is the only
 // structure that reaches a queued state, so a state that leaves the
@@ -20,8 +18,8 @@ import (
 // behind. Those entries die lazily, and a compaction at pick time drops
 // them in bulk once they have doubled the entry count (see maybeCompact).
 //
-// A queueFrontier is not safe for concurrent use; parallel callers hold
-// their shard's lock around every method.
+// A queueFrontier is not safe for concurrent use; a parallel run holds its
+// lock around every method.
 type queueFrontier struct {
 	strategy    Strategy
 	schedGuided bool
@@ -106,10 +104,10 @@ const compactFloor = 1024
 // compaction (so its cost is amortized over the pushes that doubled
 // them). Call it only at pick time, while none of this frontier's states
 // is in flight: a state missing from alive then never comes back, so its
-// entries could only ever be popped and skipped. A parallel shard breaks
-// that rule for states in flight on other workers; dropping their stale
-// entries loses no state, because a live state has its current key in
-// every heap of the shard that holds it.
+// entries could only ever be popped and skipped. A parallel run breaks
+// that rule for the states other workers are running; dropping their
+// stale entries loses no state, because each goes back in with fresh keys
+// when its quantum ends.
 //
 // Compaction changes no pick. Stale entries of live states stay (a
 // re-inserted state can still be picked on an older key), and since
@@ -172,24 +170,6 @@ func (f *queueFrontier) pick(rng *rand.Rand) (*symex.State, bool) {
 	return nil, false
 }
 
-// peekQueue reports the best live key in virtual queue q, discarding dead
-// lazy-deletion entries from the heap top on the way. A parallel run uses
-// it to compare shard heads before committing to a pop, so a worker takes
-// the globally best state rather than its own shard's best.
-func (f *queueFrontier) peekQueue(q int) (esdKey, bool) {
-	h := &f.heaps[q]
-	for {
-		if len(*h) == 0 {
-			return esdKey{}, false
-		}
-		k := (*h)[0]
-		if _, live := f.alive[k.id]; live {
-			return k, true
-		}
-		h.pop()
-	}
-}
-
 // popQueue removes and returns the best live state in virtual queue q
 // (nil when the queue holds no live state). Every live state is in every
 // queue's heap, so an empty queue means an empty frontier.
@@ -250,9 +230,9 @@ func (f *queueFrontier) pickESD(rng *rand.Rand) (*symex.State, bool) {
 // shedWorst drops the worse half of the live states using the keys they
 // were scored with at insertion. The sequential searcher re-scores the
 // whole pool when it sheds (distances may have improved since insertion;
-// see searcher.shedStates) — a parallel shard sheds locally under its own
-// lock, where re-scoring would stall every other worker, so stored keys
-// are the deliberate trade. Returns the number of states dropped.
+// see searcher.shedStates) — a parallel run sheds under its one lock,
+// where re-scoring would stall every worker, so stored keys are the
+// deliberate trade. Returns the number of states dropped.
 func (f *queueFrontier) shedWorst() int {
 	if f.size() < 2 {
 		return 0

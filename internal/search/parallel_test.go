@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
@@ -12,7 +13,9 @@ import (
 	"esd/internal/apps"
 	"esd/internal/expr"
 	"esd/internal/lang"
+	"esd/internal/mir"
 	"esd/internal/replay"
+	"esd/internal/report"
 	"esd/internal/solver"
 	"esd/internal/symex"
 	"esd/internal/telemetry"
@@ -223,7 +226,7 @@ func TestSharedCacheWarmDeterminism(t *testing.T) {
 			Strategy: StrategyESD,
 			Budget:   60 * time.Second,
 			Seed:     1,
-			Solver:   sol,
+			Solvers:  []*solver.Solver{sol},
 			Recorder: rec,
 		})
 		if err != nil {
@@ -312,4 +315,93 @@ func TestParallelUnderReclaim(t *testing.T) {
 			return
 		}
 	}
+}
+
+// TestParallelExhaustsLikeSequential drives frontier-parallel searches to
+// the end where the frontier is empty and no worker holds a state: the
+// exhaustion verdicts behind patch validation (§5.2) and false-positive
+// triage (§8). An exhaustive search that sheds nothing explores one state
+// space whatever the interleaving, so every run must read "exhausted"
+// with the same work.
+func TestParallelExhaustsLikeSequential(t *testing.T) {
+	type work struct {
+		steps, states, drops int64
+		terminals            string
+	}
+	run := func(t *testing.T, prog *mir.Program, rep *report.Report, n int) work {
+		t.Helper()
+		res, err := Synthesize(context.Background(), prog, rep, Options{
+			Strategy:    StrategyESD,
+			Budget:      time.Minute,
+			Seed:        1,
+			Parallelism: n,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Outcome() != "exhausted" || res.Sheds != 0 {
+			t.Fatalf("n=%d: outcome %q with %d sheds, want exhausted with none", n, res.Outcome(), res.Sheds)
+		}
+		return work{res.Steps, res.StatesCreated, res.DedupDrops, fmt.Sprint(res.Terminals)}
+	}
+
+	// Eight input-dependent branches make 256 paths; the null store sits
+	// under a condition no input satisfies, so each path runs to its exit.
+	t.Run("crash", func(t *testing.T) {
+		const src = `
+int main() {
+	int i = 0;
+	int n = 0;
+	while (i < 8) {
+		if (getchar() > 100) {
+			n = n + 1;
+		} else {
+			n = n - 1;
+		}
+		i = i + 1;
+	}
+	int c = getchar();
+	if (c == 5 && c == 6) {
+		int *p = 0;
+		*p = n;
+	}
+	return n;
+}`
+		prog := lang.MustCompile("exhaust.c", src)
+		line := strings.Count(src[:strings.Index(src, "*p = n;")], "\n") + 1
+		var store []mir.Loc
+		for _, blk := range prog.Funcs["main"].Blocks {
+			for i, in := range blk.Instrs {
+				if in.Op == mir.Store && in.Pos.Line == line {
+					store = append(store, mir.Loc{Fn: "main", Block: blk.ID, Index: i})
+				}
+			}
+		}
+		if len(store) != 1 {
+			t.Fatalf("line %d has %d stores, want the one null store", line, len(store))
+		}
+		rep := report.SuspectedCrash("exhaust.c", store[0], symex.CrashSegFault)
+		seq := run(t, prog, rep, 1)
+		if want := (work{seq.steps, 256, 0, fmt.Sprint(map[symex.StateStatus]int64{symex.StateExited: 256})}); seq != want {
+			t.Fatalf("sequential search: %+v, want %+v", seq, want)
+		}
+		for _, n := range []int{2, 4} {
+			if got := run(t, prog, rep, n); got != seq {
+				t.Errorf("n=%d: %+v, sequential %+v", n, got, seq)
+			}
+		}
+	})
+
+	// The sequential search does not exhaust the triage false positive
+	// within a test budget: it re-runs the duplicate decision histories
+	// the parallel dedup set drops.
+	t.Run("triage", func(t *testing.T) {
+		prog, _, fp := triageReports()
+		first := run(t, prog, fp, 2)
+		for _, n := range []int{2, 4, 4} {
+			if got := run(t, prog, fp, n); got != first {
+				t.Errorf("n=%d: %+v, first n=2 run %+v", n, got, first)
+			}
+		}
+	})
 }

@@ -16,15 +16,15 @@
 // — the "KC" hybrid of §7.2.
 //
 // With Options.Parallelism > 1 the same best-first search runs
-// frontier-parallel (see parallel.go): the frontier is sharded across
-// that many workers, each with its own symbolic VM and solver over the
-// shared compiled program and distance tables; workers steal from each
-// other's shards, a cross-worker dedup set suppresses re-exploration,
-// their solvers share one run-scoped fact cache, and the first worker to
-// reach the goal cancels the rest. Both searches set up their workers and
-// fold their results through the same code (see worker.go); Parallelism
-// <= 1 runs the sequential loop, whose picks, preemption polls and sheds
-// are the determinism contract.
+// frontier-parallel (see parallel.go): that many workers, each with its
+// own symbolic VM and solver over the shared compiled program and
+// distance tables, pick from and insert into one frontier behind one
+// lock; a dedup set suppresses re-exploration, their solvers share one
+// run-scoped fact cache, and the first worker to reach the goal cancels
+// the rest. Both searches set up their workers and fold their results
+// through the same code (see worker.go); Parallelism <= 1 runs the
+// sequential loop, whose picks, preemption polls and sheds are the
+// determinism contract.
 package search
 
 import (
@@ -108,13 +108,14 @@ type Options struct {
 	// Ablate disables individual focusing techniques (§7.3).
 	Ablate Ablate
 
-	// Solver, when non-nil, is the solver of the sequential search (worker
-	// 0 of a frontier-parallel one) instead of a fresh one. Passing a warm
-	// solver shares its memo of component verdicts across runs (entries
-	// are keyed by canonical structural term fingerprints, so they are
-	// valid for any program). A Solver is not safe for concurrent use:
-	// callers hand each concurrent search its own.
-	Solver *solver.Solver
+	// Solvers, when set, are the workers' solvers: worker i (worker 0 is
+	// the sequential search's one) uses Solvers[i] if it exists and a
+	// fresh solver otherwise. Passing warm solvers shares their memos of
+	// component verdicts across runs (entries are keyed by canonical
+	// structural term fingerprints, so they are valid for any program).
+	// A Solver is not safe for concurrent use: callers hand each
+	// concurrent search its own.
+	Solvers []*solver.Solver
 
 	// OnProgress, when set, receives phase transitions and periodic
 	// search-progress snapshots (at most one per progressInterval). It is
@@ -128,17 +129,11 @@ type Options struct {
 	Recorder *telemetry.Recorder
 
 	// Parallelism, when > 1, runs the search with that many frontier
-	// workers over one sharded priority frontier (work stealing,
-	// per-worker VMs and solvers, cross-worker state dedup, first-to-goal
-	// cancellation; see parallel.go). 0 or 1 runs the single-threaded
-	// searcher — the deterministic baseline a parallel run's winner is
-	// replayed against.
+	// workers over one shared priority frontier (per-worker VMs and
+	// solvers, state dedup, first-to-goal cancellation; see parallel.go).
+	// 0 or 1 runs the single-threaded searcher — the deterministic
+	// baseline a parallel run's winner is replayed against.
 	Parallelism int
-	// Solvers, when non-nil, supplies warm solvers to the workers Solver
-	// does not cover (every worker of a frontier-parallel search but the
-	// first, or all of them when Solver is nil). Workers fall back to
-	// fresh solvers when it is nil.
-	Solvers SolverPool
 
 	// PersistCache, when non-nil, is the cross-run persistent solver fact
 	// tier (scoped by the engine to this program's fingerprint). Every
@@ -173,17 +168,8 @@ const progressInterval = 250 * time.Millisecond
 const quantumSteps = 32
 
 // maxLiveStates caps the sequential search's live state pool: past it the
-// worse half is shed. A frontier-parallel run's global budget is n times
-// it.
+// worse half is shed. A frontier-parallel run's budget is n times it.
 const maxLiveStates = 8192
-
-// SolverPool hands out solvers for frontier-parallel workers. The engine
-// adapts its process-wide warm pool to this; Get must return a solver not
-// in use by anyone else, and Put returns it when the worker is done.
-type SolverPool interface {
-	Get() *solver.Solver
-	Put(*solver.Solver)
-}
 
 // Phase identifies where in the synthesis pipeline a ProgressEvent was
 // emitted.
@@ -641,11 +627,11 @@ type searcher struct {
 	// front owns the live states: the per-goal virtual priority queues
 	// (heaps with lazy deletion, §3.4 / §6.2), the DFS/RandomPath pool,
 	// and the aging FIFO. Created by runSequential; nil for parallel
-	// workers, whose states live in the shared shards instead.
+	// workers, whose states live in the run's shared frontier instead.
 	front *queueFrontier
 	// route, when set, diverts insertions to a frontier-parallel run's
-	// shared shards instead of this searcher's own frontier. Workers
-	// reuse quantum/admit/keep/terminal verbatim through this hook.
+	// shared frontier instead of this searcher's own. Workers reuse
+	// quantum/admit/keep/terminal verbatim through this hook.
 	route func(*symex.State, []esdKey)
 
 	// Flight-recorder and per-run counters: allPicks drives the
@@ -783,9 +769,9 @@ func (s *searcher) seed(init *symex.State) {
 }
 
 // insert adds an admitted live state with its keys to the frontier —
-// this searcher's own, or the shared shards of a frontier-parallel run
-// when route is set — and only then lets it move the deepest path and
-// the best final-goal fitness that progress events and the trace report.
+// this searcher's own, or a frontier-parallel run's shared one when route
+// is set — and only then lets it move the deepest path and the best
+// final-goal fitness that progress events and the trace report.
 func (s *searcher) insert(st *symex.State, keys []esdKey) {
 	if st.Steps > s.maxDepth {
 		s.maxDepth = st.Steps
@@ -1104,7 +1090,7 @@ func (s *searcher) mayReachGoals(st *symex.State) bool {
 
 // shedStates drops the worst states when the pool overflows: keep the half
 // closest to the final goal. Scores are recomputed from the current stacks
-// (a parallel shard sheds on stored insertion keys instead; see
+// (a parallel run sheds on stored insertion keys instead; see
 // queueFrontier.shedWorst).
 func (s *searcher) shedStates() {
 	goalSet := s.queueGoals[len(s.queueGoals)-1]

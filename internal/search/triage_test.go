@@ -24,12 +24,9 @@ func lockSites(p *mir.Program, fn string) []mir.Loc {
 	return out
 }
 
-// TestStaticAnalyzerTriage exercises the §8 "complementing static analysis
-// tools" usage: a checker reports two suspected deadlocks; ESD confirms
-// the real one and rejects the false positive (the lock pair that is
-// always taken in a consistent order).
-func TestStaticAnalyzerTriage(t *testing.T) {
-	src := `
+// triageSrc has one real lock-order inversion (t1fn/t2fn) and one lock
+// pair a naive checker flags but that can never deadlock (t1fn/t3fn).
+const triageSrc = `
 int a;
 int b;
 int c;
@@ -66,16 +63,27 @@ int main() {
 	thread_join(t3);
 	return 0;
 }`
-	prog := lang.MustCompile("triage.c", src)
 
-	// "Static analyzer" output: suspected deadlock 1 (real) = inner locks
-	// of t1fn/t2fn; suspected deadlock 2 (false positive) = inner locks of
-	// t1fn/t3fn (both acquire a — a naive checker flags the pair).
+// triageReports compiles triageSrc and builds the "static analyzer"
+// output: suspected deadlock 1 (real) = inner locks of t1fn/t2fn;
+// suspected deadlock 2 (false positive) = inner locks of t1fn/t3fn (both
+// acquire a — a naive checker flags the pair).
+func triageReports() (prog *mir.Program, real, fp *report.Report) {
+	prog = lang.MustCompile("triage.c", triageSrc)
 	t1Locks := lockSites(prog, "t1fn")
 	t2Locks := lockSites(prog, "t2fn")
 	t3Locks := lockSites(prog, "t3fn")
+	real = report.SuspectedDeadlock("triage.c", []mir.Loc{t1Locks[1], t2Locks[1]})
+	fp = report.SuspectedDeadlock("triage.c", []mir.Loc{t1Locks[1], t3Locks[1]})
+	return prog, real, fp
+}
 
-	real := report.SuspectedDeadlock("triage.c", []mir.Loc{t1Locks[1], t2Locks[1]})
+// TestStaticAnalyzerTriage exercises the §8 "complementing static analysis
+// tools" usage: a checker reports two suspected deadlocks; ESD confirms
+// the real one and rejects the false positive (the lock pair that is
+// always taken in a consistent order).
+func TestStaticAnalyzerTriage(t *testing.T) {
+	prog, real, fp := triageReports()
 	res, err := Synthesize(context.Background(), prog, real, Options{Strategy: StrategyESD, Budget: 60 * time.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +92,6 @@ int main() {
 		t.Fatalf("true positive not confirmed (steps=%d)", res.Steps)
 	}
 
-	fp := report.SuspectedDeadlock("triage.c", []mir.Loc{t1Locks[1], t3Locks[1]})
 	res, err = Synthesize(context.Background(), prog, fp, Options{Strategy: StrategyESD, Budget: 10 * time.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -11,11 +11,11 @@ import (
 )
 
 // worker is one searcher over the shared plan with its own symbolic VM,
-// solver, scheduling-policy instance and race detector. The sequential
-// search runs one worker; a frontier-parallel search runs n, with
-// insertions routed into the shared shards. Both set workers up with
-// newWorker, hand them back with release, and build their Result with
-// fold.
+// solver, rng stream, scheduling-policy instance and race detector. The
+// sequential search runs one worker; a frontier-parallel search runs n,
+// with insertions routed into the run's one shared frontier. Both set
+// workers up with newWorker, hand them back with release, and build
+// their Result with fold.
 type worker struct {
 	id  int
 	s   *searcher
@@ -23,21 +23,15 @@ type worker struct {
 	// res absorbs the worker's quantum-level counters (terminals, prunes,
 	// step errors, other bugs) until fold.
 	res *Result
-	// pool is where the solver came from (nil for the caller's own
-	// solver or a fresh one); release returns it there.
-	pool SolverPool
 	// base holds the solver's counters at setup, so a warm solver reports
 	// only this run's share. The query baseline is searcher.solBase,
 	// which progress events read too.
 	base solverBase
 
 	// Frontier-parallel attribution (zero in sequential runs).
-	picks     int64
-	pickTick  int64 // aging cadence (the sequential frontier counts per-frontier; here it is per-worker)
-	busyNS    int64
-	lastSteps int64
-	lastStats int64
-	found     bool
+	picks  int64
+	busyNS int64
+	found  bool
 }
 
 // solverBase is a solver's cumulative cache and wall counters.
@@ -46,22 +40,19 @@ type solverBase struct {
 	wallNS                         int64
 }
 
-// newWorker sets up worker i of n. Its solver is opts.Solver for worker
-// 0, else one from opts.Solvers, else a fresh one; shared (a
-// frontier-parallel run's fact layer, nil for a sequential run) and the
-// persistent tier are attached to it until release. Workers of a
-// frontier-parallel run (n > 1) get disjoint state-ID ranges — states
-// migrate between engines when stolen — and their own rng streams.
+// newWorker sets up worker i of n. Its solver is opts.Solvers[i] if the
+// caller passed one, else a fresh one; shared (a frontier-parallel run's
+// fact layer, nil for a sequential run) and the persistent tier are
+// attached to it until release. Workers of a frontier-parallel run
+// (n > 1) get disjoint state-ID ranges — a state one worker forked may
+// run on another's engine — and their own rng streams.
 func newWorker(ctx context.Context, pl *plan, opts Options, i, n int, start time.Time, shared *solver.SharedCache) *worker {
 	w := &worker{id: i, res: &Result{Terminals: map[symex.StateStatus]int64{}}}
-	sol := opts.Solver
-	if i > 0 || sol == nil {
-		if opts.Solvers != nil {
-			w.pool = opts.Solvers
-			sol = w.pool.Get()
-		} else {
-			sol = solver.New()
-		}
+	var sol *solver.Solver
+	if i < len(opts.Solvers) {
+		sol = opts.Solvers[i]
+	} else {
+		sol = solver.New()
 	}
 	// Each solver stays single-threaded, but on a private-cache miss it
 	// consults (and publishes into) the concurrency-safe shared tiers, so
@@ -85,15 +76,12 @@ func newWorker(ctx context.Context, pl *plan, opts Options, i, n int, start time
 	return w
 }
 
-// release detaches the shared fact tiers from the worker's solver and
-// returns a pooled solver. A stale attachment would leak this run's
-// facts into the solver's next run and pin a dead cache alive.
+// release detaches the shared fact tiers from the worker's solver. A
+// stale attachment would leak this run's facts into the solver's next run
+// and pin a dead cache alive.
 func (w *worker) release() {
 	w.s.sol.Shared = nil
 	w.s.sol.Persist = nil
-	if w.pool != nil {
-		w.pool.Put(w.s.sol)
-	}
 }
 
 // fold adds the worker's VM, solver, policy, race-detector and

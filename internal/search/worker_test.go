@@ -2,7 +2,7 @@ package search
 
 import (
 	"context"
-	"sync"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,30 +13,6 @@ import (
 	"esd/internal/telemetry"
 )
 
-// countingPool is a SolverPool that records every solver it hands out and
-// how many come back.
-type countingPool struct {
-	mu     sync.Mutex
-	issued []*solver.Solver
-	gets   int
-	puts   int
-}
-
-func (p *countingPool) Get() *solver.Solver {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := solver.New()
-	p.issued = append(p.issued, s)
-	p.gets++
-	return s
-}
-
-func (p *countingPool) Put(*solver.Solver) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.puts++
-}
-
 // nopPersist is a persistent tier that never hits.
 type nopPersist struct{}
 
@@ -46,40 +22,41 @@ func (nopPersist) Lookup([]expr.StructKey) (solver.Result, map[string]int64, boo
 func (nopPersist) Publish([]expr.StructKey, solver.Result, map[string]int64) {}
 
 // TestSolverAttachDetach checks the solver discipline of every search
-// shape: each run attaches its fact tiers (the persistent one, and a
-// frontier-parallel run's shared one) to the solvers it uses and
-// detaches them before returning — on success, on preemption, and on a
-// rejected resume — and every solver taken from the pool goes back.
+// shape: worker i uses the caller's Solvers[i] when there is one and a
+// fresh solver otherwise, and each run attaches its fact tiers (the
+// persistent one, and a frontier-parallel run's shared one) to the
+// solvers it uses and detaches them before returning — on success, on
+// preemption, and on a rejected resume.
 func TestSolverAttachDetach(t *testing.T) {
 	rep, _ := listing1Report(t)
 	prog := lang.MustCompile("listing1.c", listing1)
 
-	opts := func(pool *countingPool) Options {
-		return Options{
+	// opts passes the given number of solvers; workers beyond them run on
+	// fresh ones.
+	opts := func(passed int) Options {
+		o := Options{
 			Strategy:     StrategyESD,
 			Budget:       time.Minute,
 			Seed:         1,
-			Solver:       solver.New(),
-			Solvers:      pool,
 			PersistCache: nopPersist{},
 		}
+		for range passed {
+			o.Solvers = append(o.Solvers, solver.New())
+		}
+		return o
 	}
-	check := func(t *testing.T, o Options, pool *countingPool) {
+	check := func(t *testing.T, o Options) {
 		t.Helper()
-		all := append([]*solver.Solver{o.Solver}, pool.issued...)
-		for i, s := range all {
+		for i, s := range o.Solvers {
 			if s.Shared != nil || s.Persist != nil {
 				t.Errorf("solver %d still attached after the run (shared=%v persist=%v)", i, s.Shared != nil, s.Persist != nil)
 			}
 		}
-		if pool.gets != pool.puts {
-			t.Errorf("pool Get/Put = %d/%d, want equal", pool.gets, pool.puts)
-		}
 	}
 
+	// An n-worker run passes n/2 solvers: the sequential run none.
 	for _, n := range []int{1, 2, 4} {
-		pool := &countingPool{}
-		o := opts(pool)
+		o := opts(n / 2)
 		o.Parallelism = n
 		res, err := Synthesize(context.Background(), prog, rep, o)
 		if err != nil {
@@ -88,11 +65,10 @@ func TestSolverAttachDetach(t *testing.T) {
 		if res.Found == nil {
 			t.Fatalf("n=%d: listing1 not reproduced", n)
 		}
-		check(t, o, pool)
+		check(t, o)
 	}
 
-	pool := &countingPool{}
-	o := opts(pool)
+	o := opts(1)
 	o.Preempt = func() bool { return true }
 	res, err := Synthesize(context.Background(), prog, rep, o)
 	if err != nil {
@@ -101,20 +77,45 @@ func TestSolverAttachDetach(t *testing.T) {
 	if !res.Preempted {
 		t.Fatal("run was not preempted")
 	}
-	check(t, o, pool)
+	check(t, o)
 
 	// A checkpoint whose goal was edited passes the option check but fails
 	// plan validation, after the solver is already set up.
 	ck := *res.Checkpoint
 	ck.Goals = append([]mir.Loc(nil), ck.Goals...)
 	ck.Goals[0].Block++
-	pool = &countingPool{}
-	o = opts(pool)
+	o = opts(1)
 	o.Resume = &ck
 	if _, err := Synthesize(context.Background(), prog, rep, o); err == nil {
 		t.Fatal("resume with an edited goal was not rejected")
 	}
-	check(t, o, pool)
+	check(t, o)
+
+	// The fresh solvers never reach the caller, so check them where the
+	// runs above make them: worker setup and release.
+	pl, err := buildPlan(prog, rep, opts(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o = opts(2)
+	shared := solver.NewSharedCache()
+	for i := range 4 {
+		w := newWorker(context.Background(), pl, o, i, 4, time.Now(), shared)
+		sol := w.s.sol
+		if i < len(o.Solvers) && sol != o.Solvers[i] {
+			t.Errorf("worker %d does not run on the solver passed for it", i)
+		}
+		if i >= len(o.Solvers) && slices.Contains(o.Solvers, sol) {
+			t.Errorf("worker %d runs on a solver passed for another worker", i)
+		}
+		if sol.Shared != shared || sol.Persist == nil {
+			t.Errorf("worker %d: fact tiers not attached during the run", i)
+		}
+		w.release()
+		if sol.Shared != nil || sol.Persist != nil {
+			t.Errorf("worker %d: fact tiers still attached after release", i)
+		}
+	}
 }
 
 // TestResumeChainTelemetry checks that a preempt/resume chain flushes the
