@@ -201,10 +201,3 @@ int main() { int f = &worker; return -f; }`, "unary neg applied to non-scalar fn
 		}
 	}
 }
-
-func crashMessage(st *State) string {
-	if st.Crash == nil {
-		return ""
-	}
-	return st.Crash.Message
-}

@@ -61,6 +61,13 @@ func exploreAll(t *testing.T, src string, maxStates int) []*State {
 	return terminal
 }
 
+func crashMessage(st *State) string {
+	if st.Crash == nil {
+		return ""
+	}
+	return st.Crash.Message
+}
+
 func exitCode(t *testing.T, st *State) int64 {
 	t.Helper()
 	if st.Status != StateExited {
