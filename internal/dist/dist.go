@@ -72,7 +72,11 @@ type Calculator struct {
 	prog *mir.Program
 	cg   *cfa.CallGraph
 
-	fns map[string]*fnGraph
+	// index maps a function's name to its position in prog.Order, which
+	// indexes fns and every per-function table of the metrics: a stack
+	// walk resolves each frame's function once.
+	index map[string]int
+	fns   []*fnGraph
 	// hasSync records whether the program contains any synchronization
 	// opcode; when it does not, every SyncDistance is trivially 0 or
 	// Infinite and callers can skip the sync component entirely.
@@ -114,9 +118,10 @@ type metric struct {
 	// through[f] is the cheapest entry-to-return cost of f (Infinite when
 	// f cannot return).
 	through map[string]int64
-	// retDist[f][i] is the cheapest cost to execute from instruction i of f
-	// through a return of the function, inclusive of the Ret itself.
-	retDist map[string][]int64
+	// retDist[f][i] is the cheapest cost to execute from instruction i of
+	// the function with index f through a return of the function,
+	// inclusive of the Ret itself.
+	retDist [][]int64
 
 	mu    sync.RWMutex
 	goals map[mir.Loc]*goalTables
@@ -183,9 +188,10 @@ func (g *fnGraph) flat(l mir.Loc) (int, bool) {
 // computation so concurrent first queries for the same goal build it once.
 type goalTables struct {
 	once sync.Once
-	// toGoal[f][i] is the cheapest cost from instruction i of f to the
-	// goal. Functions that cannot reach the goal have no entry.
-	toGoal map[string][]int64
+	// toGoal[f][i] is the cheapest cost from instruction i of the function
+	// with index f to the goal. Functions that cannot reach the goal have
+	// a nil table.
+	toGoal [][]int64
 }
 
 // NewCalculator builds the goal-independent layer: flattened CFGs, the call
@@ -272,13 +278,15 @@ func ResetSharedCache() {
 func NewCalculatorWith(cg *cfa.CallGraph) *Calculator {
 	prog := cg.Prog
 	c := &Calculator{
-		prog: prog,
-		cg:   cg,
-		fns:  make(map[string]*fnGraph, len(prog.Funcs)),
+		prog:  prog,
+		cg:    cg,
+		index: make(map[string]int, len(prog.Order)),
+		fns:   make([]*fnGraph, len(prog.Order)),
 	}
-	for name, f := range prog.Funcs {
-		g := newFnGraph(f)
-		c.fns[name] = g
+	for i, name := range prog.Order {
+		g := newFnGraph(prog.Funcs[name])
+		c.index[name] = i
+		c.fns[i] = g
 		for _, in := range g.instr {
 			if in.Op.IsSync() {
 				c.hasSync = true
@@ -299,7 +307,7 @@ func (c *Calculator) newMetric(name string, base func(mir.Opcode) int64) *metric
 		lookups: distLookups.With(name),
 		builds:  distBuilds.With(name),
 		through: make(map[string]int64, len(c.prog.Funcs)),
-		retDist: make(map[string][]int64, len(c.prog.Funcs)),
+		retDist: make([][]int64, len(c.fns)),
 		goals:   map[mir.Loc]*goalTables{},
 	}
 	for name := range c.prog.Funcs {
@@ -311,16 +319,16 @@ func (c *Calculator) newMetric(name string, base func(mir.Opcode) int64) *metric
 	// count is bounded by the call-graph depth.
 	for changed := true; changed; {
 		changed = false
-		for _, name := range c.prog.Order {
-			rd := m.intraRetDist(c.fns[name])
+		for i, name := range c.prog.Order {
+			rd := m.intraRetDist(c.fns[i])
 			if len(rd) > 0 && rd[0] < m.through[name] {
 				m.through[name] = rd[0]
 				changed = true
 			}
 		}
 	}
-	for _, name := range c.prog.Order {
-		m.retDist[name] = m.intraRetDist(c.fns[name])
+	for i, g := range c.fns {
+		m.retDist[i] = m.intraRetDist(g)
 	}
 	return m
 }
@@ -417,12 +425,12 @@ func (m *metric) tables(goal mir.Loc) *goalTables {
 // every stored table consistent.
 func (m *metric) computeGoal(goal mir.Loc, gt *goalTables) {
 	m.builds.Inc()
-	gt.toGoal = map[string][]int64{}
-	g := m.c.fns[goal.Fn]
-	if g == nil {
+	gt.toGoal = make([][]int64, len(m.c.fns))
+	gi, ok := m.c.index[goal.Fn]
+	if !ok {
 		return // unknown goal: every query will answer Infinite
 	}
-	if _, ok := g.flat(goal); !ok {
+	if _, ok := m.c.fns[gi].flat(goal); !ok {
 		return
 	}
 	reach := m.c.cg.Reachers(goal.Fn)
@@ -432,16 +440,16 @@ func (m *metric) computeGoal(goal mir.Loc, gt *goalTables) {
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, name := range m.c.prog.Order {
+		for i, name := range m.c.prog.Order {
 			if !reach[name] {
 				continue
 			}
-			tg := m.intraToGoal(m.c.fns[name], name, goal, entry)
+			tg := m.intraToGoal(m.c.fns[i], name, goal, entry)
 			if len(tg) > 0 && tg[0] < entry[name] {
 				entry[name] = tg[0]
 				changed = true
 			}
-			gt.toGoal[name] = tg
+			gt.toGoal[i] = tg
 		}
 	}
 }
@@ -486,20 +494,20 @@ func (m *metric) stateDistance(stack []mir.Loc, goal mir.Loc) int64 {
 	var unwind int64 // cost of returning out of every frame below the current one
 	for k := len(stack) - 1; k >= 0; k-- {
 		loc := stack[k]
-		g := m.c.fns[loc.Fn]
-		if g == nil {
-			break
-		}
-		i, ok := g.flat(loc)
+		fi, ok := m.c.index[loc.Fn]
 		if !ok {
 			break
 		}
-		if tg := gt.toGoal[loc.Fn]; tg != nil {
+		i, ok := m.c.fns[fi].flat(loc)
+		if !ok {
+			break
+		}
+		if tg := gt.toGoal[fi]; tg != nil {
 			if d := add(unwind, tg[i]); d < best {
 				best = d
 			}
 		}
-		unwind = add(unwind, m.retDist[loc.Fn][i])
+		unwind = add(unwind, m.retDist[fi][i])
 		if unwind >= Infinite {
 			break // this frame can never return: outer frames are unreachable
 		}
@@ -572,15 +580,15 @@ func (c *Calculator) SyncDistToReturn(loc mir.Loc) int64 {
 }
 
 func metricDistToReturn(m *metric, loc mir.Loc) int64 {
-	g := m.c.fns[loc.Fn]
-	if g == nil {
-		return Infinite
-	}
-	i, ok := g.flat(loc)
+	fi, ok := m.c.index[loc.Fn]
 	if !ok {
 		return Infinite
 	}
-	return m.retDist[loc.Fn][i]
+	i, ok := m.c.fns[fi].flat(loc)
+	if !ok {
+		return Infinite
+	}
+	return m.retDist[fi][i]
 }
 
 // CachedGoals reports how many goals have memoized instruction-metric

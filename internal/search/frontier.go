@@ -45,6 +45,10 @@ type queueFrontier struct {
 	// compactAt is the heap and FIFO entry count at which the next pick
 	// compacts.
 	compactAt int
+	// spent holds the keys of the state the last pick took, until the
+	// picker claims them (spentKeys): nothing else references them once
+	// the state left alive, so its next scoring can fill them.
+	spent []esdKey
 }
 
 // liveState is one alive entry: the state and its insertion keys.
@@ -85,14 +89,24 @@ func (f *queueFrontier) insert(st *symex.State, keys []esdKey) {
 }
 
 // take removes the live state with the given ID from the frontier and
-// returns it (nil when it is not live; its entries die lazily).
+// returns it (nil when it is not live; its entries die lazily). Its keys
+// become spent.
 func (f *queueFrontier) take(id int) *symex.State {
 	ls, ok := f.alive[id]
 	if !ok {
 		return nil
 	}
 	delete(f.alive, id)
+	f.spent = ls.keys
 	return ls.st
+}
+
+// spentKeys hands the caller the keys of the state the last pick took
+// (nil when there are none), for the caller's next scoreState to fill.
+func (f *queueFrontier) spentKeys() []esdKey {
+	k := f.spent
+	f.spent = nil
+	return k
 }
 
 // compactFloor is the entry count below which a frontier never compacts:

@@ -249,6 +249,7 @@ func (r *parallelRun) take(w *worker) *symex.State {
 			return nil
 		}
 		if st, aged := r.front.pick(w.s.rng); st != nil {
+			w.s.spareKeys = r.front.spentKeys()
 			if aged {
 				w.s.agingPicks++
 			}

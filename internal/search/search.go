@@ -645,6 +645,9 @@ type searcher struct {
 	// mayReachGoals read each live thread's call stack into it in turn
 	// instead of copying one per thread per score.
 	stack []mir.Loc
+	// spareKeys is a key slice no state holds any more (the picked
+	// state's, or a pruned state's) for the next scoreState to fill.
+	spareKeys []esdKey
 }
 
 // threadStack reads t's call stack into the searcher's scratch. The slice
@@ -709,6 +712,7 @@ func (s *searcher) runLoop(res *Result) (found *symex.State, timedOut, cancelled
 		if st == nil {
 			return nil, false, false, false
 		}
+		s.spareKeys = s.front.spentKeys()
 		if aged {
 			s.agingPicks++
 		}
@@ -799,7 +803,10 @@ func (s *searcher) scoreState(st *symex.State) (keys []esdKey, unreachable bool)
 		return nil, false
 	}
 	sched := s.schedDistance(st)
-	keys = make([]esdKey, len(s.queueGoals))
+	keys, s.spareKeys = s.spareKeys, nil
+	if len(keys) != len(s.queueGoals) {
+		keys = make([]esdKey, len(s.queueGoals))
+	}
 	for q, goalSet := range s.queueGoals {
 		d := s.stateDistance(st, goalSet)
 		if q >= s.finalStart && d >= dist.Infinite {
@@ -1022,6 +1029,7 @@ func (s *searcher) keep(st *symex.State, res *Result) {
 	keys, unreachable := s.scoreState(st)
 	if gated && unreachable {
 		res.PrunedInfinite++
+		s.spareKeys = keys
 		return
 	}
 	s.insert(st, keys)

@@ -133,27 +133,12 @@ func TestPointerArithmeticAllocatesNothing(t *testing.T) {
 }
 
 // TestCallAllocaRetAllocations: a call that allocates one one-cell stack
-// object and returns allocates exactly the callee's frame, its register
-// file and the object (which carries its cell): arguments go straight
-// into the register file and the thread's alloca stack is reused.
+// object and returns allocates exactly one freed-log entry. The frame is
+// appended to the thread's frame slice by value, its registers come from
+// the thread's register chunk, the stack object the previous return
+// freed is reused, and the thread's alloca stack is reused.
 func TestCallAllocaRetAllocations(t *testing.T) {
-	leaf := mir.NewFuncBuilder("leaf", "x")
-	slot := leaf.EmitAlloca(1)
-	leaf.EmitStore(mir.R(slot), mir.I(0), mir.R(0))
-	leaf.EmitRet(mir.R(0))
-	b := mir.NewFuncBuilder("main")
-	entry := b.Current()
-	loop := b.NewBlock("loop")
-	b.SetBlock(entry)
-	b.EmitJmp(loop)
-	b.SetBlock(loop)
-	b.EmitCall("leaf", mir.I(7))
-	b.EmitJmp(loop)
-	prog := mir.NewProgram("calls")
-	prog.AddFunc(leaf.F)
-	prog.AddFunc(b.F)
-
-	st, step := stepper(t, prog)
+	st, step := stepper(t, callLoopProg())
 	step() // entry jump
 	cycle := func() {
 		for i := 0; i < 5; i++ { // call, alloca, store, ret, jmp
@@ -163,8 +148,8 @@ func TestCallAllocaRetAllocations(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cycle()
 	}
-	if allocs := testing.AllocsPerRun(200, cycle); allocs != 3 {
-		t.Fatalf("call/alloca/ret cycle allocated %.2f objects, want 3 (frame, registers, object)", allocs)
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 1 {
+		t.Fatalf("call/alloca/ret cycle allocated %.2f objects, want 1 (the freed-log entry)", allocs)
 	}
 	if n := len(st.CurThread().Frames); n != 1 {
 		t.Fatalf("%d frames after the cycles, want 1", n)

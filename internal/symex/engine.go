@@ -101,6 +101,11 @@ type Engine struct {
 	nextStateID int
 	nextObjID   int
 	ctxTick     int
+	// cells holds one-cell stack objects that returning frames freed from
+	// address spaces owning them, for the next allocas to reuse (see
+	// stackObject). No space maps them, and an engine serves one
+	// goroutine at a time, so reusing them is safe.
+	cells []*Object
 	// one backs the successor slice of a step that did not fork (see
 	// Step and single). It keeps the last such state reachable until the
 	// next step; an engine serves one run, so that pins nothing past it.
@@ -160,6 +165,31 @@ func (e *Engine) NewObjID() int {
 	return id
 }
 
+// maxCells bounds the engine's list of reusable stack objects.
+const maxCells = 1024
+
+// stackObject returns a fresh stack object of size cells with a new ID,
+// reusing a freed one-cell object when one is at hand.
+func (e *Engine) stackObject(size int) *Object {
+	if n := len(e.cells); size == 1 && n > 0 {
+		o := e.cells[n-1]
+		e.cells[n-1] = nil
+		e.cells = e.cells[:n-1]
+		o.ID = e.NewObjID()
+		return o
+	}
+	return newObject(e.NewObjID(), ObjStack, size, "")
+}
+
+// recycle keeps o, a stack object a returning frame freed from the one
+// space that mapped it, for stackObject to reuse.
+func (e *Engine) recycle(o *Object) {
+	if len(o.Cells) == 1 && o.Size == 1 && o.Kind == ObjStack && o.Name == "" && len(e.cells) < maxCells {
+		o.Cells[0] = Value{}
+		e.cells = append(e.cells, o)
+	}
+}
+
 // ForkState forks st, assigning the child a fresh ID.
 func (e *Engine) ForkState(st *State) *State {
 	n := st.Fork()
@@ -199,11 +229,13 @@ func (e *Engine) InitialState() (*State, error) {
 		st.Mem.Add(obj)
 		st.globalIDs[g.Name] = obj.ID
 	}
-	frame := &Frame{Fn: main, Regs: make([]Value, main.NumRegs), RetDst: -1}
+	t := &Thread{ID: 0}
+	regs := t.newRegs(main.NumRegs)
 	for i := range main.Params {
-		frame.Regs[i] = IntVal(0)
+		regs[i] = IntVal(0)
 	}
-	st.Threads = []*Thread{{ID: 0, Frames: []*Frame{frame}}}
+	t.pushFrame(Frame{Fn: main, Regs: regs, RetDst: -1})
+	st.Threads = []*Thread{t}
 	st.Schedule = []SchedSegment{{Tid: 0}}
 	return st, nil
 }

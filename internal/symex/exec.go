@@ -201,7 +201,7 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 		return e.single(st), nil
 
 	case mir.Alloca:
-		obj := newObject(e.NewObjID(), ObjStack, int(in.Imm), "")
+		obj := e.stackObject(int(in.Imm))
 		st.Mem.Add(obj)
 		t.allocas = append(t.allocas, obj.ID)
 		f.Regs[in.Dst] = PtrVal(obj.ID, 0)
@@ -373,17 +373,21 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 		if !ok || off != 0 {
 			return e.crash(st, in, CrashInvalidFree, "free of interior pointer obj%d+%s", v.ref, v.E), nil
 		}
-		obj := st.Mem.Object(v.ref)
-		if obj == nil {
+		var kind ObjKind
+		var name string // a freed object is unnamed (stack or heap)
+		freed := false
+		if obj := st.Mem.Object(v.ref); obj != nil {
+			kind, name = obj.Kind, obj.Name
+		} else if kind, freed = st.Mem.Freed(v.ref); !freed {
 			return e.crash(st, in, CrashInvalidFree, "free of unknown object"), nil
 		}
-		if obj.Kind != ObjHeap {
-			return e.crash(st, in, CrashInvalidFree, "free of non-heap memory (%v object %q)", obj.Kind, obj.Name), nil
+		if kind != ObjHeap {
+			return e.crash(st, in, CrashInvalidFree, "free of non-heap memory (%v object %q)", kind, name), nil
 		}
-		if obj.Freed {
-			return e.crash(st, in, CrashInvalidFree, "double free of obj%d", obj.ID), nil
+		if freed {
+			return e.crash(st, in, CrashInvalidFree, "double free of obj%d", v.ref), nil
 		}
-		st.Mem.MarkFreed(obj.ID)
+		st.Mem.free(v.ref)
 		st.advance()
 		st.countStep()
 		return e.single(st), nil
@@ -582,10 +586,11 @@ func (e *Engine) execAccess(st *State, in *mir.Instr, isWrite bool) ([]*State, e
 	}
 	obj := st.Mem.Object(base.ref)
 	if obj == nil {
+		if _, freed := st.Mem.Freed(base.ref); freed {
+			// Freed objects (stack or heap) are unnamed.
+			return e.crash(st, in, CrashSegFault, "use of freed memory (obj%d %q)", base.ref, ""), nil
+		}
 		return e.crash(st, in, CrashSegFault, "dereference of unmapped object"), nil
-	}
-	if obj.Freed {
-		return e.crash(st, in, CrashSegFault, "use of freed memory (obj%d %q)", obj.ID, obj.Name), nil
 	}
 	off := expr.Binary(expr.OpAdd, base.E, offV.E)
 	size := int64(obj.Size)
@@ -651,7 +656,8 @@ func (e *Engine) execAccess(st *State, in *mir.Instr, isWrite bool) ([]*State, e
 }
 
 func (e *Engine) execCall(st *State, in *mir.Instr) ([]*State, error) {
-	f := st.CurThread().Top()
+	t := st.CurThread()
+	f := t.Top()
 	var fn *mir.Func
 	if in.Sym != "" {
 		fn = e.Prog.Funcs[in.Sym]
@@ -668,12 +674,14 @@ func (e *Engine) execCall(st *State, in *mir.Instr) ([]*State, error) {
 	if len(in.Args) != len(fn.Params) {
 		return e.crash(st, in, CrashSegFault, "call to %s with %d args (want %d)", fn.Name, len(in.Args), len(fn.Params)), nil
 	}
-	nf := &Frame{Fn: fn, Regs: make([]Value, fn.NumRegs), RetDst: in.Dst}
-	for i, a := range in.Args[:min(len(in.Args), len(nf.Regs))] {
-		nf.Regs[i] = e.operand(f, a)
+	// The arguments are staged before the push, which may move Frames
+	// (and with it f).
+	regs := t.newRegs(fn.NumRegs)
+	for i, a := range in.Args[:min(len(in.Args), len(regs))] {
+		regs[i] = e.operand(f, a)
 	}
-	st.advance() // return resumes after the call
-	st.CurThread().pushFrame(nf)
+	f.Idx++ // return resumes after the call
+	t.pushFrame(Frame{Fn: fn, Regs: regs, RetDst: in.Dst})
 	st.countStep()
 	return e.single(st), nil
 }
@@ -685,11 +693,13 @@ func (e *Engine) execRet(st *State, in *mir.Instr) ([]*State, error) {
 	if in.A.Kind != mir.None {
 		v = e.operand(f, in.A)
 	}
+	retDst := f.RetDst
 	for _, id := range t.allocas[f.allocaBase:] {
-		st.Mem.MarkFreed(id)
+		if o, _ := st.Mem.free(id); o != nil {
+			e.recycle(o)
+		}
 	}
-	t.allocas = t.allocas[:f.allocaBase]
-	t.Frames = t.Frames[:len(t.Frames)-1]
+	t.popFrame()
 	st.countStep()
 	if len(t.Frames) == 0 {
 		t.Status = ThreadExited
@@ -708,9 +718,8 @@ func (e *Engine) execRet(st *State, in *mir.Instr) ([]*State, error) {
 		}
 		return e.reschedule(st)
 	}
-	caller := t.Top()
-	if f.RetDst >= 0 {
-		caller.Regs[f.RetDst] = v
+	if retDst >= 0 {
+		t.Top().Regs[retDst] = v
 	}
 	return e.single(st), nil
 }

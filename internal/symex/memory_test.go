@@ -45,17 +45,49 @@ func TestAddrSpaceBasics(t *testing.T) {
 func TestFreedObjectInaccessible(t *testing.T) {
 	as := NewAddrSpace()
 	as.Add(&Object{ID: 7, Size: 2, Cells: make([]Value, 2)})
-	if !as.MarkFreed(7) {
-		t.Fatal("MarkFreed failed")
+	if _, ok := as.free(7); !ok {
+		t.Fatal("free failed")
 	}
-	if as.MarkFreed(7) {
-		t.Fatal("double MarkFreed succeeded")
+	if _, ok := as.free(7); ok {
+		t.Fatal("double free succeeded")
+	}
+	if _, freed := as.Freed(7); !freed {
+		t.Fatal("freed object missing from the freed log")
 	}
 	if _, ok := as.Read(7, 0); ok {
 		t.Fatal("read of freed object succeeded")
 	}
 	if as.Write(7, 0, IntVal(1)) {
 		t.Fatal("write to freed object succeeded")
+	}
+}
+
+// TestCallRetUnmapsStackObjects: a returning frame takes its stack
+// objects out of the address space, so a thousand call → alloca → ret
+// cycles leave the space holding as many objects as before.
+func TestCallRetUnmapsStackObjects(t *testing.T) {
+	e := New(callLoopProg(), solver.New())
+	st, err := e.InitialState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		if succ, err := e.Step(st); err != nil || len(succ) != 1 || st.Status != StateRunning {
+			t.Fatalf("step: %d successors, err %v, %s", len(succ), err, st.Summary())
+		}
+	}
+	step() // entry jump
+	before := len(st.Mem.objects)
+	for i := 0; i < 1000; i++ {
+		for j := 0; j < 5; j++ { // call, alloca, store, ret, jmp
+			step()
+		}
+	}
+	if got := len(st.Mem.objects); got != before {
+		t.Fatalf("address space holds %d objects after 1,000 calls, want %d", got, before)
+	}
+	if n := len(st.CurThread().Frames); n != 1 {
+		t.Fatalf("%d frames after the calls, want 1", n)
 	}
 }
 
@@ -141,7 +173,7 @@ func TestStateForkIsolation(t *testing.T) {
 			envBufs:     map[string]int{},
 			Threads: []*Thread{{
 				ID:     0,
-				Frames: []*Frame{{Regs: make([]Value, 8)}},
+				Frames: []Frame{{Regs: make([]Value, 8)}},
 			}},
 		}
 		st.Mutexes[MutexKey{1, 0}] = &MutexState{Holder: -1}

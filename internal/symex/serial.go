@@ -20,7 +20,10 @@ import (
 //   - COW objects: forked states share Object pointers until first write,
 //     and the table dedups by pointer — decoded address spaces start with
 //     empty ownership, so the first write after resume clones exactly as
-//     it would have in the original process;
+//     it would have in the original process. A freed object is an entry
+//     of its space's freed log, encoded once per ID as an object marked
+//     freed with no cells (older encoders kept its size and cells; the
+//     decoder logs it either way);
 //   - states themselves: K_S snapshot states (Snapshots) are shared
 //     across forked siblings, and the state table dedups them too.
 //
@@ -53,7 +56,8 @@ type SerialValue struct {
 	Fn  string `json:"fn,omitempty"`
 }
 
-// SerialObject is one COW memory object.
+// SerialObject is one COW memory object, or, marked Freed, one entry of
+// an address space's freed log (ID and kind; no cells).
 type SerialObject struct {
 	ID    int           `json:"id"`
 	Kind  int           `json:"kind"`
@@ -160,6 +164,7 @@ type poolEncoder struct {
 	p      *Pool
 	exprs  map[*expr.Expr]int
 	objs   map[*Object]int
+	freed  map[int]int // freed object ID -> table index
 	states map[*State]int
 }
 
@@ -171,6 +176,7 @@ func EncodePool(roots []*State) *Pool {
 		p:      &Pool{},
 		exprs:  map[*expr.Expr]int{},
 		objs:   map[*Object]int{},
+		freed:  map[int]int{},
 		states: map[*State]int{},
 	}
 	for _, st := range roots {
@@ -212,7 +218,7 @@ func (enc *poolEncoder) object(o *Object) int {
 		return idx
 	}
 	so := SerialObject{
-		ID: o.ID, Kind: int(o.Kind), Size: o.Size, Name: o.Name, Freed: o.Freed,
+		ID: o.ID, Kind: int(o.Kind), Size: o.Size, Name: o.Name,
 		Cells: make([]SerialValue, len(o.Cells)),
 	}
 	for i, c := range o.Cells {
@@ -222,6 +228,26 @@ func (enc *poolEncoder) object(o *Object) int {
 	idx := len(enc.p.Objs)
 	enc.objs[o] = idx
 	return idx
+}
+
+// freedObject returns the table index of the entry for the freed object
+// id: its ID and kind, marked freed, with no cells.
+func (enc *poolEncoder) freedObject(id int, kind ObjKind) int {
+	if idx, ok := enc.freed[id]; ok {
+		return idx
+	}
+	enc.p.Objs = append(enc.p.Objs, SerialObject{ID: id, Kind: int(kind), Freed: true, Cells: []SerialValue{}})
+	idx := len(enc.p.Objs)
+	enc.freed[id] = idx
+	return idx
+}
+
+// memEntry is one object of an address space being encoded: mapped (o)
+// or freed (kind).
+type memEntry struct {
+	id   int
+	o    *Object
+	kind ObjKind
 }
 
 func sortedMutexKeys[V any](m map[MutexKey]V) []MutexKey {
@@ -275,13 +301,20 @@ func (enc *poolEncoder) state(st *State) int {
 	if st.syncApproved != nil {
 		ss.SyncApproved = &SerialApproval{Tid: st.syncApproved.Tid, Loc: st.syncApproved.Loc}
 	}
-	objIDs := make([]int, 0, len(st.Mem.objects))
-	for id := range st.Mem.objects {
-		objIDs = append(objIDs, id)
+	mem := make([]memEntry, 0, len(st.Mem.objects))
+	for id, o := range st.Mem.objects {
+		mem = append(mem, memEntry{id: id, o: o})
 	}
-	sort.Ints(objIDs)
-	for _, id := range objIDs {
-		ss.Mem = append(ss.Mem, enc.object(st.Mem.objects[id]))
+	for f := st.Mem.freed; f != nil; f = f.next {
+		mem = append(mem, memEntry{id: f.id, kind: f.kind})
+	}
+	sort.Slice(mem, func(i, j int) bool { return mem[i].id < mem[j].id })
+	for _, m := range mem {
+		if m.o != nil {
+			ss.Mem = append(ss.Mem, enc.object(m.o))
+		} else {
+			ss.Mem = append(ss.Mem, enc.freedObject(m.id, m.kind))
+		}
 	}
 	for _, t := range st.Threads {
 		sth := SerialThread{
@@ -289,7 +322,8 @@ func (enc *poolEncoder) state(st *State) int {
 			WaitMutex: t.WaitMutex, WaitCond: t.WaitCond, WaitTid: t.WaitTid,
 			Result: enc.value(t.Result), CondPhase: t.CondPhase,
 		}
-		for fi, f := range t.Frames {
+		for fi := range t.Frames {
+			f := &t.Frames[fi]
 			sf := SerialFrame{
 				Fn: f.Fn.Name, Block: f.Block, Idx: f.Idx, RetDst: f.RetDst,
 				Allocas: t.frameAllocas(fi), Regs: make([]SerialValue, len(f.Regs)),
@@ -322,9 +356,11 @@ func (enc *poolEncoder) state(st *State) int {
 
 // poolDecoder carries one decoding pass's resolved tables.
 type poolDecoder struct {
-	p      *Pool
-	prog   *mir.Program
-	exprs  []*expr.Expr
+	p     *Pool
+	prog  *mir.Program
+	exprs []*expr.Expr
+	// objs holds the decoded objects by table index, nil for an entry
+	// marked freed (it goes into the freed log of each space listing it).
 	objs   []*Object
 	states []*State
 }
@@ -451,14 +487,18 @@ func (dec *poolDecoder) decodeObjs() error {
 		if so.Size != len(so.Cells) {
 			return fmt.Errorf("symex: object %d has size %d but %d cells", so.ID, so.Size, len(so.Cells))
 		}
-		o := newObject(so.ID, ObjKind(so.Kind), so.Size, so.Name)
-		o.Freed = so.Freed
+		var o *Object
+		if !so.Freed {
+			o = newObject(so.ID, ObjKind(so.Kind), so.Size, so.Name)
+		}
 		for ci, sc := range so.Cells {
 			v, err := dec.value(sc)
 			if err != nil {
 				return err
 			}
-			o.Cells[ci] = v
+			if o != nil {
+				o.Cells[ci] = v
+			}
 		}
 		dec.objs[i] = o
 	}
@@ -509,8 +549,12 @@ func (dec *poolDecoder) decodeStates() error {
 			if oi < 1 || oi > len(dec.objs) {
 				return fmt.Errorf("symex: state %d references invalid object %d", ss.ID, oi)
 			}
-			o := dec.objs[oi-1]
-			st.Mem.objects[o.ID] = o
+			if o := dec.objs[oi-1]; o != nil {
+				st.Mem.objects[o.ID] = o
+			} else {
+				so := &dec.p.Objs[oi-1]
+				st.Mem.freed = &freedObj{id: so.ID, kind: ObjKind(so.Kind), next: st.Mem.freed}
+			}
 		}
 		if ss.Cur < 0 || ss.Cur >= len(ss.Threads) {
 			return fmt.Errorf("symex: state %d schedules thread index %d of %d", ss.ID, ss.Cur, len(ss.Threads))
@@ -532,16 +576,13 @@ func (dec *poolDecoder) decodeStates() error {
 				if err := checkFrame(fn, sf, t.Top()); err != nil {
 					return fmt.Errorf("symex: state %d: %w", ss.ID, err)
 				}
-				f := &Frame{
-					Fn: fn, Block: sf.Block, Idx: sf.Idx, RetDst: sf.RetDst,
-					Regs: make([]Value, len(sf.Regs)),
-				}
+				regs := t.newRegs(len(sf.Regs))
 				for ri, sr := range sf.Regs {
-					if f.Regs[ri], err = dec.value(sr); err != nil {
+					if regs[ri], err = dec.value(sr); err != nil {
 						return err
 					}
 				}
-				t.pushFrame(f)
+				t.pushFrame(Frame{Fn: fn, Block: sf.Block, Idx: sf.Idx, RetDst: sf.RetDst, Regs: regs})
 				t.allocas = append(t.allocas, sf.Allocas...)
 			}
 			st.Threads = append(st.Threads, t)

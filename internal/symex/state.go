@@ -41,9 +41,12 @@ func (s ThreadStatus) String() string {
 
 // Frame is one activation record.
 type Frame struct {
-	Fn     *mir.Func
-	Block  int
-	Idx    int
+	Fn    *mir.Func
+	Block int
+	Idx   int
+	// Regs is the frame's register file: a slice of its thread's current
+	// register chunk, whose capacity runs to the chunk's end (see
+	// Thread.free).
 	Regs   []Value
 	RetDst int // caller register receiving the return value (-1 none)
 	// allocaBase is where this frame's stack objects start in its
@@ -51,20 +54,15 @@ type Frame struct {
 	allocaBase int
 }
 
-func (f *Frame) clone() *Frame {
-	n := *f
-	n.Regs = make([]Value, len(f.Regs))
-	copy(n.Regs, f.Regs)
-	return &n
-}
-
 // Loc returns the frame's current instruction location.
 func (f *Frame) Loc() mir.Loc { return mir.Loc{Fn: f.Fn.Name, Block: f.Block, Index: f.Idx} }
 
 // Thread is one simulated POSIX thread.
 type Thread struct {
-	ID        int
-	Frames    []*Frame
+	ID int
+	// Frames is the call stack, outermost first, held by value: a call
+	// appends to it and a return truncates it.
+	Frames    []Frame
 	Status    ThreadStatus
 	WaitMutex MutexKey // when blocked on a mutex (incl. condvar reacquire)
 	WaitCond  MutexKey // when blocked on a condvar
@@ -78,22 +76,74 @@ type Thread struct {
 	// per thread, rather than a slice per frame, lets a call and its
 	// allocas allocate nothing for the bookkeeping.
 	allocas []int
+	// free is the unused, zeroed tail of the thread's register chunk. A
+	// call takes its registers from its head and starts a new chunk only
+	// when it is too short; a returning frame hands back its registers
+	// and the rest of their chunk. A chunk thus outlives the frame that
+	// started it, so calls and returns across its start do not allocate,
+	// and a new chunk never copies the frames below it.
+	free []Value
 }
 
+// regChunk is the smallest register chunk a call starts (Values): a few
+// typical frames, so most calls take their registers from a chunk.
+const regChunk = 32
+
+// forkSlack is the room (frames) a fork's copy of a thread leaves after
+// the copied frames. Its registers are copied into one chunk of exactly
+// their size: the copy's first call starts a chunk of its own.
+const forkSlack = 2
+
+// clone copies the thread for a fork: its frames into one slice and all
+// their registers into one chunk.
 func (t *Thread) clone() *Thread {
 	n := *t
-	n.Frames = make([]*Frame, len(t.Frames))
-	for i, f := range t.Frames {
-		n.Frames[i] = f.clone()
+	n.Frames = make([]Frame, len(t.Frames), len(t.Frames)+forkSlack)
+	copy(n.Frames, t.Frames)
+	n.free = nil
+	if len(t.Frames) > 0 {
+		total := 0
+		for i := range t.Frames {
+			total += len(t.Frames[i].Regs)
+		}
+		n.free = make([]Value, total)
+		for i := range n.Frames {
+			n.Frames[i].Regs = n.newRegs(len(t.Frames[i].Regs))
+			copy(n.Frames[i].Regs, t.Frames[i].Regs)
+		}
 	}
 	n.allocas = append([]int(nil), t.allocas...)
 	return &n
 }
 
-// pushFrame enters f, which starts with no stack objects.
-func (t *Thread) pushFrame(f *Frame) {
+// newRegs takes n zeroed registers from the thread's register chunk,
+// starting a new chunk when the current one is too short.
+func (t *Thread) newRegs(n int) []Value {
+	if n > len(t.free) {
+		t.free = make([]Value, max(n, regChunk))
+	}
+	r := t.free[:n]
+	t.free = t.free[n:]
+	return r
+}
+
+// pushFrame enters f, whose registers came from newRegs and which starts
+// with no stack objects.
+func (t *Thread) pushFrame(f Frame) {
 	f.allocaBase = len(t.allocas)
 	t.Frames = append(t.Frames, f)
+}
+
+// popFrame leaves the innermost frame: its registers, cleared, go back to
+// the thread's chunk with everything after them, and its stack objects'
+// IDs leave the alloca stack (the caller frees the objects first).
+func (t *Thread) popFrame() {
+	f := &t.Frames[len(t.Frames)-1]
+	clear(f.Regs)
+	t.free = f.Regs[:cap(f.Regs)]
+	t.allocas = t.allocas[:f.allocaBase]
+	*f = Frame{}
+	t.Frames = t.Frames[:len(t.Frames)-1]
 }
 
 // frameAllocas returns the stack objects of t.Frames[i].
@@ -105,12 +155,13 @@ func (t *Thread) frameAllocas(i int) []int {
 	return t.allocas[t.Frames[i].allocaBase:end]
 }
 
-// Top returns the innermost frame, or nil for an exited thread.
+// Top returns the innermost frame, or nil for an exited thread. The
+// pointer is into Frames, so it is valid until the thread's next call.
 func (t *Thread) Top() *Frame {
 	if len(t.Frames) == 0 {
 		return nil
 	}
-	return t.Frames[len(t.Frames)-1]
+	return &t.Frames[len(t.Frames)-1]
 }
 
 // Stack returns the thread's call stack, outermost first, as instruction
@@ -123,8 +174,8 @@ func (t *Thread) Stack() []mir.Loc {
 // returns the extended slice: Stack without the allocation, for callers
 // that score many states through one buffer.
 func (t *Thread) AppendStack(dst []mir.Loc) []mir.Loc {
-	for _, f := range t.Frames {
-		dst = append(dst, f.Loc())
+	for i := range t.Frames {
+		dst = append(dst, t.Frames[i].Loc())
 	}
 	return dst
 }

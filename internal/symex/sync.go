@@ -15,16 +15,17 @@ func (e *Engine) execThreadCreate(st *State, in *mir.Instr) ([]*State, error) {
 		return nil, fmt.Errorf("symex: thread_create of undefined %q", in.Sym)
 	}
 	arg := e.operand(f, in.A)
-	tid := len(st.Threads)
-	nf := &Frame{Fn: fn, Regs: make([]Value, fn.NumRegs), RetDst: -1}
+	nt := &Thread{ID: len(st.Threads)}
+	regs := nt.newRegs(fn.NumRegs)
 	if len(fn.Params) > 0 {
-		nf.Regs[0] = arg
+		regs[0] = arg
 		for i := 1; i < len(fn.Params); i++ {
-			nf.Regs[i] = IntVal(0)
+			regs[i] = IntVal(0)
 		}
 	}
-	st.Threads = append(st.Threads, &Thread{ID: tid, Frames: []*Frame{nf}})
-	f.Regs[in.Dst] = IntVal(int64(tid))
+	nt.pushFrame(Frame{Fn: fn, Regs: regs, RetDst: -1})
+	st.Threads = append(st.Threads, nt)
+	f.Regs[in.Dst] = IntVal(int64(nt.ID))
 	st.recordSync(mir.ThreadCreate, NoMutex)
 	st.advance()
 	st.countStep()

@@ -97,7 +97,6 @@ type Object struct {
 	Size  int
 	Name  string // global/env name for diagnostics
 	Cells []Value
-	Freed bool
 	// owner tags the one address space that may write the object in
 	// place (see AddrSpace); every other space clones it first.
 	owner *cowOwner
@@ -124,7 +123,6 @@ func newObject(id int, kind ObjKind, size int, name string) *Object {
 func (o *Object) clone() *Object {
 	c := newObject(o.ID, o.Kind, len(o.Cells), o.Name)
 	c.Size = o.Size
-	c.Freed = o.Freed
 	copy(c.Cells, o.Cells)
 	return c
 }
@@ -134,14 +132,29 @@ func (o *Object) clone() *Object {
 // created them; its non-zero size gives every owner a distinct address.
 type cowOwner struct{ _ byte }
 
+// freedObj is one entry of an address space's freed log: an object freed
+// on this path, newest first. Entries never change, so a fork shares its
+// parent's log and each side only prepends to it.
+type freedObj struct {
+	id   int
+	kind ObjKind
+	next *freedObj
+}
+
 // AddrSpace is a copy-on-write map from object IDs to objects. Fork shares
 // all objects between parent and child; the first write in either side
 // clones the touched object (the Klee object-level COW of §6.1 that makes
 // snapshots cheap). An object records the owner of the one space that may
 // write it in place: the space that created or cloned it, until that
 // space forks.
+//
+// A freed object leaves the map. The freed log keeps what a later access
+// or free of it needs to report: its ID and kind (the objects the VM
+// frees, stack and heap, are unnamed). Only a lookup that misses the map
+// reads the log, and only a path that uses freed memory misses.
 type AddrSpace struct {
 	objects map[int]*Object
+	freed   *freedObj
 	self    *cowOwner // the owner this space tags its objects with
 	owns    bool      // some object carries self
 }
@@ -151,10 +164,10 @@ func NewAddrSpace() *AddrSpace {
 	return &AddrSpace{objects: map[int]*Object{}, self: new(cowOwner)}
 }
 
-// Fork returns a copy sharing all objects; both sides lose in-place write
-// ownership.
+// Fork returns a copy sharing all objects and the freed log; both sides
+// lose in-place write ownership.
 func (as *AddrSpace) Fork() *AddrSpace {
-	n := &AddrSpace{objects: make(map[int]*Object, len(as.objects)), self: new(cowOwner)}
+	n := &AddrSpace{objects: make(map[int]*Object, len(as.objects)), freed: as.freed, self: new(cowOwner)}
 	for id, o := range as.objects {
 		n.objects[id] = o
 	}
@@ -177,8 +190,36 @@ func (as *AddrSpace) Add(o *Object) {
 	as.objects[o.ID] = o
 }
 
-// Object returns the object with the given ID, or nil.
+// Object returns the mapped object with the given ID, or nil (for a freed
+// object too; see Freed).
 func (as *AddrSpace) Object(id int) *Object { return as.objects[id] }
+
+// Freed reports whether the object with the given ID was freed on this
+// path, and its kind.
+func (as *AddrSpace) Freed(id int) (ObjKind, bool) {
+	for f := as.freed; f != nil; f = f.next {
+		if f.id == id {
+			return f.kind, true
+		}
+	}
+	return 0, false
+}
+
+// free unmaps the object and logs it as freed. ok is false when no such
+// object is mapped. The object itself is returned when this space owned
+// it: no other space maps it then, so the caller may reuse it.
+func (as *AddrSpace) free(id int) (reusable *Object, ok bool) {
+	o := as.objects[id]
+	if o == nil {
+		return nil, false
+	}
+	delete(as.objects, id)
+	as.freed = &freedObj{id: id, kind: o.Kind, next: as.freed}
+	if o.owner != as.self {
+		return nil, true
+	}
+	return o, true
+}
 
 // writable returns o, which this space maps, ready to be written in
 // place: o itself when this space owns it, else a clone this space owns.
@@ -194,10 +235,10 @@ func (as *AddrSpace) writable(o *Object) *Object {
 }
 
 // Read returns the cell at (obj, off); ok is false when out of bounds or
-// the object was freed.
+// the object is not mapped.
 func (as *AddrSpace) Read(obj int, off int64) (Value, bool) {
 	o := as.objects[obj]
-	if o == nil || o.Freed || off < 0 || off >= int64(o.Size) {
+	if o == nil || off < 0 || off >= int64(o.Size) {
 		return Value{}, false
 	}
 	v := o.Cells[off]
@@ -207,26 +248,13 @@ func (as *AddrSpace) Read(obj int, off int64) (Value, bool) {
 	return v, true
 }
 
-// Write stores v at (obj, off); false when out of bounds or freed.
+// Write stores v at (obj, off); false when out of bounds or the object is
+// not mapped.
 func (as *AddrSpace) Write(obj int, off int64, v Value) bool {
 	o := as.objects[obj]
-	if o == nil || o.Freed || off < 0 || off >= int64(o.Size) {
+	if o == nil || off < 0 || off >= int64(o.Size) {
 		return false
 	}
 	as.writable(o).Cells[off] = v
 	return true
 }
-
-// MarkFreed marks the object freed (subsequent access crashes). Reports
-// whether the object existed and was not already freed.
-func (as *AddrSpace) MarkFreed(id int) bool {
-	o := as.objects[id]
-	if o == nil || o.Freed {
-		return false
-	}
-	as.writable(o).Freed = true
-	return true
-}
-
-// NumObjects returns the number of live objects (for memory accounting).
-func (as *AddrSpace) NumObjects() int { return len(as.objects) }
