@@ -48,7 +48,11 @@ int main() { int *p = escape(); *p = 3; return 0; }`,
 			`use of freed memory (obj2 "")`, CrashSegFault},
 		{"free-after-return", escapeScalar + `
 int main() { int *p = escape(); free(p); return 0; }`,
-			`free of non-heap memory (1 object "")`, CrashInvalidFree},
+			`free of non-heap memory (stack object "")`, CrashInvalidFree},
+		{"free-of-global", `
+int g[2];
+int main() { free(g); return 0; }`,
+			`free of non-heap memory (global object "g")`, CrashInvalidFree},
 		{"heap-double-free", `
 int main() { int *p = malloc(2); free(p); free(p); return 0; }`,
 			`double free of obj2`, CrashInvalidFree},

@@ -90,6 +90,21 @@ const (
 	ObjEnv // buffers backing getenv results
 )
 
+// String names the kind.
+func (k ObjKind) String() string {
+	switch k {
+	case ObjGlobal:
+		return "global"
+	case ObjStack:
+		return "stack"
+	case ObjHeap:
+		return "heap"
+	case ObjEnv:
+		return "env"
+	}
+	return fmt.Sprintf("ObjKind(%d)", int(k))
+}
+
 // Object is a fixed-size array of word cells.
 type Object struct {
 	ID    int
