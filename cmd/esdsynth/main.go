@@ -223,6 +223,8 @@ func main() {
 			fatal(fmt.Errorf("synthesis cancelled"))
 		case res.TimedOut:
 			fatal(fmt.Errorf("no execution synthesized within the time budget"))
+		case res.Stats.Sheds > 0:
+			fatal(fmt.Errorf("search ended without reproducing the bug, but the space was not exhausted: %d states were dropped over the live-state budget", res.Stats.Sheds))
 		}
 		fatal(fmt.Errorf("search space exhausted without reproducing the bug"))
 	}

@@ -338,6 +338,7 @@ func (e *Engine) Synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 			SolverVerifyRejects:  res.SolverVerifyRejects,
 			SolverWallNanos:      res.SolverWallNanos,
 			Workers:              res.Workers,
+			Sheds:                res.Sheds,
 			Interner:             expr.InternerStats(),
 		},
 	}

@@ -193,6 +193,10 @@ type Stats struct {
 	// Workers is the number of frontier-parallel search workers the run
 	// used (1 for a sequential search).
 	Workers int
+	// Sheds counts live states the search dropped over its live-state
+	// budget. A run that found nothing with Sheds > 0 did not exhaust the
+	// search space: the shed states were never explored.
+	Sheds int64
 	// Interner snapshots the process-wide term store after the run: the
 	// terms live runs still hold plus the constant cache, since the garbage
 	// collector reclaims every term nothing references (also surfaced by

@@ -313,7 +313,10 @@ type Result struct {
 }
 
 // Outcome classifies the run for telemetry and reports: found | preempted
-// | timeout | cancelled | exhausted.
+// | cancelled | timeout | incomplete | exhausted. A frontier that ran dry
+// is "exhausted" only when no state was shed on the way: after a shed,
+// states that were never explored may hold the bug, so the run is
+// "incomplete".
 func (r *Result) Outcome() string {
 	switch {
 	case r.Found != nil:
@@ -324,6 +327,8 @@ func (r *Result) Outcome() string {
 		return "cancelled"
 	case r.TimedOut:
 		return "timeout"
+	case r.Sheds > 0:
+		return "incomplete"
 	default:
 		return "exhausted"
 	}

@@ -353,3 +353,28 @@ func TestStressDoesNotReproduceListing1(t *testing.T) {
 		t.Fatalf("stress testing with wrong inputs reproduced the bug %d times — listing1 gate broken", fails)
 	}
 }
+
+// TestOutcomeMapping: a frontier that ran dry reads "exhausted" only when
+// no state was shed; after a shed it reads "incomplete". A found bug, a
+// preemption, a cancellation and a timeout each take precedence over
+// both, in that order.
+func TestOutcomeMapping(t *testing.T) {
+	found := &symex.State{}
+	for _, c := range []struct {
+		res  Result
+		want string
+	}{
+		{Result{}, "exhausted"},
+		{Result{Sheds: 1}, "incomplete"},
+		{Result{TimedOut: true, Sheds: 7}, "timeout"},
+		{Result{Cancelled: true, TimedOut: true, Sheds: 7}, "cancelled"},
+		{Result{Preempted: true, Cancelled: true, TimedOut: true, Sheds: 7}, "preempted"},
+		{Result{Found: found, Preempted: true, Cancelled: true, TimedOut: true, Sheds: 7}, "found"},
+		{Result{Found: found}, "found"},
+	} {
+		if got := c.res.Outcome(); got != c.want {
+			t.Errorf("Outcome() of found=%v preempted=%v cancelled=%v timedOut=%v sheds=%d = %q, want %q",
+				c.res.Found != nil, c.res.Preempted, c.res.Cancelled, c.res.TimedOut, c.res.Sheds, got, c.want)
+		}
+	}
+}

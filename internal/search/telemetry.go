@@ -32,7 +32,7 @@ var (
 		"Forked states dropped by the cross-worker dedup set (frontier-parallel runs only).")
 
 	syntheses = telemetry.NewCounterVec("esd_syntheses_total",
-		"Completed synthesis runs, by outcome.",
+		"Completed synthesis runs, by outcome: found, preempted, cancelled, timeout, incomplete (no state left after some were shed over the live-state budget) or exhausted.",
 		"outcome")
 	synthesisDuration = telemetry.NewHistogram("esd_synthesis_duration_seconds",
 		"End-to-end synthesis wall time.", 1e-9)
