@@ -85,21 +85,17 @@ type Thread struct {
 	free []Value
 }
 
-// regChunk is the smallest register chunk a call starts (Values): a few
-// typical frames, so most calls take their registers from a chunk.
-const regChunk = 32
-
-// forkSlack is the room (frames) a fork's copy of a thread leaves after
-// the copied frames. Its registers are copied into one chunk of exactly
-// their size: the copy's first call starts a chunk of its own.
-const forkSlack = 2
+// regChunk is the smallest register chunk a call starts (Values). Small
+// chunks waste least in the many states that fork and then make one or
+// two shallow calls; deep call chains start a chunk every few frames.
+const regChunk = 8
 
 // clone copies the thread for a fork: its frames into one slice and all
-// their registers into one chunk.
+// their registers into one chunk, both exactly sized (the copy's first
+// call grows the one and starts a chunk of its own).
 func (t *Thread) clone() *Thread {
 	n := *t
-	n.Frames = make([]Frame, len(t.Frames), len(t.Frames)+forkSlack)
-	copy(n.Frames, t.Frames)
+	n.Frames = append([]Frame(nil), t.Frames...)
 	n.free = nil
 	if len(t.Frames) > 0 {
 		total := 0
@@ -142,7 +138,6 @@ func (t *Thread) popFrame() {
 	clear(f.Regs)
 	t.free = f.Regs[:cap(f.Regs)]
 	t.allocas = t.allocas[:f.allocaBase]
-	*f = Frame{}
 	t.Frames = t.Frames[:len(t.Frames)-1]
 }
 
