@@ -378,7 +378,7 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 		freed := false
 		if obj := st.Mem.Object(v.ref); obj != nil {
 			kind, name = obj.Kind, obj.Name
-		} else if kind, freed = st.Mem.Freed(v.ref); !freed {
+		} else if kind, freed = st.Mem.wasFreed(v.ref); !freed {
 			return e.crash(st, in, CrashInvalidFree, "free of unknown object"), nil
 		}
 		if kind != ObjHeap {
@@ -586,7 +586,7 @@ func (e *Engine) execAccess(st *State, in *mir.Instr, isWrite bool) ([]*State, e
 	}
 	obj := st.Mem.Object(base.ref)
 	if obj == nil {
-		if _, freed := st.Mem.Freed(base.ref); freed {
+		if _, freed := st.Mem.wasFreed(base.ref); freed {
 			// Freed objects (stack or heap) are unnamed.
 			return e.crash(st, in, CrashSegFault, "use of freed memory (obj%d %q)", base.ref, ""), nil
 		}

@@ -51,7 +51,7 @@ func TestFreedObjectInaccessible(t *testing.T) {
 	if _, ok := as.free(7); ok {
 		t.Fatal("double free succeeded")
 	}
-	if _, freed := as.Freed(7); !freed {
+	if _, freed := as.wasFreed(7); !freed {
 		t.Fatal("freed object missing from the freed log")
 	}
 	if _, ok := as.Read(7, 0); ok {

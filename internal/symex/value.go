@@ -206,12 +206,12 @@ func (as *AddrSpace) Add(o *Object) {
 }
 
 // Object returns the mapped object with the given ID, or nil (for a freed
-// object too; see Freed).
+// object too; see wasFreed).
 func (as *AddrSpace) Object(id int) *Object { return as.objects[id] }
 
-// Freed reports whether the object with the given ID was freed on this
-// path, and its kind.
-func (as *AddrSpace) Freed(id int) (ObjKind, bool) {
+// wasFreed reports whether the object with the given ID was freed on
+// this path, and its kind.
+func (as *AddrSpace) wasFreed(id int) (ObjKind, bool) {
 	for f := as.freed; f != nil; f = f.next {
 		if f.id == id {
 			return f.kind, true
