@@ -58,14 +58,13 @@ type Engine struct {
 type Option func(*Engine)
 
 // WithPersistentCache opens (creating if needed) a persistent cross-run
-// solver-fact store in dir and attaches it as the engine's outermost
-// cache tier: every synthesis consults it (scoped to the program's
-// structural fingerprint) when a solver's private tier misses (and, in
-// a frontier-parallel run, the workers' shared tier), and publishes
-// every definite component verdict back. Because entries are keyed by
-// canonical structural fingerprints — not process-local intern
-// identities — a verdict written by one process is a hit in the next,
-// across restarts.
+// solver-fact store in dir and attaches it as the engine's outer cache
+// tier: every synthesis attaches the program's view of it (scoped to the
+// program's structural fingerprint) to each solver it runs on, which
+// consults it when its private memo misses and publishes every definite
+// component verdict back. Because entries are keyed by canonical
+// structural fingerprints — not process-local intern identities — a
+// verdict written by one process is a hit in the next, across restarts.
 //
 // Correctness does not depend on the directory's contents: Sat models
 // are re-verified by concrete evaluation against the live terms before
@@ -201,11 +200,11 @@ func WithRaceDetection() SynthOption {
 }
 
 // WithParallelism runs the search frontier-parallel: n workers share one
-// priority frontier behind one lock, one dedup set, one solver fact
-// layer for the run, and the compiled program and distance tables, each
-// running its own symbolic VM and solver; the first worker to reach the
-// goal cancels the rest. n <= 1 runs the unchanged sequential searcher,
-// so WithParallelism(1) is bit-identical to the default.
+// priority frontier behind one lock, one dedup set, and the compiled
+// program and distance tables, each running its own symbolic VM and
+// pooled solver; the first worker to reach the goal cancels the rest.
+// n <= 1 runs the unchanged sequential searcher, so WithParallelism(1) is
+// bit-identical to the default.
 // Frontier-parallel runs explore the sequential search's state space,
 // less the duplicate decision histories the dedup set drops, in a
 // schedule-dependent order, so their step counts and flight traces vary
@@ -298,25 +297,32 @@ func (e *Engine) Synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 			so.Budget = rem
 		}
 	}
+	// The persistent tier is scoped by the program's structural
+	// fingerprint; every solver of this request shares the one view. With
+	// no store it stays a nil interface, not a typed nil.
+	var persist solver.PersistentCache
+	if e.pcache != nil {
+		persist = e.pcache.ForProgram(prog.MIR.Fingerprint())
+	}
 	// Every worker (one, or Parallelism of a frontier-parallel run) draws
-	// a warm solver from the engine's pool instead of building a cold one.
+	// a warm solver from the engine's pool instead of building a cold one,
+	// and keeps the request's persistent tier until it goes back: a pooled
+	// solver must not carry one program's view into another's request.
 	so.Solvers = make([]*solver.Solver, max(so.Parallelism, 1))
 	for i := range so.Solvers {
-		so.Solvers[i] = e.solvers.Get().(*solver.Solver)
+		sol := e.solvers.Get().(*solver.Solver)
+		sol.Persist = persist
+		so.Solvers[i] = sol
 	}
 	defer func() {
 		for _, sol := range so.Solvers {
+			sol.Persist = nil
 			e.solvers.Put(sol)
 		}
 	}()
 
 	e.active.Add(1)
 	defer e.active.Add(-1)
-	if so.PersistCache == nil && e.pcache != nil {
-		// The persistent tier is scoped by the program's structural
-		// fingerprint; every worker of this request shares the one view.
-		so.PersistCache = e.pcache.ForProgram(prog.MIR.Fingerprint())
-	}
 	res, err := search.Synthesize(ctx, prog.MIR, rep.R, so)
 	e.synthesized.Add(1)
 	if err != nil {
@@ -333,7 +339,6 @@ func (e *Engine) Synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 			BranchForks:          res.BranchForks,
 			SolverQueries:        res.SolverQueries,
 			SolverCacheHits:      res.SolverHits,
-			SolverSharedHits:     res.SolverSharedHits,
 			SolverPersistentHits: res.SolverPersistentHits,
 			SolverVerifyRejects:  res.SolverVerifyRejects,
 			SolverWallNanos:      res.SolverWallNanos,
@@ -437,7 +442,6 @@ func buildFlightReport(so search.Options, rep *BugReport, res *search.Result, so
 			SolverNS:             res.SolverWallNanos,
 			SolveNS:              solveNS,
 			SolverCacheHits:      int64(res.SolverHits),
-			SolverSharedHits:     int64(res.SolverSharedHits),
 			SolverPersistentHits: int64(res.SolverPersistentHits),
 			SolverVerifyRejects:  int64(res.SolverVerifyRejects),
 			Workers:              res.WorkerWall,

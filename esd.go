@@ -33,10 +33,9 @@
 //
 // A single synthesis can also spend multiple cores: WithParallelism(n)
 // runs n workers over one best-first frontier behind one lock (shared
-// dedup, one solver fact cache shared by the workers, first-to-goal
-// wins). A sequential synthesis has no workers to share facts with and
-// attaches no shared cache. See the package README's "Parallel
-// synthesis" section for its determinism contract.
+// dedup, a pooled solver per worker, first-to-goal wins). See the
+// package README's "Parallel synthesis" section for its determinism
+// contract.
 package esd
 
 import (
@@ -171,10 +170,6 @@ type Stats struct {
 	// memo: a query adds one per component found there, so it varies with
 	// how warm the pooled solver is.
 	SolverCacheHits int
-	// SolverSharedHits counts component verdicts a frontier-parallel
-	// run's workers took from each other through the run's shared solver
-	// cache (always 0 for a sequential run).
-	SolverSharedHits int
 	// SolverPersistentHits counts component verdicts served from the
 	// engine's persistent cross-run cache (WithPersistentCache; 0 when no
 	// cache directory is configured or the run was cold).

@@ -228,6 +228,13 @@ var sharedCalcs = struct {
 	m map[calcKey]*calcEntry
 }{m: map[calcKey]*calcEntry{}}
 
+// maxSharedCalcs bounds sharedCalcs like the engine's compile memo: each
+// Calculator holds its program and call graph, so a process synthesizing
+// a stream of distinct sources must not keep every one reachable. Eviction
+// is arbitrary-entry, as there; an evicted program's tables are rebuilt on
+// its next search.
+const maxSharedCalcs = 256
+
 // Shared-cache traffic counters: a hit is a ForProgram call that found an
 // existing entry (the caller shares tables built by an earlier run —
 // exactly what many syntheses over one program are supposed to do, and
@@ -254,6 +261,12 @@ func ForProgram(cg *cfa.CallGraph) *Calculator {
 	sharedCalcs.Lock()
 	ent := sharedCalcs.m[key]
 	if ent == nil {
+		for k := range sharedCalcs.m {
+			if len(sharedCalcs.m) < maxSharedCalcs {
+				break
+			}
+			delete(sharedCalcs.m, k)
+		}
 		ent = &calcEntry{}
 		sharedCalcs.m[key] = ent
 		sharedMisses.Add(1)

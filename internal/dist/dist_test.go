@@ -605,3 +605,29 @@ func TestForProgramCrossRunCache(t *testing.T) {
 		t.Fatal("distinct programs shared a Calculator")
 	}
 }
+
+// TestForProgramCacheBounded: the cross-run Calculator cache holds at most
+// maxSharedCalcs programs, so a stream of distinct programs cannot keep
+// every one reachable; each distinct program is still a miss.
+func TestForProgramCacheBounded(t *testing.T) {
+	ResetSharedCache()
+	defer ResetSharedCache()
+	_, misses0 := SharedCacheStats()
+	const programs = 300
+	for i := range programs {
+		p := mir.NewProgram(fmt.Sprintf("distinct%d", i))
+		b := mir.NewFuncBuilder("main")
+		b.EmitRet(mir.I(int64(i)))
+		p.AddFunc(b.F)
+		ForProgram(cfa.BuildCallGraph(p))
+	}
+	sharedCalcs.Lock()
+	entries := len(sharedCalcs.m)
+	sharedCalcs.Unlock()
+	if entries > maxSharedCalcs {
+		t.Errorf("%d distinct programs left %d cached Calculators, want at most %d", programs, entries, maxSharedCalcs)
+	}
+	if _, misses := SharedCacheStats(); misses-misses0 != programs {
+		t.Errorf("%d distinct programs counted %d misses", programs, misses-misses0)
+	}
+}

@@ -81,7 +81,6 @@ type Expr struct {
 	T, F *Expr  // Ite branches
 
 	hash uint64    // structural hash, computed at construction
-	id   uint64    // process-unique intern ID, never reused
 	skey StructKey // canonical 128-bit structural fingerprint (structkey.go)
 	vars []string  // cached free-variable names, sorted (intern.go)
 }
@@ -128,12 +127,6 @@ func (e *Expr) IsBoolOp() bool {
 
 // Hash returns a structural hash of the term.
 func (e *Expr) Hash() uint64 { return e.hash }
-
-// ID returns the term's process-unique intern ID. Structurally equal live
-// terms share an ID; IDs are never reused, so a term rebuilt after its
-// collection gets a new one, and an ID-keyed entry about a dead term can
-// never alias a live one.
-func (e *Expr) ID() uint64 { return e.id }
 
 // Equal reports structural equality. Interning makes this a pointer
 // comparison.

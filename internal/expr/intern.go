@@ -26,7 +26,7 @@ import (
 // collector like any other value, and a cleanup registered at intern time
 // then removes its entry. The store is therefore bounded by what live
 // runs hold, with no sweep, pin, watermark or pause. A term rebuilt after
-// its collection is a new node with a new ID and the same StructKey.
+// its collection is a new node with the same StructKey.
 
 const internShards = 64
 
@@ -36,8 +36,6 @@ type internShard struct {
 }
 
 var shards [internShards]internShard
-
-var nextExprID atomic.Uint64
 
 // Footprint counters, maintained at intern and cleanup time so snapshots
 // are O(1): a service polls these per request and per health probe, and
@@ -78,7 +76,6 @@ func intern(op Op, c int64, name string, a, b, t, f *Expr) *Expr {
 		}
 	}
 	e := &Expr{Op: op, C: c, Name: name, A: a, B: b, T: t, F: f, hash: h}
-	e.id = nextExprID.Add(1)
 	e.skey = structKeyParts(op, c, name, a, b, t, f)
 	if op == OpVar {
 		e.vars = []string{name}

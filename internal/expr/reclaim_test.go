@@ -45,7 +45,7 @@ func settleToFloor(t *testing.T) Stats {
 // run and the cleanups it queued are being processed.
 func collectGarbageTerm(t *testing.T) {
 	t.Helper()
-	e := Binary(OpMul, Var("garbage-probe"), Const(int64(nextExprID.Load())+1_000_000))
+	e := Binary(OpMul, Var("garbage-probe"), Const(internMisses.Load()+1_000_000))
 	hash, wp := e.hash, weak.Make(e)
 	e = nil
 	eventually(t, "a dropped probe term is collected and forgotten", func() bool { return !entryPresent(hash, wp) })
@@ -65,27 +65,27 @@ func entryPresent(hash uint64, wp weak.Pointer[Expr]) bool {
 }
 
 // TestHeldTermSurvivesReclaim: a term that is referenced survives forced
-// collections with its pointer, ID and children intact.
+// collections with its pointer and children intact.
 func TestHeldTermSurvivesReclaim(t *testing.T) {
 	build := func() *Expr {
 		return Binary(OpAdd, Var("held-x"), Binary(OpMul, Var("held-y"), Const(77001)))
 	}
 	held := build()
-	id, child := held.ID(), held.B
+	child := held.B
 	collectGarbageTerm(t)
 	got := build()
-	if got != held || got.ID() != id || got.B != child {
-		t.Fatalf("held term lost its identity across collections: %p/%d -> %p/%d", held, id, got, got.ID())
+	if got != held || got.B != child {
+		t.Fatalf("held term lost its identity across collections: %p -> %p", held, got)
 	}
 }
 
 // TestReclaimSweepsDeadTerms: a dropped term is collected; rebuilding it
-// interns a new node with a new ID (IDs are never reused) and the same
-// structural key, and two rebuilds are pointer-equal.
+// interns a new node with the same structural key, and two rebuilds are
+// pointer-equal.
 func TestReclaimSweepsDeadTerms(t *testing.T) {
 	build := func() *Expr { return Binary(OpXor, Var("doomed-x"), Const(200001)) }
 	e := build()
-	id, key := e.ID(), e.StructuralKey()
+	key := e.StructuralKey()
 	wp := weak.Make(e)
 	e = nil
 	eventually(t, "the dropped term is collected", func() bool { return wp.Value() == nil })
@@ -93,9 +93,6 @@ func TestReclaimSweepsDeadTerms(t *testing.T) {
 	a, b := build(), build()
 	if a != b {
 		t.Fatal("two rebuilds of a collected term interned to different pointers")
-	}
-	if a.ID() == id {
-		t.Error("intern ID reused after a collection")
 	}
 	if a.StructuralKey() != key {
 		t.Error("structural key changed across a collection")
@@ -132,7 +129,7 @@ func TestCleanupSparesNewerNode(t *testing.T) {
 
 	build := func() *Expr { return Binary(OpSub, Var("respawn-x"), Const(313131)) }
 	old := build()
-	hash, oldID := old.hash, old.ID()
+	hash := old.hash
 	oldWP := weak.Make(old)
 	old = nil
 	eventually(t, "the old node is collected", func() bool { return oldWP.Value() == nil })
@@ -141,9 +138,6 @@ func TestCleanupSparesNewerNode(t *testing.T) {
 	}
 
 	fresh := build()
-	if fresh.ID() == oldID {
-		t.Fatal("the rebuild reused the collected node's ID")
-	}
 	close(release)
 	released = true
 	eventually(t, "the old node's cleanup runs", func() bool { return !entryPresent(hash, oldWP) })

@@ -3,12 +3,12 @@ package expr
 // This file implements the canonical structural fingerprint of a term: a
 // 128-bit key that is a pure function of the term's structure (operator,
 // constant value, variable *names*, and the keys of its children). Unlike
-// the intern ID — which is process-unique and minted fresh whenever a
-// collected term is rebuilt — a StructKey is stable across intern order,
-// collections, process restarts, and machines, so it can key caches that
-// outlive the terms: the solver's component caches, the request-scoped
-// SharedCache, and the persistent cross-run tier (internal/pcache). It is
-// the term-level analogue of mir.Program.Fingerprint.
+// a node's address — which a collected term loses when it is rebuilt — a
+// StructKey is stable across intern order, collections, process
+// restarts, and machines, so it can key what outlives the terms: the
+// solver's private memo, the persistent cross-run tier (internal/pcache),
+// and the frontier-parallel search's dedup set. It is the term-level
+// analogue of mir.Program.Fingerprint.
 //
 // The key is computed once at intern time, exactly like the cached
 // var-sets: children are already interned, so a node's key derives from

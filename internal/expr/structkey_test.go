@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"weak"
 )
 
 // termSpec is a recipe for building a term — a pure description, so the
@@ -71,18 +72,18 @@ func specCorpus() []termSpec {
 // must get a distinct key. This is what "two independently built
 // interners" means in-process: the interner is global, so a full
 // collection plus a different construction order is the strongest
-// available perturbation (intern IDs provably differ across it; keys must
+// available perturbation (nodes provably differ across it; keys must
 // not).
 func TestStructKeyCanonicality(t *testing.T) {
 	specs := specCorpus()
 
-	// First build: corpus order, record keys and IDs.
+	// First build: corpus order, record keys and (weakly) nodes.
 	firstKey := make([]StructKey, len(specs))
-	firstID := make([]uint64, len(specs))
+	firstNode := make([]weak.Pointer[Expr], len(specs))
 	for i, s := range specs {
 		e := s.build()
 		firstKey[i] = e.StructuralKey()
-		firstID[i] = e.ID()
+		firstNode[i] = weak.Make(e)
 		if firstKey[i].IsZero() {
 			t.Fatalf("%s: zero structural key", s.label)
 		}
@@ -101,14 +102,14 @@ func TestStructKeyCanonicality(t *testing.T) {
 
 	// Nothing holds the corpus nodes any more: a forced collection reclaims
 	// every one outside the constant cache, so rebuilding re-interns fresh
-	// nodes with fresh IDs.
+	// nodes.
 	TryReclaim()
 
 	// Second build: shuffled order, junk terms interleaved to perturb
 	// intern-table layout.
 	rng := rand.New(rand.NewSource(42))
 	order := rng.Perm(len(specs))
-	idChanged := false
+	nodeChanged := false
 	for n, i := range order {
 		_ = Binary(OpAdd, Var(fmt.Sprintf("junk%d", n)), Const(int64(100000+n)))
 		e := specs[i].build()
@@ -116,15 +117,15 @@ func TestStructKeyCanonicality(t *testing.T) {
 			t.Errorf("%s: key changed across collection+reshuffle: %016x%016x -> %016x%016x",
 				specs[i].label, firstKey[i].Hi, firstKey[i].Lo, got.Hi, got.Lo)
 		}
-		if e.ID() != firstID[i] {
-			idChanged = true
+		if firstNode[i].Value() != e {
+			nodeChanged = true
 		}
 	}
 	// Sanity-check the perturbation actually did something: at least one
-	// intern ID must have been re-minted (IDs are never reused), otherwise
-	// the collection did not exercise what it claims to.
-	if !idChanged {
-		t.Fatal("collection re-minted no intern IDs; perturbation is vacuous")
+	// node must have been collected and rebuilt, otherwise the collection
+	// did not exercise what it claims to.
+	if !nodeChanged {
+		t.Fatal("collection rebuilt no node; perturbation is vacuous")
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"slices"
 	"sync"
 	"time"
 )
@@ -66,6 +67,11 @@ func (s State) Terminal() bool {
 // Job is one unit of durable work. The Request payload is opaque to this
 // package (the service stores its wire request); Checkpoint is the
 // serialized search of a preempted job, also opaque here.
+//
+// Request, Result and Checkpoint are never written in place: a holder
+// that changes one assigns a new slice. Copies of a Job (Clone) therefore
+// share those payloads instead of copying them, which keeps a parked
+// job's checkpoint (tens of MB) from being copied on every store access.
 type Job struct {
 	ID    string `json:"id"`
 	State State  `json:"state"`
@@ -98,12 +104,14 @@ type Job struct {
 	SolverWallNS      int64 `json:"solver_wall_ns,omitempty"`
 }
 
-// Clone deep-copies the job, so stored records never alias caller memory.
+// Clone copies the job record. The payloads are shared, not copied (see
+// Job), with their capacity clipped, so an append to a copy's payload
+// allocates a new array rather than writing into the shared one.
 func (j *Job) Clone() *Job {
 	c := *j
-	c.Request = append(json.RawMessage(nil), j.Request...)
-	c.Result = append(json.RawMessage(nil), j.Result...)
-	c.Checkpoint = append([]byte(nil), j.Checkpoint...)
+	c.Request = slices.Clip(j.Request)
+	c.Result = slices.Clip(j.Result)
+	c.Checkpoint = slices.Clip(j.Checkpoint)
 	return &c
 }
 
@@ -118,8 +126,10 @@ func newID() string {
 }
 
 // Store persists job records. Implementations must be safe for concurrent
-// use and must copy on both Put and Get (callers may mutate their copies
-// freely). Put is insert-or-replace keyed by Job.ID.
+// use and must copy the record on both Put and Get (Job.Clone), so callers
+// may change their copy's fields freely; the payloads are shared and, as
+// everywhere, replaced whole rather than written in place. Put is
+// insert-or-replace keyed by Job.ID.
 type Store interface {
 	Put(j *Job) error
 	Get(id string) (*Job, bool)

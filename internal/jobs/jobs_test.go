@@ -55,7 +55,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	stores["file"] = fs
 	for name, st := range stores {
 		t.Run(name, func(t *testing.T) {
-			j := &Job{ID: "a", State: StateQueued, Request: json.RawMessage(`{"x":1}`), CreatedUnixMS: 7}
+			j := &Job{ID: "a", State: StateQueued, Request: json.RawMessage(`{"x":1}`), Checkpoint: []byte("ckpt"), CreatedUnixMS: 7}
 			if err := st.Put(j); err != nil {
 				t.Fatal(err)
 			}
@@ -63,6 +63,11 @@ func TestStoreRoundTrip(t *testing.T) {
 			got, ok := st.Get("a")
 			if !ok || got.State != StateQueued || string(got.Request) != `{"x":1}` {
 				t.Fatalf("Get = %+v, %v", got, ok)
+			}
+			// Payloads are replaced whole, never written in place, so the
+			// store shares them rather than copying a checkpoint per access.
+			if &got.Checkpoint[0] != &j.Checkpoint[0] {
+				t.Error("Get copied the checkpoint")
 			}
 			got.State = StateFailed
 			if again, _ := st.Get("a"); again.State != StateQueued {
@@ -78,6 +83,21 @@ func TestStoreRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestCloneSharesPayloads: a clone shares the payloads instead of copying
+// them, with their capacity clipped, so an append to the clone's payload
+// cannot write into the original's array.
+func TestCloneSharesPayloads(t *testing.T) {
+	j := &Job{ID: "a", Checkpoint: make([]byte, 4, 64)}
+	c := j.Clone()
+	if &c.Checkpoint[0] != &j.Checkpoint[0] {
+		t.Fatal("Clone copied the checkpoint")
+	}
+	c.Checkpoint = append(c.Checkpoint, 'x')
+	if j.Checkpoint[:5][4] == 'x' {
+		t.Error("an append to the clone's checkpoint wrote into the original's array")
 	}
 }
 

@@ -113,8 +113,8 @@ type Checkpoint struct {
 
 	// Solver share consumed so far (query count is deterministic; the
 	// hit/wall numbers only keep the cumulative Result honest). Older
-	// checkpoints also carry a shared-hit count, which decoding ignores:
-	// only sequential runs checkpoint, and they share no solver facts.
+	// checkpoints also carry a shared-hit count, always 0 since only
+	// sequential runs checkpoint, which decoding ignores.
 	SolverQueries int   `json:"solver_queries"`
 	SolverHits    int   `json:"solver_hits"`
 	SolverWallNS  int64 `json:"solver_wall_ns"`

@@ -52,9 +52,8 @@ func checkpointRestorer(tb testing.TB) func(data []byte) (*worker, error) {
 		// turns that into an error.
 		ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 		defer cancel()
-		w := newWorker(ctx, pl, opts, 0, 1, time.Now(), nil)
+		w := newWorker(ctx, pl, opts, 0, 1, time.Now())
 		if err := w.resume(ck, pl); err != nil {
-			w.release()
 			return nil, err
 		}
 		return w, nil
@@ -79,7 +78,6 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	if w.s.front.size() == 0 {
 		f.Fatal("the seed checkpoint restored an empty frontier")
 	}
-	w.release()
 	f.Add(seed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -87,7 +85,6 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		defer w.release()
 		// A restored frontier is consistent: every live state has a key
 		// per queue, and every heap entry names a live state.
 		fr := w.s.front
@@ -130,9 +127,8 @@ func TestCheckpointCorpusRejected(t *testing.T) {
 		"root-ids-duplicate":       "two roots with state ID",
 	} {
 		data := readCorpusEntry(t, filepath.Join("testdata", "fuzz", "FuzzDecodeCheckpoint", name))
-		w, err := restore(data)
+		_, err := restore(data)
 		if err == nil {
-			w.release()
 			t.Errorf("%s: restored, want an error mentioning %q", name, want)
 		} else if !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %q, want one mentioning %q", name, err, want)

@@ -16,7 +16,7 @@ import (
 // detSummary is the deterministic slice of a search Result: everything
 // that must be bit-identical between an uninterrupted run and any
 // preempt/resume chain of the same seed. Wall-clock and cache-warmth
-// fields (Duration, SolverWallNanos, SolverHits, SolverSharedHits,
+// fields (Duration, SolverWallNanos, SolverHits, SolverPersistentHits,
 // CheckpointNanos) are deliberately absent.
 type detSummary struct {
 	Outcome            string

@@ -7,7 +7,6 @@ import (
 	"unsafe"
 
 	"esd/internal/dist"
-	"esd/internal/solver"
 	"esd/internal/symex"
 	"esd/internal/telemetry"
 )
@@ -36,10 +35,6 @@ import (
 //     unlocked. Picks go through queueFrontier.pick with the worker's rng,
 //     so each worker chooses its own virtual queue, and the frontier's
 //     pick count keeps the sequential one-in-four aging cadence.
-//   - The workers' solvers share one run-scoped fact layer
-//     (solver.SharedCache): a component verdict one worker pays for is a
-//     lookup for its siblings, which explore near-identical path
-//     conditions. A sequential run has no siblings and attaches none.
 //   - A dedup set drops states whose decision history (path condition +
 //     schedule) was already admitted — the redundancy source is snapshot
 //     activation, where sibling states carry the same K_S snapshots.
@@ -92,18 +87,12 @@ func runParallel(ctx context.Context, pl *plan, opts Options, start time.Time, e
 	})
 	defer stop()
 
-	shared := solver.NewSharedCache()
 	workers := make([]*worker, n)
 	for i := range workers {
-		w := newWorker(runCtx, pl, opts, i, n, start, shared)
+		w := newWorker(runCtx, pl, opts, i, n, start)
 		w.s.route = func(st *symex.State, keys []esdKey) { r.place(w, st, keys) }
 		workers[i] = w
 	}
-	defer func() {
-		for _, w := range workers {
-			w.release()
-		}
-	}()
 
 	init, err := workers[0].s.eng.InitialState()
 	if err != nil {
@@ -152,14 +141,13 @@ drive:
 	for _, w := range workers {
 		w.fold(res)
 		res.WorkerWall = append(res.WorkerWall, telemetry.WorkerWall{
-			Worker:     w.id,
-			Steps:      w.s.eng.Stats.Steps,
-			States:     w.s.eng.Stats.States,
-			Picks:      w.picks,
-			BusyNS:     w.busyNS,
-			SolverNS:   w.s.sol.WallNanos - w.base.wallNS,
-			SharedHits: w.s.sol.SharedHits - w.base.shared,
-			Found:      w.found,
+			Worker:   w.id,
+			Steps:    w.s.eng.Stats.Steps,
+			States:   w.s.eng.Stats.States,
+			Picks:    w.picks,
+			BusyNS:   w.busyNS,
+			SolverNS: w.s.sol.WallNanos - w.base.wallNS,
+			Found:    w.found,
 		})
 	}
 	res.Duration = time.Since(start)
@@ -328,13 +316,11 @@ func (r *parallelRun) progress(now time.Time) {
 // deduplication. Two states are interchangeable only when both their
 // execution prefix AND their policy metadata coincide:
 //
-//   - the path condition (structurally equal live terms share one intern
-//     ID, and IDs are never reused, so a collected term's ID cannot stand
-//     for a later, different term the way its address could; at worst a
-//     state equal to one whose terms were collected is admitted again)
-//     plus the schedule, scheduled thread, and step count pin the
-//     execution prefix — given those, the VM's evolution is
-//     deterministic;
+//   - the path condition (each conjunct's structural key, which a term
+//     keeps across its collection and re-interning, so a duplicate is
+//     dropped however long ago its twin's terms were collected) plus the
+//     schedule, scheduled thread, and step count pin the execution
+//     prefix — given those, the VM's evolution is deterministic;
 //   - SchedDist, Preemptions, and EagerForks are policy marks that gate
 //     future forking (two positionally identical states with different
 //     eager-fork budgets explore different futures);
@@ -356,7 +342,9 @@ func stateKey(st *symex.State) uint64 {
 	}
 	mix(uint64(len(st.Constraints)))
 	for _, c := range st.Constraints {
-		mix(c.ID())
+		k := c.StructuralKey()
+		mix(k.Hi)
+		mix(k.Lo)
 	}
 	mix(uint64(st.Cur))
 	mix(uint64(st.Steps))

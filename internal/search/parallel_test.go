@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -146,76 +145,13 @@ func TestParallelStepCapOutcomeMatchesSequential(t *testing.T) {
 	}
 }
 
-// promCounter reads one unlabeled series of the process-wide telemetry
-// registry. Tests in this package run one at a time, so a before/after
-// pair of readings is one run's delta.
-func promCounter(t *testing.T, series string) int64 {
-	t.Helper()
-	var b strings.Builder
-	if err := telemetry.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(b.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, series+" "); ok {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				t.Fatalf("%s: %v", line, err)
-			}
-			return n
-		}
-	}
-	t.Fatalf("series %s not in the registry", series)
-	return 0
-}
-
-// TestParallelSharedCacheReuse checks the fact flow of the run-scoped
-// shared solver cache a frontier-parallel run creates for its workers:
-// definite verdicts get published, the per-worker reuse attribution sums
-// to the run total, and that total is what the cache itself served.
-func TestParallelSharedCacheReuse(t *testing.T) {
-	rep, _ := listing1Report(t)
-	prog := lang.MustCompile("listing1.c", listing1)
-
-	const (
-		publishes = "esd_solver_shared_publishes_total"
-		hits      = `esd_solver_cache_hits_total{cache="shared"}`
-	)
-	pub0, hits0 := promCounter(t, publishes), promCounter(t, hits)
-	res, err := Synthesize(context.Background(), prog, rep, Options{
-		Strategy:    StrategyESD,
-		Budget:      60 * time.Second,
-		Seed:        1,
-		Parallelism: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Found == nil {
-		t.Fatalf("shared-cache parallel search found nothing (timedOut=%v)", res.TimedOut)
-	}
-	if got := promCounter(t, publishes) - pub0; got == 0 {
-		t.Error("no component verdicts published into the run's shared cache")
-	}
-	var workerHits int
-	for _, ww := range res.WorkerWall {
-		workerHits += ww.SharedHits
-	}
-	if workerHits != res.SolverSharedHits {
-		t.Errorf("WorkerWall shared hits sum %d != Result.SolverSharedHits %d",
-			workerHits, res.SolverSharedHits)
-	}
-	if got := int(promCounter(t, hits) - hits0); got != res.SolverSharedHits {
-		t.Errorf("cache-side hits %d != solver-side shared hits %d", got, res.SolverSharedHits)
-	}
-}
-
-// TestSharedCacheWarmDeterminism is the determinism contract for warm
-// solver facts: a sequential run on a solver whose private cache an
-// identical prior run filled must stay byte-identical to the cold run in
+// TestWarmSolverDeterminism is the determinism contract for warm solver
+// facts: a sequential run on a solver whose private cache an identical
+// prior run filled must stay byte-identical to the cold run in
 // everything deterministic: the flight trace and every replay-stable
 // Result counter. Only wall time and hit counts (which never enter the
 // deterministic surface) may differ.
-func TestSharedCacheWarmDeterminism(t *testing.T) {
+func TestWarmSolverDeterminism(t *testing.T) {
 	rep, _ := listing1Report(t)
 	prog := lang.MustCompile("listing1.c", listing1)
 
@@ -247,9 +183,6 @@ func TestSharedCacheWarmDeterminism(t *testing.T) {
 		t.Errorf("warm run answered %d of its %d queries from the cache; the warmth test is vacuous",
 			warm.SolverHits, warm.SolverQueries)
 	}
-	if warm.SolverSharedHits != 0 {
-		t.Errorf("sequential run took %d shared hits; it has no siblings to share with", warm.SolverSharedHits)
-	}
 	type det struct {
 		Steps, States, Branch, Sched int64
 		Queries                      int
@@ -271,8 +204,8 @@ func TestSharedCacheWarmDeterminism(t *testing.T) {
 // TestParallelUnderReclaim races a frontier-parallel search against
 // back-to-back forced collections: terms the workers drop are collected
 // and re-interned mid-run while other workers hold theirs, so shared
-// terms, the dedup set (keyed by intern IDs) and the solver caches all see
-// collections. The search must still reproduce the bug. It is repeated
+// terms, the dedup set (keyed by structural keys) and the solver caches
+// all see collections. The search must still reproduce the bug. It is repeated
 // until a collection completes while a search runs. Run under -race in
 // CI, this is the cross-worker stress test for the parallel path.
 func TestParallelUnderReclaim(t *testing.T) {

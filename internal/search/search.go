@@ -19,12 +19,11 @@
 // frontier-parallel (see parallel.go): that many workers, each with its
 // own symbolic VM and solver over the shared compiled program and
 // distance tables, pick from and insert into one frontier behind one
-// lock; a dedup set suppresses re-exploration, their solvers share one
-// run-scoped fact cache, and the first worker to reach the goal cancels
-// the rest. Both searches set up their workers and fold their results
-// through the same code (see worker.go); Parallelism <= 1 runs the
-// sequential loop, whose picks, preemption polls and sheds are the
-// determinism contract.
+// lock; a dedup set suppresses re-exploration, and the first worker to
+// reach the goal cancels the rest. Both searches set up their workers and
+// fold their results through the same code (see worker.go);
+// Parallelism <= 1 runs the sequential loop, whose picks, preemption
+// polls and sheds are the determinism contract.
 package search
 
 import (
@@ -113,8 +112,10 @@ type Options struct {
 	// fresh solver otherwise. Passing warm solvers shares their memos of
 	// component verdicts across runs (entries are keyed by canonical
 	// structural term fingerprints, so they are valid for any program).
-	// A Solver is not safe for concurrent use: callers hand each
-	// concurrent search its own.
+	// The search uses each solver's persistent tier (Solver.Persist) as
+	// the caller set it and neither attaches nor detaches one. A Solver
+	// is not safe for concurrent use: callers hand each concurrent search
+	// its own.
 	Solvers []*solver.Solver
 
 	// OnProgress, when set, receives phase transitions and periodic
@@ -134,15 +135,6 @@ type Options struct {
 	// 0 or 1 runs the single-threaded searcher — the deterministic
 	// baseline a parallel run's winner is replayed against.
 	Parallelism int
-
-	// PersistCache, when non-nil, is the cross-run persistent solver fact
-	// tier (scoped by the engine to this program's fingerprint). Every
-	// solver the search uses is attached to it for the run, below a
-	// frontier-parallel run's shared cache in the lookup order. Serving
-	// persisted verdicts is deterministic — verdicts are pure functions
-	// of the component, Sat models are re-verified on load — so a warm
-	// run is bit-identical to a cold one, just faster.
-	PersistCache solver.PersistentCache
 
 	// Preempt, when set, is polled at the top of every sequential
 	// run-loop iteration (never mid-quantum). Returning true stops the
@@ -251,14 +243,8 @@ type Result struct {
 	// SolverHits counts components answered by the solvers' private memos
 	// (one per component a query finds there).
 	SolverHits int
-	// SolverSharedHits counts component verdicts the workers of a
-	// frontier-parallel run took from each other through the run's
-	// shared fact layer (0 in sequential runs, which have no siblings).
-	// Like SolverHits it varies with timing and cache warmth and never
-	// enters the deterministic flight body.
-	SolverSharedHits int
 	// SolverPersistentHits counts component verdicts served from the
-	// persistent cross-run tier (0 when no PersistCache is attached);
+	// persistent cross-run tier (0 when no solver has one attached);
 	// SolverVerifyRejects counts persistent entries discarded because
 	// their model failed re-verification. Cache-warmth counters, outside
 	// the deterministic flight body.
@@ -422,8 +408,7 @@ func Synthesize(ctx context.Context, prog *mir.Program, rep *report.Report, opts
 // runLoop, from the initial state or from opts.Resume's checkpoint, and
 // checkpointed again when Preempt stops it.
 func runSequential(ctx context.Context, pl *plan, opts Options, start time.Time, emit func(Phase, int)) (*Result, error) {
-	w := newWorker(ctx, pl, opts, 0, 1, start, nil)
-	defer w.release()
+	w := newWorker(ctx, pl, opts, 0, 1, start)
 	s := w.s
 	if ck := opts.Resume; ck != nil {
 		if err := w.resume(ck, pl); err != nil {

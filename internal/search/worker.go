@@ -14,8 +14,7 @@ import (
 // solver, rng stream, scheduling-policy instance and race detector. The
 // sequential search runs one worker; a frontier-parallel search runs n,
 // with insertions routed into the run's one shared frontier. Both set
-// workers up with newWorker, hand them back with release, and build
-// their Result with fold.
+// workers up with newWorker and build their Result with fold.
 type worker struct {
 	id  int
 	s   *searcher
@@ -36,17 +35,16 @@ type worker struct {
 
 // solverBase is a solver's cumulative cache and wall counters.
 type solverBase struct {
-	hits, shared, persist, rejects int
-	wallNS                         int64
+	hits, persist, rejects int
+	wallNS                 int64
 }
 
 // newWorker sets up worker i of n. Its solver is opts.Solvers[i] if the
-// caller passed one, else a fresh one; shared (a frontier-parallel run's
-// fact layer, nil for a sequential run) and the persistent tier are
-// attached to it until release. Workers of a frontier-parallel run
-// (n > 1) get disjoint state-ID ranges — a state one worker forked may
-// run on another's engine — and their own rng streams.
-func newWorker(ctx context.Context, pl *plan, opts Options, i, n int, start time.Time, shared *solver.SharedCache) *worker {
+// caller passed one, with whatever persistent tier the caller attached,
+// else a fresh one. Workers of a frontier-parallel run (n > 1) get
+// disjoint state-ID ranges — a state one worker forked may run on
+// another's engine — and their own rng streams.
+func newWorker(ctx context.Context, pl *plan, opts Options, i, n int, start time.Time) *worker {
 	w := &worker{id: i, res: &Result{Terminals: map[symex.StateStatus]int64{}}}
 	var sol *solver.Solver
 	if i < len(opts.Solvers) {
@@ -54,14 +52,8 @@ func newWorker(ctx context.Context, pl *plan, opts Options, i, n int, start time
 	} else {
 		sol = solver.New()
 	}
-	// Each solver stays single-threaded, but on a private-cache miss it
-	// consults (and publishes into) the concurrency-safe shared tiers, so
-	// workers stop re-solving each other's components.
-	sol.Shared = shared
-	sol.Persist = opts.PersistCache
 	w.base = solverBase{
 		hits:    sol.CacheHits,
-		shared:  sol.SharedHits,
 		persist: sol.PersistentHits,
 		rejects: sol.VerifyRejects,
 		wallNS:  sol.WallNanos,
@@ -76,14 +68,6 @@ func newWorker(ctx context.Context, pl *plan, opts Options, i, n int, start time
 	return w
 }
 
-// release detaches the shared fact tiers from the worker's solver. A
-// stale attachment would leak this run's facts into the solver's next run
-// and pin a dead cache alive.
-func (w *worker) release() {
-	w.s.sol.Shared = nil
-	w.s.sol.Persist = nil
-}
-
 // fold adds the worker's VM, solver, policy, race-detector and
 // quantum-level counters to res. Call it once the worker has stopped.
 func (w *worker) fold(res *Result) {
@@ -95,7 +79,6 @@ func (w *worker) fold(res *Result) {
 	res.Concretizations += est.Concretizations
 	res.SolverQueries += sol.Queries - s.solBase
 	res.SolverHits += sol.CacheHits - w.base.hits
-	res.SolverSharedHits += sol.SharedHits - w.base.shared
 	res.SolverPersistentHits += sol.PersistentHits - w.base.persist
 	res.SolverVerifyRejects += sol.VerifyRejects - w.base.rejects
 	res.SolverWallNanos += sol.WallNanos - w.base.wallNS

@@ -8,7 +8,6 @@ import (
 
 	"esd/internal/expr"
 	"esd/internal/lang"
-	"esd/internal/mir"
 	"esd/internal/solver"
 	"esd/internal/telemetry"
 )
@@ -22,36 +21,24 @@ func (nopPersist) Lookup([]expr.StructKey) (solver.Result, map[string]int64, boo
 func (nopPersist) Publish([]expr.StructKey, solver.Result, map[string]int64) {}
 
 // TestSolverAttachDetach checks the solver discipline of every search
-// shape: worker i uses the caller's Solvers[i] when there is one and a
-// fresh solver otherwise, and each run attaches its fact tiers (the
-// persistent one, and a frontier-parallel run's shared one) to the
-// solvers it uses and detaches them before returning — on success, on
-// preemption, and on a rejected resume.
+// shape: worker i runs on the caller's Solvers[i] when there is one and on
+// a fresh solver otherwise, and the search leaves each solver's
+// persistent tier as the caller set it. The engine attaches the tier
+// before a run and detaches it after; the search does neither.
 func TestSolverAttachDetach(t *testing.T) {
 	rep, _ := listing1Report(t)
 	prog := lang.MustCompile("listing1.c", listing1)
 
-	// opts passes the given number of solvers; workers beyond them run on
-	// fresh ones.
+	// opts passes the given number of solvers, each with a persistent
+	// tier; workers beyond them run on fresh ones.
 	opts := func(passed int) Options {
-		o := Options{
-			Strategy:     StrategyESD,
-			Budget:       time.Minute,
-			Seed:         1,
-			PersistCache: nopPersist{},
-		}
+		o := Options{Strategy: StrategyESD, Budget: time.Minute, Seed: 1}
 		for range passed {
-			o.Solvers = append(o.Solvers, solver.New())
+			sol := solver.New()
+			sol.Persist = nopPersist{}
+			o.Solvers = append(o.Solvers, sol)
 		}
 		return o
-	}
-	check := func(t *testing.T, o Options) {
-		t.Helper()
-		for i, s := range o.Solvers {
-			if s.Shared != nil || s.Persist != nil {
-				t.Errorf("solver %d still attached after the run (shared=%v persist=%v)", i, s.Shared != nil, s.Persist != nil)
-			}
-		}
 	}
 
 	// An n-worker run passes n/2 solvers: the sequential run none.
@@ -65,55 +52,27 @@ func TestSolverAttachDetach(t *testing.T) {
 		if res.Found == nil {
 			t.Fatalf("n=%d: listing1 not reproduced", n)
 		}
-		check(t, o)
+		for i, s := range o.Solvers {
+			if s.Persist != (nopPersist{}) {
+				t.Errorf("n=%d: the run changed solver %d's persistent tier to %v", n, i, s.Persist)
+			}
+		}
 	}
-
-	o := opts(1)
-	o.Preempt = func() bool { return true }
-	res, err := Synthesize(context.Background(), prog, rep, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Preempted {
-		t.Fatal("run was not preempted")
-	}
-	check(t, o)
-
-	// A checkpoint whose goal was edited passes the option check but fails
-	// plan validation, after the solver is already set up.
-	ck := *res.Checkpoint
-	ck.Goals = append([]mir.Loc(nil), ck.Goals...)
-	ck.Goals[0].Block++
-	o = opts(1)
-	o.Resume = &ck
-	if _, err := Synthesize(context.Background(), prog, rep, o); err == nil {
-		t.Fatal("resume with an edited goal was not rejected")
-	}
-	check(t, o)
 
 	// The fresh solvers never reach the caller, so check them where the
-	// runs above make them: worker setup and release.
+	// runs above make them: worker setup.
 	pl, err := buildPlan(prog, rep, opts(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	o = opts(2)
-	shared := solver.NewSharedCache()
+	o := opts(2)
 	for i := range 4 {
-		w := newWorker(context.Background(), pl, o, i, 4, time.Now(), shared)
-		sol := w.s.sol
+		sol := newWorker(context.Background(), pl, o, i, 4, time.Now()).s.sol
 		if i < len(o.Solvers) && sol != o.Solvers[i] {
 			t.Errorf("worker %d does not run on the solver passed for it", i)
 		}
-		if i >= len(o.Solvers) && slices.Contains(o.Solvers, sol) {
-			t.Errorf("worker %d runs on a solver passed for another worker", i)
-		}
-		if sol.Shared != shared || sol.Persist == nil {
-			t.Errorf("worker %d: fact tiers not attached during the run", i)
-		}
-		w.release()
-		if sol.Shared != nil || sol.Persist != nil {
-			t.Errorf("worker %d: fact tiers still attached after release", i)
+		if i >= len(o.Solvers) && (slices.Contains(o.Solvers, sol) || sol.Persist != nil) {
+			t.Errorf("worker %d does not run on a fresh solver", i)
 		}
 	}
 }

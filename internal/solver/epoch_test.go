@@ -2,16 +2,16 @@ package solver
 
 import (
 	"testing"
+	"weak"
 
 	"esd/internal/expr"
 )
 
 // TestCacheSurvivesEpochChange: the solver cache is keyed by canonical
-// structural keys, not intern identity, so collecting the constraint
-// terms — which re-mints their intern IDs when they are rebuilt — must
-// not cost the cache its entries: the first query after the rebuild is a
-// hit. Entries hold only plain name→value models, so they keep no term
-// alive.
+// structural keys, not node identity, so collecting the constraint terms
+// — which makes a rebuild intern new nodes — must not cost the cache its
+// entries: the first query after the rebuild is a hit. Entries hold only
+// plain name→value models, so they keep no term alive.
 func TestCacheSurvivesEpochChange(t *testing.T) {
 	build := func() []*expr.Expr {
 		x := expr.Var("epoch-survive-x")
@@ -34,15 +34,15 @@ func TestCacheSurvivesEpochChange(t *testing.T) {
 	}
 
 	// Drop the constraints and force a collection: the terms are
-	// reclaimed and rebuilt from scratch, so their intern IDs change but
-	// their structural keys do not. The warm solver must hit on the very
-	// first query after the rebuild.
-	oldIDs := []uint64{cs[0].ID(), cs[1].ID()}
+	// reclaimed and rebuilt from scratch, so their nodes change but their
+	// structural keys do not. The warm solver must hit on the very first
+	// query after the rebuild.
+	old := []weak.Pointer[expr.Expr]{weak.Make(cs[0]), weak.Make(cs[1])}
 	cs = nil
 	expr.TryReclaim()
 	cs = build()
-	if cs[0].ID() == oldIDs[0] && cs[1].ID() == oldIDs[1] {
-		t.Fatal("collection re-minted no intern IDs; the test perturbs nothing")
+	if old[0].Value() == cs[0] && old[1].Value() == cs[1] {
+		t.Fatal("collection rebuilt no node; the test perturbs nothing")
 	}
 	hits = s.CacheHits
 	res, model := s.Check(cs)

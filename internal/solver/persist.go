@@ -17,7 +17,7 @@ import "esd/internal/expr"
 //     defensively. Duplicate publishes of the same key are idempotent —
 //     verdicts are pure functions of the component, so whichever write
 //     wins, the value is the same.
-//   - Implementations must be safe for concurrent use: parallel search
+//   - Implementations must be safe for concurrent use: the engine
 //     attaches the same view to every worker's solver.
 //
 // The solver does NOT trust Sat entries blindly: checkComponent re-runs

@@ -1,11 +1,25 @@
 package solver
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"esd/internal/expr"
 )
+
+// rangeComp builds the i-th test component: lo+1 <= x_i <= lo+3 with
+// x_i != lo+1, forcing a real interval/case-split solve (not the trivial
+// scan) whose only models are lo+2 and lo+3.
+func rangeComp(prefix string, i int) []*expr.Expr {
+	x := expr.Var(fmt.Sprintf("%s-x%d", prefix, i))
+	lo := int64(10 * i)
+	return []*expr.Expr{
+		expr.Binary(expr.OpGe, x, expr.Const(lo+1)),
+		expr.Binary(expr.OpLe, x, expr.Const(lo+3)),
+		expr.Binary(expr.OpNe, x, expr.Const(lo+1)),
+	}
+}
 
 // mapPersist is an in-memory PersistentCache for tests.
 type mapPersist struct {
@@ -49,11 +63,11 @@ func (p *mapPersist) Publish(keys []expr.StructKey, res Result, model map[string
 }
 
 // TestPersistentTierHit: verdicts published by one solver are served to a
-// fresh solver (fresh private cache, no shared layer) from the persistent
+// fresh solver (fresh private cache) from the persistent
 // tier, counted as PersistentHits, for both Sat and Unsat.
 func TestPersistentTierHit(t *testing.T) {
 	p := newMapPersist()
-	cs := sharedRange("persist", 1)
+	cs := rangeComp("persist", 1)
 	contra := []*expr.Expr{
 		expr.Binary(expr.OpGt, expr.Var("persist-c"), expr.Const(5)),
 		expr.Binary(expr.OpLt, expr.Var("persist-c"), expr.Const(5)),
@@ -101,7 +115,7 @@ func TestPersistentTierHit(t *testing.T) {
 // correctly.
 func TestPersistentTierVerifyReject(t *testing.T) {
 	p := newMapPersist()
-	cs := sharedRange("poison", 1)
+	cs := rangeComp("poison", 1)
 	_, keys := structKey(nil, New().flatten(cs))
 	// Model 0 violates x >= 11: a corrupt store entry.
 	p.Publish(keys, Sat, map[string]int64{"poison-x1": 0})
@@ -131,7 +145,7 @@ func TestPersistentTierVerifyReject(t *testing.T) {
 // process restart) must still hit.
 func TestPersistentTierSurvivesEpoch(t *testing.T) {
 	p := newMapPersist()
-	cs := sharedRange("persist-epoch", 1)
+	cs := rangeComp("persist-epoch", 1)
 	a := New()
 	a.Persist = p
 	if res, _ := a.Check(cs); res != Sat {
@@ -139,7 +153,7 @@ func TestPersistentTierSurvivesEpoch(t *testing.T) {
 	}
 	cs, a = nil, nil
 	expr.TryReclaim()
-	cs = sharedRange("persist-epoch", 1)
+	cs = rangeComp("persist-epoch", 1)
 	b := New()
 	b.Persist = p
 	if res, _ := b.Check(cs); res != Sat {

@@ -87,8 +87,8 @@ type Solver struct {
 	// query partitions into to its verdict, keyed by the canonical
 	// structural key of the component (expr.StructKey): the sorted slice
 	// of 128-bit structural fingerprints of its conjuncts. Structural keys
-	// — unlike intern IDs — survive the collection and re-interning of the
-	// terms, so a warm pooled solver keeps its facts across requests; a
+	// — unlike node addresses — survive the collection and re-interning of
+	// the terms, so a warm pooled solver keeps its facts across requests; a
 	// false hit requires a full 128-bit collision between distinct terms,
 	// which is negligible against every other failure mode. It holds
 	// components only and never evicts: a query's verdict and model follow
@@ -96,19 +96,13 @@ type Solver struct {
 	// conjunct re-solves only the component the new conjunct touches.
 	cache map[uint64][]cacheEntry
 
-	// Shared, when non-nil, is the cross-solver fact layer of the current
-	// frontier-parallel run (see SharedCache): consulted after the private
-	// cache misses on a component, published into after a component is
-	// decided. The search layer attaches it for the run's duration and
-	// detaches it before the solver returns to a pool.
-	Shared *SharedCache
-
 	// Persist, when non-nil, is the cross-run persistent fact tier:
-	// consulted after both the private cache and Shared miss on a
-	// component, published into after a fresh definite verdict. Sat models
-	// served from it are re-verified by concrete evaluation before being
-	// trusted (see checkComponent), so a corrupt or stale entry degrades
-	// to a miss instead of poisoning the run.
+	// consulted after the private cache misses on a component, published
+	// into after a fresh definite verdict. Sat models served from it are
+	// re-verified by concrete evaluation before being trusted (see
+	// checkComponent), so a corrupt or stale entry degrades to a miss
+	// instead of poisoning the run. The engine attaches it to the solvers
+	// it hands a synthesis and detaches it before they return to its pool.
 	Persist PersistentCache
 
 	// Stats
@@ -117,10 +111,6 @@ type Solver struct {
 	// adds one per component it finds there, so a warmer solver never
 	// reads fewer hits for the same queries.
 	CacheHits int
-	// SharedHits counts component answers this solver took from the
-	// attached SharedCache (the per-worker reuse attribution; the cache's
-	// own counters aggregate across all attached solvers).
-	SharedHits int
 	// PersistentHits counts component answers served from the attached
 	// persistent tier (after surviving verify-on-load).
 	PersistentHits int
@@ -370,8 +360,7 @@ func (s *Solver) decide(constraints []*expr.Expr, model map[string]int64) Result
 
 // checkComponent decides one variable-connected constraint group, with its
 // own cache entry keyed by the group's canonical structural key. The tier
-// order is private → shared (this run's workers) → persistent (cross-run,
-// verify-on-load) → solve.
+// order is private → persistent (cross-run, verify-on-load) → solve.
 func (s *Solver) checkComponent(cs []*expr.Expr) (Result, map[string]int64) {
 	key, keys := structKey(s.compKeys, cs)
 	s.compKeys = keys
@@ -381,15 +370,6 @@ func (s *Solver) checkComponent(cs []*expr.Expr) (Result, map[string]int64) {
 		return ent.res, ent.model
 	}
 	componentMisses.Inc()
-	if s.Shared != nil {
-		if ent, ok := s.Shared.lookup(key, keys); ok {
-			// A sibling solver already decided this component. Adopt the
-			// verdict into the private cache so repeats stay lock-free.
-			s.SharedHits++
-			s.cachePut(key, keys, ent.res, ent.model)
-			return ent.res, ent.model
-		}
-	}
 	if s.Persist != nil {
 		if res, model, ok := s.Persist.Lookup(keys); ok {
 			// Cross-run entry. Sat models are re-verified by concrete
@@ -402,10 +382,7 @@ func (s *Solver) checkComponent(cs []*expr.Expr) (Result, map[string]int64) {
 			if res == Unsat || modelSatisfies(cs, model) {
 				s.PersistentHits++
 				persistentHits.Inc()
-				owned := s.cachePut(key, keys, res, model)
-				if s.Shared != nil {
-					s.Shared.publish(key, owned, res, model)
-				}
+				s.cachePut(key, keys, res, model)
 				return res, model
 			}
 			s.VerifyRejects++
@@ -435,12 +412,6 @@ func (s *Solver) checkComponent(cs []*expr.Expr) (Result, map[string]int64) {
 		res, model = Unknown, nil
 	}
 	owned := s.cachePut(key, keys, res, model)
-	if s.Shared != nil {
-		// Publish only after verification: the shared layer carries the
-		// same "Sat entries hold verified models" invariant as the private
-		// cache (publish drops Unknown itself).
-		s.Shared.publish(key, owned, res, model)
-	}
 	if s.Persist != nil && res != Unknown {
 		s.Persist.Publish(owned, res, model)
 	}
@@ -694,7 +665,7 @@ func completeModel(model map[string]int64, c *expr.Expr) map[string]int64 {
 // gives structurally equal terms one pointer. Because structural keys are
 // stable across collections, restarts, and processes, the same component
 // always canonicalizes to the same key everywhere — the property the
-// shared and persistent tiers are built on. The keys are built in dst's
+// persistent tier is built on. The keys are built in dst's
 // storage, so whatever keeps them past the query must copy them (cachePut
 // does).
 func structKey(dst []expr.StructKey, cs []*expr.Expr) (uint64, []expr.StructKey) {
@@ -742,7 +713,7 @@ func (s *Solver) cacheGet(key uint64, keys []expr.StructKey) (cacheEntry, bool) 
 
 // cachePut stores the verdict of a component the private memo missed
 // under keys (which may be scratch) and returns the entry's own copy of
-// them, which the shared and persistent tiers may keep too.
+// them, which the persistent tier may keep too.
 func (s *Solver) cachePut(key uint64, keys []expr.StructKey, res Result, model map[string]int64) []expr.StructKey {
 	keys = slices.Clone(keys)
 	s.cache[key] = append(s.cache[key], cacheEntry{keys: keys, res: res, model: model})

@@ -12,7 +12,7 @@ var (
 	solverWall = telemetry.NewCounter("esd_solver_wall_nanoseconds_total",
 		"Cumulative wall time spent answering solver queries.")
 	solverCacheHits = telemetry.NewCounterVec("esd_solver_cache_hits_total",
-		"Memoized component answers, by cache tier (component = the solver's private memo, shared, persistent).",
+		"Memoized component answers, by cache tier (component = the solver's private memo, persistent).",
 		"cache")
 	solverCacheMisses = telemetry.NewCounterVec("esd_solver_cache_misses_total",
 		"Memoized component answers missed, by cache tier.",
@@ -20,21 +20,13 @@ var (
 	solverComponentSize = telemetry.NewHistogram("esd_solver_component_size",
 		"Conjuncts per independence-partition component a query decided.", 1)
 
-	// The shared layer's lookups happen only on private-component misses,
-	// so shared hits+misses ≤ component misses by construction; the
-	// persistent tier sits below shared, so persistent hits+misses ≤
-	// shared misses.
-	sharedPublishes = telemetry.NewCounter("esd_solver_shared_publishes_total",
-		"Definite component verdicts published into shared cross-worker fact caches.")
-	sharedEvictions = telemetry.NewCounter("esd_solver_shared_evictions_total",
-		"Shared-cache publishes dropped at the per-shard entry cap (solved verdicts the run could not share).")
+	// The persistent tier is consulted only on private-component misses,
+	// so persistent hits+misses ≤ component misses by construction.
 	persistVerifyRejects = telemetry.NewCounter("esd_solver_persistent_verify_rejects_total",
 		"Persistent-tier Sat entries whose model failed re-verification by concrete evaluation and were discarded.")
 
 	componentHits    = solverCacheHits.With("component")
 	componentMisses  = solverCacheMisses.With("component")
-	sharedHits       = solverCacheHits.With("shared")
-	sharedMisses     = solverCacheMisses.With("shared")
 	persistentHits   = solverCacheHits.With("persistent")
 	persistentMisses = solverCacheMisses.With("persistent")
 )

@@ -173,10 +173,9 @@ type WallStats struct {
 	// SolverCacheHits counts components answered by the solver's private
 	// memo (warm-solver dependent).
 	SolverCacheHits int64 `json:"solver_cache_hits"`
-	// SolverSharedHits counts component verdicts a frontier-parallel
-	// run's workers reused from their shared fact cache (0 for a
-	// sequential run; timing-dependent like cache hits, hence
-	// wall-section only).
+	// SolverSharedHits is always 0, so JSON omits it: the solver tier it
+	// counted is gone. The field stays because the benchmark harness
+	// (perfbench) reads it.
 	SolverSharedHits int64 `json:"solver_shared_hits,omitempty"`
 	// SolverPersistentHits counts component verdicts served from the
 	// cross-run persistent cache; SolverVerifyRejects counts persistent
@@ -208,9 +207,6 @@ type WorkerWall struct {
 	BusyNS int64 `json:"busy_ns"`
 	// SolverNS is the worker's wall time answering solver queries.
 	SolverNS int64 `json:"solver_ns"`
-	// SharedHits counts component verdicts this worker took from the
-	// shared cross-worker fact cache instead of re-solving.
-	SharedHits int `json:"shared_hits,omitempty"`
 	// Found reports whether this worker reached the goal first.
 	Found bool `json:"found,omitempty"`
 }

@@ -3,13 +3,10 @@ package esd_test
 import (
 	"bytes"
 	"context"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
 	"esd"
-	"esd/internal/telemetry"
 )
 
 // synthReport runs one listing1 synthesis with the given options (plus
@@ -84,53 +81,13 @@ func TestParallelSynthesisViaEngine(t *testing.T) {
 		t.Errorf("winning workers = %d, want exactly 1", won)
 	}
 	// The deterministic body must not leak schedule-dependent rows or
-	// warmth-dependent shared-cache hit counts.
+	// warmth-dependent cache hit counts.
 	d := detJSON(t, fr)
 	if bytes.Contains(d, []byte(`"workers"`)) {
 		t.Error("DeterministicJSON leaked the per-worker wall section")
 	}
-	if bytes.Contains(d, []byte(`shared_hits`)) {
-		t.Error("DeterministicJSON leaked shared-cache hit counts")
-	}
-}
-
-// promCounter reads one unlabeled series of the process-wide telemetry
-// registry. The package's tests run one at a time, so a before/after
-// pair of readings is one synthesis's delta.
-func promCounter(t *testing.T, series string) int64 {
-	t.Helper()
-	var b strings.Builder
-	if err := telemetry.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(b.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, series+" "); ok {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				t.Fatalf("%s: %v", line, err)
-			}
-			return n
-		}
-	}
-	t.Fatalf("series %s not in the registry", series)
-	return 0
-}
-
-// TestSharedFactsOnlyInParallelRuns: solver facts are shared between the
-// workers of a frontier-parallel run, so a sequential synthesis, which
-// has no siblings, publishes nothing to a shared cache, while an n=2 one
-// does. Each runs on a fresh engine, whose solvers start cold.
-func TestSharedFactsOnlyInParallelRuns(t *testing.T) {
-	const series = "esd_solver_shared_publishes_total"
-	before := promCounter(t, series)
-	synthReport(t, esd.New())
-	if got := promCounter(t, series) - before; got != 0 {
-		t.Errorf("sequential synthesis published %d verdicts to a shared cache, want 0", got)
-	}
-	before = promCounter(t, series)
-	synthReport(t, esd.New(), esd.WithParallelism(2))
-	if got := promCounter(t, series) - before; got == 0 {
-		t.Error("n=2 synthesis published no verdicts to its workers' shared cache")
+	if bytes.Contains(d, []byte(`cache_hits`)) {
+		t.Error("DeterministicJSON leaked cache hit counts")
 	}
 }
 
@@ -152,9 +109,9 @@ const gateAttempts = 3
 // TestParallelNotSlowerThanSequential is the parallel regression gate:
 // on ls4, the solver-bound app, a frontier n=4 synthesis must not lose to
 // the sequential one on the same engine. Both run through the Engine as
-// in production, where the n=4 run's workers share one solver fact layer.
-// ls4 at n=4 once lost 3× to n=1, before the workers shared facts and
-// each re-solved its siblings' components.
+// in production, where each n=4 worker draws a pooled solver. ls4 at n=4
+// once lost 3× to n=1, before the workers' picks were made globally
+// best-first.
 func TestParallelNotSlowerThanSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second ls4 syntheses; skipped with -short")
@@ -176,8 +133,8 @@ func TestParallelNotSlowerThanSequential(t *testing.T) {
 		if !res.Found && !res.TimedOut {
 			t.Fatalf("ls4 search space exhausted without the bug (workers %d)", res.Stats.Workers)
 		}
-		t.Logf("ls4 workers=%d wall=%.2fs steps=%d found=%v shared_hits=%d",
-			res.Stats.Workers, wall.Seconds(), res.Stats.Steps, res.Found, res.Stats.SolverSharedHits)
+		t.Logf("ls4 workers=%d wall=%.2fs steps=%d found=%v",
+			res.Stats.Workers, wall.Seconds(), res.Stats.Steps, res.Found)
 		return wall, res
 	}
 	var seq, par, limit time.Duration

@@ -94,6 +94,54 @@ func TestPersistentCacheWarmDeterminism(t *testing.T) {
 	}
 }
 
+// TestParallelRunTakesPersistentHits: the engine attaches the persistent
+// tier to every pooled solver it hands a search, so on the store a cold
+// sequential run filled, an n=2 synthesis on a fresh engine takes
+// persistent hits, reproduces the bug, and strict-replays to it.
+func TestParallelRunTakesPersistentHits(t *testing.T) {
+	dir := t.TempDir()
+	cold := esd.New(esd.WithPersistentCache(dir))
+	if err := cold.PersistentCacheError(); err != nil {
+		t.Fatal(err)
+	}
+	synthCached(t, cold)
+	if err := cold.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := esd.New(esd.WithPersistentCache(dir))
+	if err := warm.PersistentCacheError(); err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	prog, rep := appProgReport(t, "listing1")
+	res, err := warm.Synthesize(context.Background(), prog, rep,
+		esd.WithBudget(time.Minute), esd.WithSeed(1), esd.WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Found || res.Stats.Workers != 2 {
+		t.Fatalf("n=2 run: found=%v workers=%d", res.Found, res.Stats.Workers)
+	}
+	if res.Stats.SolverPersistentHits == 0 {
+		t.Error("n=2 run took no persistent hits from the store a cold run filled")
+	}
+	if res.Stats.SolverVerifyRejects != 0 {
+		t.Errorf("n=2 run rejected %d stored models on re-verification", res.Stats.SolverVerifyRejects)
+	}
+	p, err := esd.NewPlayer(prog, res.Execution, esd.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := p.Run(1_000_000)
+	if err != nil {
+		t.Fatalf("strict playback: %v", err)
+	}
+	if !rep.R.Matches(final) {
+		t.Fatalf("strict playback did not reproduce the bug: %s", final.Summary())
+	}
+}
+
 // TestPersistentCacheOpenFailureDegrades pins the failure mode: an
 // unopenable cache directory must not break synthesis, only surface
 // through PersistentCacheError and the stats payload.
