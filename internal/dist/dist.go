@@ -27,12 +27,19 @@
 //     and memoized for the lifetime of the Calculator. toGoal[f][i] is the
 //     cheapest cost from instruction i of f to the goal, where a call may
 //     either be stepped over (base + through(callee)) or entered
-//     (base + entry-to-goal cost of the callee). Entry costs are resolved
-//     by a fixpoint over the functions that can reach the goal's function
-//     in the call graph (internal/cfa's CallGraph, so proximity and pruning
-//     agree on reachability). ThreadCreate spawn sites count as entries:
-//     a thread about to spawn the goal-reaching worker is close to the
-//     goal even though a different thread will ultimately execute it.
+//     (base + entry-to-goal cost of the callee). Only the functions that
+//     can reach the goal's function in the call graph get a table
+//     (internal/cfa's CallGraph, so proximity and pruning agree on
+//     reachability). ThreadCreate spawn sites count as entries: a thread
+//     about to spawn the goal-reaching worker is close to the goal even
+//     though a different thread will ultimately execute it.
+//
+//     Each table of layers 1 and 2 is one backward Dijkstra over the
+//     function's flattened CFG, and the through and entry costs are
+//     fixpoints over the call graph. Both are solved callee first: the
+//     functions are visited in a post-order of the call-and-spawn graph,
+//     and a function is computed again only when a cost it read dropped.
+//     Outside recursive cycles every table is computed once.
 //
 //  3. Stack-aware composition (Algorithm 1). A thread may reach the goal
 //     from its current frame, or return out of any number of frames and
@@ -51,7 +58,6 @@
 package dist
 
 import (
-	"container/heap"
 	"sync"
 	"sync/atomic"
 
@@ -77,6 +83,15 @@ type Calculator struct {
 	// walk resolves each frame's function once.
 	index map[string]int
 	fns   []*fnGraph
+	// order is a post-order of the call-and-spawn graph (pos[f] is f's
+	// position in it): outside recursive cycles every function follows
+	// the functions it calls or spawns, so the fixpoints, which always
+	// recompute the earliest stale function, compute callees first.
+	order, pos []int
+	// callers[f] and spawners[f] list the functions with a call site
+	// (spawn site) that can enter (start) f, once per site: the functions
+	// whose tables read f's through cost (callers) or entry cost (both).
+	callers, spawners [][]int32
 	// hasSync records whether the program contains any synchronization
 	// opcode; when it does not, every SyncDistance is trivially 0 or
 	// Infinite and callers can skip the sync component entirely.
@@ -115,9 +130,9 @@ type metric struct {
 	// path never touches the label map).
 	lookups *telemetry.Counter
 	builds  *telemetry.Counter
-	// through[f] is the cheapest entry-to-return cost of f (Infinite when
-	// f cannot return).
-	through map[string]int64
+	// through[f] is the cheapest entry-to-return cost of the function with
+	// index f (Infinite when it cannot return).
+	through []int64
 	// retDist[f][i] is the cheapest cost to execute from instruction i of
 	// the function with index f through a return of the function,
 	// inclusive of the Ret itself.
@@ -127,49 +142,85 @@ type metric struct {
 	goals map[mir.Loc]*goalTables
 }
 
-// fnGraph is a function's CFG flattened to instruction granularity.
+// fnGraph is a function's CFG flattened to instruction granularity, in
+// flat arrays: the relaxation loop reads opcodes and predecessor lists
+// without touching the instructions.
 type fnGraph struct {
 	fn *mir.Func
 	// start[b] is the flat index of block b's first instruction.
 	start []int
-	instr []*mir.Instr
-	// preds[j] lists the flat indices whose execution can transfer control
-	// to instruction j (edge weight is the source instruction's step cost).
-	preds [][]int
-	rets  []int // flat indices of Ret terminators
+	ops   []mir.Opcode
+	// preds[predOff[j]:predOff[j+1]] lists the flat indices whose execution
+	// can transfer control to instruction j (edge weight is the source
+	// instruction's step weight).
+	predOff []int32
+	preds   []int32
+	rets    []int32 // flat indices of Ret terminators
+	calls   []callSite
 }
 
-func newFnGraph(f *mir.Func) *fnGraph {
+// callSite is a Call or ThreadCreate with its possible targets resolved
+// to function indices (cfa.CallGraph.Targets).
+type callSite struct {
+	at      int32 // flat index
+	targets []int32
+}
+
+func newFnGraph(f *mir.Func, targets func(*mir.Instr) []int32) *fnGraph {
 	g := &fnGraph{fn: f, start: make([]int, len(f.Blocks))}
 	n := 0
 	for i, blk := range f.Blocks {
 		g.start[i] = n
 		n += len(blk.Instrs)
 	}
-	g.instr = make([]*mir.Instr, 0, n)
-	g.preds = make([][]int, n)
+	g.ops = make([]mir.Opcode, 0, n)
 	for _, blk := range f.Blocks {
-		g.instr = append(g.instr, blk.Instrs...)
-	}
-	for _, blk := range f.Blocks {
-		for i, in := range blk.Instrs {
-			src := g.start[blk.ID] + i
-			switch {
-			case !in.Op.IsTerminator():
-				g.preds[src+1] = append(g.preds[src+1], src)
-			case in.Op == mir.Jmp:
-				g.preds[g.start[in.Then]] = append(g.preds[g.start[in.Then]], src)
-			case in.Op == mir.Br:
-				g.preds[g.start[in.Then]] = append(g.preds[g.start[in.Then]], src)
-				if in.Else != in.Then {
-					g.preds[g.start[in.Else]] = append(g.preds[g.start[in.Else]], src)
-				}
-			case in.Op == mir.Ret:
-				g.rets = append(g.rets, src)
+		for _, in := range blk.Instrs {
+			i := int32(len(g.ops))
+			g.ops = append(g.ops, in.Op)
+			switch in.Op {
+			case mir.Ret:
+				g.rets = append(g.rets, i)
+			case mir.Call, mir.ThreadCreate:
+				g.calls = append(g.calls, callSite{at: i, targets: targets(in)})
 			}
-			// Abort: control never continues.
 		}
 	}
+	// edges visits every intra-function control transfer; Ret and Abort
+	// have none.
+	edges := func(visit func(src, dst int)) {
+		for _, blk := range f.Blocks {
+			for i, in := range blk.Instrs {
+				src := g.start[blk.ID] + i
+				switch {
+				case !in.Op.IsTerminator():
+					visit(src, src+1)
+				case in.Op == mir.Jmp:
+					visit(src, g.start[in.Then])
+				case in.Op == mir.Br:
+					visit(src, g.start[in.Then])
+					if in.Else != in.Then {
+						visit(src, g.start[in.Else])
+					}
+				}
+			}
+		}
+	}
+	// Count each instruction's predecessors into predOff[j+1], turn the
+	// counts into offsets, fill each list by advancing its start, and
+	// shift the advanced starts back.
+	g.predOff = make([]int32, n+1)
+	edges(func(_, dst int) { g.predOff[dst+1]++ })
+	for j := range n {
+		g.predOff[j+1] += g.predOff[j]
+	}
+	g.preds = make([]int32, g.predOff[n])
+	edges(func(src, dst int) {
+		g.preds[g.predOff[dst]] = int32(src)
+		g.predOff[dst]++
+	})
+	copy(g.predOff[1:], g.predOff[:n])
+	g.predOff[0] = 0
 	return g
 }
 
@@ -290,59 +341,142 @@ func ResetSharedCache() {
 // with the cfa analyses of the same program).
 func NewCalculatorWith(cg *cfa.CallGraph) *Calculator {
 	prog := cg.Prog
+	n := len(prog.Order)
 	c := &Calculator{
-		prog:  prog,
-		cg:    cg,
-		index: make(map[string]int, len(prog.Order)),
-		fns:   make([]*fnGraph, len(prog.Order)),
+		prog:     prog,
+		cg:       cg,
+		index:    make(map[string]int, n),
+		fns:      make([]*fnGraph, n),
+		callers:  make([][]int32, n),
+		spawners: make([][]int32, n),
 	}
 	for i, name := range prog.Order {
-		g := newFnGraph(prog.Funcs[name])
 		c.index[name] = i
+	}
+	// Resolve call targets to function indices once. A direct site's
+	// targets are a one-element window of ident; an indirect call's are
+	// the address-taken functions, shared by every indirect site.
+	ident := make([]int32, n)
+	for i := range ident {
+		ident[i] = int32(i)
+	}
+	var addrTaken []int32
+	for _, name := range cg.AddrTaken {
+		if t, ok := c.index[name]; ok {
+			addrTaken = append(addrTaken, int32(t))
+		}
+	}
+	targets := func(in *mir.Instr) []int32 {
+		if in.Sym == "" {
+			return addrTaken
+		}
+		if t, ok := c.index[in.Sym]; ok {
+			return ident[t : t+1]
+		}
+		return nil
+	}
+	for i, name := range prog.Order {
+		g := newFnGraph(prog.Funcs[name], targets)
 		c.fns[i] = g
-		for _, in := range g.instr {
-			if in.Op.IsSync() {
+		for _, op := range g.ops {
+			if op.IsSync() {
 				c.hasSync = true
 			}
+		}
+		for _, cs := range g.calls {
+			users := c.callers
+			if g.ops[cs.at] == mir.ThreadCreate {
+				users = c.spawners
+			}
+			for _, t := range cs.targets {
+				users[t] = append(users[t], int32(i))
+			}
+		}
+	}
+	c.order = make([]int, 0, n)
+	c.pos = make([]int, n)
+	seen := make([]bool, n)
+	var visit func(f int)
+	visit = func(f int) {
+		seen[f] = true
+		for _, cs := range c.fns[f].calls {
+			for _, t := range cs.targets {
+				if !seen[t] {
+					visit(int(t))
+				}
+			}
+		}
+		c.pos[f] = len(c.order)
+		c.order = append(c.order, f)
+	}
+	for f := range c.fns {
+		if !seen[f] {
+			visit(f)
 		}
 	}
 	c.steps = c.newMetric("steps", func(mir.Opcode) int64 { return 1 })
 	return c
 }
 
-// newMetric builds one cost model's goal-independent layer: the through
-// fixpoint and the per-function return-distance arrays. name labels the
-// metric's telemetry series ("steps" or "sync").
+// settle runs a callee-first worklist to its fixpoint. dirty marks, by
+// post-order position, the functions whose tables are stale; settle
+// recomputes the earliest stale one (update) until none is left. When
+// update reports that f's summary (its through or entry cost) dropped,
+// the functions users lists for f read the lower cost and are stale
+// again. Summaries only decrease, so this terminates. A function outside
+// the call-and-spawn graph's cycles is computed exactly once, and every
+// function's last computation, whose table it keeps, saw the final costs
+// of the functions it reads.
+func (c *Calculator) settle(dirty []bool, update func(f int) bool, users ...[][]int32) {
+	for p := 0; p < len(dirty); p++ {
+		if !dirty[p] {
+			continue
+		}
+		dirty[p] = false
+		f := c.order[p]
+		if !update(f) {
+			continue
+		}
+		next := p + 1
+		for _, u := range users {
+			for _, g := range u[f] {
+				q := c.pos[g]
+				dirty[q] = true
+				next = min(next, q)
+			}
+		}
+		p = next - 1
+	}
+}
+
+// newMetric builds one cost model's goal-independent layer: every
+// function's return-distance table and through cost, computed callee
+// first by settle. A callee's through dropping can only shorten its
+// callers' return paths, so only its callers are recomputed. name labels
+// the metric's telemetry series ("steps" or "sync").
 func (c *Calculator) newMetric(name string, base func(mir.Opcode) int64) *metric {
 	m := &metric{
 		c:       c,
 		base:    base,
 		lookups: distLookups.With(name),
 		builds:  distBuilds.With(name),
-		through: make(map[string]int64, len(c.prog.Funcs)),
+		through: fill(nil, len(c.fns)),
 		retDist: make([][]int64, len(c.fns)),
 		goals:   map[mir.Loc]*goalTables{},
 	}
-	for name := range c.prog.Funcs {
-		m.through[name] = Infinite
+	dirty := make([]bool, len(c.fns))
+	for i := range dirty {
+		dirty[i] = true
 	}
-	// Through-cost fixpoint: costs only decrease (a callee's through
-	// dropping can only shorten its callers' return paths), so iterate
-	// until stable. Leaf functions settle in the first round; the round
-	// count is bounded by the call-graph depth.
-	for changed := true; changed; {
-		changed = false
-		for i, name := range c.prog.Order {
-			rd := m.intraRetDist(c.fns[i])
-			if len(rd) > 0 && rd[0] < m.through[name] {
-				m.through[name] = rd[0]
-				changed = true
-			}
+	var sc scratch
+	c.settle(dirty, func(f int) bool {
+		rd := m.intraRetDist(f, &sc)
+		if len(rd) > 0 && rd[0] < m.through[f] {
+			m.through[f] = rd[0]
+			return true
 		}
-	}
-	for i, g := range c.fns {
-		m.retDist[i] = m.intraRetDist(g)
-	}
+		return false
+	}, c.callers)
 	return m
 }
 
@@ -354,59 +488,73 @@ func add(a, b int64) int64 {
 	return a + b
 }
 
-// stepWeight is the cost of executing one instruction and arriving at its
-// intra-function successor. Calls cost the call itself plus the cheapest
-// complete execution of some callee; an indirect call with no address-taken
-// targets cannot execute at all.
-func (m *metric) stepWeight(in *mir.Instr) int64 {
-	if in.Op != mir.Call {
-		// ThreadCreate returns to the spawner immediately; the spawned
-		// thread's cost is not on this thread's path.
-		return m.base(in.Op)
-	}
-	targets := m.c.cg.Targets(in)
-	if len(targets) == 0 {
-		return Infinite
-	}
+// cheapest is the least of vals over targets (Infinite when there are
+// none).
+func cheapest(vals []int64, targets []int32) int64 {
 	best := Infinite
 	for _, t := range targets {
-		if th := m.through[t]; th < best {
-			best = th
-		}
+		best = min(best, vals[t])
 	}
-	return add(m.base(in.Op), best)
+	return best
 }
 
-// intraRetDist computes, for every instruction of g, the cheapest cost to
-// execute from it through a return of the function (using the current
-// through summaries for calls it steps over).
-func (m *metric) intraRetDist(g *fnGraph) []int64 {
-	d := newDistArray(len(g.instr))
-	var pq pqueue
-	for _, r := range g.rets {
-		// Executing the Ret completes the function at the Ret's base cost.
-		d[r] = m.base(mir.Ret)
-		heap.Push(&pq, pqItem{r, d[r]})
+// scratch is one fixpoint's reusable relaxation state.
+type scratch struct {
+	w  []int64
+	pq pqueue
+}
+
+// weights returns the step weight of every instruction of g: the cost of
+// executing it and arriving at its intra-function successor. Calls cost
+// the call itself plus the cheapest complete execution of some callee
+// under the current through costs; an indirect call with no address-taken
+// targets cannot execute at all. ThreadCreate returns to the spawner
+// immediately: the spawned thread's cost is not on this thread's path.
+func (m *metric) weights(g *fnGraph, sc *scratch) []int64 {
+	w := sc.w[:0]
+	for _, op := range g.ops {
+		w = append(w, m.base(op))
 	}
-	m.relax(g, d, &pq)
+	for _, cs := range g.calls {
+		if g.ops[cs.at] == mir.Call {
+			w[cs.at] = add(w[cs.at], cheapest(m.through, cs.targets))
+		}
+	}
+	sc.w = w
+	return w
+}
+
+// intraRetDist computes, into f's retDist table, the cheapest cost to
+// execute from every instruction of f through a return of the function.
+func (m *metric) intraRetDist(f int, sc *scratch) []int64 {
+	g := m.c.fns[f]
+	w := m.weights(g, sc)
+	d := fill(m.retDist[f], len(g.ops))
+	m.retDist[f] = d
+	// Executing the Ret completes the function at the Ret's base cost.
+	ret := m.base(mir.Ret)
+	for _, r := range g.rets {
+		d[r] = ret
+		sc.pq.push(pqItem{r, ret})
+	}
+	relax(g, w, d, &sc.pq)
 	return d
 }
 
 // relax runs backward Dijkstra: pops settle in increasing distance order
-// and propagate to predecessors with the source instruction's step weight.
-// Zero-cost edges (the sync metric's non-sync instructions) are fine:
+// and propagate to predecessors with the source instruction's step weight
+// w. Zero-cost edges (the sync metric's non-sync instructions) are fine:
 // Dijkstra only requires non-negative weights.
-func (m *metric) relax(g *fnGraph, d []int64, pq *pqueue) {
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
+func relax(g *fnGraph, w, d []int64, pq *pqueue) {
+	for len(*pq) > 0 {
+		it := pq.pop()
 		if it.d > d[it.i] {
 			continue // stale entry
 		}
-		for _, p := range g.preds[it.i] {
-			nd := add(m.stepWeight(g.instr[p]), it.d)
-			if nd < d[p] {
+		for _, p := range g.preds[g.predOff[it.i]:g.predOff[it.i+1]] {
+			if nd := add(w[p], it.d); nd < d[p] {
 				d[p] = nd
-				heap.Push(pq, pqItem{p, nd})
+				pq.push(pqItem{p, nd})
 			}
 		}
 	}
@@ -430,71 +578,69 @@ func (m *metric) tables(goal mir.Loc) *goalTables {
 	return gt
 }
 
-// computeGoal builds the per-goal distance tables: a fixpoint over the
-// functions that can reach the goal's function, each round recomputing
-// every function's intra-procedural distances with the current
-// entry-to-goal costs of its callees. Entry costs only decrease, so the
-// loop terminates; the final round runs with converged entries, leaving
-// every stored table consistent.
+// computeGoal builds the per-goal distance tables of the functions that
+// can reach the goal's function, callee first by settle. A function's
+// entry cost is its table's first entry; when it drops, the functions
+// that call or spawn it are recomputed.
 func (m *metric) computeGoal(goal mir.Loc, gt *goalTables) {
 	m.builds.Inc()
-	gt.toGoal = make([][]int64, len(m.c.fns))
-	gi, ok := m.c.index[goal.Fn]
+	c := m.c
+	gt.toGoal = make([][]int64, len(c.fns))
+	gf, ok := c.index[goal.Fn]
 	if !ok {
 		return // unknown goal: every query will answer Infinite
 	}
-	if _, ok := m.c.fns[gi].flat(goal); !ok {
+	at, ok := c.fns[gf].flat(goal)
+	if !ok {
 		return
 	}
-	reach := m.c.cg.Reachers(goal.Fn)
-	entry := make(map[string]int64, len(reach))
-	for fn := range reach {
-		entry[fn] = Infinite
+	// Reachers is closed under callers and spawners, so settle never
+	// marks a function outside it.
+	dirty := make([]bool, len(c.fns))
+	for fn := range c.cg.Reachers(goal.Fn) {
+		dirty[c.pos[c.index[fn]]] = true
 	}
-	for changed := true; changed; {
-		changed = false
-		for i, name := range m.c.prog.Order {
-			if !reach[name] {
-				continue
-			}
-			tg := m.intraToGoal(m.c.fns[i], name, goal, entry)
-			if len(tg) > 0 && tg[0] < entry[name] {
-				entry[name] = tg[0]
-				changed = true
-			}
-			gt.toGoal[i] = tg
+	entry := fill(nil, len(c.fns))
+	var sc scratch
+	c.settle(dirty, func(f int) bool {
+		goalAt := -1
+		if f == gf {
+			goalAt = at
 		}
-	}
+		tg := m.intraToGoal(f, goalAt, entry, gt, &sc)
+		if len(tg) > 0 && tg[0] < entry[f] {
+			entry[f] = tg[0]
+			return true
+		}
+		return false
+	}, c.callers, c.spawners)
 }
 
-// intraToGoal computes the cheapest cost from every instruction of fn to
-// the goal: either a local CFG path (stepping over calls at through cost),
-// or entering a call/spawn whose target can reach the goal.
-func (m *metric) intraToGoal(g *fnGraph, name string, goal mir.Loc, entry map[string]int64) []int64 {
-	d := newDistArray(len(g.instr))
-	var pq pqueue
-	if name == goal.Fn {
-		if i, ok := g.flat(goal); ok {
-			d[i] = 0 // being at the goal is distance zero
-			heap.Push(&pq, pqItem{i, 0})
-		}
+// intraToGoal computes, into f's table of gt, the cheapest cost from every
+// instruction of f to the goal (at flat index goalAt of f, or -1 when the
+// goal is in another function): either a local CFG path (stepping over
+// calls at through cost), or entering a call/spawn whose target can reach
+// the goal.
+func (m *metric) intraToGoal(f, goalAt int, entry []int64, gt *goalTables, sc *scratch) []int64 {
+	g := m.c.fns[f]
+	w := m.weights(g, sc)
+	d := fill(gt.toGoal[f], len(g.ops))
+	gt.toGoal[f] = d
+	if goalAt >= 0 {
+		d[goalAt] = 0 // being at the goal is distance zero
+		sc.pq.push(pqItem{int32(goalAt), 0})
 	}
-	for i, in := range g.instr {
-		if in.Op != mir.Call && in.Op != mir.ThreadCreate {
-			continue
-		}
-		for _, t := range m.c.cg.Targets(in) {
-			if e, ok := entry[t]; ok && e < Infinite {
-				// Entering costs the call/spawn instruction itself plus the
-				// callee's entry-to-goal cost.
-				if nd := add(m.base(in.Op), e); nd < d[i] {
-					d[i] = nd
-					heap.Push(&pq, pqItem{i, nd})
-				}
+	for _, cs := range g.calls {
+		// Entering costs the call/spawn instruction itself plus the
+		// cheapest entry-to-goal cost of its targets.
+		if e := cheapest(entry, cs.targets); e < Infinite {
+			if nd := add(m.base(g.ops[cs.at]), e); nd < d[cs.at] {
+				d[cs.at] = nd
+				sc.pq.push(pqItem{cs.at, nd})
 			}
 		}
 	}
-	m.relax(g, d, &pq)
+	relax(g, w, d, &sc.pq)
 	return d
 }
 
@@ -563,18 +709,19 @@ func (c *Calculator) HasSync() bool { return c.hasSync }
 // (Infinite when fn cannot return or does not exist). Exposed for
 // diagnostics and tests.
 func (c *Calculator) Through(fn string) int64 {
-	if th, ok := c.steps.through[fn]; ok {
-		return th
-	}
-	return Infinite
+	return c.steps.throughOf(fn)
 }
 
 // SyncThrough returns the smallest number of sync operations on any
 // entry-to-return path of fn (Infinite when fn cannot return or does not
 // exist).
 func (c *Calculator) SyncThrough(fn string) int64 {
-	if th, ok := c.syncMetric().through[fn]; ok {
-		return th
+	return c.syncMetric().throughOf(fn)
+}
+
+func (m *metric) throughOf(fn string) int64 {
+	if f, ok := m.c.index[fn]; ok {
+		return m.through[f]
 	}
 	return Infinite
 }
@@ -618,8 +765,12 @@ func (c *Calculator) CachedSyncGoals() int {
 	return 0
 }
 
-func newDistArray(n int) []int64 {
-	d := make([]int64, n)
+// fill returns d, or a new table when d is nil, with its n entries set to
+// Infinite: a function recomputed in a recursive cycle reuses its table.
+func fill(d []int64, n int) []int64 {
+	if d == nil {
+		d = make([]int64, n)
+	}
 	for i := range d {
 		d[i] = Infinite
 	}
@@ -628,20 +779,55 @@ func newDistArray(n int) []int64 {
 
 // pqItem is a (flat index, tentative distance) pair in the Dijkstra queue.
 type pqItem struct {
-	i int
+	i int32
 	d int64
 }
 
+// pqueue is a binary min-heap of pqItems on d.
 type pqueue []pqItem
 
-func (q pqueue) Len() int            { return len(q) }
-func (q pqueue) Less(i, j int) bool  { return q[i].d < q[j].d }
-func (q pqueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pqueue) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pqueue) Pop() interface{} {
-	old := *q
-	n := len(old) - 1
-	it := old[n]
-	*q = old[:n]
-	return it
+// push adds it, sifting it up from the end.
+func (q *pqueue) push(it pqItem) {
+	h := append(*q, it)
+	j := len(h) - 1
+	for j > 0 {
+		p := (j - 1) / 2
+		if h[p].d <= it.d {
+			break
+		}
+		h[j] = h[p]
+		j = p
+	}
+	h[j] = it
+	*q = h
+}
+
+// pop removes and returns the item of least d, sifting the last item down
+// from the root.
+func (q *pqueue) pop() pqItem {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	j := 0
+	for {
+		k := 2*j + 1
+		if k >= n {
+			break
+		}
+		if k+1 < n && h[k+1].d < h[k].d {
+			k++
+		}
+		if last.d <= h[k].d {
+			break
+		}
+		h[j] = h[k]
+		j = k
+	}
+	if n > 0 {
+		h[j] = last
+	}
+	*q = h
+	return top
 }

@@ -2,10 +2,12 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"esd/internal/bpf"
 	"esd/internal/cfa"
 	"esd/internal/lang"
 	"esd/internal/mir"
@@ -570,6 +572,48 @@ func BenchmarkStateDistance(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.StateDistance(stack, goal)
+	}
+}
+
+// bpfProgram compiles the §7.3 BPF program of bpf.StandardConfigs with
+// the given number of branches and returns its call graph and its
+// report's goals.
+func bpfProgram(tb testing.TB, branches int) (*cfa.CallGraph, []mir.Loc) {
+	tb.Helper()
+	i := slices.IndexFunc(bpf.StandardConfigs(), func(p bpf.Params) bool { return p.Branches == branches })
+	if i < 0 {
+		tb.Fatalf("no standard BPF configuration has %d branches", branches)
+	}
+	g, err := bpf.Generate(bpf.StandardConfigs()[i])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog, err := g.Compile()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rep, err := g.Coredump()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cfa.BuildCallGraph(prog), rep.Goals()
+}
+
+// BenchmarkCalculatorBPF measures the cold table build on a 2^11-branch
+// BPF program, the static phase of a §7.3 run: a fresh Calculator (the
+// instruction metric), then one StateDistance and one SyncDistance query
+// from main's entry, which build the sync metric and both metrics' tables
+// for the report's first goal.
+func BenchmarkCalculatorBPF(b *testing.B) {
+	cg, goals := bpfProgram(b, 1<<11)
+	start := []mir.Loc{{Fn: "main"}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := NewCalculatorWith(cg)
+		if c.StateDistance(start, goals[0]) >= Infinite || c.SyncDistance(start, goals[0]) >= Infinite {
+			b.Fatalf("goal %v unreachable from main", goals[0])
+		}
 	}
 }
 

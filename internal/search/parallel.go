@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"time"
-	"unsafe"
 
 	"esd/internal/dist"
 	"esd/internal/symex"
@@ -324,12 +323,16 @@ func (r *parallelRun) progress(now time.Time) {
 //   - SchedDist, Preemptions, and EagerForks are policy marks that gate
 //     future forking (two positionally identical states with different
 //     eager-fork budgets explore different futures);
-//   - the K_S snapshot map is rollback capability: folded
-//     order-independently (map iteration order must not change the key).
+//   - the K_S snapshot map is rollback capability: each entry's mutex
+//     key and snapshot state ID, folded order-independently (map
+//     iteration order must not change the key). State IDs are unique
+//     within a run, as workers draw them from disjoint SetIDBase ranges;
+//     a snapshot's address is not, since a new snapshot can take a
+//     collected one's.
 //
 // The common duplicate source is snapshot activation: sibling states
-// carry pointer-identical snapshots and would regenerate each other's
-// activation forks in every worker.
+// carry the same snapshots and would regenerate each other's activation
+// forks in every worker.
 func stateKey(st *symex.State) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -360,7 +363,7 @@ func stateKey(st *symex.State) uint64 {
 	for k, snap := range st.Snapshots {
 		// Per-entry FNV, folded by XOR: order-independent.
 		eh := uint64(offset64)
-		for _, v := range [3]uint64{uint64(k.Obj), uint64(k.Off), uint64(uintptr(unsafe.Pointer(snap)))} {
+		for _, v := range [3]uint64{uint64(k.Obj), uint64(k.Off), uint64(snap.ID)} {
 			eh ^= v
 			eh *= prime64
 		}

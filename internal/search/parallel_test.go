@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -20,6 +21,49 @@ import (
 	"esd/internal/telemetry"
 	"esd/internal/trace"
 )
+
+// TestStateKeyIgnoresSnapshotAddresses: two decodes of one checkpoint
+// pool give the same decision histories in different memory, so every
+// root must get the same stateKey from both. A key that hashed snapshot
+// addresses would differ here, and would let a new snapshot at a
+// collected one's address pass for it.
+func TestStateKeyIgnoresSnapshotAddresses(t *testing.T) {
+	data, err := os.ReadFile(committedCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := apps.Get("listing1").Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() []*symex.State {
+		ck, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots, err := ck.Pool.Decode(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return roots
+	}
+	a, b := decode(), decode()
+	if len(a) != len(b) {
+		t.Fatalf("decodes gave %d and %d roots", len(a), len(b))
+	}
+	withSnaps := 0
+	for i := range a {
+		if len(a[i].Snapshots) > 0 {
+			withSnaps++
+		}
+		if ka, kb := stateKey(a[i]), stateKey(b[i]); ka != kb {
+			t.Errorf("root %d (state %d, %d snapshots): keys %#x and %#x", i, a[i].ID, len(a[i].Snapshots), ka, kb)
+		}
+	}
+	if withSnaps == 0 {
+		t.Fatal("no root of the checkpoint holds a snapshot")
+	}
+}
 
 // TestParallelFindsListing1 runs the frontier-parallel search on the
 // paper's running example and checks the winning state is the real
