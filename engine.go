@@ -236,7 +236,9 @@ func WithTelemetry() SynthOption {
 type Checkpoint = search.Checkpoint
 
 // DecodeCheckpoint parses a checkpoint produced by a preempted synthesis
-// (Result.Checkpoint holds the encoded form).
+// (Result.Checkpoint holds the encoded form). The checkpoint keeps its
+// state pool as a slice of data: data must not change while the
+// checkpoint is in use.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return search.DecodeCheckpoint(data)
 }
@@ -352,12 +354,8 @@ func (e *Engine) Synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 		// skip the solve phase and the done event — the segment that finally
 		// completes the resumed chain finishes the trace, keeping the chain's
 		// final report byte-identical to an uninterrupted run's.
-		blob, err := res.Checkpoint.Encode()
-		if err != nil {
-			return nil, fmt.Errorf("esd: encoding checkpoint: %w", err)
-		}
 		out.Preempted = true
-		out.Checkpoint = blob
+		out.Checkpoint = res.Checkpoint
 		out.CheckpointNanos = res.CheckpointNanos
 		if so.Recorder != nil {
 			out.report = buildFlightReport(so, rep, res, 0, time.Since(reqStart))

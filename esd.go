@@ -136,9 +136,9 @@ type Result struct {
 	// (nil otherwise). It is self-contained — constraints are re-interned
 	// on load — so it outlives the run's terms and the process.
 	Checkpoint []byte
-	// CheckpointNanos is the wall-clock cost of building the checkpoint
-	// (serialization only, not the search), for capacity planning of the
-	// job scheduler's slice length.
+	// CheckpointNanos is the wall-clock cost of building and encoding the
+	// checkpoint (serialization only, not the search), for capacity
+	// planning of the job scheduler's slice length.
 	CheckpointNanos int64
 
 	// report is the flight-recorder report, populated only when the call

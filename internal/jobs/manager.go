@@ -35,7 +35,8 @@ var (
 // Outcome is what a Runner reports for one slice of a job.
 type Outcome struct {
 	// Preempted: the slice ended at the preempt hook; Checkpoint is the
-	// job's serialized progress and CheckpointNS what building it cost.
+	// job's serialized progress and CheckpointNS what building and
+	// encoding it cost.
 	Preempted    bool
 	Checkpoint   []byte
 	CheckpointNS int64

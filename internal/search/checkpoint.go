@@ -5,9 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
+	"strconv"
 	"time"
 
+	"esd/internal/jsonx"
 	"esd/internal/mir"
 	"esd/internal/race"
 	"esd/internal/sched"
@@ -34,6 +38,12 @@ import (
 // dead entry consumes no randomness), except in the DFS/RandomPath pool,
 // where slice *length* feeds rng.Intn — dead pool slots are kept as
 // explicit tombstones so the resumed draw sequence matches.
+//
+// The JSON is written and read by hand, one pass each way, from one table
+// of the fields (fields): the bytes are what json.Marshal writes for a
+// Checkpoint, and DecodeCheckpoint accepts nothing json.Unmarshal would
+// decode differently. The state pool is symex's (symex.Pool); a preempted
+// search writes it straight into the checkpoint from the live states.
 
 // CheckpointSchema versions the checkpoint layout.
 const CheckpointSchema = "esd.checkpoint/v1"
@@ -95,10 +105,10 @@ type Checkpoint struct {
 	BestFit    int64 `json:"best_fit"`
 
 	// Frontier: the state graph plus the queue structures verbatim.
-	// Pool.Roots lists the live states sorted by ID; AliveKeys carries
+	// The pool's roots are the live states sorted by ID; AliveKeys carries
 	// each root's current per-queue fitness (ESD only); Heaps, FIFO, and
 	// PoolOrder reference roots by position.
-	Pool      *symex.Pool  `json:"pool"`
+	Pool      symex.Pool   `json:"pool"`
 	AliveKeys [][]int64    `json:"alive_keys,omitempty"`
 	Heaps     [][]HeapSlot `json:"heaps,omitempty"`
 	FIFO      []int        `json:"fifo,omitempty"`
@@ -136,15 +146,215 @@ type Checkpoint struct {
 	PolPreemptions        int `json:"pol_preemptions,omitempty"`
 }
 
-// Encode marshals the checkpoint.
-func (ck *Checkpoint) Encode() ([]byte, error) {
-	return json.Marshal(ck)
+// ckField is one Checkpoint field as its JSON codec sees it: the key, a
+// pointer to the field, and whether omitempty drops it when empty.
+type ckField struct {
+	key  string
+	ptr  any
+	omit bool
 }
 
-// DecodeCheckpoint unmarshals a checkpoint produced by Encode.
+// fields lists ck's fields in struct order, as encoding/json writes them.
+func (ck *Checkpoint) fields() []ckField {
+	return []ckField{
+		{"schema", &ck.Schema, false}, {"fingerprint", &ck.Fingerprint, false},
+		{"strategy", &ck.Strategy, false}, {"seed", &ck.Seed, false},
+		{"quantum", &ck.Quantum, false}, {"max_states", &ck.MaxStates, false},
+		{"max_steps", &ck.MaxSteps, false}, {"preemption_bound", &ck.PreemptionBound, true},
+		{"with_race", &ck.WithRace, true}, {"ablate", &ck.Ablate, false},
+		{"goals", &ck.Goals, false}, {"num_queues", &ck.NumQueues, false},
+		{"elapsed_ns", &ck.ElapsedNS, false}, {"rng_draws", &ck.RngDraws, false},
+		{"eng_stats", &ck.EngStats, false}, {"next_state_id", &ck.NextStateID, false},
+		{"next_obj_id", &ck.NextObjID, false}, {"all_picks", &ck.AllPicks, false},
+		{"front_picks", &ck.FrontPicks, false}, {"aging_picks", &ck.AgingPicks, false},
+		{"sheds", &ck.Sheds, false}, {"max_depth", &ck.MaxDepth, false},
+		{"best_fit", &ck.BestFit, false}, {"pool", &ck.Pool, false},
+		{"alive_keys", &ck.AliveKeys, true}, {"heaps", &ck.Heaps, true},
+		{"fifo", &ck.FIFO, true}, {"pool_order", &ck.PoolOrder, true},
+		{"terminals", &ck.Terminals, true}, {"other_bugs", &ck.OtherBugs, true},
+		{"step_errors", &ck.StepErrors, true}, {"pruned_critical", &ck.PrunedCritical, true},
+		{"pruned_infinite", &ck.PrunedInfinite, true}, {"solver_queries", &ck.SolverQueries, false},
+		{"solver_hits", &ck.SolverHits, false}, {"solver_wall_ns", &ck.SolverWallNS, false},
+		{"solver_persistent_hits", &ck.SolverPersistentHits, true},
+		{"solver_verify_rejects", &ck.SolverVerifyRejects, true},
+		{"recorder", &ck.Recorder, true}, {"race", &ck.Race, true},
+		{"pol_snapshots_taken", &ck.PolSnapshotsTaken, true},
+		{"pol_snapshots_activated", &ck.PolSnapshotsActivated, true},
+		{"pol_eager_forks", &ck.PolEagerForks, true}, {"pol_preemptions", &ck.PolPreemptions, true},
+	}
+}
+
+// checkpointKeys are the keys of fields, in order.
+var checkpointKeys = func() []string {
+	var keys []string
+	for _, f := range new(Checkpoint).fields() {
+		keys = append(keys, f.key)
+	}
+	return keys
+}()
+
+var heapSlotKeys = []string{"s", "f"}
+
+// Encode writes the checkpoint as JSON, byte for byte what json.Marshal
+// writes for it, in one pass: the pool goes in as it is, and only small
+// bounded fields (ablation, goals, engine stats, terminals, other bugs,
+// recorder and race-detector snapshots) go through encoding/json.
+func (ck *Checkpoint) Encode() ([]byte, error) { return ck.encode(nil) }
+
+// encode writes the checkpoint with, when roots is not nil, the pool of
+// roots written in place (ck.Pool is then set to it), else with ck.Pool.
+// The fields after the pool are written first, so that the output grows
+// once, when the pool goes in.
+func (ck *Checkpoint) encode(roots []*symex.State) ([]byte, error) {
+	fields := ck.fields()
+	pool := slices.Index(checkpointKeys, "pool")
+	var tail []byte
+	var err error
+	for _, f := range fields[pool+1:] {
+		if tail, err = appendField(tail, f); err != nil {
+			return nil, err
+		}
+	}
+	b := make([]byte, 0, 1024)
+	for _, f := range fields[:pool] {
+		if b, err = appendField(b, f); err != nil {
+			return nil, err
+		}
+	}
+	b[0] = '{' // every field follows a comma: the first one's opens the object
+	b = append(b, `,"pool":`...)
+	switch start := len(b); {
+	case roots != nil:
+		b = symex.AppendPool(b, roots, len(tail)+1)
+		ck.Pool = symex.Pool(b[start:len(b):len(b)])
+	case ck.Pool == nil:
+		b = append(b, "null"...)
+	default:
+		b = append(slices.Grow(b, len(ck.Pool)+len(tail)+1), ck.Pool...)
+	}
+	return append(append(b, tail...), '}'), nil
+}
+
+// appendField appends a comma and the field, or nothing when omitempty
+// drops it.
+func appendField(b []byte, f ckField) ([]byte, error) {
+	if f.omit && empty(f.ptr) {
+		return b, nil
+	}
+	b = append(append(append(b, ',', '"'), f.key...), '"', ':')
+	switch p := f.ptr.(type) {
+	case *string:
+		return jsonx.AppendString(b, *p), nil
+	case *uint64:
+		return strconv.AppendUint(b, *p, 10), nil
+	case *int:
+		return strconv.AppendInt(b, int64(*p), 10), nil
+	case *int64:
+		return strconv.AppendInt(b, *p, 10), nil
+	case *Strategy:
+		return strconv.AppendInt(b, int64(*p), 10), nil
+	case *bool:
+		return strconv.AppendBool(b, *p), nil
+	case *[]int:
+		return appendList(b, *p, appendInt), nil
+	case *[][]int64:
+		return appendList(b, *p, func(b []byte, row []int64) []byte {
+			return appendList(b, row, func(b []byte, v int64) []byte { return strconv.AppendInt(b, v, 10) })
+		}), nil
+	case *[][]HeapSlot:
+		return appendList(b, *p, func(b []byte, h []HeapSlot) []byte { return appendList(b, h, appendHeapSlot) }), nil
+	}
+	enc, err := json.Marshal(f.ptr)
+	return append(b, enc...), err
+}
+
+// empty reports whether omitempty drops a field, as encoding/json decides.
+func empty(ptr any) bool {
+	v := reflect.ValueOf(ptr).Elem()
+	switch v.Kind() {
+	case reflect.Slice, reflect.Map, reflect.String:
+		return v.Len() == 0
+	}
+	return v.IsZero()
+}
+
+// appendList writes a slice as encoding/json does: null when nil.
+func appendList[T any](b []byte, s []T, elem func([]byte, T) []byte) []byte {
+	if s == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, v := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = elem(b, v)
+	}
+	return append(b, ']')
+}
+
+func appendInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
+
+func appendHeapSlot(b []byte, sl HeapSlot) []byte {
+	b = strconv.AppendInt(append(b, `{"s":`...), int64(sl.S), 10)
+	b = strconv.AppendInt(append(b, `,"f":`...), sl.F, 10)
+	return append(b, '}')
+}
+
+// DecodeCheckpoint decodes a checkpoint produced by Encode. It decodes
+// what json.Unmarshal decodes, to the same Checkpoint, but for inputs no
+// encoder writes, which it may reject: a repeated key, or a key that
+// matches a known one only case-insensitively. The returned Pool aliases
+// data: the caller must not modify data while the checkpoint is in use.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	ck := &Checkpoint{}
-	if err := json.Unmarshal(data, ck); err != nil {
+	fields := ck.fields()
+	r := jsonx.NewReader(data)
+	toInt := func() int { return int(r.Int()) }
+	var fits []int64 // scratch for the rows of alive_keys and heaps
+	var slots []HeapSlot
+	heapSlot := func() HeapSlot {
+		var sl HeapSlot
+		for o := r.Object(heapSlotKeys); o.Next(); {
+			if o.Key == "s" {
+				sl.S = toInt()
+			} else {
+				sl.F = r.Int()
+			}
+		}
+		return sl
+	}
+	for o := r.Object(checkpointKeys); o.Next(); {
+		switch p := fields[slices.Index(checkpointKeys, o.Key)].ptr.(type) {
+		case *string:
+			*p = string(r.Str())
+		case *uint64:
+			*p = r.Uint()
+		case *int:
+			*p = toInt()
+		case *int64:
+			*p = r.Int()
+		case *Strategy:
+			*p = Strategy(r.Int())
+		case *bool:
+			*p = r.Bool()
+		case *symex.Pool:
+			// The pool's syntax is checked here; Pool.Decode reads it.
+			if raw := r.Skip(); string(raw) != "null" {
+				*p = raw
+			}
+		case *[]int:
+			*p = jsonx.List(r, nil, toInt)
+		case *[][]int64:
+			*p = jsonx.List(r, nil, func() []int64 { return jsonx.List(r, &fits, r.Int) })
+		case *[][]HeapSlot:
+			*p = jsonx.List(r, nil, func() []HeapSlot { return jsonx.List(r, &slots, heapSlot) })
+		default:
+			r.Unmarshal(p)
+		}
+	}
+	r.End()
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("search: decoding checkpoint: %w", err)
 	}
 	if ck.Schema != CheckpointSchema {
@@ -223,11 +433,11 @@ func (c *countingSource) skip(ctx context.Context, n int64) error {
 	return nil
 }
 
-// buildCheckpoint serializes the searcher at the run-loop top. res must
-// already hold the run's cumulative counters (runSequential folds the
-// worker first), and detector is the run's race detector (nil when
-// detection is off).
-func (s *searcher) buildCheckpoint(res *Result, detector *race.Detector) (*Checkpoint, error) {
+// checkpoint serializes the searcher at the run-loop top and encodes it.
+// res must already hold the run's cumulative counters (runSequential
+// folds the worker first), and detector is the run's race detector (nil
+// when detection is off).
+func (s *searcher) checkpoint(res *Result, detector *race.Detector) ([]byte, error) {
 	roots := make([]*symex.State, 0, len(s.front.alive))
 	for _, ls := range s.front.alive {
 		roots = append(roots, ls.st)
@@ -267,8 +477,6 @@ func (s *searcher) buildCheckpoint(res *Result, detector *race.Detector) (*Check
 		Sheds:      s.sheds,
 		MaxDepth:   s.maxDepth,
 		BestFit:    s.bestFit,
-
-		Pool: symex.EncodePool(roots),
 
 		Terminals:      res.Terminals,
 		OtherBugs:      res.OtherBugs,
@@ -330,17 +538,14 @@ func (s *searcher) buildCheckpoint(res *Result, detector *race.Detector) (*Check
 	case *sched.BoundedPolicy:
 		ck.PolPreemptions = p.Preemptions
 	}
-	return ck, nil
+	return ck.encode(roots)
 }
 
 // restore rebuilds the searcher from a checkpoint: VM counters, RNG
 // position, frontier structures, and collaborator state. roots is the
-// decoded Pool.Roots slice. Called instead of run's fresh-frontier setup;
+// decoded pool's roots. Called instead of run's fresh-frontier setup;
 // the caller then enters runLoop directly.
 func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.Detector) error {
-	if len(roots) != len(ck.Pool.Roots) {
-		return fmt.Errorf("search: checkpoint decoded %d roots, expected %d", len(roots), len(ck.Pool.Roots))
-	}
 	if ck.RngDraws < 0 {
 		return fmt.Errorf("search: checkpoint has %d rng draws", ck.RngDraws)
 	}

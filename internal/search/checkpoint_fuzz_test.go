@@ -2,8 +2,10 @@ package search
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -62,9 +64,10 @@ func checkpointRestorer(tb testing.TB) func(data []byte) (*worker, error) {
 
 // FuzzDecodeCheckpoint feeds arbitrary bytes through checkpointRestorer:
 // every input must end in an error or a restored searcher, never a panic
-// or a hang. The seed is the committed listing1 checkpoint; the corpus in
-// testdata/fuzz adds malformed variants of it (see
-// TestCheckpointCorpusRejected).
+// or a hang, and whatever DecodeCheckpoint accepts json.Unmarshal must
+// accept and decode to the same Checkpoint. The seed is the committed
+// listing1 checkpoint; the corpus in testdata/fuzz adds malformed
+// variants of it (see TestCheckpointCorpusRejected).
 func FuzzDecodeCheckpoint(f *testing.F) {
 	restore := checkpointRestorer(f)
 	seed, err := os.ReadFile(committedCheckpoint)
@@ -81,6 +84,15 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(seed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if ck, err := DecodeCheckpoint(data); err == nil {
+			var want Checkpoint
+			if err := json.Unmarshal(data, &want); err != nil {
+				t.Fatalf("DecodeCheckpoint accepted what json.Unmarshal rejects: %v", err)
+			}
+			if !reflect.DeepEqual(ck, &want) {
+				t.Fatalf("DecodeCheckpoint and json.Unmarshal decode differently:\n%+v\n%+v", ck, &want)
+			}
+		}
 		w, err := restore(data)
 		if err != nil {
 			return

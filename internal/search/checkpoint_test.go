@@ -142,11 +142,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 			t.Fatalf("preemptAt=%d: outcome %q, want preempted", preemptAt, res.Outcome())
 		}
 
-		blob, err := res.Checkpoint.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck, err := DecodeCheckpoint(blob)
+		ck, err := DecodeCheckpoint(res.Checkpoint)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,11 +201,7 @@ func TestCheckpointChainedResume(t *testing.T) {
 			return
 		}
 		// Round-trip through bytes every hop, as the job store would.
-		blob, err := res.Checkpoint.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resume, err = DecodeCheckpoint(blob); err != nil {
+		if resume, err = DecodeCheckpoint(res.Checkpoint); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,11 +258,7 @@ func TestCheckpointRandomPathResume(t *testing.T) {
 			}
 			return
 		}
-		blob, err := res.Checkpoint.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resume, err = DecodeCheckpoint(blob); err != nil {
+		if resume, err = DecodeCheckpoint(res.Checkpoint); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,7 +285,10 @@ func TestCheckpointCompatibility(t *testing.T) {
 	if !res.Preempted {
 		t.Fatal("search was not preempted")
 	}
-	ck := res.Checkpoint
+	ck, err := DecodeCheckpoint(res.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	bad := checkpointOptions(nil)
 	bad.Seed = 2
@@ -340,12 +331,16 @@ func TestCheckpointRaceDetectorMismatch(t *testing.T) {
 		if !res.Preempted {
 			t.Fatal("search was not preempted")
 		}
-		if res.Checkpoint.WithRace != on {
-			t.Fatalf("checkpoint records race detection %v, the run had %v", res.Checkpoint.WithRace, on)
+		ck, err := DecodeCheckpoint(res.Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck.WithRace != on {
+			t.Fatalf("checkpoint records race detection %v, the run had %v", ck.WithRace, on)
 		}
 		resume := checkpointOptions(nil)
 		resume.WithRaceDetector = !on
-		resume.Resume = res.Checkpoint
+		resume.Resume = ck
 		_, err = Synthesize(context.Background(), prog, rep, resume)
 		if err == nil || !strings.Contains(err.Error(), "race detection") {
 			t.Errorf("checkpoint race detection %v, resume request %v: error %v, want a race-detection mismatch", on, !on, err)
@@ -388,11 +383,7 @@ func TestCheckpointPreemptStress(t *testing.T) {
 			}
 			return
 		}
-		blob, err := res.Checkpoint.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resume, err = DecodeCheckpoint(blob); err != nil {
+		if resume, err = DecodeCheckpoint(res.Checkpoint); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -227,12 +227,12 @@ type Result struct {
 	// opposed to the budget running out or the space being exhausted).
 	Cancelled bool
 	// Preempted reports that Options.Preempt stopped the search;
-	// Checkpoint then holds the serialized run and CheckpointNanos the
-	// wall time spent serializing it. All counters below are cumulative
-	// across a preempt/resume chain (a resumed Result reads as if the
-	// run had never stopped).
+	// Checkpoint then holds the encoded run (DecodeCheckpoint reads it)
+	// and CheckpointNanos the wall time spent building and encoding it.
+	// All counters below are cumulative across a preempt/resume chain (a
+	// resumed Result reads as if the run had never stopped).
 	Preempted       bool
-	Checkpoint      *Checkpoint
+	Checkpoint      []byte
 	CheckpointNanos int64
 
 	Duration      time.Duration
@@ -442,11 +442,11 @@ func runSequential(ctx context.Context, pl *plan, opts Options, start time.Time,
 	if preempted {
 		res.Preempted = true
 		ckStart := time.Now()
-		ck, err := s.buildCheckpoint(res, w.det)
+		blob, err := s.checkpoint(res, w.det)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("search: encoding checkpoint: %w", err)
 		}
-		res.Checkpoint = ck
+		res.Checkpoint = blob
 		res.CheckpointNanos = time.Since(ckStart).Nanoseconds()
 	}
 	return res, nil

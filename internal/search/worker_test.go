@@ -144,11 +144,7 @@ func TestResumeChainTelemetry(t *testing.T) {
 		if !res.Preempted {
 			break
 		}
-		blob, err := res.Checkpoint.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resume, err = DecodeCheckpoint(blob); err != nil {
+		if resume, err = DecodeCheckpoint(res.Checkpoint); err != nil {
 			t.Fatal(err)
 		}
 	}

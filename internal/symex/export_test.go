@@ -1,0 +1,27 @@
+package symex
+
+import (
+	"encoding/json"
+
+	"esd/internal/mir"
+)
+
+// ReferenceEncode writes the pool of roots with the reference codec
+// (reference_test.go): the bytes EncodePool must write.
+func ReferenceEncode(roots []*State) ([]byte, error) {
+	return json.Marshal(referenceEncode(roots))
+}
+
+// ReferenceDecode reads a pool with the reference codec: the states
+// Pool.Decode must build.
+func ReferenceDecode(data []byte, prog *mir.Program) ([]*State, error) {
+	var p SerialPool
+	if err := json.Unmarshal(data, &p); err != nil {
+		return nil, err
+	}
+	return p.decode(prog)
+}
+
+// GlobalIDs returns the state's global-name map, which states of one
+// lineage share.
+func (st *State) GlobalIDs() map[string]int { return st.globalIDs }
