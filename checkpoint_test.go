@@ -13,8 +13,8 @@ import (
 
 // TestCommittedCheckpointResumes is the upgrade check for stored jobs:
 // testdata/listing1.ckpt.json is a seed-1 listing1 synthesis preempted at
-// its second poll, written by an earlier build, as a jobs.FileStore would
-// keep it across an upgrade. This build must decode it, resume it, and
+// its second poll, written by an earlier build, as esdserve's job store
+// would keep it across an upgrade. This build must decode it, resume it, and
 // synthesize the golden execution byte for byte. Regenerate with
 // go test -run TestCommittedCheckpointResumes -update, and only for a
 // change that means to alter the checkpoint format or the search.

@@ -81,15 +81,15 @@ func main() {
 		*jobSlice = -1
 	}
 
-	var store jobs.Store
+	var store *jobs.Store
 	if *dataDir != "" {
-		fs, err := jobs.OpenFileStore(*dataDir)
+		st, err := jobs.Open(*dataDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "esdserve: %v\n", err)
 			os.Exit(1)
 		}
-		defer fs.Close()
-		store = fs
+		defer st.Close()
+		store = st
 		log.Printf("esdserve: durable job store in %s", *dataDir)
 	}
 

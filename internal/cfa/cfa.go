@@ -128,10 +128,6 @@ type Analysis struct {
 	// can reach the goal.
 	Critical map[BlockRef]bool
 
-	// BackwardChain is the paper's backward-slicing walk from the goal: the
-	// critical edges found by following unique predecessors (§3.2).
-	BackwardChain []BlockRef
-
 	// IntermediateGoals are disjunctive sets of locations: executing at
 	// least one member of each set is required to make some critical
 	// branch condition true.
@@ -163,7 +159,6 @@ func AnalyzeWith(cg *CallGraph, goal mir.Loc) (*Analysis, error) {
 	}
 	a.computeReachability()
 	a.computeCriticalEdges()
-	a.backwardChain()
 	a.computeIntermediateGoals()
 	a.refineGoals()
 	return a, nil
@@ -360,13 +355,6 @@ func (a *Analysis) StackMayReachGoal(stack []mir.Loc) bool {
 	return false
 }
 
-// RequiredBranch reports whether the branch terminating (fn, block) has a
-// statically required outcome on goal-reaching paths.
-func (a *Analysis) RequiredBranch(fn string, block int) (outcome, constrained bool) {
-	o, ok := a.Critical[BlockRef{fn, block}]
-	return o, ok
-}
-
 func (a *Analysis) computeCriticalEdges() {
 	// A branch in a goal-reaching function is critical when exactly one of
 	// its successors can reach the goal within the function (including via
@@ -394,34 +382,6 @@ func (a *Analysis) computeCriticalEdges() {
 				a.Critical[BlockRef{name, blk.ID}] = false
 			}
 		}
-	}
-}
-
-// backwardChain implements the paper's one-predecessor backward walk from
-// the goal block, marking edges that must be traversed immediately before
-// reaching it.
-func (a *Analysis) backwardChain() {
-	f := a.Prog.Funcs[a.Goal.Fn]
-	preds := make([][]int, len(f.Blocks))
-	for _, blk := range f.Blocks {
-		for _, s := range blk.Succs() {
-			preds[s] = append(preds[s], blk.ID)
-		}
-	}
-	cur := a.Goal.Block
-	seen := map[int]bool{cur: true}
-	for {
-		ps := preds[cur]
-		if len(ps) != 1 {
-			return // current ESD explores only single predecessors (§3.2)
-		}
-		p := ps[0]
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		a.BackwardChain = append(a.BackwardChain, BlockRef{a.Goal.Fn, p})
-		cur = p
 	}
 }
 

@@ -185,28 +185,6 @@ int main() {
 	}
 }
 
-func TestBackwardChain(t *testing.T) {
-	prog := lang.MustCompile("t.c", `
-int main() {
-	int x = input("x");
-	if (x > 0) {
-		x = x + 1;
-		x = x * 2;
-		abort("deep");
-	}
-	return x;
-}`)
-	goal := abortLoc(t, prog, "main")
-	a, err := Analyze(prog, goal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The goal block has a unique predecessor chain back to the branch.
-	if len(a.BackwardChain) == 0 {
-		t.Fatalf("expected a non-empty backward chain")
-	}
-}
-
 func TestAnalyzeRejectsBadGoal(t *testing.T) {
 	prog := lang.MustCompile("t.c", `int main() { return 0; }`)
 	if _, err := Analyze(prog, mir.Loc{Fn: "nope", Block: 0, Index: 0}); err == nil {

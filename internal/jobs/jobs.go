@@ -5,12 +5,13 @@
 // synthesis cannot monopolize the service and an accepted job survives a
 // process restart.
 //
-// The package splits into a Store (where job records live — in memory for
-// tests, file-backed WAL+snapshot for deployments) and a Manager (the
-// worker pool and state machine). The Manager is deliberately ignorant of
-// what a job does: the service supplies a Runner that interprets the
-// job's request payload, runs one slice of it, and reports whether it
-// finished, was preempted into a checkpoint, or failed.
+// The package splits into a Store (where job records live — in memory,
+// or also in a snapshot plus log on disk for deployments) and a Manager
+// (the worker pool and state machine). The Manager is deliberately
+// ignorant of what a job does: the service supplies a Runner that
+// interprets the job's request payload, runs one slice of it, and
+// reports whether it finished, was preempted into a checkpoint, or
+// failed.
 //
 // Job lifecycle:
 //
@@ -31,7 +32,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"slices"
-	"sync"
 	"time"
 )
 
@@ -124,65 +124,3 @@ func newID() string {
 	}
 	return hex.EncodeToString(b[:])
 }
-
-// Store persists job records. Implementations must be safe for concurrent
-// use and must copy the record on both Put and Get (Job.Clone), so callers
-// may change their copy's fields freely; the payloads are shared and, as
-// everywhere, replaced whole rather than written in place. Put is
-// insert-or-replace keyed by Job.ID.
-type Store interface {
-	Put(j *Job) error
-	Get(id string) (*Job, bool)
-	// List returns every job, in no particular order.
-	List() ([]*Job, error)
-	Delete(id string) error
-	Close() error
-}
-
-// MemStore is the in-memory Store used by tests and by servers run
-// without a data directory: same semantics as FileStore, no durability.
-type MemStore struct {
-	mu   sync.Mutex
-	jobs map[string]*Job
-}
-
-// NewMemStore builds an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{jobs: map[string]*Job{}}
-}
-
-func (s *MemStore) Put(j *Job) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.jobs[j.ID] = j.Clone()
-	return nil
-}
-
-func (s *MemStore) Get(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	return j.Clone(), true
-}
-
-func (s *MemStore) List() ([]*Job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		out = append(out, j.Clone())
-	}
-	return out, nil
-}
-
-func (s *MemStore) Delete(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.jobs, id)
-	return nil
-}
-
-func (s *MemStore) Close() error { return nil }

@@ -60,7 +60,7 @@ type Runner func(ctx context.Context, j *Job, preempt func() bool) (*Outcome, er
 // Config tunes a Manager.
 type Config struct {
 	// Store persists job records (required).
-	Store Store
+	Store *Store
 	// Run executes one slice (required).
 	Run Runner
 	// Workers bounds concurrently running slices (default 1).
@@ -75,7 +75,7 @@ type Config struct {
 // requeue at the back, so slices round-robin across runnable jobs), a
 // bounded worker pool, per-transition persistence, and event fan-out.
 type Manager struct {
-	store   Store
+	store   *Store
 	run     Runner
 	slice   time.Duration
 	workers int
@@ -136,17 +136,8 @@ func NewManager(cfg Config) (*Manager, error) {
 // again — the checkpoint's determinism contract makes the redo converge
 // on the same result.
 func (m *Manager) recover() error {
-	all, err := m.store.List()
-	if err != nil {
-		return err
-	}
-	// Oldest first, so recovery preserves submission order.
-	for i := 1; i < len(all); i++ {
-		for k := i; k > 0 && all[k].CreatedUnixMS < all[k-1].CreatedUnixMS; k-- {
-			all[k], all[k-1] = all[k-1], all[k]
-		}
-	}
-	for _, j := range all {
+	// List is oldest first, so recovery preserves submission order.
+	for _, j := range m.store.List() {
 		if j.State.Terminal() {
 			continue
 		}
@@ -199,18 +190,10 @@ func (m *Manager) Submit(request []byte) (*Job, error) {
 func (m *Manager) Get(id string) (*Job, bool) { return m.store.Get(id) }
 
 // List returns every job record, oldest first.
-func (m *Manager) List() []*Job {
-	all, err := m.store.List()
-	if err != nil {
-		return nil
-	}
-	for i := 1; i < len(all); i++ {
-		for k := i; k > 0 && all[k].CreatedUnixMS < all[k-1].CreatedUnixMS; k-- {
-			all[k], all[k-1] = all[k-1], all[k]
-		}
-	}
-	return all
-}
+func (m *Manager) List() []*Job { return m.store.List() }
+
+// Len counts the job records without copying them.
+func (m *Manager) Len() int { return m.store.Len() }
 
 // Depths counts jobs by state — the /healthz job-store depth payload.
 func (m *Manager) Depths() map[State]int {
@@ -219,11 +202,7 @@ func (m *Manager) Depths() map[State]int {
 	for _, st := range States {
 		out[st] = 0
 	}
-	all, err := m.store.List()
-	if err != nil {
-		return out
-	}
-	for _, j := range all {
+	for _, j := range m.store.List() {
 		out[j.State]++
 	}
 	return out

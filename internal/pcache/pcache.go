@@ -1,13 +1,12 @@
-// Package pcache is the persistent cross-run solver-fact tier: an
-// append-log + snapshot file store of definite component verdicts (and
-// their verified models) keyed by (program fingerprint, canonical
-// structural component key). It is the on-disk realization of ROADMAP
-// item 5 — because keys are expr.StructKeys, not intern identities, a
-// verdict written by one process is a hit in the next, across restarts,
-// collections of the terms, and (with a shared directory) across a
-// fleet's shards.
+// Package pcache is the persistent cross-run solver-fact tier: a
+// snapshot-plus-log file store of definite component verdicts (and their
+// verified models) keyed by (program fingerprint, canonical structural
+// component key). Because keys are expr.StructKeys, not intern
+// identities, a verdict written by one process is a hit in the next,
+// across restarts, collections of the terms, and (with a shared
+// directory) across a fleet's shards.
 //
-// The file layout mirrors internal/jobs.FileStore:
+// The files are kept by internal/wal, as the job store's are:
 //
 //	<dir>/solver.snap — JSON snapshot of every entry at the last compaction
 //	<dir>/solver.wal  — JSONL redo log of every publish since
@@ -15,25 +14,22 @@
 // Unlike the job store, appends are NOT fsynced: this is a cache, not a
 // ledger. A write lost to a machine crash costs a future solve, nothing
 // more; surviving process death (the common case) needs only the write
-// to have reached the OS. A torn final WAL line is detected by JSON
-// parse failure on replay and dropped. The snapshot is still written
-// temp + fsync + rename, so compaction can never destroy the previous
-// good state.
+// to have reached the OS. A torn final log line is dropped on replay.
+// The snapshot is still written temp + fsync + rename, so compaction can
+// never destroy the previous good state.
 //
 // Safety: the store itself is dumb — it never decides satisfiability.
 // The solver re-verifies every Sat model by concrete evaluation before
 // serving a hit (solver.PersistentCache's contract), so corruption here
 // degrades hit rate, never correctness. The snapshot schema embeds
 // expr.StructKeyVersion: entries written under a different structural-
-// hash algorithm are discarded wholesale at open.
+// hash algorithm are discarded wholesale at open, the log that continues
+// that snapshot with them.
 package pcache
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -41,12 +37,13 @@ import (
 
 	"esd/internal/expr"
 	"esd/internal/solver"
+	"esd/internal/wal"
 )
 
 const (
 	snapName = "solver.snap"
 	walName  = "solver.wal"
-	// compactEvery bounds WAL replay at open. Publishes are one line
+	// compactEvery bounds log replay at open. Publishes are one line
 	// each and cheap (no fsync), so the threshold is generous.
 	compactEvery = 8192
 	// maxEntriesPerProgram bounds one program's fact set. Past the cap,
@@ -68,7 +65,7 @@ type entry struct {
 	model map[string]int64
 }
 
-// record is the wire form of one entry (a WAL line, and the snapshot's
+// record is the wire form of one entry (a log line, and the snapshot's
 // element type). Keys are 32-hex-digit strings (Hi then Lo).
 type record struct {
 	FP    string           `json:"fp"`
@@ -86,14 +83,14 @@ type snapFile struct {
 // parallel search attaches per-program views (ForProgram) to every
 // worker's solver.
 type Store struct {
-	dir string
-
-	mu         sync.RWMutex
-	progs      map[uint64]map[uint64][]entry // program fp → bucket → chain
-	counts     map[uint64]int                // program fp → entry count
-	wal        *os.File
-	walRecords int
-	closed     bool
+	mu     sync.RWMutex
+	progs  map[uint64]map[uint64][]entry // program fp → bucket → chain
+	counts map[uint64]int                // program fp → entry count
+	log    *wal.Log
+	closed bool
+	// stale is set at open when the snapshot is foreign or corrupt: the
+	// log continues that snapshot, so its records are discarded too.
+	stale bool
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -104,56 +101,22 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the persistent solver cache in dir,
-// replays its snapshot and WAL, and compacts. A snapshot with a foreign
+// replays its snapshot and log, and compacts. A snapshot with a foreign
 // schema (older format, or a different structural-key version) is
-// discarded rather than erroring: the store is a cache, and stale keys
-// would never hit anyway.
+// discarded rather than erroring, and so is the log that continues it:
+// the store is a cache, and stale keys would never hit anyway.
 func Open(dir string) (*Store, error) {
 	start := time.Now()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("pcache: creating store dir: %w", err)
+	s := &Store{progs: map[uint64]map[uint64][]entry{}, counts: map[uint64]int{}}
+	log, err := wal.Open(dir, snapName, walName, false, s.load, s.replay)
+	if err != nil {
+		return nil, fmt.Errorf("pcache: %w", err)
 	}
-	s := &Store{dir: dir, progs: map[uint64]map[uint64][]entry{}, counts: map[uint64]int{}}
-
-	snapPath := filepath.Join(dir, snapName)
-	if data, err := os.ReadFile(snapPath); err == nil {
-		var snap snapFile
-		if jerr := json.Unmarshal(data, &snap); jerr == nil && snap.Schema == snapSchema {
-			for _, rec := range snap.Entries {
-				s.ingest(rec)
-			}
-		} else {
-			s.loadRejects++
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("pcache: reading snapshot: %w", err)
-	}
-
-	walPath := filepath.Join(dir, walName)
-	if f, err := os.Open(walPath); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(nil, 16<<20)
-		for sc.Scan() {
-			var rec record
-			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-				// Torn final line from a crash mid-append: everything
-				// before it is intact, everything after unreachable.
-				break
-			}
-			s.ingest(rec)
-			s.walRecords++
-		}
-		f.Close()
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("pcache: reading WAL: %w", err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("pcache: opening WAL: %w", err)
-	}
-
-	// Fold the replayed WAL into a fresh snapshot immediately, bounding
+	s.log = log
+	// Fold the replayed log into a fresh snapshot immediately, bounding
 	// the next open's replay.
 	if err := s.compactLocked(); err != nil {
+		log.Close()
 		return nil, err
 	}
 	loadNanos.Observe(time.Since(start).Nanoseconds())
@@ -162,8 +125,34 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
+func (s *Store) load(data []byte) error {
+	var snap snapFile
+	if json.Unmarshal(data, &snap) != nil || snap.Schema != snapSchema {
+		s.loadRejects++
+		s.stale = true
+		return nil
+	}
+	for _, rec := range snap.Entries {
+		s.ingest(rec)
+	}
+	return nil
+}
+
+func (s *Store) replay(line []byte) bool {
+	var rec record
+	if json.Unmarshal(line, &rec) != nil {
+		return false
+	}
+	if s.stale {
+		s.loadRejects++
+	} else {
+		s.ingest(rec)
+	}
+	return true
+}
+
 // ingest decodes and indexes one record, counting malformed or capped
-// ones as load rejects/drops. Only used during Open (single-threaded).
+// ones as load rejects. Only used during Open (single-threaded).
 func (s *Store) ingest(rec record) {
 	fp, err := strconv.ParseUint(rec.FP, 16, 64)
 	if err != nil || len(rec.Keys) == 0 {
@@ -298,7 +287,7 @@ func (v *ProgView) Lookup(keys []expr.StructKey) (solver.Result, map[string]int6
 	return solver.Unknown, nil, false
 }
 
-// Publish stores a definite verdict, appending it to the WAL (not
+// Publish stores a definite verdict, appending it to the log (not
 // fsynced — see the package comment) and compacting when the log fills.
 // Unknown is dropped; duplicates are no-ops; publishes past the
 // per-program cap are dropped and counted.
@@ -347,13 +336,10 @@ func keysWire(keys []expr.StructKey) []string {
 	return out
 }
 
-// appendLocked writes one WAL line, compacting first when the log is
-// full. Called with s.mu held.
+// appendLocked logs one record, compacting first when the log is full.
+// Called with s.mu held.
 func (s *Store) appendLocked(rec record) error {
-	if s.wal == nil {
-		return fmt.Errorf("pcache: store is closed")
-	}
-	if s.walRecords >= compactEvery {
+	if s.log.Lines() >= compactEvery {
 		if err := s.compactLocked(); err != nil {
 			return err
 		}
@@ -362,16 +348,11 @@ func (s *Store) appendLocked(rec record) error {
 	if err != nil {
 		return err
 	}
-	line = append(line, '\n')
-	if _, err := s.wal.Write(line); err != nil {
-		return err
-	}
-	s.walRecords++
-	return nil
+	return s.log.Append(line)
 }
 
-// compactLocked rewrites the snapshot from memory (temp + fsync +
-// rename) and truncates the WAL. Called with s.mu held.
+// compactLocked rewrites the snapshot from memory and truncates the log.
+// Called with s.mu held.
 func (s *Store) compactLocked() error {
 	start := time.Now()
 	snap := snapFile{Schema: snapSchema}
@@ -392,50 +373,14 @@ func (s *Store) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("pcache: encoding snapshot: %w", err)
 	}
-	tmp := filepath.Join(s.dir, snapName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("pcache: writing snapshot: %w", err)
+	if err := s.log.Compact(data); err != nil {
+		return fmt.Errorf("pcache: %w", err)
 	}
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("pcache: writing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapName)); err != nil {
-		return fmt.Errorf("pcache: installing snapshot: %w", err)
-	}
-
-	if s.wal != nil {
-		s.wal.Close()
-	}
-	wal, err := os.OpenFile(filepath.Join(s.dir, walName), os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("pcache: resetting WAL: %w", err)
-	}
-	s.wal = wal
-	s.walRecords = 0
 	flushNanos.Observe(time.Since(start).Nanoseconds())
 	return nil
 }
 
-// Flush forces a compaction now: everything in memory lands in the
-// snapshot with full fsync durability. The engine calls it at Close.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	return s.compactLocked()
-}
-
-// Close flushes and closes the store. Further publishes are dropped;
+// Close compacts and closes the store. Further publishes are dropped;
 // lookups keep answering from memory.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -443,19 +388,13 @@ func (s *Store) Close() error {
 	if s.closed {
 		return nil
 	}
-	err := s.compactLocked()
 	s.closed = true
-	if s.wal != nil {
-		if cerr := s.wal.Close(); err == nil {
-			err = cerr
-		}
-		s.wal = nil
+	err := s.compactLocked()
+	if cerr := s.log.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Stats is a point-in-time snapshot of the store.
 type Stats struct {
@@ -470,7 +409,8 @@ type Stats struct {
 	Publishes int64 `json:"publishes"`
 	Dropped   int64 `json:"dropped"`
 	// LoadRejects counts records discarded at open (foreign schema,
-	// malformed, or over-cap).
+	// malformed, or over-cap); a foreign snapshot counts once, and each
+	// line of the log that continues it once more.
 	LoadRejects int64 `json:"load_rejects"`
 }
 

@@ -123,6 +123,12 @@ func TestForeignSchemaDiscarded(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapName), data, 0o644); err != nil {
 		t.Fatalf("seeding foreign snapshot: %v", err)
 	}
+	// The log continues the foreign snapshot, so it was written under the
+	// same foreign version and must be discarded with it.
+	line, _ := json.Marshal(record{FP: "0000000000000001", Keys: []string{formatKey(k(2, 2))}, Res: "unsat"})
+	if err := os.WriteFile(filepath.Join(dir, walName), append(line, '\n'), 0o644); err != nil {
+		t.Fatalf("seeding the foreign snapshot's log: %v", err)
+	}
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatalf("Open over foreign schema: %v", err)
@@ -131,9 +137,22 @@ func TestForeignSchemaDiscarded(t *testing.T) {
 	if _, _, ok := s.ForProgram(1).Lookup([]expr.StructKey{k(1, 1)}); ok {
 		t.Fatal("entry from a foreign structural-key version served")
 	}
+	if _, _, ok := s.ForProgram(1).Lookup([]expr.StructKey{k(2, 2)}); ok {
+		t.Fatal("entry from a foreign snapshot's log served")
+	}
 	st := s.Stats()
-	if st.Entries != 0 || st.LoadRejects == 0 {
-		t.Fatalf("foreign snapshot not rejected: %+v", st)
+	if st.Entries != 0 || st.LoadRejects != 2 {
+		t.Fatalf("foreign snapshot and its log not rejected (want 2 load rejects): %+v", st)
+	}
+	// Open's compaction must not carry the foreign entries into a
+	// current-schema snapshot.
+	data, err = os.ReadFile(filepath.Join(dir, snapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compacted snapFile
+	if err := json.Unmarshal(data, &compacted); err != nil || compacted.Schema != snapSchema || len(compacted.Entries) != 0 {
+		t.Fatalf("compacted snapshot %s, want %s with no entries (err %v)", data, snapSchema, err)
 	}
 	// The store must be usable — and self-healing — afterwards.
 	s.ForProgram(1).Publish([]expr.StructKey{k(1, 1)}, solver.Unsat, nil)

@@ -265,7 +265,7 @@ func TestServiceJobRestartRecovery(t *testing.T) {
 		t.Skip("sliced multi-second synthesis too slow under -race")
 	}
 	dir := t.TempDir()
-	st1, err := jobs.OpenFileStore(dir)
+	st1, err := jobs.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestServiceJobRestartRecovery(t *testing.T) {
 	}
 
 	// Second life: same directory, fresh store, engine and server.
-	st2, err := jobs.OpenFileStore(dir)
+	st2, err := jobs.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

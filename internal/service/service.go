@@ -91,9 +91,9 @@ type Config struct {
 	// server bounds it independently of MaxConcurrent (default 8).
 	MaxParallelism int
 	// JobStore persists job records; nil means in-memory (jobs are lost
-	// on restart). esdserve passes a file-backed store (-data-dir) so
+	// on restart). esdserve passes a store opened on its -data-dir so
 	// accepted jobs survive crashes and restarts.
-	JobStore jobs.Store
+	JobStore *jobs.Store
 	// JobSlice is the job scheduler's preemption time slice: a job still
 	// searching after this long is parked as a search checkpoint and
 	// requeued behind waiting work (default 2s; negative disables
@@ -127,7 +127,7 @@ func (c Config) withDefaults() Config {
 		c.MaxParallelism = 8
 	}
 	if c.JobStore == nil {
-		c.JobStore = jobs.NewMemStore()
+		c.JobStore = jobs.NewStore()
 	}
 	switch {
 	case c.JobSlice == 0:
@@ -175,8 +175,8 @@ func New(eng *esd.Engine, cfg Config) *Server {
 		Slice:   cfg.JobSlice,
 	})
 	if err != nil {
-		// Unreachable: store and runner are always set, and neither store
-		// implementation fails List after a successful open.
+		// Store and runner are always set, so only a failed log write
+		// while recovery demotes a running job gets here.
 		panic(err)
 	}
 	s.jobs = mgr
@@ -530,7 +530,7 @@ func (s *Server) submitJob(w http.ResponseWriter, req *synthesizeRequest) (*jobs
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return nil, false
 	}
-	if len(s.jobs.List()) >= maxTrackedJobs {
+	if s.jobs.Len() >= maxTrackedJobs {
 		w.Header().Set("Retry-After", "5")
 		httpError(w, http.StatusTooManyRequests, "job store is full (%d records); DELETE finished jobs", maxTrackedJobs)
 		return nil, false
