@@ -67,10 +67,12 @@ func main() {
 			fmt.Println("coredump written to", *emitCore)
 		}
 		if *run {
-			prog, err := g.Compile()
+			m, err := g.Compile()
 			if err != nil {
 				fatal(err)
 			}
+			// Both strategies share the program's distance tables.
+			prog := search.NewProgram(m)
 			for _, cfg := range []struct {
 				name  string
 				strat search.Strategy

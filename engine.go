@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,19 +25,14 @@ import (
 // it per call with WithBudget.
 const DefaultBudget = 10 * time.Minute
 
-// Engine is the long-lived synthesis core: it amortizes compiled
-// programs, per-program distance tables (via the fingerprint-keyed
-// dist cache), and warm solver caches across requests, and is safe for
-// concurrent use. Create one per process (or per tenant) with New; the
-// esdserve service and the CLIs all run on top of it.
+// Engine is the long-lived synthesis core, safe for concurrent use. Its
+// compile memo keeps up to maxCachedPrograms programs, and each Program
+// keeps what its syntheses share: its distance tables and its idle warm
+// solvers. So many reports against one program pay for the static phase
+// once and start from the solver memos earlier reports filled. Create one
+// engine per process (or per tenant) with New; the esdserve service and
+// the CLIs all run on top of it.
 type Engine struct {
-	// solvers pools warm solvers: a solver's memo of component verdicts
-	// is keyed by canonical structural term fingerprints, so reusing one
-	// across requests (even for different programs) only adds hits.
-	// Solvers are single-threaded, so concurrent syntheses each take
-	// their own.
-	solvers sync.Pool
-
 	// pcache is the persistent cross-run solver-fact store
 	// (WithPersistentCache); nil when no cache directory is configured.
 	// pcacheErr records a failed open — the engine then runs without the
@@ -45,7 +42,7 @@ type Engine struct {
 	pcacheErr error
 
 	mu       sync.Mutex
-	programs map[string]*Program // Compile cache, keyed by source hash
+	programs map[string]*Program // the compile memo, keyed by source hash
 
 	active      atomic.Int64
 	synthesized atomic.Int64
@@ -100,25 +97,25 @@ func (e *Engine) Close() error {
 // New builds an Engine with the given options.
 func New(opts ...Option) *Engine {
 	e := &Engine{programs: map[string]*Program{}}
-	e.solvers.New = func() any { return solver.New() }
 	for _, o := range opts {
 		o(e)
 	}
 	return e
 }
 
-// maxCachedPrograms bounds the Compile memo. The steady state is many
-// reports against a handful of builds, so the cap is generous; but a
-// client churning distinct sources (fuzzing, CI) must not grow the
-// engine without bound. Eviction is arbitrary-entry: no access-order
-// bookkeeping on the hit path, and a re-compile of an evicted program
-// is cheap relative to a synthesis.
+// maxCachedPrograms bounds the Compile memo, and with it the distance
+// tables and idle solvers the engine keeps warm, which belong to the
+// programs. The steady state is many reports against a handful of
+// builds, so the cap is generous; but a client churning distinct sources
+// (fuzzing, CI) must not grow the engine without bound. Eviction is
+// arbitrary-entry: no access-order bookkeeping on the hit path, and a
+// re-compile of an evicted program is cheap relative to a synthesis.
 const maxCachedPrograms = 256
 
 // Compile compiles MiniC source, memoizing by source text: repeated
 // requests for the same program (the service's steady state — many bug
 // reports against one build) share one compiled program and therefore
-// one distance-table cache entry.
+// its distance tables and warm solvers.
 func (e *Engine) Compile(filename, source string) (*Program, error) {
 	sum := sha256.Sum256(append([]byte(filename+"\x00"), source...))
 	key := hex.EncodeToString(sum[:])
@@ -151,6 +148,20 @@ func (e *Engine) Compile(filename, source string) (*Program, error) {
 	}
 	e.mu.Unlock()
 	return p, nil
+}
+
+// Program returns the compiled program whose ID is id while the compile
+// memo holds it, or nil.
+func (e *Engine) Program(id string) *Program {
+	e.mu.Lock()
+	progs := slices.Collect(maps.Values(e.programs))
+	e.mu.Unlock()
+	for _, p := range progs {
+		if p.ID() == id {
+			return p
+		}
+	}
+	return nil
 }
 
 // ProgressEvent is a streaming synthesis-progress snapshot (phase
@@ -201,8 +212,9 @@ func WithRaceDetection() SynthOption {
 
 // WithParallelism runs the search frontier-parallel: n workers share one
 // priority frontier behind one lock, one dedup set, and the compiled
-// program and distance tables, each running its own symbolic VM and
-// pooled solver; the first worker to reach the goal cancels the rest.
+// program and distance tables, each running its own symbolic VM and one
+// of the program's solvers; the first worker to reach the goal cancels
+// the rest.
 // n <= 1 runs the unchanged sequential searcher, so WithParallelism(1) is
 // bit-identical to the default.
 // Frontier-parallel runs explore the sequential search's state space,
@@ -299,33 +311,33 @@ func (e *Engine) Synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 			so.Budget = rem
 		}
 	}
+	sp := prog.searchProgram()
 	// The persistent tier is scoped by the program's structural
 	// fingerprint; every solver of this request shares the one view. With
 	// no store it stays a nil interface, not a typed nil.
 	var persist solver.PersistentCache
 	if e.pcache != nil {
-		persist = e.pcache.ForProgram(prog.MIR.Fingerprint())
+		persist = e.pcache.ForProgram(sp.Fingerprint())
 	}
-	// Every worker (one, or Parallelism of a frontier-parallel run) draws
-	// a warm solver from the engine's pool instead of building a cold one,
-	// and keeps the request's persistent tier until it goes back: a pooled
-	// solver must not carry one program's view into another's request.
+	// Every worker (one, or Parallelism of a frontier-parallel run) takes
+	// one of the program's idle solvers, warm from its earlier syntheses,
+	// or a new one. It keeps this engine's persistent tier until it goes
+	// back: the program may serve another engine next.
 	so.Solvers = make([]*solver.Solver, max(so.Parallelism, 1))
 	for i := range so.Solvers {
-		sol := e.solvers.Get().(*solver.Solver)
-		sol.Persist = persist
-		so.Solvers[i] = sol
+		so.Solvers[i] = prog.takeSolver()
+		so.Solvers[i].Persist = persist
 	}
 	defer func() {
 		for _, sol := range so.Solvers {
 			sol.Persist = nil
-			e.solvers.Put(sol)
 		}
+		prog.giveSolvers(so.Solvers)
 	}()
 
 	e.active.Add(1)
 	defer e.active.Add(-1)
-	res, err := search.Synthesize(ctx, prog.MIR, rep.R, so)
+	res, err := search.Synthesize(ctx, sp, rep.R, so)
 	e.synthesized.Add(1)
 	if err != nil {
 		return nil, err
@@ -448,7 +460,8 @@ func buildFlightReport(so search.Options, rep *BugReport, res *search.Result, so
 }
 
 // EngineStats is a point-in-time snapshot of an Engine's cumulative
-// activity and shared-cache health (the /healthz payload of esdserve).
+// activity and of the warmth its programs keep (the /healthz payload of
+// esdserve).
 type EngineStats struct {
 	// Active is the number of syntheses currently running.
 	Active int64 `json:"active"`
@@ -457,12 +470,15 @@ type EngineStats struct {
 	Synthesized int64 `json:"synthesized"`
 	Found       int64 `json:"found"`
 	// ProgramsCompiled and CompileCacheHits report Compile traffic;
-	// ProgramsCached is the memo's current (bounded) size.
+	// ProgramsCached is the memo's current size, at most 256: the bound
+	// on the programs, and so on the distance tables and idle solvers,
+	// the engine keeps.
 	ProgramsCompiled int64 `json:"programs_compiled"`
 	CompileCacheHits int64 `json:"compile_cache_hits"`
 	ProgramsCached   int   `json:"programs_cached"`
-	// DistCacheHits/Misses report fingerprint-keyed distance-table
-	// sharing across runs (process-wide, not per engine).
+	// DistCacheMisses counts distance-table builds, one per program on
+	// its first synthesis, and DistCacheHits the syntheses that found
+	// their program's tables built (process-wide, not per engine).
 	DistCacheHits   int64 `json:"dist_cache_hits"`
 	DistCacheMisses int64 `json:"dist_cache_misses"`
 	// Interner is the global hash-consed term store's footprint

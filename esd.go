@@ -12,9 +12,8 @@
 // proximity-guided multi-threaded symbolic execution.
 //
 // The entry point is the Engine: a long-lived, concurrency-safe synthesis
-// core that amortizes compiled programs, per-program distance tables, and
-// warm solver caches across requests, and supports context cancellation
-// and streaming progress:
+// core whose compile memo keeps programs across requests, and which
+// supports context cancellation and streaming progress:
 //
 //	eng := esd.New()                          // one per process
 //	prog, _ := eng.Compile("app.c", source)   // memoized by source
@@ -26,20 +25,22 @@
 //	final, _  := player.Run(1e6)   // deterministically reproduces the bug
 //
 // Many reports against one program — the §8 triage workload — are one
-// Synthesize call each on the same engine, which shares the compiled
-// program, its distance tables and the warm solvers across the calls.
+// Synthesize call each on the same Program, which owns what the calls
+// share: its distance tables, built by the first call, and its idle
+// solvers, whose memos each call starts from and adds to.
 // cmd/esdserve exposes the same engine over HTTP/JSON, running every
 // request as a job on its worker pool, with SSE progress streaming.
 //
 // A single synthesis can also spend multiple cores: WithParallelism(n)
 // runs n workers over one best-first frontier behind one lock (shared
-// dedup, a pooled solver per worker, first-to-goal wins). See the
-// package README's "Parallel synthesis" section for its determinism
-// contract.
+// dedup, one of the program's solvers per worker, first-to-goal wins).
+// See the package README's "Parallel synthesis" section for its
+// determinism contract.
 package esd
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"esd/internal/expr"
@@ -48,14 +49,55 @@ import (
 	"esd/internal/replay"
 	"esd/internal/report"
 	"esd/internal/search"
+	"esd/internal/solver"
 	"esd/internal/telemetry"
 	"esd/internal/trace"
 	"esd/internal/usersite"
 )
 
-// Program is a compiled MiniC program.
+// Program is a compiled MiniC program. It owns what its syntheses share:
+// the search's static half (call graph and distance tables, built by the
+// first synthesis, and the fingerprint) and the idle solvers, whose memos
+// of component verdicts the next synthesis starts from. Both are built on
+// first use, so a Program literal works as well as one from Compile.
 type Program struct {
 	MIR *mir.Program
+
+	staticOnce sync.Once
+	static     *search.Program
+
+	// idle holds the solvers no synthesis of the program is using. A
+	// synthesis takes what it needs and gives them back when it ends, so
+	// idle never holds more than the peak number of workers that ran at
+	// once. Solvers hold no terms, only structural keys and models.
+	mu   sync.Mutex
+	idle []*solver.Solver
+}
+
+// searchProgram returns the program's static half, wrapping MIR on the
+// first call.
+func (p *Program) searchProgram() *search.Program {
+	p.staticOnce.Do(func() { p.static = search.NewProgram(p.MIR) })
+	return p.static
+}
+
+// takeSolver returns one of the program's idle solvers, or a new one.
+func (p *Program) takeSolver() *solver.Solver {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.idle); n > 0 {
+		sol := p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		return sol
+	}
+	return solver.New()
+}
+
+// giveSolvers returns a finished synthesis's solvers to the idle list.
+func (p *Program) giveSolvers(sols []*solver.Solver) {
+	p.mu.Lock()
+	p.idle = append(p.idle, sols...)
+	p.mu.Unlock()
 }
 
 // CompileMiniC compiles MiniC source to a verified program.
@@ -74,10 +116,10 @@ func (p *Program) Dump() string { return p.MIR.String() }
 func (p *Program) NumInstrs() int { return p.MIR.NumInstrs() }
 
 // ID returns a stable identifier derived from the program's structural
-// fingerprint — the handle esdserve hands out from /compile and the key
-// under which distance tables are shared across runs.
+// fingerprint: the handle esdserve hands out from /compile, which
+// Engine.Program resolves.
 func (p *Program) ID() string {
-	return fmt.Sprintf("%s-%016x", p.MIR.Name, p.MIR.Fingerprint())
+	return fmt.Sprintf("%s-%016x", p.MIR.Name, p.searchProgram().Fingerprint())
 }
 
 // BugReport is a coredump-derived bug report (the input to synthesis).
@@ -168,7 +210,7 @@ type Stats struct {
 	SolverQueries int
 	// SolverCacheHits counts components answered by the solver's private
 	// memo: a query adds one per component found there, so it varies with
-	// how warm the pooled solver is.
+	// how warm the program's solvers are.
 	SolverCacheHits int
 	// SolverPersistentHits counts component verdicts served from the
 	// engine's persistent cross-run cache (WithPersistentCache; 0 when no

@@ -47,9 +47,8 @@ func main() {
 			"dir_seed": 1, "dir_count": 3, "term_width": 80}}},
 	}
 
-	// Every ticket is one Synthesize call on the same engine, so they all
-	// share one compiled program, one set of distance tables, and the warm
-	// solver pool.
+	// Every ticket is one Synthesize call on the same program, so they all
+	// share its distance tables and its warm solvers.
 	eng := esd.New()
 	execs := map[string]*esd.Execution{}
 	for _, tk := range tickets {

@@ -24,7 +24,7 @@ func TestProfileLs4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := search.Synthesize(context.Background(), prog, rep, search.Options{
+	res, err := search.Synthesize(context.Background(), search.NewProgram(prog), rep, search.Options{
 		Strategy: search.StrategyESD, Budget: 20 * time.Second, Seed: 1,
 	})
 	if err != nil {

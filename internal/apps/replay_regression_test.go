@@ -35,7 +35,7 @@ func TestConcurrencyAppsReplayDeterministically(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := search.Synthesize(context.Background(), prog, rep, search.Options{
+			res, err := search.Synthesize(context.Background(), search.NewProgram(prog), rep, search.Options{
 				Strategy: search.StrategyESD, Budget: 120 * time.Second, Seed: 1,
 			})
 			if err != nil {
@@ -107,7 +107,7 @@ func TestSqliteStrictReplayRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := search.Synthesize(context.Background(), prog, rep, search.Options{
+	res, err := search.Synthesize(context.Background(), search.NewProgram(prog), rep, search.Options{
 		Strategy: search.StrategyESD, Budget: 120 * time.Second, Seed: 1,
 	})
 	if err != nil {

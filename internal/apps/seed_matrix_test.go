@@ -40,7 +40,7 @@ func TestSeedMatrixQuickSynthesis(t *testing.T) {
 		}
 		for seed := int64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				res, err := search.Synthesize(context.Background(), prog, rep, search.Options{
+				res, err := search.Synthesize(context.Background(), search.NewProgram(prog), rep, search.Options{
 					Strategy: search.StrategyESD,
 					Budget:   60 * time.Second,
 					Seed:     seed,

@@ -33,7 +33,7 @@ func TestESDSynthesizesEveryBug(t *testing.T) {
 			// The paper's per-bug budget is 1 hour; 300s is the CI stand-in,
 			// far above what any app needs: seed-1 ls4, the slowest, takes
 			// about 2.7 s on 2 vCPU.
-			res, err := search.Synthesize(context.Background(), prog, rep, search.Options{
+			res, err := search.Synthesize(context.Background(), search.NewProgram(prog), rep, search.Options{
 				Strategy: search.StrategyESD,
 				Budget:   300 * time.Second,
 				Seed:     1,

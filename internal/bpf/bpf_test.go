@@ -106,7 +106,7 @@ func TestESDSynthesizesBPFDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := search.Synthesize(context.Background(), prog, rep, search.Options{
+	res, err := search.Synthesize(context.Background(), search.NewProgram(prog), rep, search.Options{
 		Strategy: search.StrategyESD,
 		Budget:   120 * time.Second,
 		Seed:     1,

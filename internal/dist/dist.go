@@ -100,23 +100,22 @@ type Calculator struct {
 	steps *metric // unit instruction cost (§4 data distance)
 
 	// The sync metric (§4.1 schedule distance) is built on first use:
-	// plain crash searches and sync-free programs never pay for it. The
-	// atomic pointer lets diagnostics observe without building.
+	// plain crash searches and sync-free programs never pay for it.
 	syncOnce sync.Once
-	syncM    atomic.Pointer[metric]
+	syncM    *metric
 }
 
 // syncMetric returns (building on first use) the sync-operation metric.
 func (c *Calculator) syncMetric() *metric {
 	c.syncOnce.Do(func() {
-		c.syncM.Store(c.newMetric("sync", func(op mir.Opcode) int64 {
+		c.syncM = c.newMetric("sync", func(op mir.Opcode) int64 {
 			if op.IsSync() {
 				return 1
 			}
 			return 0
-		}))
+		})
 	})
-	return c.syncM.Load()
+	return c.syncM
 }
 
 // metric is one cost model's view of the program: through summaries,
@@ -251,94 +250,52 @@ func NewCalculator(prog *mir.Program) *Calculator {
 	return NewCalculatorWith(cfa.BuildCallGraph(prog))
 }
 
-// sharedCalcs is the cross-run Calculator cache. Harnesses rebuild
-// structurally identical programs for every configuration of a sweep
-// (esdexp ablations, benchmark re-runs); the per-goal tables are the
-// expensive part of a Calculator, and everything a cached table answers is
-// expressed in location/name terms, so a Calculator built from one copy of
-// a program answers queries for any identical copy. The key pairs the
-// structural fingerprint with the program's name and sizes, so a bare
-// 64-bit hash collision cannot silently serve the wrong program's tables.
-type calcKey struct {
-	fp     uint64
-	name   string
-	funcs  int
-	instrs int
-}
-
-// calcEntry defers construction out of the cache lock: concurrent searches
-// on different programs build their Calculators in parallel, and ones on
-// the same program build it once.
-type calcEntry struct {
+// Shared is the Calculator that every search of one program reads. Get
+// builds it on the first call and hands the same one to every later or
+// concurrent caller, so the holder of a program's Shared decides how long
+// its tables live. The zero value is ready to use.
+type Shared struct {
 	once sync.Once
 	calc *Calculator
 }
 
-var sharedCalcs = struct {
-	sync.Mutex
-	m map[calcKey]*calcEntry
-}{m: map[calcKey]*calcEntry{}}
-
-// maxSharedCalcs bounds sharedCalcs like the engine's compile memo: each
-// Calculator holds its program and call graph, so a process synthesizing
-// a stream of distinct sources must not keep every one reachable. Eviction
-// is arbitrary-entry, as there; an evicted program's tables are rebuilt on
-// its next search.
-const maxSharedCalcs = 256
-
-// Shared-cache traffic counters: a hit is a ForProgram call that found an
-// existing entry (the caller shares tables built by an earlier run —
-// exactly what many syntheses over one program are supposed to do, and
-// what the engine's tests assert).
+// Table-build traffic: a miss is a Get that built its program's
+// Calculator, a hit one that found it built (or waited for the build) —
+// what many syntheses over one program are supposed to do, and what the
+// engine's tests assert.
 var sharedHits, sharedMisses atomic.Int64
 
-// SharedCacheStats reports cumulative ForProgram cache hits and misses.
+// SharedCacheStats reports cumulative Shared.Get hits and misses across
+// the process.
 func SharedCacheStats() (hits, misses int64) {
 	return sharedHits.Load(), sharedMisses.Load()
 }
 
-// ForProgram returns a Calculator for cg's program, reusing one built for
-// a structurally identical program in an earlier run when available. The
-// Calculator is safe for concurrent use, so sharing across simultaneous
-// searches is sound.
-func ForProgram(cg *cfa.CallGraph) *Calculator {
-	prog := cg.Prog
-	key := calcKey{
-		fp:     prog.Fingerprint(),
-		name:   prog.Name,
-		funcs:  len(prog.Funcs),
-		instrs: prog.NumInstrs(),
-	}
-	sharedCalcs.Lock()
-	ent := sharedCalcs.m[key]
-	if ent == nil {
-		for k := range sharedCalcs.m {
-			if len(sharedCalcs.m) < maxSharedCalcs {
-				break
-			}
-			delete(sharedCalcs.m, k)
-		}
-		ent = &calcEntry{}
-		sharedCalcs.m[key] = ent
+// Get returns the Calculator of prog, building it over a fresh call graph
+// on the first call. Every call on one Shared must pass the same program.
+func (s *Shared) Get(prog *mir.Program) *Calculator {
+	built := false
+	s.once.Do(func() {
+		s.calc = NewCalculator(prog)
+		built = true
+	})
+	if built {
 		sharedMisses.Add(1)
 	} else {
 		sharedHits.Add(1)
 	}
-	sharedCalcs.Unlock()
-	ent.once.Do(func() { ent.calc = NewCalculatorWith(cg) })
-	return ent.calc
+	return s.calc
 }
 
-// ResetSharedCache drops all cross-run Calculators (tests and memory
-// pressure relief for long-lived processes).
-func ResetSharedCache() {
-	sharedCalcs.Lock()
-	defer sharedCalcs.Unlock()
-	sharedCalcs.m = map[calcKey]*calcEntry{}
-}
+// ResetSharedCache does nothing: each program's Shared holds its tables,
+// so no process-wide cache is left to drop. It stays because the
+// benchmark harness (perfbench/, a module that changes only with the
+// benchmark) calls it before every cold unit; each unit runs on a fresh
+// engine, whose programs build their tables anew.
+func ResetSharedCache() {}
 
-// NewCalculatorWith is NewCalculator over a prebuilt call graph (shared
-// with the cfa analyses of the same program).
+// NewCalculatorWith is NewCalculator over a prebuilt call graph, which
+// CallGraph returns.
 func NewCalculatorWith(cg *cfa.CallGraph) *Calculator {
 	prog := cg.Prog
 	n := len(prog.Order)
@@ -674,13 +631,6 @@ func (m *metric) stateDistance(stack []mir.Loc, goal mir.Loc) int64 {
 	return best
 }
 
-// cachedGoals reports how many goals have memoized tables.
-func (m *metric) cachedGoals() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.goals)
-}
-
 // StateDistance is Algorithm 1 under the instruction metric: the cheapest
 // static number of instructions a thread with the given call stack must
 // execute to reach goal. It returns 0 when the innermost frame is already
@@ -705,65 +655,8 @@ func (c *Calculator) SyncDistance(stack []mir.Loc, goal mir.Loc) int64 {
 // schedule-distance component: it is zero along every feasible path.
 func (c *Calculator) HasSync() bool { return c.hasSync }
 
-// Through returns the cheapest entry-to-return instruction cost of fn
-// (Infinite when fn cannot return or does not exist). Exposed for
-// diagnostics and tests.
-func (c *Calculator) Through(fn string) int64 {
-	return c.steps.throughOf(fn)
-}
-
-// SyncThrough returns the smallest number of sync operations on any
-// entry-to-return path of fn (Infinite when fn cannot return or does not
-// exist).
-func (c *Calculator) SyncThrough(fn string) int64 {
-	return c.syncMetric().throughOf(fn)
-}
-
-func (m *metric) throughOf(fn string) int64 {
-	if f, ok := m.c.index[fn]; ok {
-		return m.through[f]
-	}
-	return Infinite
-}
-
-// DistToReturn returns the cheapest instruction cost from loc through a
-// return of its function, the Ret included (Infinite when none is
-// reachable).
-func (c *Calculator) DistToReturn(loc mir.Loc) int64 {
-	return metricDistToReturn(c.steps, loc)
-}
-
-// SyncDistToReturn returns the smallest number of sync operations from loc
-// through a return of its function (Infinite when none is reachable).
-func (c *Calculator) SyncDistToReturn(loc mir.Loc) int64 {
-	return metricDistToReturn(c.syncMetric(), loc)
-}
-
-func metricDistToReturn(m *metric, loc mir.Loc) int64 {
-	fi, ok := m.c.index[loc.Fn]
-	if !ok {
-		return Infinite
-	}
-	i, ok := m.c.fns[fi].flat(loc)
-	if !ok {
-		return Infinite
-	}
-	return m.retDist[fi][i]
-}
-
-// CachedGoals reports how many goals have memoized instruction-metric
-// tables (diagnostics).
-func (c *Calculator) CachedGoals() int { return c.steps.cachedGoals() }
-
-// CachedSyncGoals reports how many goals have memoized sync-metric tables
-// (diagnostics; 0 when the metric was never queried). It observes the
-// lazy metric without building it.
-func (c *Calculator) CachedSyncGoals() int {
-	if m := c.syncM.Load(); m != nil {
-		return m.cachedGoals()
-	}
-	return 0
-}
+// CallGraph returns the call graph the Calculator's tables were built on.
+func (c *Calculator) CallGraph() *cfa.CallGraph { return c.cg }
 
 // fill returns d, or a new table when d is nil, with its n entries set to
 // Infinite: a function recomputed in a recursive cycle reuses its table.

@@ -617,61 +617,42 @@ func BenchmarkCalculatorBPF(b *testing.B) {
 	}
 }
 
-// ForProgram must hand structurally identical programs the same Calculator
-// (with its memoized goal tables), and distinct programs distinct ones.
-func TestForProgramCrossRunCache(t *testing.T) {
-	ResetSharedCache()
-	defer ResetSharedCache()
+// TestSharedBuildsOnce: concurrent Gets on one Shared build one Calculator
+// (one miss, the other Gets hits), and a second Shared builds its own even
+// for an identical program: tables belong to whoever holds the Shared.
+func TestSharedBuildsOnce(t *testing.T) {
+	prog := buildLinear()
+	const callers = 8
+	hits0, misses0 := SharedCacheStats()
+	var sh Shared
+	calcs := make([]*Calculator, callers)
+	var wg sync.WaitGroup
+	for i := range calcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			calcs[i] = sh.Get(prog)
+		}()
+	}
+	wg.Wait()
+	for i, c := range calcs {
+		if c == nil || c != calcs[0] {
+			t.Fatalf("Get %d returned %p, Get 0 returned %p", i, c, calcs[0])
+		}
+	}
+	if c := calcs[0]; c.CallGraph().Prog != prog {
+		t.Error("the Calculator's call graph is of another program")
+	}
+	hits, misses := SharedCacheStats()
+	if misses-misses0 != 1 || hits-hits0 != callers-1 {
+		t.Errorf("%d Gets counted %d misses and %d hits, want 1 and %d", callers, misses-misses0, hits-hits0, callers-1)
+	}
 
-	c1 := ForProgram(cfa.BuildCallGraph(buildLinear()))
-	goal := loc("main", 1, 0)
-	if d := c1.StateDistance([]mir.Loc{loc("main", 0, 0)}, goal); d >= Infinite {
-		t.Fatalf("goal unreachable in fixture: %d", d)
+	var other Shared
+	if other.Get(buildLinear()) == calcs[0] {
+		t.Error("two Shareds handed out one Calculator")
 	}
-	warmed := c1.CachedGoals()
-
-	// An independently built but identical program reuses the Calculator,
-	// goal tables included.
-	c2 := ForProgram(cfa.BuildCallGraph(buildLinear()))
-	if c2 != c1 {
-		t.Fatal("identical program did not reuse the cached Calculator")
-	}
-	if c2.CachedGoals() != warmed {
-		t.Fatalf("cached goal tables lost: %d vs %d", c2.CachedGoals(), warmed)
-	}
-
-	// A different program must not collide.
-	other := mir.NewProgram("other")
-	b := mir.NewFuncBuilder("main")
-	b.EmitRet(mir.I(0))
-	other.AddFunc(b.F)
-	if ForProgram(cfa.BuildCallGraph(other)) == c1 {
-		t.Fatal("distinct programs shared a Calculator")
-	}
-}
-
-// TestForProgramCacheBounded: the cross-run Calculator cache holds at most
-// maxSharedCalcs programs, so a stream of distinct programs cannot keep
-// every one reachable; each distinct program is still a miss.
-func TestForProgramCacheBounded(t *testing.T) {
-	ResetSharedCache()
-	defer ResetSharedCache()
-	_, misses0 := SharedCacheStats()
-	const programs = 300
-	for i := range programs {
-		p := mir.NewProgram(fmt.Sprintf("distinct%d", i))
-		b := mir.NewFuncBuilder("main")
-		b.EmitRet(mir.I(int64(i)))
-		p.AddFunc(b.F)
-		ForProgram(cfa.BuildCallGraph(p))
-	}
-	sharedCalcs.Lock()
-	entries := len(sharedCalcs.m)
-	sharedCalcs.Unlock()
-	if entries > maxSharedCalcs {
-		t.Errorf("%d distinct programs left %d cached Calculators, want at most %d", programs, entries, maxSharedCalcs)
-	}
-	if _, misses := SharedCacheStats(); misses-misses0 != programs {
-		t.Errorf("%d distinct programs counted %d misses", programs, misses-misses0)
+	if _, m := SharedCacheStats(); m-misses != 1 {
+		t.Errorf("a second Shared counted %d misses, want 1", m-misses)
 	}
 }

@@ -63,16 +63,23 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("%.2fs", o.Duration.Seconds())
 }
 
-// runApp measures one synthesis run.
-func runApp(ctx context.Context, a *apps.App, strat search.Strategy, preemptBound int, cfg Config) (Outcome, error) {
+// appProgram compiles a bundled app for synthesis and returns it with
+// its coredump. Every run of a sweep over the app shares the one program,
+// and with it the distance tables.
+func appProgram(a *apps.App) (*search.Program, *report.Report, error) {
 	prog, err := a.Program()
 	if err != nil {
-		return Outcome{}, err
+		return nil, nil, err
 	}
 	rep, err := a.Coredump()
 	if err != nil {
-		return Outcome{}, err
+		return nil, nil, err
 	}
+	return search.NewProgram(prog), rep, nil
+}
+
+// runApp measures one synthesis run.
+func runApp(ctx context.Context, prog *search.Program, rep *report.Report, strat search.Strategy, preemptBound int, cfg Config) (Outcome, error) {
 	res, err := search.Synthesize(ctx, prog, rep, search.Options{
 		Strategy:        strat,
 		Budget:          cfg.Timeout,
@@ -122,7 +129,11 @@ func Table1(ctx context.Context, cfg Config) ([]Table1Row, error) {
 	cfg = cfg.withDefaults()
 	var rows []Table1Row
 	for _, a := range apps.Table1() {
-		out, err := runApp(ctx, a, search.StrategyESD, 0, cfg)
+		prog, rep, err := appProgram(a)
+		if err != nil {
+			return nil, fmt.Errorf("table1 %s: %w", a.Name, err)
+		}
+		out, err := runApp(ctx, prog, rep, search.StrategyESD, 0, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s: %w", a.Name, err)
 		}
@@ -157,15 +168,19 @@ func Figure2(ctx context.Context, cfg Config) ([]Fig2Row, error) {
 	cfg = cfg.withDefaults()
 	var rows []Fig2Row
 	for _, a := range apps.Figure2() {
-		esdOut, err := runApp(ctx, a, search.StrategyESD, 0, cfg)
+		prog, rep, err := appProgram(a)
 		if err != nil {
 			return nil, fmt.Errorf("fig2 %s: %w", a.Name, err)
 		}
-		dfsOut, err := runApp(ctx, a, search.StrategyDFS, 2, cfg)
+		esdOut, err := runApp(ctx, prog, rep, search.StrategyESD, 0, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("fig2 %s: %w", a.Name, err)
+		}
+		dfsOut, err := runApp(ctx, prog, rep, search.StrategyDFS, 2, cfg)
 		if err != nil {
 			return nil, err
 		}
-		rpOut, err := runApp(ctx, a, search.StrategyRandomPath, 2, cfg)
+		rpOut, err := runApp(ctx, prog, rep, search.StrategyRandomPath, 2, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -206,10 +221,11 @@ func Figure3(ctx context.Context, cfg Config) ([]Fig3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		prog, err := g.Compile()
+		m, err := g.Compile()
 		if err != nil {
 			return nil, err
 		}
+		prog := search.NewProgram(m)
 		rep, err := g.Coredump()
 		if err != nil {
 			return nil, fmt.Errorf("fig3 branches=%d: %w", p.Branches, err)
@@ -274,11 +290,7 @@ func Ablation(ctx context.Context, appName string, cfg Config) ([]AblationRow, e
 	if a == nil {
 		return nil, fmt.Errorf("exp: unknown app %q", appName)
 	}
-	prog, err := a.Program()
-	if err != nil {
-		return nil, err
-	}
-	rep, err := a.Coredump()
+	prog, rep, err := appProgram(a)
 	if err != nil {
 		return nil, err
 	}

@@ -125,9 +125,6 @@ func (e *Expr) IsBoolOp() bool {
 	return false
 }
 
-// Hash returns a structural hash of the term.
-func (e *Expr) Hash() uint64 { return e.hash }
-
 // Equal reports structural equality. Interning makes this a pointer
 // comparison.
 func (e *Expr) Equal(o *Expr) bool { return e == o }
@@ -607,20 +604,9 @@ func (e *Expr) Eval(env map[string]int64) (int64, error) {
 // may be shared with e's subterms: callers must not modify it.
 func (e *Expr) Vars() []string { return e.vars }
 
-// NumVars returns the size of e's free-variable set.
-func (e *Expr) NumVars() int { return len(e.vars) }
-
 // HasVar reports whether the named variable occurs free in e, using the
 // cached variable set (no tree walk).
 func (e *Expr) HasVar(name string) bool { return hasVar(e.vars, name) }
-
-// Substitute returns e with every occurrence of variable name replaced by
-// replacement, re-simplifying along the way. For repeated substitution of
-// the same binding across several terms, build one Subst and Apply it so
-// the memo is shared.
-func (e *Expr) Substitute(name string, replacement *Expr) *Expr {
-	return NewSubst(name, replacement).Apply(e)
-}
 
 // String renders the term in infix form.
 func (e *Expr) String() string {

@@ -206,7 +206,7 @@ func (s *Store) compactLocked() error {
 	for _, j := range s.jobs {
 		snap.Jobs = append(snap.Jobs, j)
 	}
-	data, err := json.MarshalIndent(&snap, "", " ")
+	data, err := json.Marshal(&snap)
 	if err != nil {
 		return fmt.Errorf("jobs: encoding snapshot: %w", err)
 	}

@@ -288,19 +288,3 @@ func (l *Lexer) escape() (byte, error) {
 		return 0, l.errf("unknown escape \\%c", e)
 	}
 }
-
-// LexAll tokenizes the whole input (testing helper).
-func LexAll(file, src string) ([]Token, error) {
-	l := NewLexer(file, src)
-	var toks []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == TokEOF {
-			return toks, nil
-		}
-	}
-}

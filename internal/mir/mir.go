@@ -269,9 +269,6 @@ type Func struct {
 	Pos     Pos
 }
 
-// Entry returns the function's entry block.
-func (f *Func) Entry() *Block { return f.Blocks[0] }
-
 // NumInstrs returns the total instruction count of the function.
 func (f *Func) NumInstrs() int {
 	n := 0

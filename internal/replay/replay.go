@@ -95,9 +95,6 @@ func (p *Player) AddBreakpoint(file string, line int) {
 	p.breakpoints[Breakpoint{file, line}] = true
 }
 
-// ClearBreakpoints removes all breakpoints.
-func (p *Player) ClearBreakpoints() { p.breakpoints = map[Breakpoint]bool{} }
-
 // StepInstr executes exactly one instruction under the recorded schedule.
 func (p *Player) StepInstr() error {
 	if p.Done() {

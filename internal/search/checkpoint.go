@@ -369,7 +369,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // compatible rejects a resume whose program or options would not replay
 // the checkpointed search (called before the plan exists; worker.resume
 // checks the race detector and the plan-derived layout).
-func (ck *Checkpoint) compatible(prog *mir.Program, opts Options) error {
+func (ck *Checkpoint) compatible(prog *Program, opts Options) error {
 	if ck.Schema != CheckpointSchema {
 		return fmt.Errorf("search: unsupported checkpoint schema %q", ck.Schema)
 	}
@@ -648,7 +648,7 @@ func (w *worker) resume(ck *Checkpoint, pl *plan) error {
 	if err := ck.validatePlan(pl); err != nil {
 		return err
 	}
-	roots, err := ck.Pool.Decode(pl.prog)
+	roots, err := ck.Pool.Decode(pl.prog.mir)
 	if err != nil {
 		return err
 	}

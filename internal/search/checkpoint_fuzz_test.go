@@ -37,7 +37,7 @@ func checkpointRestorer(tb testing.TB) func(data []byte) (*worker, error) {
 	}
 	// The committed checkpoint's options, normalized as Synthesize does.
 	opts := Options{Strategy: StrategyESD, Seed: 1, MaxSteps: 50_000_000}
-	pl, err := buildPlan(prog, rep, opts)
+	pl, err := buildPlan(NewProgram(prog), rep, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func checkpointRestorer(tb testing.TB) func(data []byte) (*worker, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := ck.compatible(prog, opts); err != nil {
+		if err := ck.compatible(pl.prog, opts); err != nil {
 			return nil, err
 		}
 		telemetry.NewRecorder(0).Restore(ck.Recorder)

@@ -95,7 +95,7 @@ func runUninterrupted(t *testing.T) string {
 	rep, _ := listing1Report(t)
 	prog := lang.MustCompile("listing1.c", listing1)
 	rec := telemetry.NewRecorder(0)
-	res, err := Synthesize(context.Background(), prog, rep, checkpointOptions(rec))
+	res, err := Synthesize(context.Background(), NewProgram(prog), rep, checkpointOptions(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 			calls++
 			return calls == preemptAt
 		}
-		res, err := Synthesize(context.Background(), prog, rep, opts)
+		res, err := Synthesize(context.Background(), NewProgram(prog), rep, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 		rec2 := telemetry.NewRecorder(0)
 		opts2 := checkpointOptions(rec2)
 		opts2.Resume = ck
-		res2, err := Synthesize(context.Background(), prog2, rep, opts2)
+		res2, err := Synthesize(context.Background(), NewProgram(prog2), rep, opts2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestCheckpointChainedResume(t *testing.T) {
 			calls++
 			return calls%2 == 0
 		}
-		res, err := Synthesize(context.Background(), prog, rep, opts)
+		res, err := Synthesize(context.Background(), NewProgram(prog), rep, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestCheckpointRandomPathResume(t *testing.T) {
 
 	prog := lang.MustCompile("listing1.c", listing1)
 	goldenRec := telemetry.NewRecorder(0)
-	goldenRes, err := Synthesize(context.Background(), prog, rep, kcOptions(goldenRec))
+	goldenRes, err := Synthesize(context.Background(), NewProgram(prog), rep, kcOptions(goldenRec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestCheckpointRandomPathResume(t *testing.T) {
 			calls++
 			return calls%2 == 0
 		}
-		res, err := Synthesize(context.Background(), prog, rep, opts)
+		res, err := Synthesize(context.Background(), NewProgram(prog), rep, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +278,7 @@ func TestCheckpointCompatibility(t *testing.T) {
 		fired = true
 		return true
 	}
-	res, err := Synthesize(context.Background(), prog, rep, opts)
+	res, err := Synthesize(context.Background(), NewProgram(prog), rep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,21 +293,21 @@ func TestCheckpointCompatibility(t *testing.T) {
 	bad := checkpointOptions(nil)
 	bad.Seed = 2
 	bad.Resume = ck
-	if _, err := Synthesize(context.Background(), prog, rep, bad); err == nil {
+	if _, err := Synthesize(context.Background(), NewProgram(prog), rep, bad); err == nil {
 		t.Fatal("resume with a different seed was not rejected")
 	}
 
 	other := lang.MustCompile("other.c", `int main() { return 0; }`)
 	good := checkpointOptions(nil)
 	good.Resume = ck
-	if _, err := Synthesize(context.Background(), other, rep, good); err == nil {
+	if _, err := Synthesize(context.Background(), NewProgram(other), rep, good); err == nil {
 		t.Fatal("resume against a different program was not rejected")
 	}
 
 	par := checkpointOptions(nil)
 	par.Resume = ck
 	par.Parallelism = 2
-	if _, err := Synthesize(context.Background(), prog, rep, par); err == nil {
+	if _, err := Synthesize(context.Background(), NewProgram(prog), rep, par); err == nil {
 		t.Fatal("parallel resume was not rejected")
 	}
 }
@@ -324,7 +324,7 @@ func TestCheckpointRaceDetectorMismatch(t *testing.T) {
 		opts := checkpointOptions(nil)
 		opts.WithRaceDetector = on
 		opts.Preempt = func() bool { return true }
-		res, err := Synthesize(context.Background(), prog, rep, opts)
+		res, err := Synthesize(context.Background(), NewProgram(prog), rep, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func TestCheckpointRaceDetectorMismatch(t *testing.T) {
 		resume := checkpointOptions(nil)
 		resume.WithRaceDetector = !on
 		resume.Resume = ck
-		_, err = Synthesize(context.Background(), prog, rep, resume)
+		_, err = Synthesize(context.Background(), NewProgram(prog), rep, resume)
 		if err == nil || !strings.Contains(err.Error(), "race detection") {
 			t.Errorf("checkpoint race detection %v, resume request %v: error %v, want a race-detection mismatch", on, !on, err)
 		}
@@ -372,7 +372,7 @@ func TestCheckpointPreemptStress(t *testing.T) {
 		timer := time.AfterFunc(time.Millisecond, func() { stop.Store(true) })
 		polls := 0
 		opts.Preempt = func() bool { polls++; return polls > 1 && stop.Load() }
-		res, err := Synthesize(context.Background(), prog, rep, opts)
+		res, err := Synthesize(context.Background(), NewProgram(prog), rep, opts)
 		timer.Stop()
 		if err != nil {
 			t.Fatal(err)

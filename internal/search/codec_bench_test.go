@@ -23,7 +23,7 @@ func ls3Checkpoint(tb testing.TB, polls int) (*mir.Program, []byte) {
 		tb.Fatal(err)
 	}
 	n := 0
-	res, err := Synthesize(context.Background(), prog, rep, Options{
+	res, err := Synthesize(context.Background(), NewProgram(prog), rep, Options{
 		Strategy: StrategyESD,
 		Seed:     1,
 		Preempt: func() bool {

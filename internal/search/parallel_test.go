@@ -72,7 +72,7 @@ func TestParallelFindsListing1(t *testing.T) {
 	rep, _ := listing1Report(t)
 	prog := lang.MustCompile("listing1.c", listing1)
 
-	res, err := Synthesize(context.Background(), prog, rep, Options{
+	res, err := Synthesize(context.Background(), NewProgram(prog), rep, Options{
 		Strategy:    StrategyESD,
 		Budget:      60 * time.Second,
 		Seed:        1,
@@ -127,7 +127,7 @@ func TestParallelFindsListing1(t *testing.T) {
 func TestParallelNormalizesToSequential(t *testing.T) {
 	rep, _ := listing1Report(t)
 	prog := lang.MustCompile("listing1.c", listing1)
-	res, err := Synthesize(context.Background(), prog, rep, Options{
+	res, err := Synthesize(context.Background(), NewProgram(prog), rep, Options{
 		Strategy:    StrategyESD,
 		Budget:      60 * time.Second,
 		Seed:        1,
@@ -169,7 +169,7 @@ func TestParallelStepCapOutcomeMatchesSequential(t *testing.T) {
 	}
 
 	for _, n := range []int{1, 4} {
-		res, err := Synthesize(context.Background(), prog, rep, Options{
+		res, err := Synthesize(context.Background(), NewProgram(prog), rep, Options{
 			Strategy:    StrategyESD,
 			Budget:      60 * time.Second,
 			Seed:        1,
@@ -202,7 +202,7 @@ func TestWarmSolverDeterminism(t *testing.T) {
 	sol := solver.New()
 	run := func() (*Result, []telemetry.Event) {
 		rec := telemetry.NewRecorder(0)
-		res, err := Synthesize(context.Background(), prog, rep, Options{
+		res, err := Synthesize(context.Background(), NewProgram(prog), rep, Options{
 			Strategy: StrategyESD,
 			Budget:   60 * time.Second,
 			Seed:     1,
@@ -276,7 +276,7 @@ func TestParallelUnderReclaim(t *testing.T) {
 			t.Fatal("no collection completed during any of 50 searches")
 		}
 		before := collections.Load()
-		res, err := Synthesize(context.Background(), prog, rep, Options{
+		res, err := Synthesize(context.Background(), NewProgram(prog), rep, Options{
 			Strategy:    StrategyESD,
 			Budget:      60 * time.Second,
 			Seed:        3,
@@ -307,7 +307,7 @@ func TestParallelExhaustsLikeSequential(t *testing.T) {
 	}
 	run := func(t *testing.T, prog *mir.Program, rep *report.Report, n int) work {
 		t.Helper()
-		res, err := Synthesize(context.Background(), prog, rep, Options{
+		res, err := Synthesize(context.Background(), NewProgram(prog), rep, Options{
 			Strategy:    StrategyESD,
 			Budget:      time.Minute,
 			Seed:        1,

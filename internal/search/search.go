@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"esd/internal/cfa"
@@ -320,11 +321,34 @@ func (r *Result) Outcome() string {
 	}
 }
 
+// Program is the static half of a compiled program, which every
+// synthesis of it shares: the MIR, the call graph and distance tables,
+// built by the first synthesis, and the structural fingerprint, computed
+// the first time a checkpoint or the caller reads it. It is safe for
+// concurrent syntheses. Build one per program with NewProgram and keep
+// it as long as the program: the tables live as long as it does.
+type Program struct {
+	mir    *mir.Program
+	tables dist.Shared
+	fpOnce sync.Once
+	fp     uint64
+}
+
+// NewProgram wraps a compiled program for synthesis.
+func NewProgram(m *mir.Program) *Program { return &Program{mir: m} }
+
+// Fingerprint returns the program's structural fingerprint
+// (mir.Program.Fingerprint), computing it on the first call.
+func (p *Program) Fingerprint() uint64 {
+	p.fpOnce.Do(func() { p.fp = p.mir.Fingerprint() })
+	return p.fp
+}
+
 // Synthesize searches for an execution of prog matching rep. The context
 // cancels the search promptly (mid-quantum: the VM checks it on a short
 // step cadence); a context deadline is reported as TimedOut, an explicit
 // cancellation as Cancelled.
-func Synthesize(ctx context.Context, prog *mir.Program, rep *report.Report, opts Options) (*Result, error) {
+func Synthesize(ctx context.Context, prog *Program, rep *report.Report, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -453,15 +477,14 @@ func runSequential(ctx context.Context, pl *plan, opts Options, start time.Time,
 }
 
 // plan is the shared, read-only front half of a synthesis: goals, static
-// analyses, distance tables, and the virtual-queue layout. A sequential
-// run builds one plan for its one VM; a frontier-parallel run builds one
-// plan and hands it to every worker (cfa.Analysis and dist.Calculator are
-// safe for concurrent readers).
+// analyses, the program's distance tables, and the virtual-queue layout.
+// A sequential run builds one plan for its one VM; a frontier-parallel
+// run builds one plan and hands it to every worker (cfa.Analysis and
+// dist.Calculator are safe for concurrent readers).
 type plan struct {
-	prog     *mir.Program
+	prog     *Program
 	rep      *report.Report
 	goals    []mir.Loc
-	cg       *cfa.CallGraph
 	analyses []*cfa.Analysis
 	calc     *dist.Calculator
 	// schedGuided gates the schedule-distance fitness component and the
@@ -474,23 +497,24 @@ type plan struct {
 	nInter     int
 }
 
-// buildPlan runs the static front half: report goals, call graph,
-// per-goal reachability analyses, distance tables, and queue layout.
-func buildPlan(prog *mir.Program, rep *report.Report, opts Options) (*plan, error) {
+// buildPlan runs the static front half: report goals, the program's
+// distance tables (built by its first synthesis), per-goal reachability
+// analyses over the call graph the tables were built on, and queue
+// layout.
+func buildPlan(prog *Program, rep *report.Report, opts Options) (*plan, error) {
 	goals := rep.Goals()
 	if len(goals) == 0 {
 		return nil, fmt.Errorf("search: report has no goals")
 	}
-	cg := cfa.BuildCallGraph(prog)
+	calc := prog.tables.Get(prog.mir)
 	var analyses []*cfa.Analysis
 	for _, g := range goals {
-		a, err := cfa.AnalyzeWith(cg, g)
+		a, err := cfa.AnalyzeWith(calc.CallGraph(), g)
 		if err != nil {
 			return nil, err
 		}
 		analyses = append(analyses, a)
 	}
-	calc := dist.ForProgram(cg)
 
 	// Build the goal queues: one per intermediate goal set, one per final
 	// goal (§3.4).
@@ -508,7 +532,6 @@ func buildPlan(prog *mir.Program, rep *report.Report, opts Options) (*plan, erro
 		prog:     prog,
 		rep:      rep,
 		goals:    goals,
-		cg:       cg,
 		analyses: analyses,
 		calc:     calc,
 		schedGuided: calc.HasSync() &&
@@ -522,7 +545,7 @@ func buildPlan(prog *mir.Program, rep *report.Report, opts Options) (*plan, erro
 // engine wired to sol, its own scheduling-policy instance (policies carry
 // mutable per-run stats), and its own race detector when enabled.
 func (pl *plan) newVM(ctx context.Context, opts Options, sol *solver.Solver) (*symex.Engine, *race.Detector) {
-	eng := symex.New(pl.prog, sol)
+	eng := symex.New(pl.prog.mir, sol)
 	eng.Ctx = ctx
 	var detector *race.Detector
 	if opts.WithRaceDetector || pl.rep.Kind == report.KindRace {
@@ -581,7 +604,7 @@ func newSearcher(pl *plan, ctx context.Context, opts Options, eng *symex.Engine,
 type searcher struct {
 	opts     Options
 	ctx      context.Context
-	prog     *mir.Program
+	prog     *Program
 	rep      *report.Report
 	eng      *symex.Engine
 	sol      *solver.Solver

@@ -77,7 +77,7 @@ func TestListing1EndToEnd(t *testing.T) {
 	rep, _ := listing1Report(t)
 	prog := lang.MustCompile("listing1.c", listing1)
 
-	res, err := Synthesize(context.Background(), prog, rep, Options{
+	res, err := Synthesize(context.Background(), NewProgram(prog), rep, Options{
 		Strategy: StrategyESD,
 		Budget:   60 * time.Second,
 		Seed:     1,
@@ -139,7 +139,7 @@ func TestListing1EndToEnd(t *testing.T) {
 func TestListing1IntermediateGoalsFound(t *testing.T) {
 	rep, _ := listing1Report(t)
 	prog := lang.MustCompile("listing1.c", listing1)
-	res, err := Synthesize(context.Background(), prog, rep, Options{Strategy: StrategyESD, Budget: 60 * time.Second, Seed: 3})
+	res, err := Synthesize(context.Background(), NewProgram(prog), rep, Options{Strategy: StrategyESD, Budget: 60 * time.Second, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ int main() {
 		t.Fatal(err)
 	}
 
-	res, err := Synthesize(context.Background(), prog, rep, Options{Strategy: StrategyESD, Budget: 30 * time.Second, Seed: 2})
+	res, err := Synthesize(context.Background(), NewProgram(prog), rep, Options{Strategy: StrategyESD, Budget: 30 * time.Second, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ int main() {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 2} {
-		res, err := Synthesize(context.Background(), prog, rep, Options{
+		res, err := Synthesize(context.Background(), NewProgram(prog), rep, Options{
 			Strategy:    StrategyESD,
 			Budget:      20 * time.Second,
 			Seed:        1,
@@ -289,7 +289,7 @@ int main() {
 	}
 	rep, _ := report.FromState(st)
 	for _, strat := range []Strategy{StrategyDFS, StrategyRandomPath, StrategyESD} {
-		res, err := Synthesize(context.Background(), prog, rep, Options{Strategy: strat, Budget: 20 * time.Second, Seed: 7})
+		res, err := Synthesize(context.Background(), NewProgram(prog), rep, Options{Strategy: strat, Budget: 20 * time.Second, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +318,7 @@ int main() {
 	}
 	rep, _ := report.FromState(st) // report names bug B (div by zero)
 
-	res, err := Synthesize(context.Background(), prog, rep, Options{Strategy: StrategyESD, Budget: 20 * time.Second, Seed: 5})
+	res, err := Synthesize(context.Background(), NewProgram(prog), rep, Options{Strategy: StrategyESD, Budget: 20 * time.Second, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

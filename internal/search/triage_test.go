@@ -84,7 +84,7 @@ func triageReports() (prog *mir.Program, real, fp *report.Report) {
 // always taken in a consistent order).
 func TestStaticAnalyzerTriage(t *testing.T) {
 	prog, real, fp := triageReports()
-	res, err := Synthesize(context.Background(), prog, real, Options{Strategy: StrategyESD, Budget: 60 * time.Second, Seed: 1})
+	res, err := Synthesize(context.Background(), NewProgram(prog), real, Options{Strategy: StrategyESD, Budget: 60 * time.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestStaticAnalyzerTriage(t *testing.T) {
 		t.Fatalf("true positive not confirmed (steps=%d)", res.Steps)
 	}
 
-	res, err = Synthesize(context.Background(), prog, fp, Options{Strategy: StrategyESD, Budget: 10 * time.Second, Seed: 1})
+	res, err = Synthesize(context.Background(), NewProgram(prog), fp, Options{Strategy: StrategyESD, Budget: 10 * time.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ int main() {
 	t2Locks := lockSites(progBuggy, "t2fn")
 	rep := report.SuspectedDeadlock("patch.c", []mir.Loc{t1Locks[1], t2Locks[1]})
 
-	res, err := Synthesize(context.Background(), progBuggy, rep, Options{Strategy: StrategyESD, Budget: 60 * time.Second, Seed: 1})
+	res, err := Synthesize(context.Background(), NewProgram(progBuggy), rep, Options{Strategy: StrategyESD, Budget: 60 * time.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ int main() {
 	}
 
 	progPatched := lang.MustCompile("patch.c", patched)
-	res, err = Synthesize(context.Background(), progPatched, rep, Options{Strategy: StrategyESD, Budget: 10 * time.Second, Seed: 1})
+	res, err = Synthesize(context.Background(), NewProgram(progPatched), rep, Options{Strategy: StrategyESD, Budget: 10 * time.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestSolverAttachDetach(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
 		o := opts(n / 2)
 		o.Parallelism = n
-		res, err := Synthesize(context.Background(), prog, rep, o)
+		res, err := Synthesize(context.Background(), NewProgram(prog), rep, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestSolverAttachDetach(t *testing.T) {
 
 	// The fresh solvers never reach the caller, so check them where the
 	// runs above make them: worker setup.
-	pl, err := buildPlan(prog, rep, opts(0))
+	pl, err := buildPlan(NewProgram(prog), rep, opts(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestResumeChainTelemetry(t *testing.T) {
 
 	before := snapshot()
 	prog := lang.MustCompile("listing1.c", listing1)
-	if _, err := Synthesize(context.Background(), prog, rep, checkpointOptions(nil)); err != nil {
+	if _, err := Synthesize(context.Background(), NewProgram(prog), rep, checkpointOptions(nil)); err != nil {
 		t.Fatal(err)
 	}
 	want := delta(before)
@@ -137,7 +137,7 @@ func TestResumeChainTelemetry(t *testing.T) {
 			calls++
 			return calls%2 == 0
 		}
-		res, err := Synthesize(context.Background(), prog, rep, opts)
+		res, err := Synthesize(context.Background(), NewProgram(prog), rep, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,7 +62,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"esd"
@@ -100,10 +99,6 @@ type Config struct {
 	// preemption).
 	JobSlice time.Duration
 }
-
-// maxTrackedPrograms bounds the /compile id → program map (see the
-// engine's maxCachedPrograms for the rationale).
-const maxTrackedPrograms = 256
 
 // maxBodyBytes caps request bodies: decoding runs before admission
 // control, so an unbounded body could drive the server to OOM without
@@ -151,9 +146,6 @@ type Server struct {
 	start time.Time
 	mux   *http.ServeMux
 	jobs  *jobs.Manager
-
-	mu       sync.Mutex
-	programs map[string]*esd.Program // ID -> compiled program
 }
 
 // New builds a Server over eng, recovering any persisted jobs from
@@ -161,12 +153,11 @@ type Server struct {
 func New(eng *esd.Engine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		eng:      eng,
-		cfg:      cfg,
-		sem:      make(chan struct{}, cfg.MaxConcurrent),
-		start:    time.Now(),
-		mux:      http.NewServeMux(),
-		programs: map[string]*esd.Program{},
+		eng:   eng,
+		cfg:   cfg,
+		sem:   make(chan struct{}, cfg.MaxConcurrent),
+		start: time.Now(),
+		mux:   http.NewServeMux(),
 	}
 	mgr, err := jobs.NewManager(jobs.Config{
 		Store:   cfg.JobStore,
@@ -298,23 +289,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = "program.c"
 	}
+	// The engine's compile memo keeps the program: a later request names
+	// it by ID while the memo holds it (an evicted ID needs a re-/compile).
 	prog, err := s.eng.Compile(name, req.Source)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "compile: %v", err)
 		return
 	}
-	s.mu.Lock()
-	// Bounded like the engine's memo: a client churning distinct sources
-	// must not grow the server without limit (an evicted id just needs a
-	// re-/compile). Eviction is arbitrary-entry, matching the engine.
-	for k := range s.programs {
-		if len(s.programs) < maxTrackedPrograms {
-			break
-		}
-		delete(s.programs, k)
-	}
-	s.programs[prog.ID()] = prog
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, compileResponse{ProgramID: prog.ID(), Instrs: prog.NumInstrs()})
 }
 
@@ -329,10 +310,10 @@ func (s *Server) resolve(req *synthesizeRequest) (*esd.Program, *esd.BugReport, 
 			return nil, nil, fmt.Errorf("unknown app %q", req.App)
 		}
 		// Resolve the app through the engine's Compile memo: repeated
-		// {"app": X} requests share one compiled program (and therefore one
-		// distance-table entry and one program ID) instead of wrapping a
-		// fresh *esd.Program per request, and the sharing is observable as
-		// CompileCacheHits in /healthz.
+		// {"app": X} requests share one compiled program (and therefore its
+		// distance tables, warm solvers and program ID) instead of wrapping
+		// a fresh *esd.Program per request, and the sharing is observable
+		// as CompileCacheHits in /healthz.
 		p, err := s.eng.Compile(a.Name+".c", a.Source)
 		if err != nil {
 			return nil, nil, err
@@ -343,10 +324,7 @@ func (s *Server) resolve(req *synthesizeRequest) (*esd.Program, *esd.BugReport, 
 		}
 		prog, rep = p, &esd.BugReport{R: r}
 	case req.ProgramID != "":
-		s.mu.Lock()
-		prog = s.programs[req.ProgramID]
-		s.mu.Unlock()
-		if prog == nil {
+		if prog = s.eng.Program(req.ProgramID); prog == nil {
 			return nil, nil, fmt.Errorf("unknown program_id %q (compile it first)", req.ProgramID)
 		}
 	case req.Source != "":

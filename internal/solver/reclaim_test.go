@@ -36,7 +36,7 @@ func internerFloor(t *testing.T) expr.Stats {
 // Its substitution memo, flattened query and components are emptied before
 // Check returns, so once the caller drops a case-split query's constraints
 // every term built for it is collected while the solver itself stays
-// referenced, as a pooled solver does between runs.
+// referenced, as an idle solver does between runs.
 func TestScratchPinsNoTerms(t *testing.T) {
 	floor := internerFloor(t)
 	s := New()

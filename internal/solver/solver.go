@@ -73,11 +73,11 @@ const (
 
 // Solver holds tunables, the memo of component verdicts, and the scratch
 // its queries work in. A Solver is not safe for concurrent use: one
-// goroutine uses it at a time (each search worker owns one; pools hand one
-// to a single run). The scratch makes a query allocate only what outlives
-// it — cache entries, published facts, models — and is emptied of terms
-// before every query returns, so an idle or pooled solver keeps no term
-// from collection.
+// goroutine uses it at a time (each search worker owns one; a program's
+// idle solvers go to one run each). The scratch makes a query allocate
+// only what outlives it — cache entries, published facts, models — and is
+// emptied of terms before every query returns, so an idle solver keeps no
+// term from collection.
 type Solver struct {
 	// MaxNodes bounds the number of search nodes explored per query before
 	// answering Unknown.
@@ -88,7 +88,7 @@ type Solver struct {
 	// structural key of the component (expr.StructKey): the sorted slice
 	// of 128-bit structural fingerprints of its conjuncts. Structural keys
 	// — unlike node addresses — survive the collection and re-interning of
-	// the terms, so a warm pooled solver keeps its facts across requests; a
+	// the terms, so a warm idle solver keeps its facts across requests; a
 	// false hit requires a full 128-bit collision between distinct terms,
 	// which is negligible against every other failure mode. It holds
 	// components only and never evicts: a query's verdict and model follow
@@ -102,7 +102,8 @@ type Solver struct {
 	// re-verified by concrete evaluation before being trusted (see
 	// checkComponent), so a corrupt or stale entry degrades to a miss
 	// instead of poisoning the run. The engine attaches it to the solvers
-	// it hands a synthesis and detaches it before they return to its pool.
+	// a synthesis takes from its program and detaches it before they go
+	// back.
 	Persist PersistentCache
 
 	// Stats
@@ -1584,13 +1585,6 @@ func (b *Box) Truth(c *expr.Expr) (value, definite bool) {
 	default:
 		return false, false
 	}
-}
-
-// Range returns the current interval known for a variable.
-func (b *Box) Range(name string) (lo, hi int64) {
-	st := &searchState{domains: b.d}
-	iv := st.dom(name)
-	return iv.lo, iv.hi
 }
 
 // EvalRange returns the interval the box implies for an arbitrary term.

@@ -4,7 +4,7 @@ import "esd/internal/telemetry"
 
 // Process-wide solver instruments. Per-Solver Queries/CacheHits/WallNanos
 // fields stay the per-run attribution source (search reads their deltas);
-// these aggregate the same events across every pooled solver so /metrics
+// these aggregate the same events across every solver so /metrics
 // shows the fleet-wide solver-vs-search split.
 var (
 	solverQueries = telemetry.NewCounter("esd_solver_queries_total",

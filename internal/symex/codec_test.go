@@ -43,7 +43,7 @@ func appCheckpoints(tb testing.TB, app string, every, maxSegments int, check fun
 			return n
 		}
 		polls := 0
-		res, err := search.Synthesize(context.Background(), prog, rep, search.Options{
+		res, err := search.Synthesize(context.Background(), search.NewProgram(prog), rep, search.Options{
 			Strategy: search.StrategyESD,
 			Seed:     1,
 			Resume:   resume,

@@ -6,6 +6,10 @@ import (
 	"esd/internal/mir"
 )
 
+// EncodePool serializes roots (frontier states, in order) and everything
+// they reach into a pool of its own.
+func EncodePool(roots []*State) Pool { return AppendPool(nil, roots, 0) }
+
 // ReferenceEncode writes the pool of roots with the reference codec
 // (reference_test.go): the bytes EncodePool must write.
 func ReferenceEncode(roots []*State) ([]byte, error) {

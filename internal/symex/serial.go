@@ -127,13 +127,10 @@ func (b *body) appendTo(dst []byte) []byte {
 	return append(dst, b.cur...)
 }
 
-// EncodePool serializes roots (frontier states, in order) and everything
-// they reach. All states must belong to one engine's lineage (object IDs
-// unique within it).
-func EncodePool(roots []*State) Pool { return AppendPool(nil, roots, 0) }
-
-// AppendPool appends the pool EncodePool writes to dst, growing dst once,
-// with room for spare more bytes after the pool.
+// AppendPool serializes roots (frontier states, in order) and everything
+// they reach, appending the pool to dst: it grows dst once, with room for
+// spare more bytes after the pool. All states must belong to one engine's
+// lineage (object IDs unique within it).
 func AppendPool(dst []byte, roots []*State, spare int) []byte {
 	w := &poolWriter{
 		exprIdx:  map[*expr.Expr]int{},

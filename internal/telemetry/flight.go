@@ -8,7 +8,7 @@ import "encoding/json"
 //
 // Determinism contract: every event field is derived from deterministic
 // search state (step counts, pick counts, frontier sizes, distances) — no
-// wall-clock values, no cache-hit counts (a warm pooled solver changes
+// wall-clock values, no cache-hit counts (a warm solver changes
 // those), no map-iteration artifacts. Two runs of the same synthesis with
 // the same seed therefore produce byte-identical DeterministicJSON, which
 // the golden double-replay tests assert. Everything wall-clock lives in
@@ -159,7 +159,7 @@ type SolverStats struct {
 
 // WallStats is the nondeterministic section of a Report: wall-clock
 // attribution and cache effectiveness (both vary run to run — cache hits
-// depend on how warm the pooled solver is). DeterministicJSON strips it.
+// depend on how warm the solver is). DeterministicJSON strips it.
 type WallStats struct {
 	// TotalNS is the end-to-end synthesis wall time; SearchNS is the
 	// search loop's share excluding solver calls; SolverNS is wall time

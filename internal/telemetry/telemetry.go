@@ -143,14 +143,6 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of observations (in raw units, unscaled).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // CounterVec is a family of counters split by one label. With returns the
 // child for a label value, creating it on first use; call sites cache the
 // child so the steady state never touches the map.

@@ -109,7 +109,7 @@ const gateAttempts = 3
 // TestParallelNotSlowerThanSequential is the parallel regression gate:
 // on ls4, the solver-bound app, a frontier n=4 synthesis must not lose to
 // the sequential one on the same engine. Both run through the Engine as
-// in production, where each n=4 worker draws a pooled solver. ls4 at n=4
+// in production, where each n=4 worker takes one of the program's solvers. ls4 at n=4
 // once lost 3× to n=1, before the workers' picks were made globally
 // best-first.
 func TestParallelNotSlowerThanSequential(t *testing.T) {

@@ -95,7 +95,7 @@ func TestPersistentCacheWarmDeterminism(t *testing.T) {
 }
 
 // TestParallelRunTakesPersistentHits: the engine attaches the persistent
-// tier to every pooled solver it hands a search, so on the store a cold
+// tier to every solver it hands a search, so on the store a cold
 // sequential run filled, an n=2 synthesis on a fresh engine takes
 // persistent hits, reproduces the bug, and strict-replays to it.
 func TestParallelRunTakesPersistentHits(t *testing.T) {
@@ -175,11 +175,11 @@ const persistSolverSlack = 1.10
 
 // TestPersistentCacheWarmSolverWall checks that the persistent tier pays
 // where it should: on ls4, the solver-bound app, a cold engine fills an
-// empty cache directory, then a fresh engine on the same directory (as
-// across a process restart, so no pooled solver carries over) must take
-// persistent hits, reject none of its own store's models, synthesize the
-// byte-identical execution, and spend no more solver wall than the cold
-// run. Solver wall is wall-clock time, so like the parallel gate it takes
+// empty cache directory, then a fresh engine and a fresh program on the
+// same directory (as across a process restart, so no warm solver carries
+// over) must take persistent hits, reject none of its own store's models,
+// synthesize the byte-identical execution, and spend no more solver wall
+// than the cold run. Solver wall is wall-clock time, so like the parallel gate it takes
 // up to gateAttempts cold/warm pairs, each on a fresh directory.
 func TestPersistentCacheWarmSolverWall(t *testing.T) {
 	if testing.Short() {
@@ -188,9 +188,9 @@ func TestPersistentCacheWarmSolverWall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock gate; meaningless under the race detector's slowdown")
 	}
-	prog, rep := appProgReport(t, "ls4")
 	run := func(dir, mode string) (*esd.Result, []byte) {
 		t.Helper()
+		prog, rep := appProgReport(t, "ls4")
 		eng := esd.New(esd.WithPersistentCache(dir))
 		if err := eng.PersistentCacheError(); err != nil {
 			t.Fatal(err)

@@ -7,13 +7,20 @@ import (
 	"time"
 
 	"esd"
+	"esd/internal/apps"
 )
 
 // synthWithTelemetry runs one listing1 synthesis with the flight recorder
-// attached and returns its report.
+// attached and returns its report. The program comes from eng's compile
+// memo, so every call on one engine synthesizes the same program.
 func synthWithTelemetry(t *testing.T, eng *esd.Engine) (*esd.Result, *esd.FlightReport) {
 	t.Helper()
-	prog, rep := appProgReport(t, "listing1")
+	_, rep := appProgReport(t, "listing1")
+	a := apps.Get("listing1")
+	prog, err := eng.Compile(a.Name+".c", a.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := eng.Synthesize(context.Background(), prog, rep,
 		esd.WithBudget(time.Minute), esd.WithSeed(1), esd.WithTelemetry())
 	if err != nil {
@@ -76,8 +83,8 @@ func TestFlightReportContents(t *testing.T) {
 // the stripped Wall section).
 func TestFlightReportDeterministic(t *testing.T) {
 	// One engine for both runs: the second run hits every warm cache
-	// (compile memo, distance tables, pooled solver), which is exactly the
-	// nondeterminism the contract has to absorb.
+	// (compile memo, and the program's distance tables and idle solver),
+	// which is exactly the nondeterminism the contract has to absorb.
 	eng := esd.New()
 	_, fr1 := synthWithTelemetry(t, eng)
 	_, fr2 := synthWithTelemetry(t, eng)
