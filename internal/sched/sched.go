@@ -36,31 +36,6 @@ type DeadlockPolicy struct {
 	// scoring).
 	Dist *dist.Calculator
 
-	// ActivationRadius is the graded widening of the inner-lock test: a
-	// mutex counts as "acquired near the holder's inner lock" when its
-	// acquisition site is at most this many sync operations away from a
-	// goal. Radius 0 is the paper's exact-site test, which only fires when
-	// outer and inner acquisitions share code (sqlite's recursive-mutex
-	// shim); small positive radii also catch outer locks taken just before
-	// a call into the inner-lock function (hawknl, the pipeline ring).
-	// 0 means derive a per-goal radius from the distance tables (see
-	// deriveRadii; falls back to 2 when no finite inter-goal estimate
-	// exists); positive forces that uniform radius for every goal;
-	// negative forces the exact-site test.
-	ActivationRadius int
-
-	// MaxRollbacks bounds snapshot activations per state lineage. Without
-	// a bound, a single contended mutex whose acquisition site is a goal
-	// can roll back forever (each rollback recreates the symmetric
-	// situation); real deadlocks need only a handful. 0 means the default.
-	MaxRollbacks int
-
-	// MaxEagerForks bounds eager pre-acquisition forks per state lineage.
-	// An N-party deadlock needs about N threads to defer an acquisition,
-	// so the default is len(Goals)+1; anything looser lets two contending
-	// threads regenerate each other's alternatives combinatorially.
-	MaxEagerForks int
-
 	// Stats
 	SnapshotsTaken     int
 	SnapshotsActivated int
@@ -76,7 +51,15 @@ type DeadlockPolicy struct {
 	lockGoals  []mir.Loc
 	waitGoals  []mir.Loc
 	// Per-goal activation radii derived from the distance tables, aligned
-	// with lockGoals/waitGoals (nil without a metric; see deriveRadii).
+	// with lockGoals/waitGoals (nil without a metric; see deriveRadii). A
+	// radius is the graded widening of the inner-lock test: a mutex counts
+	// as "acquired near the holder's inner lock" when its acquisition site
+	// is at most that many sync operations away from a goal. Radius 0 is
+	// the paper's exact-site test, which only fires when outer and inner
+	// acquisitions share code (sqlite's recursive-mutex shim); small
+	// positive radii also catch outer locks taken just before a call into
+	// the inner-lock function (hawknl, the pipeline ring). Without a
+	// metric only the exact-site test runs.
 	lockRadii []int64
 	waitRadii []int64
 }
@@ -105,8 +88,15 @@ func (p *DeadlockPolicy) classifyGoals(prog *mir.Program) {
 }
 
 const (
-	defaultMaxRollbacks     = 64
-	defaultActivationRadius = 2
+	// maxRollbacks bounds snapshot activations (and the preemptions an
+	// eager fork spends) per state lineage. Without a bound, a single
+	// contended mutex whose acquisition site is a goal can roll back
+	// forever (each rollback recreates the symmetric situation); real
+	// deadlocks need only a handful.
+	maxRollbacks = 64
+	// fallbackRadius is the activation radius of a goal with no finite
+	// inter-goal estimate (see deriveRadii).
+	fallbackRadius = 2
 
 	// maxDerivedRadius caps the derived per-goal activation radius: the
 	// inter-goal spacing can be large when a deadlock's parties sit in
@@ -123,8 +113,7 @@ const (
 // it: tightly-coupled parties (sqlite's recursive shim, goals in the same
 // function) get radius 1, loosely-coupled ones (hawknl's cross-module
 // cycle) up to maxDerivedRadius. With no finite estimate — single-goal
-// reports, statically unreachable pairs — the historical default of 2
-// applies.
+// reports, statically unreachable pairs — fallbackRadius applies.
 func (p *DeadlockPolicy) deriveRadii(goals []mir.Loc) []int64 {
 	if p.Dist == nil || len(goals) == 0 {
 		return nil
@@ -140,23 +129,13 @@ func (p *DeadlockPolicy) deriveRadii(goals []mir.Loc) []int64 {
 				best = d
 			}
 		}
-		r := int64(defaultActivationRadius)
+		r := int64(fallbackRadius)
 		if best < dist.Infinite {
 			r = min(max(best, 1), maxDerivedRadius)
 		}
 		radii[i] = r
 	}
 	return radii
-}
-
-// goalRadius resolves goal i's activation radius: the derived per-goal
-// value by default, or the uniform radius() when the caller set an
-// explicit ActivationRadius (or no metric is available).
-func (p *DeadlockPolicy) goalRadius(derived []int64, i int) int64 {
-	if p.ActivationRadius == 0 && i < len(derived) {
-		return derived[i]
-	}
-	return p.radius()
 }
 
 // lockActivation is the graded inner-lock test with per-goal radii: the
@@ -175,7 +154,7 @@ func (p *DeadlockPolicy) lockActivation(loc mir.Loc) (int64, bool) {
 		if d < best {
 			best = d
 		}
-		if d <= p.goalRadius(p.lockRadii, i) {
+		if d <= p.lockRadii[i] {
 			within = true
 		}
 	}
@@ -199,7 +178,7 @@ func (p *DeadlockPolicy) waitActivation(loc mir.Loc) (int64, bool) {
 		if d < best {
 			best = d
 		}
-		if d <= p.goalRadius(p.waitRadii, i) {
+		if d <= p.waitRadii[i] {
 			within = true
 		}
 	}
@@ -217,33 +196,11 @@ func (p *DeadlockPolicy) isLockGoalSite(loc mir.Loc) bool {
 	return false
 }
 
-// eagerLimit resolves the per-lineage eager-fork budget: about one
-// deferred acquisition per deadlock party.
-func (p *DeadlockPolicy) eagerLimit() int {
-	if p.MaxEagerForks != 0 {
-		return p.MaxEagerForks
-	}
-	return len(p.Goals) + 1
-}
-
-// rollbackLimit resolves the per-lineage preemption/rollback budget.
-func (p *DeadlockPolicy) rollbackLimit() int {
-	if p.MaxRollbacks != 0 {
-		return p.MaxRollbacks
-	}
-	return defaultMaxRollbacks
-}
-
-// radius resolves the effective activation radius.
-func (p *DeadlockPolicy) radius() int64 {
-	if p.Dist == nil || p.ActivationRadius < 0 {
-		return 0
-	}
-	if p.ActivationRadius > 0 {
-		return int64(p.ActivationRadius)
-	}
-	return defaultActivationRadius
-}
+// eagerLimit is the per-lineage eager pre-acquisition fork budget. An
+// N-party deadlock needs about N threads to defer an acquisition, so the
+// budget is one per goal plus one; anything looser lets two contending
+// threads regenerate each other's alternatives combinatorially.
+func (p *DeadlockPolicy) eagerLimit() int { return len(p.Goals) + 1 }
 
 // goalSyncDist is the graded inner-lock test: the smallest number of sync
 // operations between loc and a goal *lock* site (0 when loc is itself
@@ -288,7 +245,6 @@ func (p *DeadlockPolicy) BeforeSync(e *symex.Engine, st *symex.State, in *mir.In
 	if !ok {
 		return nil
 	}
-	limit := p.rollbackLimit()
 	m := st.Mutexes[key]
 	if m == nil || m.Holder == -1 {
 		// The mutex is free: the current thread will acquire it. Take the
@@ -308,7 +264,7 @@ func (p *DeadlockPolicy) BeforeSync(e *symex.Engine, st *symex.State, in *mir.In
 			// The fork enters the search scored by the site's graded
 			// distance, so nearer decision points are explored first.
 			if d, near := p.lockActivation(st.Loc()); p.Dist != nil && near &&
-				st.Preemptions < limit && st.EagerForks < p.eagerLimit() {
+				st.Preemptions < maxRollbacks && st.EagerForks < p.eagerLimit() {
 				alt := e.ForkState(snap)
 				alt.SchedDist = d
 				alt.Preemptions = st.Preemptions + 1
@@ -325,7 +281,7 @@ func (p *DeadlockPolicy) BeforeSync(e *symex.Engine, st *symex.State, in *mir.In
 	// activate the snapshot taken before T2 acquired M, giving the
 	// current thread a chance to get M first.
 	_, near := p.lockActivation(m.AcqLoc)
-	if (near || m.Holder == st.Cur) && st.Preemptions < limit {
+	if (near || m.Holder == st.Cur) && st.Preemptions < maxRollbacks {
 		if snap, has := st.Snapshots[key]; has && snap != nil {
 			delete(st.Snapshots, key)
 			// Activate a fork of the snapshot: sibling states may share the
@@ -363,7 +319,7 @@ func (p *DeadlockPolicy) beforeCondWait(e *symex.Engine, st *symex.State) []*sym
 	// Same gates as the mutex-path eager fork: the graded per-goal
 	// radius, the eager-fork budget, and the lineage's preemption/rollback
 	// bound (preemptCurrent below spends a preemption).
-	if !near || st.EagerForks >= p.eagerLimit() || st.Preemptions >= p.rollbackLimit() {
+	if !near || st.EagerForks >= p.eagerLimit() || st.Preemptions >= maxRollbacks {
 		return nil
 	}
 	alt := e.ForkState(st)
@@ -458,14 +414,14 @@ type RacePolicy struct {
 	// (forks are created in thread-ID order).
 	Dist *dist.Calculator
 
-	// MaxForkedPreemptions bounds forked schedule alternatives per state
-	// lineage to keep the space in check.
-	MaxForkedPreemptions int
-
 	Preemptions int
 }
 
 var _ symex.Policy = (*RacePolicy)(nil)
+
+// maxForkedPreemptions bounds a RacePolicy's forked schedule alternatives
+// per state lineage, to keep the space in check.
+const maxForkedPreemptions = 8
 
 // prefixReached checks the §4.2 gating heuristic.
 func (p *RacePolicy) prefixReached(st *symex.State) bool {
@@ -499,11 +455,7 @@ func (p *RacePolicy) BeforeSync(e *symex.Engine, st *symex.State, in *mir.Instr)
 	if !p.prefixReached(st) {
 		return nil
 	}
-	max := p.MaxForkedPreemptions
-	if max == 0 {
-		max = 8
-	}
-	if st.Preemptions >= max {
+	if st.Preemptions >= maxForkedPreemptions {
 		return nil
 	}
 	type cand struct {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"esd/internal/dist"
@@ -151,8 +152,9 @@ func TestGradedPolicyFindsBuriedABBA(t *testing.T) {
 	p.classifyGoals(prog)
 
 	// The graded inner-lock test sees the buried structure: the outer
-	// acquisition sites are 1 sync op from the goals, within the default
-	// activation radius; an unrelated site (the unlock) is not at 0.
+	// acquisition sites are 1 sync op from the goals, within each goal's
+	// derived activation radius; an unrelated site (the unlock) is not at
+	// 0.
 	outer := lockLocs(prog, "t1fn")[0]
 	if d := p.goalSyncDist(outer); d != 1 {
 		t.Errorf("goalSyncDist(outer lock) = %d, want 1", d)
@@ -160,8 +162,8 @@ func TestGradedPolicyFindsBuriedABBA(t *testing.T) {
 	if d := p.goalSyncDist(goals[0]); d != 0 {
 		t.Errorf("goalSyncDist(goal) = %d, want 0", d)
 	}
-	if r := p.radius(); r != defaultActivationRadius {
-		t.Errorf("radius = %d, want default %d", r, defaultActivationRadius)
+	if !slices.Equal(p.lockRadii, []int64{2, 2}) {
+		t.Errorf("derived lock radii = %v, want [2 2]", p.lockRadii)
 	}
 
 	st := explore(t, abbaDeep, p, symex.StateDeadlocked, 500_000)
@@ -181,8 +183,9 @@ func TestGradedPolicyWithoutMetricFallsBack(t *testing.T) {
 	prog := lang.MustCompile("t.c", abbaDeep)
 	goals := lockLocs(prog, "take_a", "take_b")
 	p := &DeadlockPolicy{Goals: goals} // no Dist: exact-site behavior
-	if r := p.radius(); r != 0 {
-		t.Errorf("radius without a metric = %d, want 0", r)
+	p.classifyGoals(prog)
+	if p.lockRadii != nil {
+		t.Errorf("radii without a metric = %v, want none (the exact-site test)", p.lockRadii)
 	}
 	outer := lockLocs(prog, "t1fn")[0]
 	if d := p.goalSyncDist(outer); d != dist.Infinite {

@@ -20,7 +20,7 @@ import (
 )
 
 // This file makes a sequential search preemptible and resumable: at the
-// top of the run loop (never mid-quantum) the searcher can be asked to
+// top of the run loop (never mid-quantum) the worker can be asked to
 // stop and serialize everything its future behavior depends on — the
 // frontier structures verbatim, the state graph, the VM's allocators, the
 // RNG draw count, and every counter that feeds the final Result. Resuming
@@ -367,7 +367,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 }
 
 // compatible rejects a resume whose program or options would not replay
-// the checkpointed search (called before the plan exists; worker.resume
+// the checkpointed search (called before the plan exists; worker.restore
 // checks the race detector and the plan-derived layout).
 func (ck *Checkpoint) compatible(prog *Program, opts Options) error {
 	if ck.Schema != CheckpointSchema {
@@ -433,13 +433,12 @@ func (c *countingSource) skip(ctx context.Context, n int64) error {
 	return nil
 }
 
-// checkpoint serializes the searcher at the run-loop top and encodes it.
-// res must already hold the run's cumulative counters (runSequential
-// folds the worker first), and detector is the run's race detector (nil
-// when detection is off).
-func (s *searcher) checkpoint(res *Result, detector *race.Detector) ([]byte, error) {
-	roots := make([]*symex.State, 0, len(s.front.alive))
-	for _, ls := range s.front.alive {
+// checkpoint serializes the sequential worker at the run-loop top and
+// encodes it. res must already hold the run's cumulative counters
+// (runSequential folds the worker first).
+func (w *worker) checkpoint(res *Result) ([]byte, error) {
+	roots := make([]*symex.State, 0, len(w.front.alive))
+	for _, ls := range w.front.alive {
 		roots = append(roots, ls.st)
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].ID < roots[j].ID })
@@ -448,35 +447,35 @@ func (s *searcher) checkpoint(res *Result, detector *race.Detector) ([]byte, err
 		idx[st.ID] = i
 	}
 
-	nextStateID, nextObjID := s.eng.CheckpointCounters()
+	nextStateID, nextObjID := w.eng.CheckpointCounters()
 	ck := &Checkpoint{
 		Schema:      CheckpointSchema,
-		Fingerprint: s.prog.Fingerprint(),
+		Fingerprint: w.prog.Fingerprint(),
 
-		Strategy:        s.opts.Strategy,
-		Seed:            s.opts.Seed,
+		Strategy:        w.opts.Strategy,
+		Seed:            w.opts.Seed,
 		Quantum:         quantumSteps,
 		MaxStates:       maxLiveStates,
-		MaxSteps:        s.opts.MaxSteps,
-		PreemptionBound: s.opts.PreemptionBound,
-		WithRace:        detector != nil,
-		Ablate:          s.opts.Ablate,
-		Goals:           s.finalGoals,
-		NumQueues:       len(s.queueGoals),
+		MaxSteps:        w.opts.MaxSteps,
+		PreemptionBound: w.opts.PreemptionBound,
+		WithRace:        w.det != nil,
+		Ablate:          w.opts.Ablate,
+		Goals:           w.goals,
+		NumQueues:       len(w.queueGoals),
 
 		ElapsedNS: res.Duration.Nanoseconds(),
-		RngDraws:  s.rngSrc.draws,
+		RngDraws:  w.rngSrc.draws,
 
-		EngStats:    s.eng.Stats,
+		EngStats:    w.eng.Stats,
 		NextStateID: nextStateID,
 		NextObjID:   nextObjID,
 
-		AllPicks:   s.allPicks,
-		FrontPicks: s.front.picks,
-		AgingPicks: s.agingPicks,
-		Sheds:      s.sheds,
-		MaxDepth:   s.maxDepth,
-		BestFit:    s.bestFit,
+		AllPicks:   w.allPicks,
+		FrontPicks: w.front.picks,
+		AgingPicks: w.agingPicks,
+		Sheds:      w.sheds,
+		MaxDepth:   w.maxDepth,
+		BestFit:    w.bestFit,
 
 		Terminals:      res.Terminals,
 		OtherBugs:      res.OtherBugs,
@@ -490,34 +489,34 @@ func (s *searcher) checkpoint(res *Result, detector *race.Detector) ([]byte, err
 		SolverPersistentHits: res.SolverPersistentHits,
 		SolverVerifyRejects:  res.SolverVerifyRejects,
 
-		Recorder: s.opts.Recorder.Snapshot(),
-		Race:     detector.Snapshot(),
+		Recorder: w.opts.Recorder.Snapshot(),
+		Race:     w.det.Snapshot(),
 	}
-	if s.opts.Strategy == StrategyESD {
+	if w.opts.Strategy == StrategyESD {
 		ck.AliveKeys = make([][]int64, len(roots))
 		for i, st := range roots {
-			keys := s.front.alive[st.ID].keys
+			keys := w.front.alive[st.ID].keys
 			fits := make([]int64, len(keys))
 			for q, k := range keys {
 				fits[q] = k.fit
 			}
 			ck.AliveKeys[i] = fits
 		}
-		ck.Heaps = make([][]HeapSlot, len(s.front.heaps))
-		for q, h := range s.front.heaps {
+		ck.Heaps = make([][]HeapSlot, len(w.front.heaps))
+		for q, h := range w.front.heaps {
 			for _, k := range h {
 				if i, live := idx[k.id]; live {
 					ck.Heaps[q] = append(ck.Heaps[q], HeapSlot{S: i, F: k.fit})
 				}
 			}
 		}
-		for _, id := range s.front.fifo {
+		for _, id := range w.front.fifo {
 			if i, live := idx[id]; live {
 				ck.FIFO = append(ck.FIFO, i)
 			}
 		}
 	} else {
-		for _, st := range s.front.pool {
+		for _, st := range w.front.pool {
 			if i, live := idx[st.ID]; live {
 				ck.PoolOrder = append(ck.PoolOrder, i)
 			} else {
@@ -528,7 +527,7 @@ func (s *searcher) checkpoint(res *Result, detector *race.Detector) ([]byte, err
 		}
 	}
 
-	switch p := s.eng.Policy.(type) {
+	switch p := w.eng.Policy.(type) {
 	case *sched.DeadlockPolicy:
 		ck.PolSnapshotsTaken = p.SnapshotsTaken
 		ck.PolSnapshotsActivated = p.SnapshotsActivated
@@ -541,27 +540,55 @@ func (s *searcher) checkpoint(res *Result, detector *race.Detector) ([]byte, err
 	return ck.encode(roots)
 }
 
-// restore rebuilds the searcher from a checkpoint: VM counters, RNG
-// position, frontier structures, and collaborator state. roots is the
-// decoded pool's roots. Called instead of run's fresh-frontier setup;
-// the caller then enters runLoop directly.
-func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.Detector) error {
+// restore rebuilds a fresh sequential worker, its frontier still empty,
+// from a checkpoint that compatible accepted, so that runLoop continues
+// the run where it stopped. The race-detector setting and the plan
+// layout must match the checkpointed run's (the detector is checked here,
+// not in compatible, because a race report turns it on whatever the
+// options say). Then come the VM counters, the RNG position, the
+// per-run counters, the collaborators' state and the frontier
+// structures; the solver baselines shift back by the checkpointed
+// consumption, so the folded Result and the progress events stay
+// cumulative across the chain.
+func (w *worker) restore(ck *Checkpoint) error {
+	if on := w.det != nil; ck.WithRace != on {
+		return fmt.Errorf("search: checkpoint race detection is %v, the resume request's is %v", ck.WithRace, on)
+	}
+	if err := ck.validatePlan(w.plan); err != nil {
+		return err
+	}
+	roots, err := ck.Pool.Decode(w.prog.mir)
+	if err != nil {
+		return err
+	}
 	if ck.RngDraws < 0 {
 		return fmt.Errorf("search: checkpoint has %d rng draws", ck.RngDraws)
 	}
-	s.eng.Stats = ck.EngStats
-	s.eng.RestoreCounters(ck.NextStateID, ck.NextObjID)
-	if err := s.rngSrc.skip(s.ctx, ck.RngDraws); err != nil {
+	w.eng.Stats = ck.EngStats
+	w.eng.RestoreCounters(ck.NextStateID, ck.NextObjID)
+	if err := w.rngSrc.skip(w.ctx, ck.RngDraws); err != nil {
 		return err
 	}
-	s.allPicks = ck.AllPicks
-	s.agingPicks = ck.AgingPicks
-	s.sheds = ck.Sheds
-	s.maxDepth = ck.MaxDepth
-	s.bestFit = ck.BestFit
+	w.allPicks = ck.AllPicks
+	w.agingPicks = ck.AgingPicks
+	w.sheds = ck.Sheds
+	w.maxDepth = ck.MaxDepth
+	w.bestFit = ck.BestFit
+	for k, v := range ck.Terminals {
+		w.terminals[k] = v
+	}
+	w.otherBugs = append([]string(nil), ck.OtherBugs...)
+	w.stepErrors = ck.StepErrors
+	w.prunedCritical = ck.PrunedCritical
+	w.prunedInfinite = ck.PrunedInfinite
+	w.base.queries -= ck.SolverQueries
+	w.base.hits -= ck.SolverHits
+	w.base.persist -= ck.SolverPersistentHits
+	w.base.rejects -= ck.SolverVerifyRejects
+	w.base.wallNS -= ck.SolverWallNS
 
-	detector.Restore(ck.Race)
-	switch p := s.eng.Policy.(type) {
+	w.det.Restore(ck.Race)
+	switch p := w.eng.Policy.(type) {
 	case *sched.DeadlockPolicy:
 		p.SnapshotsTaken = ck.PolSnapshotsTaken
 		p.SnapshotsActivated = ck.PolSnapshotsActivated
@@ -572,25 +599,25 @@ func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.
 		p.Preemptions = ck.PolPreemptions
 	}
 
-	s.front = newQueueFrontier(s.opts.Strategy, s.schedGuided, len(s.queueGoals))
-	s.front.picks = ck.FrontPicks
+	f := w.front
+	f.picks = ck.FrontPicks
 	for _, st := range roots {
-		if _, dup := s.front.alive[st.ID]; dup {
+		if _, dup := f.alive[st.ID]; dup {
 			return fmt.Errorf("search: checkpoint has two roots with state ID %d", st.ID)
 		}
-		s.front.alive[st.ID] = liveState{st: st}
+		f.alive[st.ID] = liveState{st: st}
 	}
-	if s.opts.Strategy == StrategyESD {
+	if w.opts.Strategy == StrategyESD {
 		if len(ck.AliveKeys) != len(roots) {
 			return fmt.Errorf("search: checkpoint has %d key rows for %d roots", len(ck.AliveKeys), len(roots))
 		}
-		if len(ck.Heaps) != len(s.front.heaps) {
-			return fmt.Errorf("search: checkpoint has %d heaps, frontier has %d", len(ck.Heaps), len(s.front.heaps))
+		if len(ck.Heaps) != len(f.heaps) {
+			return fmt.Errorf("search: checkpoint has %d heaps, frontier has %d", len(ck.Heaps), len(f.heaps))
 		}
 		for i, st := range roots {
 			fits := ck.AliveKeys[i]
-			if len(fits) != len(s.queueGoals) {
-				return fmt.Errorf("search: root %d has %d queue keys, want %d", i, len(fits), len(s.queueGoals))
+			if len(fits) != len(w.queueGoals) {
+				return fmt.Errorf("search: root %d has %d queue keys, want %d", i, len(fits), len(w.queueGoals))
 			}
 			keys := make([]esdKey, len(fits))
 			for q, fit := range fits {
@@ -599,21 +626,21 @@ func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.
 			// Direct alive/heaps assembly (not insert): the heap contents
 			// below carry the lazy-deletion history insert would not
 			// recreate.
-			s.front.alive[st.ID] = liveState{st: st, keys: keys}
+			f.alive[st.ID] = liveState{st: st, keys: keys}
 		}
 		for q, slots := range ck.Heaps {
 			for _, sl := range slots {
 				if sl.S < 0 || sl.S >= len(roots) {
 					return fmt.Errorf("search: heap %d references invalid root %d", q, sl.S)
 				}
-				s.front.heaps[q].push(esdKey{fit: sl.F, id: roots[sl.S].ID})
+				f.heaps[q].push(esdKey{fit: sl.F, id: roots[sl.S].ID})
 			}
 		}
 		for _, ri := range ck.FIFO {
 			if ri < 0 || ri >= len(roots) {
 				return fmt.Errorf("search: fifo references invalid root %d", ri)
 			}
-			s.front.fifo = append(s.front.fifo, roots[ri].ID)
+			f.fifo = append(f.fifo, roots[ri].ID)
 		}
 	} else {
 		// One shared tombstone stands in for every dead slot: the pool is
@@ -624,58 +651,15 @@ func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.
 		for _, ri := range ck.PoolOrder {
 			switch {
 			case ri == poolTombstone:
-				s.front.pool = append(s.front.pool, tombstone)
+				f.pool = append(f.pool, tombstone)
 			case ri >= 0 && ri < len(roots):
-				s.front.pool = append(s.front.pool, roots[ri])
+				f.pool = append(f.pool, roots[ri])
 			default:
 				return fmt.Errorf("search: pool references invalid root %d", ri)
 			}
 		}
 	}
 	return nil
-}
-
-// resume restores a fresh sequential worker from a checkpoint that
-// compatible accepted: the race-detector setting and the plan layout must
-// match the checkpointed run's, then the state pool is decoded, the
-// searcher restored and the worker's accumulators seeded. The detector
-// is checked here, not in compatible, because a race report turns it on
-// whatever the options say.
-func (w *worker) resume(ck *Checkpoint, pl *plan) error {
-	if on := w.det != nil; ck.WithRace != on {
-		return fmt.Errorf("search: checkpoint race detection is %v, the resume request's is %v", ck.WithRace, on)
-	}
-	if err := ck.validatePlan(pl); err != nil {
-		return err
-	}
-	roots, err := ck.Pool.Decode(pl.prog.mir)
-	if err != nil {
-		return err
-	}
-	if err := w.s.restore(ck, roots, w.det); err != nil {
-		return err
-	}
-	ck.restoreWorker(w)
-	return nil
-}
-
-// restoreWorker seeds a resumed worker's accumulators with the
-// checkpoint's and shifts its solver baselines by the checkpointed
-// consumption, so the folded Result and the progress events stay
-// cumulative across the chain.
-func (ck *Checkpoint) restoreWorker(w *worker) {
-	for k, v := range ck.Terminals {
-		w.res.Terminals[k] = v
-	}
-	w.res.OtherBugs = append([]string(nil), ck.OtherBugs...)
-	w.res.StepErrors = ck.StepErrors
-	w.res.PrunedCritical = ck.PrunedCritical
-	w.res.PrunedInfinite = ck.PrunedInfinite
-	w.s.solBase -= ck.SolverQueries
-	w.base.hits -= ck.SolverHits
-	w.base.persist -= ck.SolverPersistentHits
-	w.base.rejects -= ck.SolverVerifyRejects
-	w.base.wallNS -= ck.SolverWallNS
 }
 
 // flushDelta returns a copy of res with the checkpoint's share of the

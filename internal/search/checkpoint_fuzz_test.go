@@ -21,8 +21,8 @@ var committedCheckpoint = filepath.Join("..", "..", "testdata", "listing1.ckpt.j
 
 // checkpointRestorer returns the resume path of a listing1 search short
 // of running the loop: decode, the compatibility checks, the recorder
-// restore and worker.resume (the race-detector and plan checks, the pool
-// decode and the searcher restore). It returns the restored worker, which
+// restore and worker.restore (the race-detector and plan checks, the pool
+// decode and the worker's state). It returns the restored worker, which
 // the caller releases, or the first error.
 func checkpointRestorer(tb testing.TB) func(data []byte) (*worker, error) {
 	tb.Helper()
@@ -55,7 +55,7 @@ func checkpointRestorer(tb testing.TB) func(data []byte) (*worker, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 		defer cancel()
 		w := newWorker(ctx, pl, opts, 0, 1, time.Now())
-		if err := w.resume(ck, pl); err != nil {
+		if err := w.restore(ck); err != nil {
 			return nil, err
 		}
 		return w, nil
@@ -63,7 +63,7 @@ func checkpointRestorer(tb testing.TB) func(data []byte) (*worker, error) {
 }
 
 // FuzzDecodeCheckpoint feeds arbitrary bytes through checkpointRestorer:
-// every input must end in an error or a restored searcher, never a panic
+// every input must end in an error or a restored worker, never a panic
 // or a hang, and whatever DecodeCheckpoint accepts json.Unmarshal must
 // accept and decode to the same Checkpoint. The seed is the committed
 // listing1 checkpoint; the corpus in testdata/fuzz adds malformed
@@ -78,7 +78,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatalf("the seed checkpoint does not restore: %v", err)
 	}
-	if w.s.front.size() == 0 {
+	if w.front.size() == 0 {
 		f.Fatal("the seed checkpoint restored an empty frontier")
 	}
 	f.Add(seed)
@@ -99,7 +99,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		// A restored frontier is consistent: every live state has a key
 		// per queue, and every heap entry names a live state.
-		fr := w.s.front
+		fr := w.front
 		for id, ls := range fr.alive {
 			if ls.st.ID != id || len(ls.keys) != fr.numQueues {
 				t.Fatalf("alive[%d] holds state %d with %d keys", id, ls.st.ID, len(ls.keys))

@@ -9,8 +9,8 @@ import (
 
 // queueFrontier owns one frontier's live-state structures: the §3.4
 // virtual priority queues (ESD), the plain pool (DFS/RandomPath), and the
-// anti-starvation FIFO. The sequential searcher owns one; the workers of a
-// frontier-parallel run share one behind parallelRun.mu.
+// anti-starvation FIFO. The sequential search's worker owns one; the
+// workers of a frontier-parallel run share one behind parallelRun.mu.
 //
 // The heaps and the FIFO hold state IDs, never states: alive is the only
 // structure that reaches a queued state, so a state that leaves the
@@ -241,12 +241,11 @@ func (f *queueFrontier) pickESD(rng *rand.Rand) (*symex.State, bool) {
 	return nil, false
 }
 
-// shedWorst drops the worse half of the live states using the keys they
-// were scored with at insertion. The sequential searcher re-scores the
-// whole pool when it sheds (distances may have improved since insertion;
-// see searcher.shedStates) — a parallel run sheds under its one lock,
-// where re-scoring would stall every worker, so stored keys are the
-// deliberate trade. Returns the number of states dropped.
+// shedWorst drops the worse half of the live states, for sequential and
+// frontier-parallel runs alike, and returns the number dropped. ESD ranks
+// them by the final-goal keys they were inserted with: a queued state has
+// not run since it was scored, so its keys are what a re-scoring would
+// compute.
 func (f *queueFrontier) shedWorst() int {
 	if f.size() < 2 {
 		return 0
@@ -272,9 +271,8 @@ func (f *queueFrontier) shedWorst() int {
 	for _, ls := range f.alive {
 		arr = append(arr, ls)
 	}
-	// Rank by the final-goal key (the last queue), as the sequential shed
-	// does; keys are total (unique state IDs), so the order is
-	// deterministic despite map iteration.
+	// Rank by the final-goal key (the last queue); keys are total (unique
+	// state IDs), so the order is deterministic despite map iteration.
 	last := f.numQueues - 1
 	sort.Slice(arr, func(i, j int) bool { return arr[i].keys[last].less(arr[j].keys[last]) })
 	keep := len(arr) / 2

@@ -20,15 +20,14 @@ import (
 //     once and shared read-only; the interned term store is concurrent, so
 //     states forked by different workers share pointer-equal terms.
 //   - Each worker is built by newWorker, like the sequential search's one
-//     worker: a full searcher with its own symbolic VM (with a disjoint
-//     state-ID range, so the (fitness, ID) order stays total), solver, rng
-//     stream, scheduling-policy instance and race detector, reusing
-//     quantum/admit/keep/terminal verbatim. Only the loop differs
-//     (take/runWorker instead of runLoop) and insertion is diverted
-//     (searcher.route): a worker gates and scores its forks and survivors
-//     itself, outside the lock, and place inserts them with their keys.
-//     The Result is folded from the workers the same way too
-//     (worker.fold).
+//     worker, with its own symbolic VM (with a disjoint state-ID range, so
+//     the (fitness, ID) order stays total), solver, rng stream,
+//     scheduling-policy instance and race detector, and runs the same
+//     quantum/admit/keep/terminal. Only the loop differs (take/runWorker
+//     instead of runLoop) and insertion goes to the run (worker.run): a
+//     worker gates and scores its forks and survivors itself, outside the
+//     lock, and place inserts them with their keys. The Result is folded
+//     from the workers the same way too (worker.fold).
 //   - parallelRun.mu guards the frontier, the dedup set and the run's
 //     counters. A worker holds it to pick and to place; the quantum runs
 //     unlocked. Picks go through queueFrontier.pick with the worker's rng,
@@ -88,16 +87,15 @@ func runParallel(ctx context.Context, pl *plan, opts Options, start time.Time, e
 
 	workers := make([]*worker, n)
 	for i := range workers {
-		w := newWorker(runCtx, pl, opts, i, n, start)
-		w.s.route = func(st *symex.State, keys []esdKey) { r.place(w, st, keys) }
-		workers[i] = w
+		workers[i] = newWorker(runCtx, pl, opts, i, n, start)
+		workers[i].run = r
 	}
 
-	init, err := workers[0].s.eng.InitialState()
+	init, err := workers[0].eng.InitialState()
 	if err != nil {
 		return nil, err
 	}
-	workers[0].s.seed(init)
+	workers[0].seed(init)
 	emit(PhaseSearch, 1)
 
 	var wg sync.WaitGroup
@@ -141,11 +139,11 @@ drive:
 		w.fold(res)
 		res.WorkerWall = append(res.WorkerWall, telemetry.WorkerWall{
 			Worker:   w.id,
-			Steps:    w.s.eng.Stats.Steps,
-			States:   w.s.eng.Stats.States,
+			Steps:    w.eng.Stats.Steps,
+			States:   w.eng.Stats.States,
 			Picks:    w.picks,
 			BusyNS:   w.busyNS,
-			SolverNS: w.s.sol.WallNanos - w.base.wallNS,
+			SolverNS: w.sol.WallNanos - w.base.wallNS,
 			Found:    w.found,
 		})
 	}
@@ -177,7 +175,7 @@ type parallelRun struct {
 	idle  *sync.Cond
 	front *queueFrontier
 	// budget is the live-state count past which the frontier sheds its
-	// worse half (on stored keys; see queueFrontier.shedWorst).
+	// worse half (queueFrontier.shedWorst, as the sequential loop does).
 	budget int
 	// seen holds the stateKey of every admitted state, up to dedupCap.
 	seen map[uint64]struct{}
@@ -198,8 +196,8 @@ func (r *parallelRun) place(w *worker, st *symex.State, keys []esdKey) {
 	key := stateKey(st)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// The worker's searcher already folded st into its own best fitness.
-	r.bestFit = min(r.bestFit, w.s.bestFit)
+	// The worker already folded st into its own best fitness.
+	r.bestFit = min(r.bestFit, w.bestFit)
 	if len(r.seen) < dedupCap {
 		if _, dup := r.seen[key]; dup {
 			r.dedupDrops++
@@ -235,10 +233,10 @@ func (r *parallelRun) take(w *worker) *symex.State {
 			r.cancel()
 			return nil
 		}
-		if st, aged := r.front.pick(w.s.rng); st != nil {
-			w.s.spareKeys = r.front.spentKeys()
+		if st, aged := r.front.pick(w.rng); st != nil {
+			w.spareKeys = r.front.spentKeys()
 			if aged {
-				w.s.agingPicks++
+				w.agingPicks++
 			}
 			w.picks++
 			r.busy++
@@ -256,14 +254,14 @@ func (r *parallelRun) runWorker(w *worker) {
 	searchWorkers.Add(1)
 	defer searchWorkers.Add(-1)
 	for st := r.take(w); st != nil; st = r.take(w) {
-		steps, states := w.s.eng.Stats.Steps, w.s.eng.Stats.States
+		steps, states := w.eng.Stats.Steps, w.eng.Stats.States
 		t0 := time.Now()
-		found, err := w.s.quantum(st, w.res)
+		found, err := w.quantum(st)
 		w.busyNS += time.Since(t0).Nanoseconds()
 		r.mu.Lock()
 		r.busy--
-		r.steps += w.s.eng.Stats.Steps - steps
-		r.states += w.s.eng.Stats.States - states
+		r.steps += w.eng.Stats.Steps - steps
+		r.states += w.eng.Stats.States - states
 		if found != nil && r.winner == nil {
 			// The first goal state wins and cancels everyone else.
 			r.winner, w.found = found, true

@@ -30,8 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -279,8 +277,6 @@ type Result struct {
 	// pool-overflow shedding.
 	AgingPicks int64
 	Sheds      int64
-	// RaceFindings are potential races the detector flagged.
-	RaceFindings []race.Finding
 	// IntermediateGoalSets is the number of goal sets the static phase
 	// produced (reported for the evaluation).
 	IntermediateGoalSets int
@@ -433,25 +429,23 @@ func Synthesize(ctx context.Context, prog *Program, rep *report.Report, opts Opt
 // checkpointed again when Preempt stops it.
 func runSequential(ctx context.Context, pl *plan, opts Options, start time.Time, emit func(Phase, int)) (*Result, error) {
 	w := newWorker(ctx, pl, opts, 0, 1, start)
-	s := w.s
 	if ck := opts.Resume; ck != nil {
-		if err := w.resume(ck, pl); err != nil {
+		if err := w.restore(ck); err != nil {
 			return nil, err
 		}
-		emit(PhaseSearch, s.front.size())
+		emit(PhaseSearch, w.front.size())
 	} else {
-		init, err := s.eng.InitialState()
+		init, err := w.eng.InitialState()
 		if err != nil {
 			return nil, err
 		}
 		emit(PhaseSearch, 1)
 		// Scoring the initial state builds the distance tables, which is
 		// search-phase work: the frontier is seeded after the phase event.
-		s.front = newQueueFrontier(opts.Strategy, pl.schedGuided, len(pl.queueGoals))
-		s.seed(init)
+		w.seed(init)
 	}
 	searchWorkers.Add(1)
-	found, timedOut, cancelled, preempted := s.runLoop(w.res)
+	found, timedOut, cancelled, preempted := w.runLoop()
 	searchWorkers.Add(-1)
 	res := &Result{
 		Found:                found,
@@ -466,7 +460,7 @@ func runSequential(ctx context.Context, pl *plan, opts Options, start time.Time,
 	if preempted {
 		res.Preempted = true
 		ckStart := time.Now()
-		blob, err := s.checkpoint(res, w.det)
+		blob, err := w.checkpoint(res)
 		if err != nil {
 			return nil, fmt.Errorf("search: encoding checkpoint: %w", err)
 		}
@@ -488,7 +482,12 @@ type plan struct {
 	analyses []*cfa.Analysis
 	calc     *dist.Calculator
 	// schedGuided gates the schedule-distance fitness component and the
-	// FIFO aging pick; see searcher.schedGuided.
+	// FIFO aging pick: they apply to schedule-sensitive reports (deadlock,
+	// race) on programs that actually synchronize. A program without sync
+	// opcodes has no schedule to synthesize, and a plain crash search
+	// keeps the pure data-distance ordering (§4.1's weighting is about
+	// schedules, and reordering sequential searches only perturbs their
+	// shedding decisions).
 	schedGuided bool
 	// queueGoals is one goal set per virtual queue: intermediate sets
 	// first, then one per final goal (§3.4); nInter is where the final
@@ -574,100 +573,11 @@ func (pl *plan) newVM(ctx context.Context, opts Options, sol *solver.Solver) (*s
 	return eng, detector
 }
 
-// newSearcher wires one searcher over the shared plan and a private VM.
-func newSearcher(pl *plan, ctx context.Context, opts Options, eng *symex.Engine, sol *solver.Solver, start time.Time) *searcher {
-	// The seed source is wrapped in a draw counter so a checkpoint can
-	// record the RNG position; the wrapper draws the identical sequence
-	// (see countingSource).
-	src := &countingSource{src: rand.NewSource(opts.Seed + 1)}
-	return &searcher{
-		opts:        opts,
-		ctx:         ctx,
-		prog:        pl.prog,
-		rep:         pl.rep,
-		eng:         eng,
-		sol:         sol,
-		analyses:    pl.analyses,
-		calc:        pl.calc,
-		schedGuided: pl.schedGuided,
-		queueGoals:  pl.queueGoals,
-		finalStart:  pl.nInter,
-		finalGoals:  pl.goals,
-		rng:         rand.New(src),
-		rngSrc:      src,
-		bestFit:     dist.Infinite,
-		start:       start,
-		solBase:     sol.Queries,
-	}
-}
-
-type searcher struct {
-	opts     Options
-	ctx      context.Context
-	prog     *Program
-	rep      *report.Report
-	eng      *symex.Engine
-	sol      *solver.Solver
-	analyses []*cfa.Analysis
-	calc     *dist.Calculator
-	// schedGuided gates the schedule-distance fitness component and the
-	// FIFO aging pick: they apply to schedule-sensitive reports (deadlock,
-	// race) on programs that actually synchronize. A program without sync
-	// opcodes has no schedule to synthesize, and a plain crash search
-	// keeps the pure data-distance ordering (§4.1's weighting is about
-	// schedules, and reordering sequential searches only perturbs their
-	// shedding decisions).
-	schedGuided bool
-	queueGoals  [][]mir.Loc
-	// finalStart is the index of the first final-goal queue in queueGoals
-	// (the preceding queues belong to intermediate goals).
-	finalStart int
-	finalGoals []mir.Loc
-	rng        *rand.Rand
-	// rngSrc is rng's underlying draw-counting source (checkpointing).
-	rngSrc *countingSource
-
-	// Progress-stream bookkeeping: run start, last periodic emission,
-	// best (lowest) final-goal fitness scored, deepest path explored, and
-	// the warm solver's pre-run query count (events report this run's
-	// delta, matching the final Result numbers).
-	start        time.Time
-	lastProgress time.Time
-	bestFit      int64
-	maxDepth     int64
-	solBase      int
-
-	// front owns the live states: the per-goal virtual priority queues
-	// (heaps with lazy deletion, §3.4 / §6.2), the DFS/RandomPath pool,
-	// and the aging FIFO. Created by runSequential; nil for parallel
-	// workers, whose states live in the run's shared frontier instead.
-	front *queueFrontier
-	// route, when set, diverts insertions to a frontier-parallel run's
-	// shared frontier instead of this searcher's own. Workers reuse
-	// quantum/admit/keep/terminal verbatim through this hook.
-	route func(*symex.State, []esdKey)
-
-	// Flight-recorder and per-run counters: allPicks drives the
-	// deterministic frontier-sampling cadence across all strategies;
-	// agingPicks and sheds are folded into the Result after the run.
-	allPicks   int
-	agingPicks int64
-	sheds      int64
-
-	// stack is the scoring scratch: stateDistance, schedDistance and
-	// mayReachGoals read each live thread's call stack into it in turn
-	// instead of copying one per thread per score.
-	stack []mir.Loc
-	// spareKeys is a key slice no state holds any more (the picked
-	// state's, or a pruned state's) for the next scoreState to fill.
-	spareKeys []esdKey
-}
-
-// threadStack reads t's call stack into the searcher's scratch. The slice
+// threadStack reads t's call stack into the worker's scratch. The slice
 // is valid until the next call.
-func (s *searcher) threadStack(t *symex.Thread) []mir.Loc {
-	s.stack = t.AppendStack(s.stack[:0])
-	return s.stack
+func (w *worker) threadStack(t *symex.Thread) []mir.Loc {
+	w.stack = t.AppendStack(w.stack[:0])
+	return w.stack
 }
 
 // frontierSamplePeriod is the pick-count cadence of flight-recorder
@@ -680,22 +590,22 @@ const frontierSamplePeriod = 256
 // pool size, depth, best fitness, and the query count (queries are issued
 // deterministically; only cache hits vary with solver warmth, and those
 // never enter the trace).
-func (s *searcher) sampleFrontier() {
-	if s.opts.Recorder == nil {
+func (w *worker) sampleFrontier() {
+	if w.opts.Recorder == nil {
 		return
 	}
-	s.allPicks++
-	if s.allPicks%frontierSamplePeriod != 0 {
+	w.allPicks++
+	if w.allPicks%frontierSamplePeriod != 0 {
 		return
 	}
-	s.opts.Recorder.Record(telemetry.Event{
+	w.opts.Recorder.Record(telemetry.Event{
 		Kind:          telemetry.EventFrontier,
-		Steps:         s.eng.Stats.Steps,
-		States:        s.eng.Stats.States,
-		Live:          s.front.size(),
-		Depth:         s.maxDepth,
-		BestDist:      s.bestFit,
-		SolverQueries: int64(s.sol.Queries - s.solBase),
+		Steps:         w.eng.Stats.Steps,
+		States:        w.eng.Stats.States,
+		Live:          w.front.size(),
+		Depth:         w.maxDepth,
+		BestDist:      w.bestFit,
+		SolverQueries: int64(w.sol.Queries - w.base.queries),
 	})
 }
 
@@ -706,41 +616,49 @@ func (s *searcher) sampleFrontier() {
 // Preemption is polled at the loop top only — after the ctx/budget checks,
 // before the progress and sampling hooks — so a checkpoint never splits a
 // quantum and the resumed iteration replays the hooks exactly once.
-func (s *searcher) runLoop(res *Result) (found *symex.State, timedOut, cancelled, preempted bool) {
-	for s.front.size() > 0 {
+func (w *worker) runLoop() (found *symex.State, timedOut, cancelled, preempted bool) {
+	for w.front.size() > 0 {
 		now := time.Now()
-		if err := s.ctx.Err(); err != nil {
+		if err := w.ctx.Err(); err != nil {
 			timedOut, cancelled = classifyCtxErr(err)
 			return nil, timedOut, cancelled, false
 		}
-		if s.budgetExceeded(now) {
+		if w.budgetExceeded(now) {
 			return nil, true, false, false
 		}
-		if s.opts.Preempt != nil && s.opts.Preempt() {
+		if w.opts.Preempt != nil && w.opts.Preempt() {
 			return nil, false, false, true
 		}
-		s.maybeProgress(now)
-		s.sampleFrontier()
-		st, aged := s.front.pick(s.rng)
+		w.maybeProgress(now)
+		w.sampleFrontier()
+		st, aged := w.front.pick(w.rng)
 		if st == nil {
 			return nil, false, false, false
 		}
-		s.spareKeys = s.front.spentKeys()
+		w.spareKeys = w.front.spentKeys()
 		if aged {
-			s.agingPicks++
+			w.agingPicks++
 		}
-		found, err := s.quantum(st, res)
+		found, err := w.quantum(st)
 		if err != nil {
 			// The VM observed the context mid-quantum (the prompt-
 			// cancellation path for long quanta and solver-heavy steps).
-			timedOut, cancelled = classifyCtxErr(s.ctx.Err())
+			timedOut, cancelled = classifyCtxErr(w.ctx.Err())
 			return nil, timedOut, cancelled, false
 		}
 		if found != nil {
 			return found, false, false, false
 		}
-		if s.front.size() > maxLiveStates {
-			s.shedStates()
+		if w.front.size() > maxLiveStates {
+			// Shed the worse half, as a frontier-parallel run does.
+			w.sheds += int64(w.front.shedWorst())
+			w.opts.Recorder.Record(telemetry.Event{
+				Kind:   telemetry.EventShed,
+				Steps:  w.eng.Stats.Steps,
+				States: w.eng.Stats.States,
+				Live:   w.front.size(),
+				Depth:  w.maxDepth,
+			})
 		}
 	}
 	return nil, false, false, false
@@ -757,52 +675,52 @@ func classifyCtxErr(err error) (timedOut, cancelled bool) {
 
 // maybeProgress emits a periodic PhaseSearch snapshot, rate-limited to one
 // per progressInterval.
-func (s *searcher) maybeProgress(now time.Time) {
-	if now.Sub(s.lastProgress) < progressInterval {
+func (w *worker) maybeProgress(now time.Time) {
+	if now.Sub(w.lastProgress) < progressInterval {
 		return
 	}
-	s.lastProgress = now
-	searchFrontier.Observe(int64(s.front.size()))
-	if s.opts.OnProgress == nil {
+	w.lastProgress = now
+	searchFrontier.Observe(int64(w.front.size()))
+	if w.opts.OnProgress == nil {
 		return
 	}
-	s.opts.OnProgress(ProgressEvent{
+	w.opts.OnProgress(ProgressEvent{
 		Phase:         PhaseSearch,
 		Time:          now,
-		Elapsed:       now.Sub(s.start),
-		Steps:         s.eng.Stats.Steps,
-		States:        s.eng.Stats.States,
-		Live:          s.front.size(),
-		Depth:         s.maxDepth,
-		BestDist:      s.bestFit,
-		SolverQueries: s.sol.Queries - s.solBase,
+		Elapsed:       now.Sub(w.start),
+		Steps:         w.eng.Stats.Steps,
+		States:        w.eng.Stats.States,
+		Live:          w.front.size(),
+		Depth:         w.maxDepth,
+		BestDist:      w.bestFit,
+		SolverQueries: w.sol.Queries - w.base.queries,
 	})
 }
 
 // seed inserts the initial state, scored but never gated.
-func (s *searcher) seed(init *symex.State) {
-	keys, _ := s.scoreState(init)
-	s.insert(init, keys)
+func (w *worker) seed(init *symex.State) {
+	keys, _ := w.scoreState(init)
+	w.insert(init, keys)
 }
 
 // insert adds an admitted live state with its keys to the frontier —
-// this searcher's own, or a frontier-parallel run's shared one when route
-// is set — and only then lets it move the deepest path and the best
-// final-goal fitness that progress events and the trace report.
-func (s *searcher) insert(st *symex.State, keys []esdKey) {
-	if st.Steps > s.maxDepth {
-		s.maxDepth = st.Steps
+// this worker's own, or its frontier-parallel run's shared one — and
+// only then lets it move the deepest path and the best final-goal
+// fitness that progress events and the trace report.
+func (w *worker) insert(st *symex.State, keys []esdKey) {
+	if st.Steps > w.maxDepth {
+		w.maxDepth = st.Steps
 	}
-	for q := s.finalStart; q < len(keys); q++ {
-		if keys[q].fit < s.bestFit {
-			s.bestFit = keys[q].fit
+	for q := w.nInter; q < len(keys); q++ {
+		if keys[q].fit < w.bestFit {
+			w.bestFit = keys[q].fit
 		}
 	}
-	if s.route != nil {
-		s.route(st, keys)
+	if w.run != nil {
+		w.run.place(w, st, keys)
 		return
 	}
-	s.front.insert(st, keys)
+	w.front.insert(st, keys)
 }
 
 // scoreState computes the per-queue ESD keys of a state (nil for the
@@ -811,18 +729,18 @@ func (s *searcher) insert(st *symex.State, keys []esdKey) {
 // queue-independent (it measures progress toward the reported bug's full
 // goal set), so it is computed once per scoring and shared across the
 // per-queue keys.
-func (s *searcher) scoreState(st *symex.State) (keys []esdKey, unreachable bool) {
-	if s.opts.Strategy != StrategyESD {
+func (w *worker) scoreState(st *symex.State) (keys []esdKey, unreachable bool) {
+	if w.opts.Strategy != StrategyESD {
 		return nil, false
 	}
-	sched := s.schedDistance(st)
-	keys, s.spareKeys = s.spareKeys, nil
-	if len(keys) != len(s.queueGoals) {
-		keys = make([]esdKey, len(s.queueGoals))
+	sched := w.schedDistance(st)
+	keys, w.spareKeys = w.spareKeys, nil
+	if len(keys) != len(w.queueGoals) {
+		keys = make([]esdKey, len(w.queueGoals))
 	}
-	for q, goalSet := range s.queueGoals {
-		d := s.stateDistance(st, goalSet)
-		if q >= s.finalStart && d >= dist.Infinite {
+	for q, goalSet := range w.queueGoals {
+		d := w.stateDistance(st, goalSet)
+		if q >= w.nInter && d >= dist.Infinite {
 			unreachable = true
 		}
 		keys[q] = esdKey{fit: combineFitness(d, sched), id: st.ID}
@@ -830,11 +748,11 @@ func (s *searcher) scoreState(st *symex.State) (keys []esdKey, unreachable bool)
 	return keys, unreachable
 }
 
-func (s *searcher) budgetExceeded(now time.Time) bool {
-	if s.opts.Budget > 0 && now.Sub(s.start) > s.opts.Budget {
+func (w *worker) budgetExceeded(now time.Time) bool {
+	if w.opts.Budget > 0 && now.Sub(w.start) > w.opts.Budget {
 		return true
 	}
-	return s.eng.Stats.Steps > s.opts.MaxSteps
+	return w.eng.Stats.Steps > w.opts.MaxSteps
 }
 
 // agingPeriod is the cadence of the FIFO aging pick: every fourth pick
@@ -870,10 +788,6 @@ func combineFitness(dataD, syncD int64) int64 {
 	return dataD + syncD*syncWeight
 }
 
-func (s *searcher) esdKey(st *symex.State, goalSet []mir.Loc, sched int64) esdKey {
-	return esdKey{fit: combineFitness(s.stateDistance(st, goalSet), sched), id: st.ID}
-}
-
 // schedDistance is the graded §4.1 schedule-distance of a state: the
 // estimated number of synchronization operations separating the state from
 // the reported bug's full goal configuration, summed over the goals.
@@ -896,17 +810,17 @@ func (s *searcher) esdKey(st *symex.State, goalSet []mir.Loc, sched int64) esdKe
 // demotion (the binary scheme) starves the very states that complete a
 // multi-party cycle. The BinarySchedDist ablation restores the historical
 // behavior: the policy's bit (0 = near) and one undifferentiated far band.
-func (s *searcher) schedDistance(st *symex.State) int64 {
-	if s.opts.Ablate.BinarySchedDist {
+func (w *worker) schedDistance(st *symex.State) int64 {
+	if w.opts.Ablate.BinarySchedDist {
 		if st.SchedDist == 0 {
 			return 0
 		}
 		return symex.SchedDistFar
 	}
-	if !s.schedGuided {
+	if !w.schedGuided {
 		return 0
 	}
-	deadlock := s.rep.Kind == report.KindDeadlock
+	deadlock := w.rep.Kind == report.KindDeadlock
 	var pins map[mir.Loc]int
 	if deadlock {
 		for _, t := range st.Threads {
@@ -915,14 +829,14 @@ func (s *searcher) schedDistance(st *symex.State) int64 {
 			}
 			if f := t.Top(); f != nil {
 				if pins == nil {
-					pins = make(map[mir.Loc]int, len(s.finalGoals))
+					pins = make(map[mir.Loc]int, len(w.goals))
 				}
 				pins[f.Loc()]++
 			}
 		}
 	}
 	var total int64
-	for _, g := range s.finalGoals {
+	for _, g := range w.goals {
 		if pins[g] > 0 {
 			pins[g]--
 			continue
@@ -932,7 +846,7 @@ func (s *searcher) schedDistance(st *symex.State) int64 {
 			if t.Status == symex.ThreadExited {
 				continue
 			}
-			if d := s.calc.SyncDistance(s.threadStack(t), g); d < best {
+			if d := w.calc.SyncDistance(w.threadStack(t), g); d < best {
 				best = d
 				if best == 0 {
 					break
@@ -959,8 +873,8 @@ func add(a, b int64) int64 {
 // goalSet: the minimum over live threads of Algorithm 1's stack-aware
 // distance. The NoProximity ablation reads every state at distance 0, so
 // the search runs without any distance information.
-func (s *searcher) stateDistance(st *symex.State, goalSet []mir.Loc) int64 {
-	if s.opts.Ablate.NoProximity {
+func (w *worker) stateDistance(st *symex.State, goalSet []mir.Loc) int64 {
+	if w.opts.Ablate.NoProximity {
 		return 0
 	}
 	best := int64(dist.Infinite)
@@ -968,9 +882,9 @@ func (s *searcher) stateDistance(st *symex.State, goalSet []mir.Loc) int64 {
 		if t.Status == symex.ThreadExited {
 			continue
 		}
-		stack := s.threadStack(t)
+		stack := w.threadStack(t)
 		for _, g := range goalSet {
-			if d := s.calc.StateDistance(stack, g); d < best {
+			if d := w.calc.StateDistance(stack, g); d < best {
 				best = d
 			}
 		}
@@ -983,16 +897,16 @@ func (s *searcher) stateDistance(st *symex.State, goalSet []mir.Loc) int64 {
 // this quantum, and a non-nil error only when the VM observed the
 // cancelled context (every other engine error abandons the state in
 // place).
-func (s *searcher) quantum(st *symex.State, res *Result) (*symex.State, error) {
+func (w *worker) quantum(st *symex.State) (*symex.State, error) {
 	for i := 0; i < quantumSteps; i++ {
-		succ, err := s.eng.Step(st)
+		succ, err := w.eng.Step(st)
 		if err != nil {
 			if errors.Is(err, symex.ErrInterrupted) {
 				return nil, err
 			}
 			// Engine-level errors abandon the state (they indicate an
 			// internal inconsistency, not a program failure).
-			res.StepErrors++
+			w.stepErrors++
 			return nil, nil
 		}
 		if len(succ) == 0 {
@@ -1000,26 +914,26 @@ func (s *searcher) quantum(st *symex.State, res *Result) (*symex.State, error) {
 		}
 		// succ[0] is st (possibly terminal); the rest are forks.
 		for _, f := range succ[1:] {
-			if done := s.admit(f, res); done != nil {
+			if done := w.admit(f); done != nil {
 				return done, nil
 			}
 		}
 		st = succ[0]
 		if st.Status != symex.StateRunning {
-			return s.terminal(st, res), nil
+			return w.terminal(st), nil
 		}
 	}
-	s.keep(st, res)
+	w.keep(st)
 	return nil, nil
 }
 
 // admit inserts a freshly forked state into the pool (or classifies it if
 // it is already terminal).
-func (s *searcher) admit(f *symex.State, res *Result) *symex.State {
+func (w *worker) admit(f *symex.State) *symex.State {
 	if f.Status != symex.StateRunning {
-		return s.terminal(f, res)
+		return w.terminal(f)
 	}
-	s.keep(f, res)
+	w.keep(f)
 	return nil
 }
 
@@ -1033,26 +947,26 @@ func (s *searcher) admit(f *symex.State, res *Result) *symex.State {
 // state some final goal is at Infinite data distance from is abandoned
 // too. Under the NoProximity ablation no distance is Infinite, so only
 // the first gate runs.
-func (s *searcher) keep(st *symex.State, res *Result) {
-	gated := s.gated(st)
-	if gated && !s.mayReachGoals(st) {
-		res.PrunedCritical++
+func (w *worker) keep(st *symex.State) {
+	gated := w.gated(st)
+	if gated && !w.mayReachGoals(st) {
+		w.prunedCritical++
 		return
 	}
-	keys, unreachable := s.scoreState(st)
+	keys, unreachable := w.scoreState(st)
 	if gated && unreachable {
-		res.PrunedInfinite++
-		s.spareKeys = keys
+		w.prunedInfinite++
+		w.spareKeys = keys
 		return
 	}
-	s.insert(st, keys)
+	w.insert(st, keys)
 }
 
 // terminal classifies a finished state: the reported bug, a different bug,
 // or an uninteresting exit.
-func (s *searcher) terminal(st *symex.State, res *Result) *symex.State {
-	res.Terminals[st.Status]++
-	if s.rep.Matches(st) {
+func (w *worker) terminal(st *symex.State) *symex.State {
+	w.terminals[st.Status]++
+	if w.rep.Matches(st) {
 		return st
 	}
 	if report.IsFailure(st) {
@@ -1062,8 +976,8 @@ func (s *searcher) terminal(st *symex.State, res *Result) *symex.State {
 		} else if st.Deadlock != nil {
 			desc = st.Deadlock.String()
 		}
-		if len(res.OtherBugs) < 64 {
-			res.OtherBugs = append(res.OtherBugs, desc)
+		if len(w.otherBugs) < 64 {
+			w.otherBugs = append(w.otherBugs, desc)
 		}
 	}
 	return nil
@@ -1081,23 +995,23 @@ const (
 // locks and rolls them back through K_S snapshots (§4.1); as long as a
 // state can still be rolled back, static reachability of its current
 // program points is not evidence of deadness.
-func (s *searcher) gated(st *symex.State) bool {
-	if s.opts.Ablate.NoCriticalEdges || s.opts.Strategy != StrategyESD {
+func (w *worker) gated(st *symex.State) bool {
+	if w.opts.Ablate.NoCriticalEdges || w.opts.Strategy != StrategyESD {
 		return false
 	}
-	return s.rep.Kind != report.KindDeadlock || len(st.Snapshots) == 0
+	return w.rep.Kind != report.KindDeadlock || len(st.Snapshots) == 0
 }
 
 // mayReachGoals is the critical-edge gate: a state none of whose threads
 // can still reach some goal is dead (§3.2, §3.3).
-func (s *searcher) mayReachGoals(st *symex.State) bool {
-	for _, a := range s.analyses {
+func (w *worker) mayReachGoals(st *symex.State) bool {
+	for _, a := range w.analyses {
 		reachable := false
 		for _, t := range st.Threads {
 			if t.Status == symex.ThreadExited {
 				continue
 			}
-			if a.StackMayReachGoal(s.threadStack(t)) {
+			if a.StackMayReachGoal(w.threadStack(t)) {
 				reachable = true
 				break
 			}
@@ -1107,36 +1021,4 @@ func (s *searcher) mayReachGoals(st *symex.State) bool {
 		}
 	}
 	return true
-}
-
-// shedStates drops the worst states when the pool overflows: keep the half
-// closest to the final goal. Scores are recomputed from the current stacks
-// (a parallel run sheds on stored insertion keys instead; see
-// queueFrontier.shedWorst).
-func (s *searcher) shedStates() {
-	goalSet := s.queueGoals[len(s.queueGoals)-1]
-	type scored struct {
-		ls liveState
-		k  esdKey
-	}
-	arr := make([]scored, 0, s.front.size())
-	for _, ls := range s.front.alive {
-		arr = append(arr, scored{ls, s.esdKey(ls.st, goalSet, s.schedDistance(ls.st))})
-	}
-	sort.Slice(arr, func(i, j int) bool { return arr[i].k.less(arr[j].k) })
-	keep := len(arr) / 2
-	s.sheds += int64(len(arr) - keep)
-	s.opts.Recorder.Record(telemetry.Event{
-		Kind:   telemetry.EventShed,
-		Steps:  s.eng.Stats.Steps,
-		States: s.eng.Stats.States,
-		Live:   keep,
-		Depth:  s.maxDepth,
-	})
-	s.front.reset() // drop backing arrays: shed states must become collectable
-	for i := 0; i < keep; i++ {
-		// A kept state has not run since it was admitted, so it goes
-		// back with the keys it was admitted with.
-		s.front.insert(arr[i].ls.st, arr[i].ls.keys)
-	}
 }

@@ -67,7 +67,7 @@ func TestSolverAttachDetach(t *testing.T) {
 	}
 	o := opts(2)
 	for i := range 4 {
-		sol := newWorker(context.Background(), pl, o, i, 4, time.Now()).s.sol
+		sol := newWorker(context.Background(), pl, o, i, 4, time.Now()).sol
 		if i < len(o.Solvers) && sol != o.Solvers[i] {
 			t.Errorf("worker %d does not run on the solver passed for it", i)
 		}

@@ -88,13 +88,8 @@ type Engine struct {
 	// after the context is done. Checked every ctxCheckPeriod steps.
 	Ctx context.Context
 
-	// EnvLen is the modeled length (cells, incl. NUL) of getenv buffers.
-	EnvLen int
 	// OnPrint, when set, receives values printed by the program.
 	OnPrint func(st *State, v Value)
-	// OnOtherBug, when set, is invoked for terminal states that a search
-	// may classify as "a different bug than the one looked for" (§4.1).
-	OnOtherBug func(st *State)
 
 	Stats Stats
 
@@ -140,8 +135,11 @@ func (e *Engine) tick() error {
 
 // New returns an engine for prog.
 func New(prog *mir.Program, s *solver.Solver) *Engine {
-	return &Engine{Prog: prog, Solver: s, EnvLen: 8, nextObjID: 1}
+	return &Engine{Prog: prog, Solver: s, nextObjID: 1}
 }
+
+// envLen is the modeled length (cells, incl. NUL) of getenv buffers.
+const envLen = 8
 
 // SetIDBase offsets the IDs this engine assigns to states and objects.
 // State IDs are the deterministic tie-break of the search's priority

@@ -277,12 +277,12 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 	case mir.Getenv:
 		id, ok := st.envBufs[in.Sym]
 		if !ok {
-			obj := newObject(e.NewObjID(), ObjEnv, e.EnvLen, in.Sym)
+			obj := newObject(e.NewObjID(), ObjEnv, envLen, in.Sym)
 			var concrete []int64
 			if e.Inputs != nil {
 				concrete = e.Inputs.Getenv(in.Sym)
 			}
-			for i := 0; i < e.EnvLen-1; i++ {
+			for i := 0; i < envLen-1; i++ {
 				name := fmt.Sprintf("env:%s:%d", in.Sym, i)
 				// Records are kept in concrete mode too, so that input
 				// sequence numbering is identical between synthesis and
@@ -302,7 +302,7 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 					st.Inputs = append(st.Inputs, InputRecord{Var: name, Kind: InputEnv, Name: in.Sym, Seq: i})
 				}
 			}
-			obj.Cells[e.EnvLen-1] = IntVal(0)
+			obj.Cells[envLen-1] = IntVal(0)
 			st.Mem.Add(obj)
 			st.envBufs[in.Sym] = obj.ID
 			id = obj.ID
