@@ -46,21 +46,34 @@ func (c Config) withDefaults() Config {
 
 // Outcome is one (bug, strategy) measurement.
 type Outcome struct {
-	Found    bool
-	TimedOut bool
+	Found bool
+	// Status is how the search ended (search.Result.Outcome): found,
+	// timeout, or, for a frontier that ran dry, exhausted or incomplete.
+	Status   string
 	Duration time.Duration
 	Steps    int64
 	States   int64
 }
 
+// outcome measures one finished search.
+func outcome(res *search.Result) Outcome {
+	return Outcome{Found: res.Found != nil, Status: res.Outcome(), Duration: res.Duration, Steps: res.Steps, States: res.StatesCreated}
+}
+
+// String renders the time to the bug, or how the search ended without
+// it: a timeout as a lower bound, a run that ran dry with its status.
 func (o Outcome) String() string {
-	if !o.Found {
+	if o.Status == "timeout" {
 		return fmt.Sprintf(">%.0fs (timeout)", o.Duration.Seconds())
 	}
+	d := fmt.Sprintf("%.2fs", o.Duration.Seconds())
 	if o.Duration < time.Second {
-		return fmt.Sprintf("%dms", o.Duration.Milliseconds())
+		d = fmt.Sprintf("%dms", o.Duration.Milliseconds())
 	}
-	return fmt.Sprintf("%.2fs", o.Duration.Seconds())
+	if o.Found {
+		return d
+	}
+	return fmt.Sprintf("%s (%s)", d, o.Status)
 }
 
 // appProgram compiles a bundled app for synthesis and returns it with
@@ -92,13 +105,7 @@ func runApp(ctx context.Context, prog *search.Program, rep *report.Report, strat
 	if err := cancelled(ctx, res); err != nil {
 		return Outcome{}, err
 	}
-	return Outcome{
-		Found:    res.Found != nil,
-		TimedOut: res.TimedOut,
-		Duration: res.Duration,
-		Steps:    res.Steps,
-		States:   res.StatesCreated,
-	}, nil
+	return outcome(res), nil
 }
 
 // cancelled aborts a sweep when a search was cut short by the context:
@@ -240,7 +247,7 @@ func Figure3(ctx context.Context, cfg Config) ([]Fig3Row, error) {
 		if err := cancelled(ctx, res); err != nil {
 			return nil, err
 		}
-		row.ESD = Outcome{Found: res.Found != nil, TimedOut: res.TimedOut, Duration: res.Duration, Steps: res.Steps, States: res.StatesCreated}
+		row.ESD = outcome(res)
 		res, err = search.Synthesize(ctx, prog, rep, search.Options{
 			Strategy: search.StrategyRandomPath, Budget: cfg.Timeout, Seed: cfg.Seed, PreemptionBound: 2,
 		})
@@ -250,7 +257,7 @@ func Figure3(ctx context.Context, cfg Config) ([]Fig3Row, error) {
 		if err := cancelled(ctx, res); err != nil {
 			return nil, err
 		}
-		row.KC = Outcome{Found: res.Found != nil, TimedOut: res.TimedOut, Duration: res.Duration, Steps: res.Steps, States: res.StatesCreated}
+		row.KC = outcome(res)
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -323,10 +330,7 @@ func Ablation(ctx context.Context, appName string, cfg Config) ([]AblationRow, e
 		if err := cancelled(ctx, res); err != nil {
 			return nil, err
 		}
-		rows = append(rows, AblationRow{Variant: v.name, Outcome: Outcome{
-			Found: res.Found != nil, TimedOut: res.TimedOut, Duration: res.Duration,
-			Steps: res.Steps, States: res.StatesCreated,
-		}})
+		rows = append(rows, AblationRow{Variant: v.name, Outcome: outcome(res)})
 	}
 	return rows, nil
 }

@@ -110,3 +110,22 @@ func TestBanner(t *testing.T) {
 		t.Fatal("banner broken")
 	}
 }
+
+// TestOutcomeString checks that the tables tell a run that found the bug
+// from one the budget stopped and from one whose frontier ran dry.
+func TestOutcomeString(t *testing.T) {
+	for _, c := range []struct {
+		o    Outcome
+		want string
+	}{
+		{Outcome{Found: true, Status: "found", Duration: 40 * time.Millisecond}, "40ms"},
+		{Outcome{Found: true, Status: "found", Duration: 2770 * time.Millisecond}, "2.77s"},
+		{Outcome{Status: "timeout", Duration: 11770 * time.Millisecond}, ">12s (timeout)"},
+		{Outcome{Status: "incomplete", Duration: 2390 * time.Millisecond}, "2.39s (incomplete)"},
+		{Outcome{Status: "exhausted", Duration: 13 * time.Millisecond}, "13ms (exhausted)"},
+	} {
+		if got := c.o.String(); got != c.want {
+			t.Errorf("%+v renders %q, want %q", c.o, got, c.want)
+		}
+	}
+}

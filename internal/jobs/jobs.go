@@ -24,7 +24,8 @@
 // jobs found "running" are demoted to their last checkpoint (or back to
 // queued if they never completed a slice) and re-enqueued — work since
 // the last persisted checkpoint is repeated, never lost, and the
-// determinism contract makes the repeat byte-identical.
+// determinism contract makes the repeat byte-identical. Synchronous jobs
+// (Job.Sync) are deleted instead: their waiter died with the process.
 package jobs
 
 import (
@@ -85,6 +86,11 @@ type Job struct {
 	// Checkpoint is the serialized search of a preempted job — the exact
 	// bytes handed back by the runner, re-supplied on resume.
 	Checkpoint []byte `json:"checkpoint,omitempty"`
+	// Sync marks a job whose submitter waits on it in-process and deletes
+	// it once it ends (the service's synchronous endpoints). Should the
+	// process die first, nobody is left to read its result, so recovery
+	// deletes it instead of running it.
+	Sync bool `json:"sync,omitempty"`
 
 	CreatedUnixMS int64 `json:"created_unix_ms"`
 	UpdatedUnixMS int64 `json:"updated_unix_ms"`

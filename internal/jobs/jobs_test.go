@@ -220,7 +220,7 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 	defer m.Close(context.Background())
 
-	j, err := m.Submit([]byte(`{"app":"x"}`))
+	j, err := m.Submit([]byte(`{"app":"x"}`), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestManagerSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close(context.Background())
-	j, err := m.Submit(nil)
+	j, err := m.Submit(nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,13 +312,13 @@ func TestManagerCancel(t *testing.T) {
 	defer m.Close(context.Background())
 
 	// Running job: cancel pulls its context.
-	running, err := m.Submit(nil)
+	running, err := m.Submit(nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	// Queued job behind it: cancel flips it in place, no worker involved.
-	queued, err := m.Submit(nil)
+	queued, err := m.Submit(nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestManagerFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close(context.Background())
-	j, _ := m.Submit(nil)
+	j, _ := m.Submit(nil, false)
 	final, err := m.Wait(context.Background(), j.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +376,7 @@ func TestManagerFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close(context.Background())
-	j2, _ := m2.Submit(nil)
+	j2, _ := m2.Submit(nil, false)
 	final2, err := m2.Wait(context.Background(), j2.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -403,7 +403,7 @@ func TestManagerRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := m1.Submit([]byte(`{"req":true}`))
+	j, err := m1.Submit([]byte(`{"req":true}`), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestManagerShutdownCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, _ := m.Submit(nil)
+	j, _ := m.Submit(nil, false)
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

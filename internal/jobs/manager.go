@@ -134,10 +134,17 @@ func NewManager(cfg Config) (*Manager, error) {
 // persisted as running died with its process: demote it to its last
 // checkpoint (or to queued if it never completed a slice) and run it
 // again — the checkpoint's determinism contract makes the redo converge
-// on the same result.
+// on the same result. A synchronous job's waiter died with the process,
+// so its record is deleted, whatever its state.
 func (m *Manager) recover() error {
 	// List is oldest first, so recovery preserves submission order.
 	for _, j := range m.store.List() {
+		if j.Sync {
+			if err := m.store.Delete(j.ID); err != nil {
+				return err
+			}
+			continue
+		}
 		if j.State.Terminal() {
 			continue
 		}
@@ -159,13 +166,15 @@ func (m *Manager) recover() error {
 }
 
 // Submit accepts a new job with the given opaque request payload,
-// persisting it before returning its record.
-func (m *Manager) Submit(request []byte) (*Job, error) {
+// persisting it before returning its record. sync marks a job that the
+// caller will wait on and delete (Job.Sync).
+func (m *Manager) Submit(request []byte, sync bool) (*Job, error) {
 	now := time.Now().UnixMilli()
 	j := &Job{
 		ID:            newID(),
 		State:         StateQueued,
 		Request:       append([]byte(nil), request...),
+		Sync:          sync,
 		CreatedUnixMS: now,
 		UpdatedUnixMS: now,
 	}

@@ -422,3 +422,90 @@ func TestServiceJobsObservability(t *testing.T) {
 		}
 	}
 }
+
+// TestServiceSyncJobDroppedAtRecovery: the job behind a synchronous
+// /synthesize is persisted like any other, so a process that dies while
+// the request waits leaves its record behind. The next life must delete
+// that record instead of running the job for a caller that is gone; a
+// recovered record would stay listed, counting toward the store's cap.
+func TestServiceSyncJobDroppedAtRecovery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second sliced synthesis; run without -short")
+	}
+	if raceEnabled {
+		t.Skip("sliced multi-second synthesis too slow under -race")
+	}
+	dir := t.TempDir()
+	st1, err := jobs.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{JobStore: st1, JobSlice: 200 * time.Millisecond, MaxConcurrent: 1}
+	srv1 := New(esd.New(), cfg)
+	ts1 := httptest.NewServer(srv1)
+
+	reqCtx, cancelReq := context.WithCancel(context.Background())
+	waited := make(chan struct{})
+	go func() {
+		defer close(waited)
+		body, _ := json.Marshal(map[string]any{"app": "ls3", "budget_ms": 120000, "seed": 1})
+		req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, ts1.URL+"/synthesize", bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	// Wait for the synchronous job's first checkpoint, then end the first
+	// life while the request still waits: the store closes before the
+	// handler can delete the job, as when the process is killed.
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if js := st1.List(); len(js) == 1 && js[0].Preemptions >= 1 {
+			if js[0].State.Terminal() {
+				t.Fatalf("job finished before it could be interrupted (state %s)", js[0].State)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the synchronous job never checkpointed")
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	if err := srv1.Close(ctx); err != nil {
+		t.Fatalf("first server close: %v", err)
+	}
+	cancel()
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cancelReq()
+	<-waited
+	ts1.Close()
+
+	st2, err := jobs.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if js := st2.List(); len(js) != 1 || js[0].State.Terminal() {
+		t.Fatalf("the store holds %d records after the first life, want the one live synchronous job", len(js))
+	}
+	cfg.JobStore = st2
+	ts2 := httptest.NewServer(New(esd.New(), cfg))
+	defer ts2.Close()
+	resp, err := http.Get(ts2.URL + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Jobs []jobJSON `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) != 0 {
+		t.Fatalf("GET /jobs lists %d jobs after recovery, want none: %+v", len(list.Jobs), list.Jobs)
+	}
+}

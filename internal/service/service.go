@@ -518,12 +518,51 @@ func (s *Server) submitJob(w http.ResponseWriter, req *synthesizeRequest) (*jobs
 		httpError(w, http.StatusInternalServerError, "encoding request: %v", err)
 		return nil, false
 	}
-	job, err := s.jobs.Submit(raw)
+	job, err := s.jobs.Submit(raw, false)
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return nil, false
 	}
 	return job, true
+}
+
+// runSync runs reqs as synchronous jobs for the handler named op and
+// returns their final records in order: it submits them marked Sync, so
+// recovery drops them should the process die while the handler waits,
+// waits for every one, and deletes them, since nobody else reads their
+// results. On a failure it writes the HTTP error and returns nil.
+func (s *Server) runSync(w http.ResponseWriter, r *http.Request, op string, reqs []synthesizeRequest) []*jobs.Job {
+	ids := make([]string, 0, len(reqs))
+	defer func() {
+		for _, id := range ids {
+			s.jobs.Delete(id)
+		}
+	}()
+	for i := range reqs {
+		raw, err := json.Marshal(&reqs[i])
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "encoding request: %v", err)
+			return nil
+		}
+		job, err := s.jobs.Submit(raw, true)
+		if err != nil {
+			httpError(w, http.StatusServiceUnavailable, "%v", err)
+			return nil
+		}
+		ids = append(ids, job.ID)
+	}
+	finals := make([]*jobs.Job, len(ids))
+	for i, id := range ids {
+		final, err := s.jobs.Wait(r.Context(), id)
+		if err != nil {
+			// The client went away (or the server is shutting down): the
+			// jobs are withdrawn, as nobody is left to read their results.
+			httpError(w, http.StatusInternalServerError, "%s: %v", op, err)
+			return nil
+		}
+		finals[i] = final
+	}
+	return finals
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
@@ -670,31 +709,16 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 
 	stream := req.Stream || strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	if !stream {
-		// The synchronous path is a thin wrapper over the job subsystem:
-		// submit, wait, clean up. The request holds its admission slot for
-		// the whole wait, so the 429 contract is unchanged; the job itself
-		// is time-sliced like any other, so one slow synthesis cannot
-		// starve the asynchronous queue.
-		raw, err := json.Marshal(&req)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "encoding request: %v", err)
+		// The synchronous path is a thin wrapper over the job subsystem
+		// (runSync). The request holds its admission slot for the whole
+		// wait, so the 429 contract is unchanged; the job itself is
+		// time-sliced like any other, so one slow synthesis cannot starve
+		// the asynchronous queue.
+		finals := s.runSync(w, r, "synthesize", []synthesizeRequest{req})
+		if finals == nil {
 			return
 		}
-		job, err := s.jobs.Submit(raw)
-		if err != nil {
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		final, err := s.jobs.Wait(r.Context(), job.ID)
-		if err != nil {
-			// The client went away (or the server is shutting down):
-			// withdraw the job — nobody is left to read its result.
-			s.jobs.Delete(job.ID)
-			httpError(w, http.StatusInternalServerError, "synthesize: %v", err)
-			return
-		}
-		s.jobs.Delete(job.ID)
-		switch final.State {
+		switch final := finals[0]; final.State {
 		case jobs.StateDone:
 			writeJSON(w, http.StatusOK, json.RawMessage(final.Result))
 		case jobs.StateFailed:
@@ -799,39 +823,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.releaseN(workers)
 
-	ids := make([]string, len(jobReqs))
-	cleanup := func() {
-		for _, id := range ids {
-			if id != "" {
-				s.jobs.Delete(id)
-			}
-		}
-	}
-	for i := range jobReqs {
-		raw, err := json.Marshal(&jobReqs[i])
-		if err != nil {
-			cleanup()
-			httpError(w, http.StatusInternalServerError, "encoding request: %v", err)
-			return
-		}
-		job, err := s.jobs.Submit(raw)
-		if err != nil {
-			cleanup()
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		ids[i] = job.ID
+	finals := s.runSync(w, r, "batch", jobReqs)
+	if finals == nil {
+		return
 	}
 	out := struct {
 		Results []resultJSON `json:"results"`
-	}{Results: make([]resultJSON, 0, len(ids))}
-	for _, id := range ids {
-		final, err := s.jobs.Wait(r.Context(), id)
-		if err != nil {
-			cleanup()
-			httpError(w, http.StatusInternalServerError, "batch: %v", err)
-			return
-		}
+	}{Results: make([]resultJSON, 0, len(finals))}
+	for _, final := range finals {
 		var res resultJSON
 		switch final.State {
 		case jobs.StateDone:
@@ -845,7 +844,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Results = append(out.Results, res)
 	}
-	cleanup()
 	writeJSON(w, http.StatusOK, out)
 }
 
