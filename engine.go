@@ -215,7 +215,7 @@ func WithRaceDetection() SynthOption {
 // program and distance tables, each running its own symbolic VM and one
 // of the program's solvers; the first worker to reach the goal cancels
 // the rest.
-// n <= 1 runs the unchanged sequential searcher, so WithParallelism(1) is
+// n <= 1 runs the unchanged sequential search, so WithParallelism(1) is
 // bit-identical to the default.
 // Frontier-parallel runs explore the sequential search's state space,
 // less the duplicate decision histories the dedup set drops, in a

@@ -107,7 +107,7 @@ func runUninterrupted(t *testing.T) string {
 
 // TestCheckpointResumeDeterminism preempts the listing1 deadlock search at
 // several loop iterations, round-trips the checkpoint through its encoded
-// bytes, resumes in a fresh searcher (fresh solver, fresh recorder, fresh
+// bytes, resumes in a fresh worker (fresh solver, fresh recorder, fresh
 // VM — everything a process restart would rebuild), and requires the final
 // deterministic summary to be identical to the uninterrupted run's.
 func TestCheckpointResumeDeterminism(t *testing.T) {

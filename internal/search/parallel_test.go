@@ -122,7 +122,7 @@ func TestParallelFindsListing1(t *testing.T) {
 }
 
 // TestParallelNormalizesToSequential checks n<=1 runs the sequential
-// searcher (the bit-identity guarantee is "same code", not "equivalent
+// search (the bit-identity guarantee is "same code", not "equivalent
 // code"; the byte-level golden lives in the root package tests).
 func TestParallelNormalizesToSequential(t *testing.T) {
 	rep, _ := listing1Report(t)

@@ -20,10 +20,12 @@
 // own symbolic VM and solver over the shared compiled program and
 // distance tables, pick from and insert into one frontier behind one
 // lock; a dedup set suppresses re-exploration, and the first worker to
-// reach the goal cancels the rest. Both searches set up their workers and
-// fold their results through the same code (see worker.go);
-// Parallelism <= 1 runs the sequential loop, whose picks, preemption
-// polls and sheds are the determinism contract.
+// reach the goal cancels the rest. Both searches run the same worker type
+// (see worker.go), and both keep their live pool bounded the same way:
+// past its cap, the worse half of the live states goes, ranked by the
+// keys they were inserted with (queueFrontier.shedWorst). Parallelism <= 1
+// runs the sequential loop, whose picks, preemption polls and sheds are
+// the determinism contract.
 package search
 
 import (
@@ -131,7 +133,7 @@ type Options struct {
 	// Parallelism, when > 1, runs the search with that many frontier
 	// workers over one shared priority frontier (per-worker VMs and
 	// solvers, state dedup, first-to-goal cancellation; see parallel.go).
-	// 0 or 1 runs the single-threaded searcher — the deterministic
+	// 0 or 1 runs the single-threaded search — the deterministic
 	// baseline a parallel run's winner is replayed against.
 	Parallelism int
 
@@ -287,7 +289,7 @@ type Result struct {
 	EagerForks         int
 
 	// Workers is the number of frontier workers that ran the search (1
-	// for the sequential searcher); WorkerWall attributes per-worker wall
+	// for the sequential search); WorkerWall attributes per-worker wall
 	// time and work when Workers > 1. DedupDrops counts forks dropped by
 	// the cross-worker dedup set (0 in sequential runs).
 	Workers    int
@@ -352,7 +354,7 @@ func Synthesize(ctx context.Context, prog *Program, rep *report.Report, opts Opt
 		opts.MaxSteps = 50_000_000
 	}
 	if opts.Parallelism <= 1 {
-		// One worker is the sequential searcher.
+		// One worker is the sequential search.
 		opts.Parallelism = 0
 	}
 	resume := opts.Resume

@@ -40,7 +40,7 @@ var (
 
 // flushTelemetry folds one finished run's counters into the process-wide
 // registry. It reads only the Result (which already aggregates the VM,
-// solver, and policy counters), so the sequential searcher and the
+// solver, and policy counters), so the sequential search and the
 // frontier-parallel driver flush through the same code.
 func flushTelemetry(res *Result) {
 	vmSteps.Add(res.Steps)

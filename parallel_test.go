@@ -37,7 +37,7 @@ func detJSON(t *testing.T, fr *esd.FlightReport) []byte {
 }
 
 // TestParallelOneIsSequential is the golden n=1 identity: frontier
-// parallelism 1 must run the unchanged sequential searcher, so its
+// parallelism 1 must run the unchanged sequential search, so its
 // flight report and synthesized execution are byte-identical to a plain
 // run of the same seed.
 func TestParallelOneIsSequential(t *testing.T) {
