@@ -479,6 +479,30 @@ func TestManagerRestartRecovery(t *testing.T) {
 
 // TestManagerShutdownCheckpoints: Close preempts running slices into
 // checkpoints instead of abandoning them.
+// TestRecoveryDropsSyncJobs: a synchronous job's waiter dies with the
+// process, so recovery deletes its record, live or finished, while every
+// other job recovers as before.
+func TestRecoveryDropsSyncJobs(t *testing.T) {
+	st := NewStore()
+	for _, j := range []*Job{
+		{ID: "sync-running", State: StateRunning, Sync: true},
+		{ID: "sync-done", State: StateDone, Sync: true},
+		{ID: "async", State: StateQueued},
+	} {
+		if err := st.Put(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := NewManager(Config{Store: st, Run: sliceRunner(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close(context.Background())
+	if js := m.List(); len(js) != 1 || js[0].ID != "async" {
+		t.Fatalf("after recovery the store holds %d records, want only the async job", len(js))
+	}
+}
+
 func TestManagerShutdownCheckpoints(t *testing.T) {
 	started := make(chan struct{}, 1)
 	run := func(ctx context.Context, j *Job, preempt func() bool) (*Outcome, error) {

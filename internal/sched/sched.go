@@ -196,12 +196,6 @@ func (p *DeadlockPolicy) isLockGoalSite(loc mir.Loc) bool {
 	return false
 }
 
-// eagerLimit is the per-lineage eager pre-acquisition fork budget. An
-// N-party deadlock needs about N threads to defer an acquisition, so the
-// budget is one per goal plus one; anything looser lets two contending
-// threads regenerate each other's alternatives combinatorially.
-func (p *DeadlockPolicy) eagerLimit() int { return len(p.Goals) + 1 }
-
 // goalSyncDist is the graded inner-lock test: the smallest number of sync
 // operations between loc and a goal *lock* site (0 when loc is itself
 // one). A thread that acquired a mutex at a site with a small value
@@ -263,8 +257,12 @@ func (p *DeadlockPolicy) BeforeSync(e *symex.Engine, st *symex.State, in *mir.In
 			// these alternatives: no single rollback reconstructs them.
 			// The fork enters the search scored by the site's graded
 			// distance, so nearer decision points are explored first.
+			// A lineage forks at most one per goal plus one: an N-party
+			// deadlock needs about N threads to defer an acquisition, and
+			// anything looser lets two contending threads regenerate each
+			// other's alternatives combinatorially.
 			if d, near := p.lockActivation(st.Loc()); p.Dist != nil && near &&
-				st.Preemptions < maxRollbacks && st.EagerForks < p.eagerLimit() {
+				st.Preemptions < maxRollbacks && st.EagerForks < len(p.Goals)+1 {
 				alt := e.ForkState(snap)
 				alt.SchedDist = d
 				alt.Preemptions = st.Preemptions + 1
@@ -319,7 +317,7 @@ func (p *DeadlockPolicy) beforeCondWait(e *symex.Engine, st *symex.State) []*sym
 	// Same gates as the mutex-path eager fork: the graded per-goal
 	// radius, the eager-fork budget, and the lineage's preemption/rollback
 	// bound (preemptCurrent below spends a preemption).
-	if !near || st.EagerForks >= p.eagerLimit() || st.Preemptions >= maxRollbacks {
+	if !near || st.EagerForks >= len(p.Goals)+1 || st.Preemptions >= maxRollbacks {
 		return nil
 	}
 	alt := e.ForkState(st)
