@@ -222,7 +222,7 @@ func main() {
 		case res.Cancelled:
 			fatal(fmt.Errorf("synthesis cancelled"))
 		case res.TimedOut:
-			fatal(fmt.Errorf("no execution synthesized within the time budget"))
+			fatal(fmt.Errorf("no execution synthesized before the time budget or the search's step cap ran out"))
 		case res.Stats.Sheds > 0:
 			fatal(fmt.Errorf("search ended without reproducing the bug, but the space was not exhausted: %d states were dropped over the live-state budget", res.Stats.Sheds))
 		}

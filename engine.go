@@ -128,7 +128,8 @@ func (e *Engine) Compile(filename, source string) (*Program, error) {
 	e.mu.Unlock()
 	// Compile outside the lock: concurrent first-time compiles of
 	// different programs must not serialize. A racing duplicate compile
-	// of the same source is harmless (last one wins; both are identical).
+	// of the same source is harmless: the first one in wins, and the
+	// others count as hits on its program.
 	p, err := CompileMiniC(filename, source)
 	if err != nil {
 		return nil, err
@@ -136,6 +137,7 @@ func (e *Engine) Compile(filename, source string) (*Program, error) {
 	e.mu.Lock()
 	if prev, ok := e.programs[key]; ok {
 		p = prev
+		e.compileHits.Add(1)
 	} else {
 		for k := range e.programs {
 			if len(e.programs) < maxCachedPrograms {
@@ -281,35 +283,16 @@ func WithResume(ck *Checkpoint) SynthOption {
 // Synthesize searches for an execution of prog that reproduces rep. It
 // honors ctx: cancellation aborts the search promptly (the VM polls the
 // context on a short step cadence) and is reported as Result.Cancelled;
-// a ctx deadline tighter than the budget is reported as TimedOut.
+// the budget becomes the search context's deadline, so it and a ctx
+// deadline tighter than it are both reported as TimedOut.
 func (e *Engine) Synthesize(ctx context.Context, prog *Program, rep *BugReport, opts ...SynthOption) (*Result, error) {
 	var so search.Options
 	for _, o := range opts {
 		o(&so)
 	}
 	reqStart := time.Now()
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if so.Budget == 0 {
 		so.Budget = DefaultBudget
-	}
-	// Honor a context deadline tighter than the budget: the search's own
-	// wall-clock check then fires first and reports TimedOut without
-	// waiting for the context machinery.
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem < so.Budget {
-			if rem <= 0 {
-				// Already expired. A negative budget must not reach the
-				// search: search.Options treats Budget <= 0 as "no
-				// wall-clock limit", so the run would burn the full step
-				// cap before noticing the context. Report the timeout
-				// immediately instead.
-				e.synthesized.Add(1)
-				return &Result{TimedOut: true, Stats: Stats{Interner: expr.InternerStats()}}, nil
-			}
-			so.Budget = rem
-		}
 	}
 	sp := prog.searchProgram()
 	// The persistent tier is scoped by the program's structural
@@ -343,8 +326,8 @@ func (e *Engine) Synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 		return nil, err
 	}
 	out := &Result{
-		TimedOut:  res.TimedOut,
-		Cancelled: res.Cancelled,
+		TimedOut:  res.Outcome == search.OutcomeTimeout || res.Outcome == search.OutcomeStepCap,
+		Cancelled: res.Outcome == search.OutcomeCancelled,
 		OtherBugs: res.OtherBugs,
 		Stats: Stats{
 			Duration:             res.Duration,
@@ -361,7 +344,7 @@ func (e *Engine) Synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 			Interner:             expr.InternerStats(),
 		},
 	}
-	if res.Preempted {
+	if res.Outcome == search.OutcomePreempted {
 		// The run is parked, not done: hand back the serialized search and
 		// skip the solve phase and the done event — the segment that finally
 		// completes the resumed chain finishes the trace, keeping the chain's
@@ -418,7 +401,7 @@ func buildFlightReport(so search.Options, rep *BugReport, res *search.Result, so
 	}
 	return &telemetry.Report{
 		Schema:      telemetry.ReportSchema,
-		Outcome:     res.Outcome(),
+		Outcome:     res.Outcome.String(),
 		Strategy:    so.Strategy.String(),
 		Seed:        so.Seed,
 		GoalQueues:  res.IntermediateGoalSets + len(rep.R.Goals()),

@@ -158,8 +158,9 @@ type Result struct {
 	Execution *Execution
 	// Found reports success.
 	Found bool
-	// TimedOut reports budget exhaustion (the synthesis budget or a
-	// context deadline) as opposed to space exhaustion.
+	// TimedOut reports that a budget ran out: wall clock, deadline or
+	// step cap (the flight report's outcome names the step cap), as
+	// opposed to space exhaustion.
 	TimedOut bool
 	// Cancelled reports that the context was cancelled mid-synthesis —
 	// distinct from TimedOut: the caller withdrew the request, the search

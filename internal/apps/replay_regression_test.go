@@ -42,7 +42,7 @@ func TestConcurrencyAppsReplayDeterministically(t *testing.T) {
 				t.Fatal(err)
 			}
 			if res.Found == nil {
-				t.Fatalf("not synthesized (timedOut=%v steps=%d)", res.TimedOut, res.Steps)
+				t.Fatalf("not synthesized (outcome %v steps=%d)", res.Outcome, res.Steps)
 			}
 			st := res.Found
 			var total int64

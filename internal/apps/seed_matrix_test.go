@@ -49,8 +49,8 @@ func TestSeedMatrixQuickSynthesis(t *testing.T) {
 					t.Fatal(err)
 				}
 				if res.Found == nil {
-					t.Fatalf("seed %d did not synthesize %s (timedOut=%v steps=%d states=%d)",
-						seed, name, res.TimedOut, res.Steps, res.StatesCreated)
+					t.Fatalf("seed %d did not synthesize %s (outcome %v steps=%d states=%d)",
+						seed, name, res.Outcome, res.Steps, res.StatesCreated)
 				}
 			})
 		}

@@ -42,8 +42,8 @@ func TestESDSynthesizesEveryBug(t *testing.T) {
 				t.Fatal(err)
 			}
 			if res.Found == nil {
-				t.Fatalf("ESD did not synthesize %s (timedOut=%v steps=%d states=%d otherBugs=%d)",
-					a.Name, res.TimedOut, res.Steps, res.StatesCreated, len(res.OtherBugs))
+				t.Fatalf("ESD did not synthesize %s (outcome %v steps=%d states=%d otherBugs=%d)",
+					a.Name, res.Outcome, res.Steps, res.StatesCreated, len(res.OtherBugs))
 			}
 			ex, err := trace.FromState(res.Found, solver.New())
 			if err != nil {

@@ -75,8 +75,7 @@ const Infinite int64 = 1 << 60
 // Calculator answers stack-aware distance queries over one program. It is
 // safe for concurrent use; per-goal tables are computed once and cached.
 type Calculator struct {
-	prog *mir.Program
-	cg   *cfa.CallGraph
+	cg *cfa.CallGraph
 
 	// index maps a function's name to its position in prog.Order, which
 	// indexes fns and every per-function table of the metrics: a stack
@@ -300,7 +299,6 @@ func NewCalculatorWith(cg *cfa.CallGraph) *Calculator {
 	prog := cg.Prog
 	n := len(prog.Order)
 	c := &Calculator{
-		prog:     prog,
 		cg:       cg,
 		index:    make(map[string]int, n),
 		fns:      make([]*fnGraph, n),

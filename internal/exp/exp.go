@@ -47,8 +47,9 @@ func (c Config) withDefaults() Config {
 // Outcome is one (bug, strategy) measurement.
 type Outcome struct {
 	Found bool
-	// Status is how the search ended (search.Result.Outcome): found,
-	// timeout, or, for a frontier that ran dry, exhausted or incomplete.
+	// Status names how the search ended (search.Result.Outcome): found,
+	// timeout (the budget ran out), step_cap (the instruction cap did),
+	// or, for a frontier that ran dry, exhausted or incomplete.
 	Status   string
 	Duration time.Duration
 	Steps    int64
@@ -57,11 +58,12 @@ type Outcome struct {
 
 // outcome measures one finished search.
 func outcome(res *search.Result) Outcome {
-	return Outcome{Found: res.Found != nil, Status: res.Outcome(), Duration: res.Duration, Steps: res.Steps, States: res.StatesCreated}
+	return Outcome{Found: res.Found != nil, Status: res.Outcome.String(), Duration: res.Duration, Steps: res.Steps, States: res.StatesCreated}
 }
 
 // String renders the time to the bug, or how the search ended without
-// it: a timeout as a lower bound, a run that ran dry with its status.
+// it: a timeout as a lower bound, any other ending (the step cap, a
+// frontier that ran dry) with its status.
 func (o Outcome) String() string {
 	if o.Status == "timeout" {
 		return fmt.Sprintf(">%.0fs (timeout)", o.Duration.Seconds())
@@ -113,7 +115,7 @@ func runApp(ctx context.Context, prog *search.Program, rep *report.Report, strat
 // rows for every remaining measurement (each subsequent Synthesize
 // returns immediately on the dead context) and print a bogus table.
 func cancelled(ctx context.Context, res *search.Result) error {
-	if !res.Cancelled {
+	if res.Outcome != search.OutcomeCancelled {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {

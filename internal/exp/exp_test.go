@@ -112,7 +112,8 @@ func TestBanner(t *testing.T) {
 }
 
 // TestOutcomeString checks that the tables tell a run that found the bug
-// from one the budget stopped and from one whose frontier ran dry.
+// from one the budget stopped, from one the step cap stopped and from one
+// whose frontier ran dry.
 func TestOutcomeString(t *testing.T) {
 	for _, c := range []struct {
 		o    Outcome
@@ -121,6 +122,7 @@ func TestOutcomeString(t *testing.T) {
 		{Outcome{Found: true, Status: "found", Duration: 40 * time.Millisecond}, "40ms"},
 		{Outcome{Found: true, Status: "found", Duration: 2770 * time.Millisecond}, "2.77s"},
 		{Outcome{Status: "timeout", Duration: 11770 * time.Millisecond}, ">12s (timeout)"},
+		{Outcome{Status: "step_cap", Duration: 12310 * time.Millisecond}, "12.31s (step_cap)"},
 		{Outcome{Status: "incomplete", Duration: 2390 * time.Millisecond}, "2.39s (incomplete)"},
 		{Outcome{Status: "exhausted", Duration: 13 * time.Millisecond}, "13ms (exhausted)"},
 	} {

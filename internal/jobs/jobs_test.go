@@ -250,11 +250,16 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 }
 
-// TestManagerSubscribe sees every state of a multi-slice job in order.
+// TestManagerSubscribe sees every state of a multi-slice job in order. A
+// blocker job holds the manager's one worker until Subscribe has
+// returned, so the job under test is still queued when it subscribes.
 func TestManagerSubscribe(t *testing.T) {
 	gate := make(chan struct{})
 	run := func(ctx context.Context, j *Job, preempt func() bool) (*Outcome, error) {
-		<-gate
+		if string(j.Request) == `"blocker"` {
+			<-gate
+			return &Outcome{Result: json.RawMessage(`{}`)}, nil
+		}
 		return sliceRunner(2)(ctx, j, preempt)
 	}
 	m, err := NewManager(Config{Store: NewStore(), Run: run, Slice: time.Millisecond})
@@ -262,6 +267,9 @@ func TestManagerSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close(context.Background())
+	if _, err := m.Submit([]byte(`"blocker"`), false); err != nil {
+		t.Fatal(err)
+	}
 	j, err := m.Submit(nil, false)
 	if err != nil {
 		t.Fatal(err)

@@ -306,10 +306,3 @@ func (p *Player) Describe() string {
 	}
 	return b.String()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

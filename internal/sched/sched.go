@@ -40,7 +40,6 @@ type DeadlockPolicy struct {
 	SnapshotsTaken     int
 	SnapshotsActivated int
 	EagerForks         int
-	Preemptions        int
 
 	// Goal sites split by opcode (resolved lazily from the program):
 	// mutex-acquisition goals drive the §4.1 snapshot/rollback machinery,
@@ -377,7 +376,6 @@ func (p *DeadlockPolicy) preemptCurrent(st *symex.State) {
 	if best >= 0 {
 		st.SwitchTo(best)
 		st.Preemptions++
-		p.Preemptions++
 	}
 }
 
@@ -411,8 +409,6 @@ type RacePolicy struct {
 	// Dist supplies the graded sync-distance metric. Nil disables ranking
 	// (forks are created in thread-ID order).
 	Dist *dist.Calculator
-
-	Preemptions int
 }
 
 var _ symex.Policy = (*RacePolicy)(nil)
@@ -473,7 +469,6 @@ func (p *RacePolicy) BeforeSync(e *symex.Engine, st *symex.State, in *mir.Instr)
 		fork := e.ForkState(st)
 		fork.SwitchTo(c.tid)
 		fork.Preemptions++
-		p.Preemptions++
 		out = append(out, fork)
 	}
 	return out
@@ -505,8 +500,6 @@ func (p *RacePolicy) PickNext(e *symex.Engine, st *symex.State) int { return -1 
 // uses 2, §7.2).
 type BoundedPolicy struct {
 	Limit int
-
-	Preemptions int
 }
 
 var _ symex.Policy = (*BoundedPolicy)(nil)
@@ -528,7 +521,6 @@ func (p *BoundedPolicy) BeforeSync(e *symex.Engine, st *symex.State, in *mir.Ins
 		fork := e.ForkState(st)
 		fork.SwitchTo(tid)
 		fork.Preemptions++
-		p.Preemptions++
 		out = append(out, fork)
 	}
 	return out

@@ -138,12 +138,11 @@ type Checkpoint struct {
 	Recorder *telemetry.RecorderState `json:"recorder,omitempty"`
 	Race     *race.DetectorState      `json:"race,omitempty"`
 
-	// Scheduling-policy stats counters (decisions gate on per-state
-	// marks, so counters are all a policy needs restored).
+	// Deadlock-policy counters: decisions gate on per-state marks, so they
+	// are all it needs restored (older pol_preemptions keys are ignored).
 	PolSnapshotsTaken     int `json:"pol_snapshots_taken,omitempty"`
 	PolSnapshotsActivated int `json:"pol_snapshots_activated,omitempty"`
 	PolEagerForks         int `json:"pol_eager_forks,omitempty"`
-	PolPreemptions        int `json:"pol_preemptions,omitempty"`
 }
 
 // ckField is one Checkpoint field as its JSON codec sees it: the key, a
@@ -180,7 +179,7 @@ func (ck *Checkpoint) fields() []ckField {
 		{"recorder", &ck.Recorder, true}, {"race", &ck.Race, true},
 		{"pol_snapshots_taken", &ck.PolSnapshotsTaken, true},
 		{"pol_snapshots_activated", &ck.PolSnapshotsActivated, true},
-		{"pol_eager_forks", &ck.PolEagerForks, true}, {"pol_preemptions", &ck.PolPreemptions, true},
+		{"pol_eager_forks", &ck.PolEagerForks, true},
 	}
 }
 
@@ -527,15 +526,10 @@ func (w *worker) checkpoint(res *Result) ([]byte, error) {
 		}
 	}
 
-	switch p := w.eng.Policy.(type) {
-	case *sched.DeadlockPolicy:
+	if p, ok := w.eng.Policy.(*sched.DeadlockPolicy); ok {
 		ck.PolSnapshotsTaken = p.SnapshotsTaken
 		ck.PolSnapshotsActivated = p.SnapshotsActivated
 		ck.PolEagerForks = p.EagerForks
-	case *sched.RacePolicy:
-		ck.PolPreemptions = p.Preemptions
-	case *sched.BoundedPolicy:
-		ck.PolPreemptions = p.Preemptions
 	}
 	return ck.encode(roots)
 }
@@ -545,11 +539,12 @@ func (w *worker) checkpoint(res *Result) ([]byte, error) {
 // the run where it stopped. The race-detector setting and the plan
 // layout must match the checkpointed run's (the detector is checked here,
 // not in compatible, because a race report turns it on whatever the
-// options say). Then come the VM counters, the RNG position, the
-// per-run counters, the collaborators' state and the frontier
-// structures; the solver baselines shift back by the checkpointed
-// consumption, so the folded Result and the progress events stay
-// cumulative across the chain.
+// options say). Then come the VM counters, the per-run counters, the
+// collaborators' state, the frontier structures and, last, the RNG
+// position, whose replay fails with the context's error once the context
+// ends; the solver baselines shift back by the checkpointed consumption,
+// so the folded Result and the progress events stay cumulative across
+// the chain.
 func (w *worker) restore(ck *Checkpoint) error {
 	if on := w.det != nil; ck.WithRace != on {
 		return fmt.Errorf("search: checkpoint race detection is %v, the resume request's is %v", ck.WithRace, on)
@@ -566,9 +561,6 @@ func (w *worker) restore(ck *Checkpoint) error {
 	}
 	w.eng.Stats = ck.EngStats
 	w.eng.RestoreCounters(ck.NextStateID, ck.NextObjID)
-	if err := w.rngSrc.skip(w.ctx, ck.RngDraws); err != nil {
-		return err
-	}
 	w.allPicks = ck.AllPicks
 	w.agingPicks = ck.AgingPicks
 	w.sheds = ck.Sheds
@@ -588,15 +580,10 @@ func (w *worker) restore(ck *Checkpoint) error {
 	w.base.wallNS -= ck.SolverWallNS
 
 	w.det.Restore(ck.Race)
-	switch p := w.eng.Policy.(type) {
-	case *sched.DeadlockPolicy:
+	if p, ok := w.eng.Policy.(*sched.DeadlockPolicy); ok {
 		p.SnapshotsTaken = ck.PolSnapshotsTaken
 		p.SnapshotsActivated = ck.PolSnapshotsActivated
 		p.EagerForks = ck.PolEagerForks
-	case *sched.RacePolicy:
-		p.Preemptions = ck.PolPreemptions
-	case *sched.BoundedPolicy:
-		p.Preemptions = ck.PolPreemptions
 	}
 
 	f := w.front
@@ -659,7 +646,7 @@ func (w *worker) restore(ck *Checkpoint) error {
 			}
 		}
 	}
-	return nil
+	return w.rngSrc.skip(w.ctx, ck.RngDraws)
 }
 
 // flushDelta returns a copy of res with the checkpoint's share of the

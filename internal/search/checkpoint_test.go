@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -47,7 +48,7 @@ type detSummary struct {
 func summarize(t *testing.T, res *Result, rec *telemetry.Recorder) string {
 	t.Helper()
 	s := detSummary{
-		Outcome:            res.Outcome(),
+		Outcome:            res.Outcome.String(),
 		Steps:              res.Steps,
 		States:             res.StatesCreated,
 		BranchForks:        res.BranchForks,
@@ -127,7 +128,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Preempted {
+		if res.Outcome != OutcomePreempted {
 			// The search finished before the preemption point: the plain
 			// result must already match the golden run.
 			if got := summarize(t, res, rec); got != golden {
@@ -137,9 +138,6 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 		}
 		if res.Found != nil {
 			t.Fatalf("preemptAt=%d: preempted result carries a Found state", preemptAt)
-		}
-		if res.Outcome() != "preempted" {
-			t.Fatalf("preemptAt=%d: outcome %q, want preempted", preemptAt, res.Outcome())
 		}
 
 		ck, err := DecodeCheckpoint(res.Checkpoint)
@@ -191,7 +189,7 @@ func TestCheckpointChainedResume(t *testing.T) {
 		if segments > 10_000 {
 			t.Fatal("chain did not converge")
 		}
-		if !res.Preempted {
+		if res.Outcome != OutcomePreempted {
 			if segments < 2 {
 				t.Fatalf("search finished in %d segment(s); preemption never engaged", segments)
 			}
@@ -249,7 +247,7 @@ func TestCheckpointRandomPathResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Preempted {
+		if res.Outcome != OutcomePreempted {
 			if segments < 2 {
 				t.Fatalf("search finished in %d segment(s); preemption never engaged", segments)
 			}
@@ -282,7 +280,7 @@ func TestCheckpointCompatibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Preempted {
+	if res.Outcome != OutcomePreempted {
 		t.Fatal("search was not preempted")
 	}
 	ck, err := DecodeCheckpoint(res.Checkpoint)
@@ -312,6 +310,48 @@ func TestCheckpointCompatibility(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeTimesOutInRestore: a resume whose budget runs out
+// while the RNG replays (here, a draw count no replay finishes) ends as a
+// timeout with the checkpoint's counters, as one that runs out in the
+// loop does, not as an error. The budget is the deadline of the context
+// the replay polls.
+func TestCheckpointResumeTimesOutInRestore(t *testing.T) {
+	rep, _ := listing1Report(t)
+	prog := lang.MustCompile("listing1.c", listing1)
+	opts := checkpointOptions(nil)
+	polls := 0
+	opts.Preempt = func() bool {
+		polls++
+		return polls == 5
+	}
+	res, err := Synthesize(context.Background(), NewProgram(prog), rep, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != OutcomePreempted {
+		t.Fatalf("outcome %v, want preempted", res.Outcome)
+	}
+	ck, err := DecodeCheckpoint(res.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.RngDraws = math.MaxInt64
+	resume := checkpointOptions(nil)
+	resume.Resume = ck
+	resume.Budget = time.Duration(ck.ElapsedNS) + 100*time.Millisecond
+	// The caller's own deadline only keeps a replay that ignores the
+	// budget from running forever.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err = Synthesize(ctx, NewProgram(prog), rep, resume)
+	if err != nil {
+		t.Fatalf("a resume whose budget ran out while it restored failed: %v", err)
+	}
+	if res.Outcome != OutcomeTimeout || res.Steps != ck.EngStats.Steps || res.Steps == 0 {
+		t.Fatalf("outcome %v after %d steps, want timeout after the checkpoint's %d", res.Outcome, res.Steps, ck.EngStats.Steps)
+	}
+}
+
 // TestCheckpointRaceDetectorMismatch rejects a resume whose race-detector
 // setting differs from the checkpointed run's, in both directions: the
 // detector picks the scheduling policy of crash reports and carries state
@@ -328,7 +368,7 @@ func TestCheckpointRaceDetectorMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Preempted {
+		if res.Outcome != OutcomePreempted {
 			t.Fatal("search was not preempted")
 		}
 		ck, err := DecodeCheckpoint(res.Checkpoint)
@@ -377,7 +417,7 @@ func TestCheckpointPreemptStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Preempted {
+		if res.Outcome != OutcomePreempted {
 			if got := summarize(t, res, rec); got != golden {
 				t.Fatalf("stress chain (%d segments) diverged from golden:\ngot:\n%s\n---\nwant:\n%s", segments, got, golden)
 			}

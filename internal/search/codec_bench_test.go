@@ -34,7 +34,7 @@ func ls3Checkpoint(tb testing.TB, polls int) (*mir.Program, []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if !res.Preempted {
+	if res.Outcome != OutcomePreempted {
 		tb.Fatalf("ls3 finished before poll %d", polls)
 	}
 	return prog, res.Checkpoint

@@ -36,12 +36,13 @@ import (
 //   - A dedup set drops states whose decision history (path condition +
 //     schedule) was already admitted — the redundancy source is snapshot
 //     activation, where sibling states carry the same K_S snapshots.
-//   - The run ends when a worker reaches a goal state (it cancels the rest
-//     through the run-scoped context), when the budget runs out (the same
-//     way), or when the frontier is empty and no worker holds a state that
-//     could refill it. Idle workers wait on one condition variable: each
-//     insert signals it, exhaustion broadcasts it, and a cancelled run
-//     context broadcasts it through context.AfterFunc.
+//   - The run ends when its context does. A worker that reaches a goal
+//     state, or take finding the frontier empty while no worker holds a
+//     state or the step cap spent, records the outcome and cancels it;
+//     the caller's deadline (the budget) or cancellation ends it from
+//     outside. Idle workers wait on one condition variable: each insert
+//     signals it, and the run context's end broadcasts it through
+//     context.AfterFunc.
 //
 // Determinism: a parallel run's outcome depends on the OS scheduler, so
 // it makes no replay promise itself; the contract is that the *winning
@@ -76,8 +77,8 @@ func runParallel(ctx context.Context, pl *plan, opts Options, start time.Time, e
 		bestFit: dist.Infinite,
 	}
 	r.idle = sync.NewCond(&r.mu)
-	// A goal, the budget or the caller cancels the run context; every idle
-	// worker must wake to observe it.
+	// Every ending cancels the run context; every idle worker must wake to
+	// observe it.
 	stop := context.AfterFunc(runCtx, func() {
 		r.mu.Lock()
 		r.idle.Broadcast()
@@ -129,6 +130,7 @@ drive:
 	// run's fields is race-free.
 	res := &Result{
 		Found:                r.winner,
+		Outcome:              r.outcome,
 		IntermediateGoalSets: pl.nInter,
 		Terminals:            map[symex.StateStatus]int64{},
 		Workers:              n,
@@ -148,16 +150,6 @@ drive:
 		})
 	}
 	res.Duration = time.Since(start)
-	if res.Found == nil {
-		switch {
-		case r.timedOut:
-			// Our own budget cancel, not the caller's context.
-			res.TimedOut = true
-		case r.ctx.Err() != nil:
-			res.TimedOut, res.Cancelled = classifyCtxErr(r.ctx.Err())
-		}
-		// Otherwise: genuinely exhausted.
-	}
 	return res, nil
 }
 
@@ -184,8 +176,17 @@ type parallelRun struct {
 
 	steps, states, maxDepth, bestFit int64
 	sheds, dedupDrops                int64
-	timedOut                         bool
+	outcome                          Outcome
 	winner                           *symex.State
+}
+
+// end records o as the run's outcome unless one is recorded already, and
+// cancels the run context.
+func (r *parallelRun) end(o Outcome) {
+	if r.outcome == 0 {
+		r.outcome = o
+	}
+	r.cancel()
 }
 
 // place takes a state the producing worker admitted, with the keys it
@@ -214,23 +215,25 @@ func (r *parallelRun) place(w *worker, st *symex.State, keys []esdKey) {
 }
 
 // take pops the next state for w and counts w busy. It returns nil when
-// the run is over: a goal found, the context done, the budget spent, or
-// the search space exhausted — the frontier empty while no worker holds a
-// state that could refill it. Exhaustion is checked before the budget, as
-// the sequential loop's condition is, so both searches report the same
-// outcome for the same search. A worker that finds the frontier empty
-// while peers still run waits for an insert or the end of the run.
+// the run is over: the search space exhausted (the frontier empty while no
+// worker holds a state that could refill it), the context done, or the
+// step cap spent, checked in the sequential loop's order, so both
+// searches report the same outcome for the same search. It records the
+// outcome it decides. A worker that finds the frontier empty while peers
+// still run waits for an insert or the end of the run.
 func (r *parallelRun) take(w *worker) *symex.State {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for r.ctx.Err() == nil {
+	for {
 		if r.front.size() == 0 && r.busy == 0 {
-			r.idle.Broadcast() // peers must observe the exhaustion
+			r.end(ranDry(r.sheds))
+		}
+		if err := r.ctx.Err(); err != nil {
+			r.end(ctxOutcome(err))
 			return nil
 		}
-		if r.opts.Budget > 0 && time.Since(r.start) > r.opts.Budget || r.steps > r.opts.MaxSteps {
-			r.timedOut = true
-			r.cancel()
+		if r.steps > r.opts.MaxSteps {
+			r.end(OutcomeStepCap)
 			return nil
 		}
 		if st, aged := r.front.pick(w.rng); st != nil {
@@ -244,12 +247,11 @@ func (r *parallelRun) take(w *worker) *symex.State {
 		}
 		r.idle.Wait()
 	}
-	return nil
 }
 
 // runWorker is one worker's life: take a state, run a quantum unlocked
 // (its forks and survivor come back through place), fold the quantum's
-// work into the run's counters, repeat.
+// work into the run's counters, repeat until take ends it.
 func (r *parallelRun) runWorker(w *worker) {
 	searchWorkers.Add(1)
 	defer searchWorkers.Add(-1)
@@ -262,17 +264,19 @@ func (r *parallelRun) runWorker(w *worker) {
 		r.busy--
 		r.steps += w.eng.Stats.Steps - steps
 		r.states += w.eng.Stats.States - states
-		if found != nil && r.winner == nil {
-			// The first goal state wins and cancels everyone else.
-			r.winner, w.found = found, true
+		switch {
+		case found != nil && r.winner == nil:
+			// The first goal state wins, over any outcome recorded while
+			// its quantum ran, and cancels everyone else.
+			r.winner, r.outcome, w.found = found, OutcomeFound, true
 			r.cancel()
+		case err != nil:
+			// ErrInterrupted: the VM observed the ended run context
+			// mid-quantum and dropped st, so the frontier running dry
+			// after this proves nothing.
+			r.end(ctxOutcome(r.ctx.Err()))
 		}
 		r.mu.Unlock()
-		if err != nil || found != nil {
-			// err is ErrInterrupted: the VM observed the cancelled run
-			// context mid-quantum; runParallel classifies the outcome.
-			return
-		}
 	}
 }
 

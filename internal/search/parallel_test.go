@@ -82,8 +82,8 @@ func TestParallelFindsListing1(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Found == nil {
-		t.Fatalf("parallel search did not synthesize the deadlock (timedOut=%v, steps=%d)",
-			res.TimedOut, res.Steps)
+		t.Fatalf("parallel search did not synthesize the deadlock (outcome %v, steps=%d)",
+			res.Outcome, res.Steps)
 	}
 	if res.Workers != 4 {
 		t.Errorf("Workers = %d, want 4", res.Workers)
@@ -150,11 +150,10 @@ func TestParallelNormalizesToSequential(t *testing.T) {
 
 // TestParallelStepCapOutcomeMatchesSequential is the outcome-mapping
 // golden: a MaxSteps-exhausted run must classify identically on the
-// sequential and frontier-parallel paths — TimedOut (the step cap is a
-// budget, not space exhaustion), not Cancelled, Outcome() "timeout".
-// The parallel path used to be able to diverge here because its budget
-// check folded differently into the terminal flags than the sequential
-// loop's. Workers check the cap only between quanta, so the target must
+// sequential and frontier-parallel paths, as the step cap (a budget, not
+// space exhaustion, and not the wall-clock budget either). The parallel
+// path used to be able to diverge here because its budget check folded
+// differently into the terminal flags than the sequential loop's. Workers check the cap only between quanta, so the target must
 // be one that four overlapping 32-step quanta cannot reach either:
 // listing1's deadlock sometimes was, pipeline's is not.
 func TestParallelStepCapOutcomeMatchesSequential(t *testing.T) {
@@ -182,9 +181,45 @@ func TestParallelStepCapOutcomeMatchesSequential(t *testing.T) {
 		if res.Found != nil {
 			t.Fatalf("n=%d: found the bug within 50 steps; the step cap did not bind", n)
 		}
-		if !res.TimedOut || res.Cancelled || res.Outcome() != "timeout" {
-			t.Errorf("n=%d: step-cap exhaustion → TimedOut=%v Cancelled=%v Outcome=%q, want timeout",
-				n, res.TimedOut, res.Cancelled, res.Outcome())
+		if res.Outcome != OutcomeStepCap {
+			t.Errorf("n=%d: step-cap exhaustion → outcome %v, want step_cap", n, res.Outcome)
+		}
+	}
+}
+
+// TestBudgetEndsBothSearchesAsTimeout: the budget is the run context's
+// deadline, which the sequential loop and every frontier-parallel worker
+// stop on, so a search that cannot reach its bug in time reads "timeout"
+// on both paths, promptly. The KC-DFS baseline on ls1 runs to the 50 M
+// step cap without finding the bug, far past a 200 ms budget.
+func TestBudgetEndsBothSearchesAsTimeout(t *testing.T) {
+	a := apps.Get("ls1")
+	prog, err := a.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := a.Coredump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 200 * time.Millisecond
+	for _, n := range []int{1, 2} {
+		start := time.Now()
+		res, err := Synthesize(context.Background(), NewProgram(prog), rep, Options{
+			Strategy:        StrategyDFS,
+			PreemptionBound: 2,
+			Budget:          budget,
+			Seed:            1,
+			Parallelism:     n,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Outcome != OutcomeTimeout {
+			t.Errorf("n=%d: outcome %v after %d steps, want timeout", n, res.Outcome, res.Steps)
+		}
+		if elapsed := time.Since(start); elapsed > budget+2*time.Second {
+			t.Errorf("n=%d: a %v budget took %v to stop the search", n, budget, elapsed)
 		}
 	}
 }
@@ -286,7 +321,7 @@ func TestParallelUnderReclaim(t *testing.T) {
 			t.Fatalf("parallel search under forced collections failed: %v", err)
 		}
 		if res.Found == nil {
-			t.Fatalf("parallel search under forced collections found nothing (timedOut=%v)", res.TimedOut)
+			t.Fatalf("parallel search under forced collections found nothing (outcome %v)", res.Outcome)
 		}
 		if collections.Load() > before {
 			return
@@ -316,8 +351,8 @@ func TestParallelExhaustsLikeSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Outcome() != "exhausted" || res.Sheds != 0 {
-			t.Fatalf("n=%d: outcome %q with %d sheds, want exhausted with none", n, res.Outcome(), res.Sheds)
+		if res.Outcome != OutcomeExhausted || res.Sheds != 0 {
+			t.Fatalf("n=%d: outcome %v with %d sheds, want exhausted with none", n, res.Outcome, res.Sheds)
 		}
 		return work{res.Steps, res.StatesCreated, res.DedupDrops, fmt.Sprint(res.Terminals)}
 	}

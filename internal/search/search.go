@@ -26,6 +26,10 @@
 // keys they were inserted with (queueFrontier.shedWorst). Parallelism <= 1
 // runs the sequential loop, whose picks, preemption polls and sheds are
 // the determinism contract.
+//
+// A search has one clock: Options.Budget is the deadline of the run's
+// context, which the sequential loop, the VM's poll and every parallel
+// worker stop on. Result.Outcome records how the search stopped.
 package search
 
 import (
@@ -88,9 +92,10 @@ type Ablate struct {
 // pre-Engine API copied three parallel structs field by field).
 type Options struct {
 	Strategy Strategy
-	// Budget bounds wall-clock time (0 = no limit; cancellation is then
-	// entirely up to the context). The public API resolves 0 to the
-	// engine's DefaultBudget before it gets here.
+	// Budget bounds wall-clock time as the run context's deadline,
+	// measured from the run's start (back-dated by what a resumed chain
+	// already spent); an earlier caller deadline stands. 0 = no limit.
+	// The public API resolves 0 to the engine's DefaultBudget.
 	Budget time.Duration
 	// MaxSteps bounds total executed instructions (0 = default 50M).
 	MaxSteps int64
@@ -139,8 +144,8 @@ type Options struct {
 
 	// Preempt, when set, is polled at the top of every sequential
 	// run-loop iteration (never mid-quantum). Returning true stops the
-	// search and serializes it: the Result comes back with Preempted set
-	// and Checkpoint holding everything needed to continue later.
+	// search and serializes it: the Result's Outcome is OutcomePreempted
+	// and its Checkpoint holds everything needed to continue later.
 	// Frontier-parallel runs ignore it (their interleaving is not
 	// replayable, so there is nothing deterministic to checkpoint).
 	Preempt func() bool
@@ -216,23 +221,63 @@ type ProgressEvent struct {
 	SolverQueries int
 }
 
-// Result is the outcome of a synthesis run.
+// Outcome is how a search ended; the zero Outcome is a search that has
+// not ended. A frontier that ran dry reads exhausted only when no state
+// was shed on the way: after a shed, states that were never explored may
+// hold the bug, so the run is incomplete. A timeout is the run context's
+// deadline, the budget's or the caller's; the step cap is
+// Options.MaxSteps.
+type Outcome int
+
+// Outcomes.
+const (
+	OutcomeExhausted Outcome = iota + 1
+	OutcomeIncomplete
+	OutcomeFound
+	OutcomePreempted
+	OutcomeCancelled
+	OutcomeTimeout
+	OutcomeStepCap
+)
+
+var outcomeNames = [...]string{
+	OutcomeExhausted: "exhausted", OutcomeIncomplete: "incomplete", OutcomeFound: "found",
+	OutcomePreempted: "preempted", OutcomeCancelled: "cancelled", OutcomeTimeout: "timeout",
+	OutcomeStepCap: "step_cap",
+}
+
+// String names the outcome for the flight report and /metrics.
+func (o Outcome) String() string { return outcomeNames[o] }
+
+// ranDry is the outcome of a search whose frontier ran dry after shedding
+// sheds states.
+func ranDry(sheds int64) Outcome {
+	if sheds > 0 {
+		return OutcomeIncomplete
+	}
+	return OutcomeExhausted
+}
+
+// ctxOutcome is the outcome of a search stopped by its context ending
+// with err: a deadline is a timeout, anything else a cancellation.
+func ctxOutcome(err error) Outcome {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return OutcomeTimeout
+	}
+	return OutcomeCancelled
+}
+
+// Result is what a synthesis run found and did.
 type Result struct {
 	// Found is the synthesized failing state matching the report (nil if
 	// none found within budget).
 	Found *symex.State
-	// TimedOut distinguishes budget exhaustion (wall-clock budget or a
-	// context deadline) from search-space exhaustion.
-	TimedOut bool
-	// Cancelled reports that the context was cancelled mid-search (as
-	// opposed to the budget running out or the space being exhausted).
-	Cancelled bool
-	// Preempted reports that Options.Preempt stopped the search;
-	// Checkpoint then holds the encoded run (DecodeCheckpoint reads it)
-	// and CheckpointNanos the wall time spent building and encoding it.
-	// All counters below are cumulative across a preempt/resume chain (a
+	// Outcome is how the run ended. When it is OutcomePreempted,
+	// Checkpoint holds the encoded run (DecodeCheckpoint reads it) and
+	// CheckpointNanos the wall time spent building and encoding it. All
+	// counters below are cumulative across a preempt/resume chain (a
 	// resumed Result reads as if the run had never stopped).
-	Preempted       bool
+	Outcome         Outcome
 	Checkpoint      []byte
 	CheckpointNanos int64
 
@@ -297,28 +342,6 @@ type Result struct {
 	DedupDrops int64
 }
 
-// Outcome classifies the run for telemetry and reports: found | preempted
-// | cancelled | timeout | incomplete | exhausted. A frontier that ran dry
-// is "exhausted" only when no state was shed on the way: after a shed,
-// states that were never explored may hold the bug, so the run is
-// "incomplete".
-func (r *Result) Outcome() string {
-	switch {
-	case r.Found != nil:
-		return "found"
-	case r.Preempted:
-		return "preempted"
-	case r.Cancelled:
-		return "cancelled"
-	case r.TimedOut:
-		return "timeout"
-	case r.Sheds > 0:
-		return "incomplete"
-	default:
-		return "exhausted"
-	}
-}
-
 // Program is the static half of a compiled program, which every
 // synthesis of it shares: the MIR, the call graph and distance tables,
 // built by the first synthesis, and the structural fingerprint, computed
@@ -342,10 +365,12 @@ func (p *Program) Fingerprint() uint64 {
 	return p.fp
 }
 
-// Synthesize searches for an execution of prog matching rep. The context
-// cancels the search promptly (mid-quantum: the VM checks it on a short
-// step cadence); a context deadline is reported as TimedOut, an explicit
-// cancellation as Cancelled.
+// Synthesize searches for an execution of prog matching rep. The run's
+// context carries the budget as its deadline and stops the search
+// promptly (mid-quantum: the VM checks it on a short step cadence); a
+// deadline ends the run as OutcomeTimeout, a cancellation as
+// OutcomeCancelled. A context that has already ended returns before the
+// static phase.
 func Synthesize(ctx context.Context, prog *Program, rep *report.Report, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -382,6 +407,14 @@ func Synthesize(ctx context.Context, prog *Program, rep *report.Report, opts Opt
 		// Back-date the run start by the consumed budget so wall-clock
 		// budgeting and Duration are cumulative across the chain.
 		start = start.Add(-time.Duration(resume.ElapsedNS))
+	}
+	if opts.Budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, start.Add(opts.Budget))
+		defer cancel()
+	}
+	if err := ctx.Err(); err != nil {
+		return &Result{Outcome: ctxOutcome(err)}, nil
 	}
 	emit := func(ph Phase, live int) {
 		if opts.OnProgress != nil {
@@ -432,7 +465,9 @@ func Synthesize(ctx context.Context, prog *Program, rep *report.Report, opts Opt
 func runSequential(ctx context.Context, pl *plan, opts Options, start time.Time, emit func(Phase, int)) (*Result, error) {
 	w := newWorker(ctx, pl, opts, 0, 1, start)
 	if ck := opts.Resume; ck != nil {
-		if err := w.restore(ck); err != nil {
+		// A context that ends while the RNG replays leaves the rest of
+		// the run restored, and runLoop then ends it with its counters.
+		if err := w.restore(ck); err != nil && !errors.Is(err, ctx.Err()) {
 			return nil, err
 		}
 		emit(PhaseSearch, w.front.size())
@@ -447,20 +482,18 @@ func runSequential(ctx context.Context, pl *plan, opts Options, start time.Time,
 		w.seed(init)
 	}
 	searchWorkers.Add(1)
-	found, timedOut, cancelled, preempted := w.runLoop()
+	found, outcome := w.runLoop()
 	searchWorkers.Add(-1)
 	res := &Result{
 		Found:                found,
-		TimedOut:             timedOut,
-		Cancelled:            cancelled,
+		Outcome:              outcome,
 		Duration:             time.Since(start),
 		IntermediateGoalSets: pl.nInter,
 		Terminals:            map[symex.StateStatus]int64{},
 		Workers:              1,
 	}
 	w.fold(res)
-	if preempted {
-		res.Preempted = true
+	if outcome == OutcomePreempted {
 		ckStart := time.Now()
 		blob, err := w.checkpoint(res)
 		if err != nil {
@@ -612,30 +645,28 @@ func (w *worker) sampleFrontier() {
 }
 
 // runLoop is the sequential search loop, entered with a fresh frontier or
-// a restored one. It drives the search to one of its outcomes: found,
-// space exhausted, timed out (budget or context deadline), cancelled, or
-// preempted (Options.Preempt asked for a checkpoint).
-// Preemption is polled at the loop top only — after the ctx/budget checks,
-// before the progress and sampling hooks — so a checkpoint never splits a
-// quantum and the resumed iteration replays the hooks exactly once.
-func (w *worker) runLoop() (found *symex.State, timedOut, cancelled, preempted bool) {
+// a restored one. It drives the search to one of its outcomes and returns
+// it with the found state, if any.
+// Preemption is polled at the loop top only — after the context and
+// step-cap checks, before the progress and sampling hooks — so a
+// checkpoint never splits a quantum and the resumed iteration replays the
+// hooks exactly once.
+func (w *worker) runLoop() (*symex.State, Outcome) {
 	for w.front.size() > 0 {
-		now := time.Now()
 		if err := w.ctx.Err(); err != nil {
-			timedOut, cancelled = classifyCtxErr(err)
-			return nil, timedOut, cancelled, false
+			return nil, ctxOutcome(err)
 		}
-		if w.budgetExceeded(now) {
-			return nil, true, false, false
+		if w.eng.Stats.Steps > w.opts.MaxSteps {
+			return nil, OutcomeStepCap
 		}
 		if w.opts.Preempt != nil && w.opts.Preempt() {
-			return nil, false, false, true
+			return nil, OutcomePreempted
 		}
-		w.maybeProgress(now)
+		w.maybeProgress(time.Now())
 		w.sampleFrontier()
 		st, aged := w.front.pick(w.rng)
 		if st == nil {
-			return nil, false, false, false
+			break
 		}
 		w.spareKeys = w.front.spentKeys()
 		if aged {
@@ -645,11 +676,10 @@ func (w *worker) runLoop() (found *symex.State, timedOut, cancelled, preempted b
 		if err != nil {
 			// The VM observed the context mid-quantum (the prompt-
 			// cancellation path for long quanta and solver-heavy steps).
-			timedOut, cancelled = classifyCtxErr(w.ctx.Err())
-			return nil, timedOut, cancelled, false
+			return nil, ctxOutcome(w.ctx.Err())
 		}
 		if found != nil {
-			return found, false, false, false
+			return found, OutcomeFound
 		}
 		if w.front.size() > maxLiveStates {
 			// Shed the worse half, as a frontier-parallel run does.
@@ -663,16 +693,7 @@ func (w *worker) runLoop() (found *symex.State, timedOut, cancelled, preempted b
 			})
 		}
 	}
-	return nil, false, false, false
-}
-
-// classifyCtxErr maps a context error onto the result flags: deadlines are
-// budget exhaustion, everything else is an explicit cancellation.
-func classifyCtxErr(err error) (timedOut, cancelled bool) {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return true, false
-	}
-	return false, true
+	return nil, ranDry(w.sheds)
 }
 
 // maybeProgress emits a periodic PhaseSearch snapshot, rate-limited to one
@@ -748,13 +769,6 @@ func (w *worker) scoreState(st *symex.State) (keys []esdKey, unreachable bool) {
 		keys[q] = esdKey{fit: combineFitness(d, sched), id: st.ID}
 	}
 	return keys, unreachable
-}
-
-func (w *worker) budgetExceeded(now time.Time) bool {
-	if w.opts.Budget > 0 && now.Sub(w.start) > w.opts.Budget {
-		return true
-	}
-	return w.eng.Stats.Steps > w.opts.MaxSteps
 }
 
 // agingPeriod is the cadence of the FIFO aging pick: every fourth pick

@@ -86,8 +86,8 @@ func TestListing1EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Found == nil {
-		t.Fatalf("ESD did not synthesize the deadlock (timedOut=%v, steps=%d, otherBugs=%v)",
-			res.TimedOut, res.Steps, res.OtherBugs)
+		t.Fatalf("ESD did not synthesize the deadlock (outcome %v, steps=%d, otherBugs=%v)",
+			res.Outcome, res.Steps, res.OtherBugs)
 	}
 
 	// The synthesized inputs must be the ones the bug requires.
@@ -354,27 +354,30 @@ func TestStressDoesNotReproduceListing1(t *testing.T) {
 	}
 }
 
-// TestOutcomeMapping: a frontier that ran dry reads "exhausted" only when
-// no state was shed; after a shed it reads "incomplete". A found bug, a
-// preemption, a cancellation and a timeout each take precedence over
-// both, in that order.
-func TestOutcomeMapping(t *testing.T) {
-	found := &symex.State{}
-	for _, c := range []struct {
-		res  Result
-		want string
-	}{
-		{Result{}, "exhausted"},
-		{Result{Sheds: 1}, "incomplete"},
-		{Result{TimedOut: true, Sheds: 7}, "timeout"},
-		{Result{Cancelled: true, TimedOut: true, Sheds: 7}, "cancelled"},
-		{Result{Preempted: true, Cancelled: true, TimedOut: true, Sheds: 7}, "preempted"},
-		{Result{Found: found, Preempted: true, Cancelled: true, TimedOut: true, Sheds: 7}, "found"},
-		{Result{Found: found}, "found"},
+// TestOutcomeNames pins the names that the flight report,
+// esd_syntheses_total and exp's tables print for each outcome, and the
+// rules that pick two of them: a frontier that ran dry reads "exhausted"
+// only when no state was shed and "incomplete" after a shed, and a
+// context that ended reads "timeout" at its deadline and "cancelled"
+// otherwise.
+func TestOutcomeNames(t *testing.T) {
+	for o, want := range map[Outcome]string{
+		OutcomeExhausted: "exhausted", OutcomeIncomplete: "incomplete", OutcomeFound: "found",
+		OutcomePreempted: "preempted", OutcomeCancelled: "cancelled", OutcomeTimeout: "timeout",
+		OutcomeStepCap: "step_cap",
 	} {
-		if got := c.res.Outcome(); got != c.want {
-			t.Errorf("Outcome() of found=%v preempted=%v cancelled=%v timedOut=%v sheds=%d = %q, want %q",
-				c.res.Found != nil, c.res.Preempted, c.res.Cancelled, c.res.TimedOut, c.res.Sheds, got, c.want)
+		if got := o.String(); got != want {
+			t.Errorf("Outcome(%d) is named %q, want %q", int(o), got, want)
+		}
+	}
+	for _, c := range []struct{ got, want Outcome }{
+		{ranDry(0), OutcomeExhausted},
+		{ranDry(1), OutcomeIncomplete},
+		{ctxOutcome(context.DeadlineExceeded), OutcomeTimeout},
+		{ctxOutcome(context.Canceled), OutcomeCancelled},
+	} {
+		if c.got != c.want {
+			t.Errorf("got %v, want %v", c.got, c.want)
 		}
 	}
 }

@@ -50,8 +50,8 @@ func TestShedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Found != nil || !res.TimedOut {
-		t.Fatalf("the run ended %s, want the step cap to stop it", res.Outcome())
+	if res.Outcome != OutcomeStepCap {
+		t.Fatalf("the run ended %v, want the step cap to stop it", res.Outcome)
 	}
 	if res.Sheds == 0 {
 		t.Fatal("the run never shed")

@@ -32,7 +32,7 @@ var (
 		"Forked states dropped by the cross-worker dedup set (frontier-parallel runs only).")
 
 	syntheses = telemetry.NewCounterVec("esd_syntheses_total",
-		"Completed synthesis runs, by outcome: found, preempted, cancelled, timeout, incomplete (no state left after some were shed over the live-state budget) or exhausted.",
+		"Completed synthesis runs, by outcome: found, preempted, cancelled, timeout (the budget or the caller's deadline passed), step_cap (the search's instruction cap was spent), incomplete (no state left after some were shed over the live-state budget) or exhausted.",
 		"outcome")
 	synthesisDuration = telemetry.NewHistogram("esd_synthesis_duration_seconds",
 		"End-to-end synthesis wall time.", 1e-9)
@@ -56,6 +56,6 @@ func flushTelemetry(res *Result) {
 	searchPruned.With(pruneInfinite).Add(res.PrunedInfinite)
 	searchSheds.Add(res.Sheds)
 	searchDedupDrops.Add(res.DedupDrops)
-	syntheses.With(res.Outcome()).Inc()
+	syntheses.With(res.Outcome.String()).Inc()
 	synthesisDuration.Observe(res.Duration.Nanoseconds())
 }

@@ -141,7 +141,7 @@ func TestResumeChainTelemetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Preempted {
+		if res.Outcome != OutcomePreempted {
 			break
 		}
 		if resume, err = DecodeCheckpoint(res.Checkpoint); err != nil {

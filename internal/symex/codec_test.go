@@ -55,7 +55,7 @@ func appCheckpoints(tb testing.TB, app string, every, maxSegments int, check fun
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if !res.Preempted {
+		if res.Outcome != search.OutcomePreempted {
 			return n
 		}
 		resume = check(prog, res.Checkpoint)

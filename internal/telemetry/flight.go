@@ -219,9 +219,10 @@ type WorkerWall struct {
 type Report struct {
 	// Schema versions the report layout for external consumers.
 	Schema string `json:"schema"`
-	// Outcome is found | preempted | cancelled | timeout | incomplete |
-	// exhausted ("incomplete": the frontier ran dry after states were
-	// shed, so the space was not exhausted).
+	// Outcome is found | preempted | cancelled | timeout (the run
+	// context's deadline passed) | step_cap (the instruction cap ran out)
+	// | incomplete (the frontier ran dry after states were shed, so the
+	// space was not exhausted) | exhausted.
 	Outcome string `json:"outcome"`
 	// Strategy and Seed identify the search configuration.
 	Strategy string `json:"strategy"`

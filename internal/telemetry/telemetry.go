@@ -147,7 +147,7 @@ func (h *Histogram) Count() int64 {
 // child for a label value, creating it on first use; call sites cache the
 // child so the steady state never touches the map.
 type CounterVec struct {
-	name, help, label string
+	label string
 
 	mu sync.Mutex
 	m  map[string]*Counter
@@ -233,7 +233,7 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 
 // NewCounterVec registers and returns a label-split counter family.
 func (r *Registry) NewCounterVec(name, help, label string) *CounterVec {
-	v := &CounterVec{name: name, help: help, label: label, m: map[string]*Counter{}}
+	v := &CounterVec{label: label, m: map[string]*Counter{}}
 	r.register(&instrument{name: name, help: help, kind: kindCounter, vec: v})
 	return v
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"esd"
+	"esd/internal/apps"
 	"esd/internal/dist"
 )
 
@@ -133,6 +134,44 @@ func TestProgramConcurrentSyntheses(t *testing.T) {
 	}
 	if res.Stats.SolverCacheHits == 0 {
 		t.Error("a synthesis after four took no memo hits: it ran on a cold solver")
+	}
+}
+
+// TestEngineConcurrentCompileCounts: callers that miss the compile memo
+// for one source at once compile it in parallel, and only the first
+// program goes into the memo. Every other caller gets that program and
+// counts as a hit, so the counters add up to the calls in every round.
+func TestEngineConcurrentCompileCounts(t *testing.T) {
+	src := apps.Get("ls4").Source
+	const callers, rounds = 8, 20
+	for round := range rounds {
+		eng := esd.New()
+		start := make(chan struct{})
+		progs := make([]*esd.Program, callers)
+		var wg sync.WaitGroup
+		for i := range progs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				p, err := eng.Compile("ls4.c", src)
+				if err != nil {
+					t.Error(err)
+				}
+				progs[i] = p
+			}()
+		}
+		close(start)
+		wg.Wait()
+		st := eng.Stats()
+		if st.ProgramsCompiled != 1 || st.CompileCacheHits != callers-1 {
+			t.Errorf("round %d: %d compiled and %d hits, want 1 and %d", round, st.ProgramsCompiled, st.CompileCacheHits, callers-1)
+		}
+		for i, p := range progs {
+			if p != progs[0] {
+				t.Errorf("round %d: caller %d got another program than caller 0", round, i)
+			}
+		}
 	}
 }
 
