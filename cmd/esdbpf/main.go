@@ -88,12 +88,8 @@ func main() {
 				if err != nil {
 					fatal(err)
 				}
-				status := "FOUND"
-				if res.Found == nil {
-					status = "timeout"
-				}
-				fmt.Printf("%-12s %-8s %8.2fs  steps=%d states=%d\n",
-					cfg.name, status, res.Duration.Seconds(), res.Steps, res.StatesCreated)
+				fmt.Printf("%-12s %-10s %8.2fs  steps=%d states=%d\n",
+					cfg.name, res.Outcome, res.Duration.Seconds(), res.Steps, res.StatesCreated)
 			}
 		}
 	}

@@ -64,7 +64,7 @@ import (
 func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
-		maxConcurrent = flag.Int("max-concurrent", 4, "max simultaneous syntheses (excess requests get 429)")
+		maxConcurrent = flag.Int("max-concurrent", 4, "max simultaneous /synthesize and /batch syntheses (excess requests get 429), and the number of /jobs workers")
 		maxParallel   = flag.Int("max-parallelism", 8, "cap on per-request frontier parallelism")
 		defaultBudget = flag.Duration("default-budget", 60*time.Second, "budget for requests without budget_ms")
 		maxBudget     = flag.Duration("max-budget", 10*time.Minute, "cap on requested budgets")

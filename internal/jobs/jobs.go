@@ -1,5 +1,6 @@
-// Package jobs is the durable job subsystem behind esdserve's /jobs API:
-// a persistent job store (submit → job ID → poll / event stream / fetch
+// Package jobs is the durable job subsystem behind esdserve's /jobs API,
+// and only that: /synthesize and /batch run on their handlers. It is a
+// persistent job store (submit → job ID → poll / event stream / fetch
 // result) plus a scheduler that runs syntheses in time slices, preempting
 // long jobs into search checkpoints and requeueing them, so one slow
 // synthesis cannot monopolize the service and an accepted job survives a
@@ -24,8 +25,9 @@
 // jobs found "running" are demoted to their last checkpoint (or back to
 // queued if they never completed a slice) and re-enqueued — work since
 // the last persisted checkpoint is repeated, never lost, and the
-// determinism contract makes the repeat byte-identical. Synchronous jobs
-// (Job.Sync) are deleted instead: their waiter died with the process.
+// determinism contract makes the repeat byte-identical. Records marked
+// Job.Sync, which earlier builds wrote for synchronous requests, are
+// deleted instead: their waiter died with the process.
 package jobs
 
 import (
@@ -86,10 +88,11 @@ type Job struct {
 	// Checkpoint is the serialized search of a preempted job — the exact
 	// bytes handed back by the runner, re-supplied on resume.
 	Checkpoint []byte `json:"checkpoint,omitempty"`
-	// Sync marks a job whose submitter waits on it in-process and deletes
-	// it once it ends (the service's synchronous endpoints). Should the
-	// process die first, nobody is left to read its result, so recovery
-	// deletes it instead of running it.
+	// Sync marked a job whose submitter waited on it in-process and
+	// deleted it once it ended: earlier builds ran the service's
+	// synchronous endpoints as such jobs. Nothing sets it any more, but a
+	// store those builds wrote can still hold such records, and nobody is
+	// left to read their results, so recovery deletes them.
 	Sync bool `json:"sync,omitempty"`
 
 	CreatedUnixMS int64 `json:"created_unix_ms"`

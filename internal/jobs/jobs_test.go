@@ -220,7 +220,7 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 	defer m.Close(context.Background())
 
-	j, err := m.Submit([]byte(`{"app":"x"}`), false)
+	j, err := m.Submit([]byte(`{"app":"x"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,10 +267,10 @@ func TestManagerSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close(context.Background())
-	if _, err := m.Submit([]byte(`"blocker"`), false); err != nil {
+	if _, err := m.Submit([]byte(`"blocker"`)); err != nil {
 		t.Fatal(err)
 	}
-	j, err := m.Submit(nil, false)
+	j, err := m.Submit(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,13 +320,13 @@ func TestManagerCancel(t *testing.T) {
 	defer m.Close(context.Background())
 
 	// Running job: cancel pulls its context.
-	running, err := m.Submit(nil, false)
+	running, err := m.Submit(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	// Queued job behind it: cancel flips it in place, no worker involved.
-	queued, err := m.Submit(nil, false)
+	queued, err := m.Submit(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestManagerFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close(context.Background())
-	j, _ := m.Submit(nil, false)
+	j, _ := m.Submit(nil)
 	final, err := m.Wait(context.Background(), j.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +384,7 @@ func TestManagerFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close(context.Background())
-	j2, _ := m2.Submit(nil, false)
+	j2, _ := m2.Submit(nil)
 	final2, err := m2.Wait(context.Background(), j2.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -411,7 +411,7 @@ func TestManagerRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := m1.Submit([]byte(`{"req":true}`), false)
+	j, err := m1.Submit([]byte(`{"req":true}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +525,7 @@ func TestManagerShutdownCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, _ := m.Submit(nil, false)
+	j, _ := m.Submit(nil)
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

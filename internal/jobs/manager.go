@@ -134,8 +134,9 @@ func NewManager(cfg Config) (*Manager, error) {
 // persisted as running died with its process: demote it to its last
 // checkpoint (or to queued if it never completed a slice) and run it
 // again — the checkpoint's determinism contract makes the redo converge
-// on the same result. A synchronous job's waiter died with the process,
-// so its record is deleted, whatever its state.
+// on the same result. A synchronous job (Job.Sync, written by earlier
+// builds) is deleted, whatever its state: its waiter died with the
+// process.
 func (m *Manager) recover() error {
 	// List is oldest first, so recovery preserves submission order.
 	for _, j := range m.store.List() {
@@ -166,15 +167,13 @@ func (m *Manager) recover() error {
 }
 
 // Submit accepts a new job with the given opaque request payload,
-// persisting it before returning its record. sync marks a job that the
-// caller will wait on and delete (Job.Sync).
-func (m *Manager) Submit(request []byte, sync bool) (*Job, error) {
+// persisting it before returning its record.
+func (m *Manager) Submit(request []byte) (*Job, error) {
 	now := time.Now().UnixMilli()
 	j := &Job{
 		ID:            newID(),
 		State:         StateQueued,
 		Request:       append([]byte(nil), request...),
-		Sync:          sync,
 		CreatedUnixMS: now,
 		UpdatedUnixMS: now,
 	}
@@ -334,36 +333,6 @@ func (m *Manager) publishLocked(j *Job) {
 	}
 	if terminal {
 		delete(m.subs, j.ID)
-	}
-}
-
-// Wait blocks until the job reaches a terminal state (or ctx is done)
-// and returns its final record.
-func (m *Manager) Wait(ctx context.Context, id string) (*Job, error) {
-	ch, stop, err := m.Subscribe(id)
-	if err != nil {
-		return nil, err
-	}
-	defer stop()
-	var last *Job
-	for {
-		select {
-		case j, ok := <-ch:
-			if !ok {
-				if last == nil {
-					// Subscription closed without a terminal snapshot: the
-					// record was deleted out from under us.
-					return nil, fmt.Errorf("jobs: job %s disappeared", id)
-				}
-				return last, nil
-			}
-			last = j
-			if j.State.Terminal() {
-				return j, nil
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
 	}
 }
 

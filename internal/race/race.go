@@ -13,7 +13,6 @@
 package race
 
 import (
-	"fmt"
 	"sort"
 
 	"esd/internal/mir"
@@ -43,25 +42,6 @@ type cellState struct {
 	reported bool
 }
 
-// Finding is one detected potential race.
-type Finding struct {
-	Obj        int
-	Off        int64
-	ObjName    string
-	First, Sec mir.Loc
-	Tids       [2]int
-}
-
-// String renders the finding.
-func (f Finding) String() string {
-	where := f.ObjName
-	if where == "" {
-		where = fmt.Sprintf("obj%d", f.Obj)
-	}
-	return fmt.Sprintf("potential data race on %s[%d]: T%d at %s vs T%d at %s",
-		where, f.Off, f.Tids[0], f.First, f.Tids[1], f.Sec)
-}
-
 // Detector implements symex.RaceDetector.
 type Detector struct {
 	// cells is keyed per memory cell. Detection state is global across
@@ -69,8 +49,6 @@ type Detector struct {
 	// adds preemption points — never unsoundness).
 	cells   map[cellKey]*cellState
 	flagged map[mir.Loc]bool
-
-	Findings []Finding
 }
 
 var _ symex.RaceDetector = (*Detector)(nil)
@@ -159,15 +137,6 @@ func (d *Detector) Record(st *symex.State, tid int, obj int, off int64, write bo
 	}
 	if c.phase == sharedModified && len(c.lockset) == 0 && !c.reported {
 		c.reported = true
-		var name string
-		if o := st.Mem.Object(obj); o != nil {
-			name = o.Name
-		}
-		d.Findings = append(d.Findings, Finding{
-			Obj: obj, Off: off, ObjName: name,
-			First: c.lastLoc, Sec: loc,
-			Tids: [2]int{c.lastTid, tid},
-		})
 		d.flagged[c.lastLoc] = true
 		d.flagged[loc] = true
 	}

@@ -11,7 +11,8 @@ import (
 )
 
 // runWithDetector runs src concretely over several schedule seeds, one
-// detector per engine (object IDs are engine-local), and merges findings.
+// detector per engine (object IDs are engine-local), and merges the
+// flagged sites.
 func runWithDetector(t *testing.T, src string, in *usersite.Inputs, seeds int) *Detector {
 	t.Helper()
 	prog := lang.MustCompile("t.c", src)
@@ -28,7 +29,6 @@ func runWithDetector(t *testing.T, src string, in *usersite.Inputs, seeds int) *
 		if _, err := eng.Run(st, 500_000); err != nil {
 			t.Fatal(err)
 		}
-		merged.Findings = append(merged.Findings, d.Findings...)
 		for l := range d.flagged {
 			merged.flagged[l] = true
 		}
@@ -52,11 +52,8 @@ int main() {
 	thread_join(t2);
 	return counter;
 }`, &usersite.Inputs{}, 3)
-	if len(d.Findings) == 0 {
-		t.Fatal("unprotected counter race not detected")
-	}
 	if len(d.FlaggedSites()) == 0 {
-		t.Fatal("no sites flagged")
+		t.Fatal("unprotected counter race not detected: no sites flagged")
 	}
 }
 
@@ -79,10 +76,8 @@ int main() {
 	thread_join(t2);
 	return counter;
 }`, &usersite.Inputs{}, 3)
-	for _, f := range d.Findings {
-		if f.ObjName == "counter" {
-			t.Fatalf("false positive on consistently locked counter: %v", f)
-		}
+	if s := d.FlaggedSites(); len(s) != 0 {
+		t.Fatalf("false positive on consistently locked counter: flagged %v", s)
 	}
 }
 
@@ -109,10 +104,8 @@ int main() {
 	thread_join(t2);
 	return sum;
 }`, &usersite.Inputs{}, 3)
-	for _, f := range d.Findings {
-		if f.ObjName == "table" {
-			t.Fatalf("false positive on read-only table: %v", f)
-		}
+	if s := d.FlaggedSites(); len(s) != 0 {
+		t.Fatalf("false positive on read-only table: flagged %v", s)
 	}
 }
 
@@ -123,8 +116,8 @@ int main() {
 	for (int i = 0; i < 5; i++) { g = g + i; }   // single-threaded
 	return g;
 }`, &usersite.Inputs{}, 1)
-	if len(d.Findings) != 0 {
-		t.Fatalf("single-threaded access reported as race: %v", d.Findings)
+	if s := d.FlaggedSites(); len(s) != 0 {
+		t.Fatalf("single-threaded access reported as race: flagged %v", s)
 	}
 }
 

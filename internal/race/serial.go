@@ -32,9 +32,8 @@ type CellRecord struct {
 
 // DetectorState is a Detector's serializable snapshot.
 type DetectorState struct {
-	Cells    []CellRecord `json:"cells,omitempty"`
-	Flagged  []mir.Loc    `json:"flagged,omitempty"`
-	Findings []Finding    `json:"findings,omitempty"`
+	Cells   []CellRecord `json:"cells,omitempty"`
+	Flagged []mir.Loc    `json:"flagged,omitempty"`
 }
 
 // Snapshot captures the detector's full state in deterministic order
@@ -43,10 +42,7 @@ func (d *Detector) Snapshot() *DetectorState {
 	if d == nil {
 		return nil
 	}
-	st := &DetectorState{
-		Flagged:  d.FlaggedSites(),
-		Findings: append([]Finding(nil), d.Findings...),
-	}
+	st := &DetectorState{Flagged: d.FlaggedSites()}
 	keys := make([]cellKey, 0, len(d.cells))
 	for k := range d.cells {
 		keys = append(keys, k)
@@ -104,5 +100,4 @@ func (d *Detector) Restore(st *DetectorState) {
 	for _, loc := range st.Flagged {
 		d.flagged[loc] = true
 	}
-	d.Findings = append([]Finding(nil), st.Findings...)
 }

@@ -16,13 +16,14 @@ import (
 var fuzzPaths = []string{"/compile", "/synthesize", "/batch"}
 
 // FuzzHandlers posts arbitrary bodies to the handlers that decode them.
-// Request decoding runs in the handler, outside the job runner's panic
-// shield, so the body goes straight through Server.ServeHTTP into a
-// ResponseRecorder: a panic fails the target instead of being recovered
-// by net/http. No body may panic a handler, and every response must be
-// an SSE stream of JSON events or a valid JSON body. Both budgets are
-// 1 ms, so a body that starts a synthesis ends it at once. The bodies
-// the other service tests post seed the corpus.
+// Each handler decodes its request and runs its syntheses itself, so no
+// job runner's panic shield stands between the fuzzer and the engine: the
+// body goes straight through Server.ServeHTTP into a ResponseRecorder,
+// and a panic fails the target instead of being recovered by net/http.
+// No body may panic a handler, and every response must be an SSE stream
+// of JSON events or a valid JSON body. Both budgets are 1 ms, so a body
+// that starts a synthesis ends it at once. The bodies the other service
+// tests post seed the corpus.
 func FuzzHandlers(f *testing.F) {
 	eng := esd.New()
 	srv := New(eng, Config{DefaultBudget: time.Millisecond, MaxBudget: time.Millisecond})

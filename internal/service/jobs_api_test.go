@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -365,27 +367,39 @@ func TestServiceJobRestartRecovery(t *testing.T) {
 	}
 }
 
-// TestServiceJobsObservability: the sync /synthesize wrapper routes
-// through the job subsystem (its counters move), /healthz carries the
-// depth-by-state block, and /metrics exposes the esd_jobs_* series.
+// TestServiceJobsObservability: a POST /jobs job moves the job counters
+// while a synchronous /synthesize leaves them unchanged, /healthz carries
+// the depth-by-state block, and /metrics exposes the esd_jobs_* series.
 func TestServiceJobsObservability(t *testing.T) {
 	ts := newTestServer(t, Config{})
+	counters := []string{
+		"esd_jobs_submitted_total",
+		`esd_jobs_finished_total{state="done"}`,
+	}
 	before := scrapeMetrics(t, ts.URL)
-
 	resp, body := postJSON(t, ts.URL+"/synthesize", map[string]any{
 		"app": "listing1", "budget_ms": 60000, "seed": 1,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("synthesize: %d %s", resp.StatusCode, body)
 	}
+	synced := scrapeMetrics(t, ts.URL)
+	for _, name := range counters {
+		if synced[name] != before[name] {
+			t.Errorf("%s moved across a synchronous synthesis: %v -> %v", name, before[name], synced[name])
+		}
+	}
 
+	j := submitJobReq(t, ts.URL, map[string]any{
+		"app": "listing1", "budget_ms": 60000, "seed": 1,
+	})
+	pollJob(t, ts.URL, j.ID, 60*time.Second, func(j jobJSON) bool {
+		return jobs.State(j.State).Terminal()
+	})
 	after := scrapeMetrics(t, ts.URL)
-	for _, name := range []string{
-		"esd_jobs_submitted_total",
-		`esd_jobs_finished_total{state="done"}`,
-	} {
-		if after[name] <= before[name] {
-			t.Errorf("%s did not increase across a sync synthesis: %v -> %v", name, before[name], after[name])
+	for _, name := range counters {
+		if after[name] <= synced[name] {
+			t.Errorf("%s did not increase across a job: %v -> %v", name, synced[name], after[name])
 		}
 	}
 	for _, st := range jobs.States {
@@ -394,10 +408,9 @@ func TestServiceJobsObservability(t *testing.T) {
 			t.Errorf("missing series %s", name)
 		}
 	}
-	// The wrapper cleans up after itself: the synchronous job's record
-	// must not linger in the store.
-	if got := after[`esd_jobs_state{state="done"}`]; got != 0 {
-		t.Errorf("sync wrapper left %v done records in the store", got)
+	// A finished job stays listed until a client deletes it.
+	if got := after[`esd_jobs_state{state="done"}`]; got != 1 {
+		t.Errorf("the store holds %v done records, want the one job", got)
 	}
 
 	resp2, err := http.Get(ts.URL + "/healthz")
@@ -423,89 +436,96 @@ func TestServiceJobsObservability(t *testing.T) {
 	}
 }
 
-// TestServiceSyncJobDroppedAtRecovery: the job behind a synchronous
-// /synthesize is persisted like any other, so a process that dies while
-// the request waits leaves its record behind. The next life must delete
-// that record instead of running the job for a caller that is gone; a
-// recovered record would stay listed, counting toward the store's cap.
-func TestServiceSyncJobDroppedAtRecovery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second sliced synthesis; run without -short")
-	}
-	if raceEnabled {
-		t.Skip("sliced multi-second synthesis too slow under -race")
-	}
+// TestServiceSyncWritesNoJobs: synchronous requests run on their handler,
+// so against a store on disk a plain and a streamed /synthesize and a
+// two-report /batch submit no job, list none and append nothing to the
+// store's log.
+func TestServiceSyncWritesNoJobs(t *testing.T) {
 	dir := t.TempDir()
-	st1, err := jobs.Open(dir)
+	st, err := jobs.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{JobStore: st1, JobSlice: 200 * time.Millisecond, MaxConcurrent: 1}
-	srv1 := New(esd.New(), cfg)
-	ts1 := httptest.NewServer(srv1)
-
-	reqCtx, cancelReq := context.WithCancel(context.Background())
-	waited := make(chan struct{})
-	go func() {
-		defer close(waited)
-		body, _ := json.Marshal(map[string]any{"app": "ls3", "budget_ms": 120000, "seed": 1})
-		req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, ts1.URL+"/synthesize", bytes.NewReader(body))
+	defer st.Close()
+	walSize := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, "jobs.wal"))
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
-		if resp, err := http.DefaultClient.Do(req); err == nil {
-			resp.Body.Close()
-		}
-	}()
-	// Wait for the synchronous job's first checkpoint, then end the first
-	// life while the request still waits: the store closes before the
-	// handler can delete the job, as when the process is killed.
-	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		if js := st1.List(); len(js) == 1 && js[0].Preemptions >= 1 {
-			if js[0].State.Terminal() {
-				t.Fatalf("job finished before it could be interrupted (state %s)", js[0].State)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the synchronous job never checkpointed")
-		}
+		return fi.Size()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	if err := srv1.Close(ctx); err != nil {
-		t.Fatalf("first server close: %v", err)
-	}
-	cancel()
-	if err := st1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cancelReq()
-	<-waited
-	ts1.Close()
+	opened := walSize()
+	ts := newTestServer(t, Config{JobStore: st})
+	before := scrapeMetrics(t, ts.URL)
 
-	st2, err := jobs.Open(dir)
+	req := map[string]any{"app": "listing1", "budget_ms": 60000, "seed": 1}
+	for _, stream := range []bool{false, true} {
+		req["stream"] = stream
+		resp, body := postJSON(t, ts.URL+"/synthesize", req)
+		if resp.StatusCode != http.StatusOK || !bytes.Contains(bytes.ReplaceAll(body, []byte(" "), nil), []byte(`"found":true`)) {
+			t.Fatalf("synthesize (stream %v): %d %s", stream, resp.StatusCode, body)
+		}
+	}
+	rep, err := apps.Get("listing1").Coredump()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
-	if js := st2.List(); len(js) != 1 || js[0].State.Terminal() {
-		t.Fatalf("the store holds %d records after the first life, want the one live synchronous job", len(js))
-	}
-	cfg.JobStore = st2
-	ts2 := httptest.NewServer(New(esd.New(), cfg))
-	defer ts2.Close()
-	resp, err := http.Get(ts2.URL + "/jobs")
+	repJSON, err := rep.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var list struct {
-		Jobs []jobJSON `json:"jobs"`
+	resp, body := postJSON(t, ts.URL+"/batch", map[string]any{
+		"app": "listing1", "reports": []json.RawMessage{repJSON, repJSON}, "budget_ms": 60000,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d %s", resp.StatusCode, body)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+
+	if js := st.List(); len(js) != 0 {
+		t.Errorf("the store lists %d jobs after synchronous requests, want none", len(js))
+	}
+	if got := walSize(); got != opened {
+		t.Errorf("jobs.wal grew from %d to %d bytes across synchronous requests", opened, got)
+	}
+	after := scrapeMetrics(t, ts.URL)
+	if name := "esd_jobs_submitted_total"; after[name] != before[name] {
+		t.Errorf("%s moved across synchronous requests: %v -> %v", name, before[name], after[name])
+	}
+}
+
+// TestServiceSyncBesideRunningJob: with one admission slot and one job
+// worker held by an unsliced ls4 job, a synchronous /synthesize runs at
+// once on its handler instead of queueing behind the job.
+func TestServiceSyncBesideRunningJob(t *testing.T) {
+	ts := newTestServer(t, Config{MaxConcurrent: 1, JobSlice: -1})
+	j := submitJobReq(t, ts.URL, map[string]any{
+		"app": "ls4", "budget_ms": 600000, "seed": 1,
+	})
+	running := func(j jobJSON) bool {
+		if jobs.State(j.State).Terminal() {
+			t.Fatalf("the ls4 job ended (%s) while the test needed it running", j.State)
+		}
+		return j.State == string(jobs.StateRunning)
+	}
+	pollJob(t, ts.URL, j.ID, 30*time.Second, running)
+
+	resp, body := postJSON(t, ts.URL+"/synthesize", map[string]any{
+		"app": "listing1", "budget_ms": 60000, "seed": 1,
+	})
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"found": true`) {
+		t.Fatalf("synthesize beside a running job: %d %s", resp.StatusCode, body)
+	}
+	if cur, ok := getJob(t, ts.URL, j.ID); !ok || !running(cur) {
+		t.Errorf("the ls4 job reads %q after the synchronous request, want running", cur.State)
+	}
+
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+j.ID, nil)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(list.Jobs) != 0 {
-		t.Fatalf("GET /jobs lists %d jobs after recovery, want none: %+v", len(list.Jobs), list.Jobs)
+	dresp.Body.Close()
+	if dresp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE /jobs/%s: %d", j.ID, dresp.StatusCode)
 	}
 }

@@ -33,20 +33,19 @@
 //	                    esd_engine_*/esd_service_* series rendered from
 //	                    this server's engine
 //
-// Every synthesis but a streaming one runs as a job on the durable job
-// subsystem (internal/jobs), whose worker pool runs them: /jobs is the
-// asynchronous face (submit, poll, stream, cancel), and /batch and a
-// non-streaming /synthesize are thin synchronous wrappers that submit (one
-// job per report), wait, and clean up after themselves. A streaming
-// /synthesize ("stream": true, or an Accept of text/event-stream) calls
-// Engine.Synthesize on its handler goroutine under its admission slot
-// instead, so it is never time-sliced, checkpointed or listed under /jobs.
-// Jobs are time-sliced — a job still running after the configured slice is
+// /synthesize and /batch are synchronous: they call Engine.Synthesize on
+// the handler under the admission slots they take, so "stream" (or an
+// Accept of text/event-stream) chooses only the response format, and
+// /batch runs its reports over its slots and answers them in report order.
+// Only /jobs runs syntheses on the durable job subsystem (internal/jobs),
+// its asynchronous face (submit, poll, stream, cancel). Jobs are
+// time-sliced — a job still running after the configured slice is
 // preempted into a persisted search checkpoint and requeued behind
 // waiting work — and, with a file-backed store (Config.JobStore),
 // survive process restarts: on startup, queued and checkpointed jobs
 // re-enter the run queue and resume from their last checkpoint with
-// byte-identical results.
+// byte-identical results. A synchronous synthesis is never time-sliced,
+// checkpointed or listed under /jobs.
 //
 // Synthesis and batch requests are admission-controlled by a concurrency
 // limit (429 + Retry-After when saturated) and budget-capped per request.
@@ -62,6 +61,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"esd"
@@ -80,9 +80,10 @@ type Config struct {
 	DefaultBudget time.Duration
 	// MaxBudget caps requested budgets (default 10m).
 	MaxBudget time.Duration
-	// MaxConcurrent bounds simultaneously running syntheses: it is both
-	// the admission limit (requests beyond it get 429) and the number of
-	// job workers that run job slices (default 4).
+	// MaxConcurrent is both the admission limit on synchronous
+	// syntheses (requests beyond it get 429) and the number of job
+	// workers that run /jobs slices, so at most twice this many
+	// syntheses run at once (default 4).
 	MaxConcurrent int
 	// MaxParallelism caps a request's intra-synthesis fan-out: a larger
 	// "parallelism" (frontier workers) is clamped to it. Intra-synthesis
@@ -133,9 +134,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxTrackedJobs bounds the job store: submissions beyond it are refused
-// until clients DELETE finished jobs (synchronous /synthesize and /batch
-// wrappers clean up after themselves and never accumulate).
+// maxTrackedJobs bounds the job store: POST /jobs submissions beyond it
+// are refused until clients DELETE finished jobs.
 const maxTrackedJobs = 1024
 
 // Server is the HTTP front-end over one Engine.
@@ -350,6 +350,34 @@ func (s *Server) resolve(req *synthesizeRequest) (*esd.Program, *esd.BugReport, 
 	return prog, rep, nil
 }
 
+// prepare turns a wire request into what Engine.Synthesize takes: the
+// program, one report per entry of raws (the request's own report when
+// raws is empty) and the options. Its errors are the client's.
+func (s *Server) prepare(req *synthesizeRequest, raws []json.RawMessage) (*esd.Program, []*esd.BugReport, []esd.SynthOption, error) {
+	prog, rep, err := s.resolve(req)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	reps := []*esd.BugReport{rep}
+	if len(raws) > 0 {
+		reps = make([]*esd.BugReport, len(raws))
+		for i, raw := range raws {
+			r, err := report.Decode(raw)
+			if err != nil {
+				return nil, nil, nil, fmt.Errorf("report %d: %w", i, err)
+			}
+			reps[i] = &esd.BugReport{R: r}
+		}
+	} else if rep == nil {
+		return nil, nil, nil, errors.New("missing report")
+	}
+	opts, err := s.options(req)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return prog, reps, opts, nil
+}
+
 // options converts the wire options to engine options, applying the
 // server's budget policy.
 func (s *Server) options(req *synthesizeRequest) ([]esd.SynthOption, error) {
@@ -399,14 +427,7 @@ func (s *Server) runJob(ctx context.Context, j *jobs.Job, preempt func() bool) (
 	if err := json.Unmarshal(j.Request, &req); err != nil {
 		return nil, fmt.Errorf("decoding job request: %w", err)
 	}
-	prog, rep, err := s.resolve(&req)
-	if err != nil {
-		return nil, err
-	}
-	if rep == nil {
-		return nil, errors.New("missing report")
-	}
-	opts, err := s.options(&req)
+	prog, reps, opts, err := s.prepare(&req, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +440,7 @@ func (s *Server) runJob(ctx context.Context, j *jobs.Job, preempt func() bool) (
 	}
 	opts = append(opts, esd.WithPreempt(preempt))
 
-	res, err := s.eng.Synthesize(ctx, prog, rep, opts...)
+	res, err := s.eng.Synthesize(ctx, prog, reps[0], opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -438,7 +459,7 @@ func (s *Server) runJob(ctx context.Context, j *jobs.Job, preempt func() bool) (
 		// outcome and falls through to the result payload below.
 		out.Cancelled = true
 	default:
-		data, err := json.Marshal(toResultJSON(res))
+		data, err := json.Marshal(toResultJSON(res, nil))
 		if err != nil {
 			return nil, fmt.Errorf("encoding result: %w", err)
 		}
@@ -491,80 +512,6 @@ func toJobJSON(j *jobs.Job) jobJSON {
 	}
 }
 
-// submitJob validates a wire request and hands it to the job manager.
-// Validation runs up front so a bad request fails at submission with a
-// 4xx instead of surfacing later as a failed job.
-func (s *Server) submitJob(w http.ResponseWriter, req *synthesizeRequest) (*jobs.Job, bool) {
-	_, rep, err := s.resolve(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return nil, false
-	}
-	if rep == nil {
-		httpError(w, http.StatusBadRequest, "missing report")
-		return nil, false
-	}
-	if _, err := s.options(req); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return nil, false
-	}
-	if s.jobs.Len() >= maxTrackedJobs {
-		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusTooManyRequests, "job store is full (%d records); DELETE finished jobs", maxTrackedJobs)
-		return nil, false
-	}
-	raw, err := json.Marshal(req)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encoding request: %v", err)
-		return nil, false
-	}
-	job, err := s.jobs.Submit(raw, false)
-	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
-		return nil, false
-	}
-	return job, true
-}
-
-// runSync runs reqs as synchronous jobs for the handler named op and
-// returns their final records in order: it submits them marked Sync, so
-// recovery drops them should the process die while the handler waits,
-// waits for every one, and deletes them, since nobody else reads their
-// results. On a failure it writes the HTTP error and returns nil.
-func (s *Server) runSync(w http.ResponseWriter, r *http.Request, op string, reqs []synthesizeRequest) []*jobs.Job {
-	ids := make([]string, 0, len(reqs))
-	defer func() {
-		for _, id := range ids {
-			s.jobs.Delete(id)
-		}
-	}()
-	for i := range reqs {
-		raw, err := json.Marshal(&reqs[i])
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "encoding request: %v", err)
-			return nil
-		}
-		job, err := s.jobs.Submit(raw, true)
-		if err != nil {
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-			return nil
-		}
-		ids = append(ids, job.ID)
-	}
-	finals := make([]*jobs.Job, len(ids))
-	for i, id := range ids {
-		final, err := s.jobs.Wait(r.Context(), id)
-		if err != nil {
-			// The client went away (or the server is shutting down): the
-			// jobs are withdrawn, as nobody is left to read their results.
-			httpError(w, http.StatusInternalServerError, "%s: %v", op, err)
-			return nil
-		}
-		finals[i] = final
-	}
-	return finals
-}
-
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req synthesizeRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -574,8 +521,25 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "stream is not supported on /jobs; GET /jobs/{id}/events streams state transitions")
 		return
 	}
-	job, ok := s.submitJob(w, &req)
-	if !ok {
+	// Validation runs up front so a bad request fails at submission with a
+	// 4xx instead of surfacing later as a failed job.
+	if _, _, _, err := s.prepare(&req, nil); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if s.jobs.Len() >= maxTrackedJobs {
+		w.Header().Set("Retry-After", "5")
+		httpError(w, http.StatusTooManyRequests, "job store is full (%d records); DELETE finished jobs", maxTrackedJobs)
+		return
+	}
+	raw, err := json.Marshal(&req)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encoding request: %v", err)
+		return
+	}
+	job, err := s.jobs.Submit(raw)
+	if err != nil {
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, toJobJSON(job))
@@ -673,59 +637,35 @@ func (s *Server) acquireN(w http.ResponseWriter, want int) int {
 	return got
 }
 
-func (s *Server) acquire(w http.ResponseWriter) bool { return s.acquireN(w, 1) == 1 }
-
 func (s *Server) releaseN(n int) {
 	for i := 0; i < n; i++ {
 		<-s.sem
 	}
 }
 
-func (s *Server) release() { s.releaseN(1) }
-
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	var req synthesizeRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		return
 	}
-	prog, rep, err := s.resolve(&req)
+	prog, reps, opts, err := s.prepare(&req, nil)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if rep == nil {
-		httpError(w, http.StatusBadRequest, "missing report")
+	if s.acquireN(w, 1) == 0 {
 		return
 	}
-	opts, err := s.options(&req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !s.acquire(w) {
-		return
-	}
-	defer s.release()
+	defer s.releaseN(1)
 
 	stream := req.Stream || strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	if !stream {
-		// The synchronous path is a thin wrapper over the job subsystem
-		// (runSync). The request holds its admission slot for the whole
-		// wait, so the 429 contract is unchanged; the job itself is
-		// time-sliced like any other, so one slow synthesis cannot starve
-		// the asynchronous queue.
-		finals := s.runSync(w, r, "synthesize", []synthesizeRequest{req})
-		if finals == nil {
+		res, err := s.eng.Synthesize(r.Context(), prog, reps[0], opts...)
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "synthesize: %v", err)
 			return
 		}
-		switch final := finals[0]; final.State {
-		case jobs.StateDone:
-			writeJSON(w, http.StatusOK, json.RawMessage(final.Result))
-		case jobs.StateFailed:
-			httpError(w, http.StatusInternalServerError, "synthesize: %s", final.Error)
-		default:
-			httpError(w, http.StatusInternalServerError, "synthesize: job %s", final.State)
-		}
+		writeJSON(w, http.StatusOK, toResultJSON(res, nil))
 		return
 	}
 
@@ -751,12 +691,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	opts = append(opts, esd.OnProgress(func(ev esd.ProgressEvent) {
 		emit("progress", toProgressJSON(ev))
 	}))
-	res, err := s.eng.Synthesize(r.Context(), prog, rep, opts...)
-	if err != nil {
-		emit("result", resultJSON{Error: err.Error()})
-		return
-	}
-	emit("result", toResultJSON(res))
+	emit("result", toResultJSON(s.eng.Synthesize(r.Context(), prog, reps[0], opts...)))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -777,73 +712,37 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "too many reports (%d > %d)", len(req.Reports), maxBatchReports)
 		return
 	}
-	_, appRep, err := s.resolve(&req.synthesizeRequest)
+	prog, reps, opts, err := s.prepare(&req.synthesizeRequest, req.Reports)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	for i, raw := range req.Reports {
-		if _, err := report.Decode(raw); err != nil {
-			httpError(w, http.StatusBadRequest, "report %d: %v", i, err)
-			return
-		}
-	}
-	if len(req.Reports) == 0 && appRep == nil {
-		httpError(w, http.StatusBadRequest, "missing reports")
+	// Each slot's goroutine synthesizes the next report not yet taken, and
+	// each result lands at its report's index.
+	slots := s.acquireN(w, min(len(reps), s.cfg.MaxConcurrent))
+	if slots == 0 {
 		return
 	}
-	if _, err := s.options(&req.synthesizeRequest); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	// One job per report. The batch is a thin wrapper over the job
-	// subsystem: the handler's admission slots bound how much of the
-	// service this request may claim (429 contract unchanged), while the
-	// job workers do the actual syntheses, time-sliced against everything
-	// else in the queue.
-	jobReqs := make([]synthesizeRequest, 0, len(req.Reports))
-	if len(req.Reports) > 0 {
-		for _, raw := range req.Reports {
-			jr := req.synthesizeRequest
-			jr.Report = raw
-			jobReqs = append(jobReqs, jr)
-		}
-	} else {
-		// App-derived single report: the per-job request re-resolves it.
-		jobReqs = append(jobReqs, req.synthesizeRequest)
-	}
-	want := len(jobReqs)
-	if want > s.cfg.MaxConcurrent {
-		want = s.cfg.MaxConcurrent
-	}
-	workers := s.acquireN(w, want)
-	if workers == 0 {
-		return
-	}
-	defer s.releaseN(workers)
-
-	finals := s.runSync(w, r, "batch", jobReqs)
-	if finals == nil {
-		return
-	}
+	defer s.releaseN(slots)
 	out := struct {
 		Results []resultJSON `json:"results"`
-	}{Results: make([]resultJSON, 0, len(finals))}
-	for _, final := range finals {
-		var res resultJSON
-		switch final.State {
-		case jobs.StateDone:
-			if err := json.Unmarshal(final.Result, &res); err != nil {
-				res = resultJSON{Error: fmt.Sprintf("decoding job result: %v", err)}
-			}
-		case jobs.StateFailed:
-			res = resultJSON{Error: final.Error}
-		default:
-			res = resultJSON{Cancelled: true, Error: fmt.Sprintf("job %s", final.State)}
-		}
-		out.Results = append(out.Results, res)
+	}{Results: make([]resultJSON, len(reps))}
+	next := make(chan int, len(reps))
+	for i := range reps {
+		next <- i
 	}
+	close(next)
+	var wg sync.WaitGroup
+	for range slots {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				out.Results[i] = toResultJSON(s.eng.Synthesize(r.Context(), prog, reps[i], opts...))
+			}
+		}()
+	}
+	wg.Wait()
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -903,9 +802,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // --- helpers ----------------------------------------------------------------
 
-func toResultJSON(res *esd.Result) resultJSON {
-	if res == nil {
-		return resultJSON{Error: "no result"}
+// toResultJSON is the wire form of a synthesis: its result, or the error
+// that stopped it.
+func toResultJSON(res *esd.Result, err error) resultJSON {
+	if err != nil {
+		return resultJSON{Error: err.Error()}
 	}
 	out := resultJSON{
 		Found:     res.Found,

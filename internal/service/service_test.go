@@ -13,6 +13,9 @@ import (
 
 	"esd"
 	"esd/internal/apps"
+	"esd/internal/mir"
+	"esd/internal/report"
+	"esd/internal/symex"
 )
 
 func newTestServer(t *testing.T, cfg Config) *httptest.Server {
@@ -173,6 +176,83 @@ func TestServiceBatch(t *testing.T) {
 		if r.Error != "" || !r.Found {
 			t.Errorf("report %d: found=%v err=%q", i, r.Found, r.Error)
 		}
+	}
+}
+
+// TestServiceBatchOrder: a batch runs its reports over its admission
+// slots, yet answers them in report order. Reports alternate between
+// listing1's coredump and a crash at main's first instruction, where no
+// path crashes, so a result out of place shows in its outcome.
+func TestServiceBatchOrder(t *testing.T) {
+	ts := newTestServer(t, Config{MaxConcurrent: 2})
+	rep, err := apps.Get("listing1").Coredump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, err := rep.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	noCrash, err := report.SuspectedCrash("listing1.c", mir.Loc{Fn: "main"}, symex.CrashSegFault).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := make([]json.RawMessage, 7)
+	for i := range reports {
+		reports[i] = found
+		if i%2 == 1 {
+			reports[i] = noCrash
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/batch", map[string]any{
+		"app": "listing1", "reports": reports, "budget_ms": 60000, "seed": 1,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var out struct {
+		Results []struct {
+			Found    bool   `json:"found"`
+			TimedOut bool   `json:"timed_out"`
+			Error    string `json:"error"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != len(reports) {
+		t.Fatalf("got %d results, want %d", len(out.Results), len(reports))
+	}
+	for i, r := range out.Results {
+		if r.Error != "" || r.TimedOut || r.Found != (i%2 == 0) {
+			t.Errorf("result %d: found=%v timed_out=%v err=%q, want found=%v", i, r.Found, r.TimedOut, r.Error, i%2 == 0)
+		}
+	}
+}
+
+// TestServiceSynthesisError: a synthesis the engine refuses (a deadlock
+// report with no wait locations has no goals) answers 500 on
+// /synthesize, and an error result on a stream and in a batch.
+func TestServiceSynthesisError(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	noGoals, err := report.SuspectedDeadlock("listing1.c", nil).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := map[string]any{"app": "listing1", "report": json.RawMessage(noGoals)}
+	resp, body := postJSON(t, ts.URL+"/synthesize", req)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), `"error": "synthesize: search: report has no goals"`) {
+		t.Errorf("plain: %d %s, want 500 naming the missing goals", resp.StatusCode, body)
+	}
+	req["stream"] = true
+	if _, body := postJSON(t, ts.URL+"/synthesize", req); !strings.Contains(string(body), `"error":"search: report has no goals"`) {
+		t.Errorf("streamed: %s, want an error result", body)
+	}
+	resp, body = postJSON(t, ts.URL+"/batch", map[string]any{
+		"app": "listing1", "reports": []json.RawMessage{noGoals},
+	})
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"error": "search: report has no goals"`) {
+		t.Errorf("batch: %d %s, want an error result", resp.StatusCode, body)
 	}
 }
 
