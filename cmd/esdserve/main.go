@@ -131,12 +131,19 @@ func main() {
 			}
 		}()
 	}
+	// drained closes once Shutdown returns: ListenAndServe returns as soon
+	// as Shutdown starts, and requests in flight, each running its
+	// syntheses on its handler, get up to 5 s to finish.
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		<-ctx.Done()
 		log.Printf("esdserve: shutting down")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		hs.Shutdown(shutdownCtx)
+		if err := hs.Shutdown(shutdownCtx); err != nil {
+			log.Printf("esdserve: drain: %v", err)
+		}
 	}()
 
 	log.Printf("esdserve: listening on %s (max-concurrent=%d, max-parallelism=%d, default-budget=%s, max-budget=%s)",
@@ -145,6 +152,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "esdserve: %v\n", err)
 		os.Exit(1)
 	}
+	<-drained
 	// After the listener drains, park the job workers: running jobs are
 	// preempted into checkpoints and persisted, so a durable store resumes
 	// them on the next start.

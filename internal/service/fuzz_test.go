@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"runtime/debug"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,18 +19,32 @@ import (
 var fuzzPaths = []string{"/compile", "/synthesize", "/batch"}
 
 // FuzzHandlers posts arbitrary bodies to the handlers that decode them.
-// Each handler decodes its request and runs its syntheses itself, so no
-// job runner's panic shield stands between the fuzzer and the engine: the
-// body goes straight through Server.ServeHTTP into a ResponseRecorder,
-// and a panic fails the target instead of being recovered by net/http.
-// No body may panic a handler, and every response must be an SSE stream
-// of JSON events or a valid JSON body. Both budgets are 1 ms, so a body
-// that starts a synthesis ends it at once. The bodies the other service
-// tests post seed the corpus.
+// Each handler decodes its request and runs its syntheses itself, so the
+// fuzzer reaches the engine through no job runner: the body goes straight
+// through Server.ServeHTTP into a ResponseRecorder, and a panic in a
+// handler fails the target instead of being recovered by net/http. A
+// panic in a synthesis, which Server.synthesize turns into an error
+// result, fails it too: the target's synth records it, with its stack,
+// before passing it on. No body may panic a handler or the engine, and
+// every response must be an SSE stream of JSON events or a valid JSON
+// body. Both budgets are 1 ms, so a body that starts a synthesis ends it
+// at once. The bodies the other service tests post seed the corpus.
 func FuzzHandlers(f *testing.F) {
 	eng := esd.New()
 	srv := New(eng, Config{DefaultBudget: time.Millisecond, MaxBudget: time.Millisecond})
 	f.Cleanup(func() { srv.Close(context.Background()) })
+	var panicked atomic.Pointer[string]
+	synth := srv.synth
+	srv.synth = func(ctx context.Context, prog *esd.Program, rep *esd.BugReport, opts ...esd.SynthOption) (*esd.Result, error) {
+		defer func() {
+			if p := recover(); p != nil {
+				msg := fmt.Sprintf("%v\n%s", p, debug.Stack())
+				panicked.CompareAndSwap(nil, &msg)
+				panic(p)
+			}
+		}()
+		return synth(ctx, prog, rep, opts...)
+	}
 
 	listing1 := apps.Get("listing1")
 	prog, err := eng.Compile("listing1.c", listing1.Source)
@@ -73,6 +90,9 @@ func FuzzHandlers(f *testing.F) {
 		p := fuzzPaths[int(path)%len(fuzzPaths)]
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest("POST", p, bytes.NewReader(body)))
+		if msg := panicked.Swap(nil); msg != nil {
+			t.Fatalf("POST %s panicked a synthesis: %s", p, *msg)
+		}
 		out := rec.Body.Bytes()
 		if rec.Header().Get("Content-Type") != "text/event-stream" {
 			if !json.Valid(out) {

@@ -146,6 +146,8 @@ type Server struct {
 	start time.Time
 	mux   *http.ServeMux
 	jobs  *jobs.Manager
+	// synth is eng.Synthesize; tests wrap it or swap in one that panics.
+	synth func(context.Context, *esd.Program, *esd.BugReport, ...esd.SynthOption) (*esd.Result, error)
 }
 
 // New builds a Server over eng, recovering any persisted jobs from
@@ -158,6 +160,7 @@ func New(eng *esd.Engine, cfg Config) *Server {
 		sem:   make(chan struct{}, cfg.MaxConcurrent),
 		start: time.Now(),
 		mux:   http.NewServeMux(),
+		synth: eng.Synthesize,
 	}
 	mgr, err := jobs.NewManager(jobs.Config{
 		Store:   cfg.JobStore,
@@ -643,6 +646,20 @@ func (s *Server) releaseN(n int) {
 	}
 }
 
+// synthesize runs one synchronous synthesis on the calling goroutine and
+// turns a panic into its error, as the job workers' shield does for /jobs:
+// net/http recovers a panicking handler only by dropping its connection,
+// and nothing recovers one on a /batch goroutine, which would end the
+// process.
+func (s *Server) synthesize(ctx context.Context, prog *esd.Program, rep *esd.BugReport, opts []esd.SynthOption) (res *esd.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("panicked: %v", p)
+		}
+	}()
+	return s.synth(ctx, prog, rep, opts...)
+}
+
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	var req synthesizeRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -660,7 +677,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 
 	stream := req.Stream || strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	if !stream {
-		res, err := s.eng.Synthesize(r.Context(), prog, reps[0], opts...)
+		res, err := s.synthesize(r.Context(), prog, reps[0], opts)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, "synthesize: %v", err)
 			return
@@ -691,7 +708,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	opts = append(opts, esd.OnProgress(func(ev esd.ProgressEvent) {
 		emit("progress", toProgressJSON(ev))
 	}))
-	emit("result", toResultJSON(s.eng.Synthesize(r.Context(), prog, reps[0], opts...)))
+	emit("result", toResultJSON(s.synthesize(r.Context(), prog, reps[0], opts)))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -738,7 +755,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				out.Results[i] = toResultJSON(s.eng.Synthesize(r.Context(), prog, reps[i], opts...))
+				out.Results[i] = toResultJSON(s.synthesize(r.Context(), prog, reps[i], opts))
 			}
 		}()
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -253,6 +254,79 @@ func TestServiceSynthesisError(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"error": "search: report has no goals"`) {
 		t.Errorf("batch: %d %s, want an error result", resp.StatusCode, body)
+	}
+}
+
+// TestServiceSynthesisPanic: a synthesis that panics (here, any of a
+// report with no goals) answers 500 on /synthesize and an error result on
+// a stream and in a batch, whose one goroutine goes on to the reports
+// after it; the server lives on and its slots come back.
+func TestServiceSynthesisPanic(t *testing.T) {
+	srv := New(esd.New(), Config{MaxConcurrent: 1})
+	synth := srv.synth
+	srv.synth = func(ctx context.Context, prog *esd.Program, rep *esd.BugReport, opts ...esd.SynthOption) (*esd.Result, error) {
+		if len(rep.R.Goals()) == 0 {
+			panic("boom")
+		}
+		return synth(ctx, prog, rep, opts...)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	boom, err := report.SuspectedDeadlock("listing1.c", nil).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := map[string]any{"app": "listing1", "report": json.RawMessage(boom)}
+	resp, body := postJSON(t, ts.URL+"/synthesize", req)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), `"error": "synthesize: panicked: boom"`) {
+		t.Errorf("plain: %d %s, want 500 naming the panic", resp.StatusCode, body)
+	}
+	req["stream"] = true
+	if _, body := postJSON(t, ts.URL+"/synthesize", req); !strings.Contains(string(body), `"error":"panicked: boom"`) {
+		t.Errorf("streamed: %s, want an error result", body)
+	}
+
+	rep, err := apps.Get("listing1").Coredump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, err := rep.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body = postJSON(t, ts.URL+"/batch", map[string]any{
+		"app": "listing1", "reports": []json.RawMessage{found, boom, found}, "budget_ms": 60000, "seed": 1,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d %s", resp.StatusCode, body)
+	}
+	var out struct {
+		Results []struct {
+			Found bool   `json:"found"`
+			Error string `json:"error"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != 3 || !out.Results[0].Found || out.Results[1].Error != "panicked: boom" || !out.Results[2].Found {
+		t.Errorf("batch results %+v, want found, the panic, found", out.Results)
+	}
+
+	hresp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hresp.Body.Close()
+	var health struct {
+		Active int `json:"active"`
+	}
+	if err := json.NewDecoder(hresp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Active != 0 {
+		t.Errorf("%d admission slots still held after the panics", health.Active)
 	}
 }
 
