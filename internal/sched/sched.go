@@ -243,10 +243,13 @@ func (p *DeadlockPolicy) BeforeSync(e *symex.Engine, st *symex.State, in *mir.In
 		// The mutex is free: the current thread will acquire it. Take the
 		// <M, S'> snapshot: a state in which the thread is preempted just
 		// before acquiring M, so alternative schedules remain reachable.
+		// It is frozen first, so the preemption copies no thread into a
+		// state that is never stepped.
 		if len(st.RunnableThreads()) > 1 {
 			snap := e.ForkState(st)
+			snap.Freeze()
 			p.preemptCurrent(snap)
-			st.Snapshots[key] = snap
+			st.AddSnapshot(key, snap)
 			p.SnapshotsTaken++
 			// Graded eager exploration: acquiring a lock within the
 			// activation radius of a goal is a §4.1 decision point — the
@@ -279,10 +282,9 @@ func (p *DeadlockPolicy) BeforeSync(e *symex.Engine, st *symex.State, in *mir.In
 	// current thread a chance to get M first.
 	_, near := p.lockActivation(m.AcqLoc)
 	if (near || m.Holder == st.Cur) && st.Preemptions < maxRollbacks {
-		if snap, has := st.Snapshots[key]; has && snap != nil {
-			delete(st.Snapshots, key)
+		if snap := st.TakeSnapshot(key); snap != nil {
 			// Activate a fork of the snapshot: sibling states may share the
-			// stored snapshot pointer through copied K_S maps, and a state
+			// stored snapshot pointer through their K_S maps, and a state
 			// must enter the search queue at most once.
 			act := e.ForkState(snap)
 			// Graded §4.1 scoring: the activated snapshot sits exactly on
@@ -342,7 +344,7 @@ func (p *DeadlockPolicy) AfterSync(e *symex.Engine, st *symex.State, in *mir.Ins
 	switch in.Op {
 	case mir.MutexUnlock:
 		// A free mutex cannot be part of a deadlock (§4.1).
-		delete(st.Snapshots, key)
+		st.TakeSnapshot(key)
 	case mir.MutexLock, mir.CondWait:
 		m := st.Mutexes[key]
 		if m == nil || m.Holder != st.Cur {

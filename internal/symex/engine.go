@@ -216,6 +216,7 @@ func (e *Engine) InitialState() (*State, error) {
 		SchedDist:   SchedDistUnknown,
 		globalIDs:   map[string]int{},
 		envBufs:     map[string]int{},
+		syncOwned:   true,
 	}
 	e.nextStateID++
 	e.Stats.States++
@@ -227,7 +228,7 @@ func (e *Engine) InitialState() (*State, error) {
 		st.Mem.Add(obj)
 		st.globalIDs[g.Name] = obj.ID
 	}
-	t := &Thread{ID: 0}
+	t := &Thread{ID: 0, owner: st}
 	regs := t.newRegs(main.NumRegs)
 	for i := range main.Params {
 		regs[i] = IntVal(0)

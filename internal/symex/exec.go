@@ -304,6 +304,7 @@ func (e *Engine) exec(st *State, in *mir.Instr) ([]*State, error) {
 			}
 			obj.Cells[envLen-1] = IntVal(0)
 			st.Mem.Add(obj)
+			st.ownSync()
 			st.envBufs[in.Sym] = obj.ID
 			id = obj.ID
 		}
@@ -705,9 +706,9 @@ func (e *Engine) execRet(st *State, in *mir.Instr) ([]*State, error) {
 		t.Status = ThreadExited
 		t.Result = v
 		// Wake joiners.
-		for _, o := range st.Threads {
+		for i, o := range st.Threads {
 			if o.Status == ThreadBlockedJoin && o.WaitTid == t.ID {
-				o.Status = ThreadRunnable
+				st.ownThread(i).Status = ThreadRunnable
 			}
 		}
 		if t.ID == 0 {

@@ -159,8 +159,10 @@ func TestCOWIsolationQuick(t *testing.T) {
 	}
 }
 
-// Property: State.Fork fully isolates registers, constraints, mutexes,
-// and schedule metadata.
+// Property: State.Fork isolates registers, constraints, mutexes, and
+// schedule metadata, written through the paths the VM writes them by:
+// the scheduled thread in place, the histories by appending, and the sync
+// maps once the state owns them.
 func TestStateForkIsolation(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 100; i++ {
@@ -171,19 +173,22 @@ func TestStateForkIsolation(t *testing.T) {
 			CondWaiters: map[MutexKey][]int{},
 			Snapshots:   map[MutexKey]*State{},
 			envBufs:     map[string]int{},
+			syncOwned:   true,
 			Threads: []*Thread{{
 				ID:     0,
 				Frames: []Frame{{Regs: make([]Value, 8)}},
 			}},
 		}
+		st.Threads[0].owner = st
 		st.Mutexes[MutexKey{1, 0}] = &MutexState{Holder: -1}
 		st.Constraints = append(st.Constraints, expr.Var("x"))
 		fork := st.Fork()
 
 		// Mutate the fork arbitrarily.
-		fork.Mutexes[MutexKey{1, 0}].Holder = int(r.Int31n(3))
+		fork.mutex(MutexKey{1, 0}).Holder = int(r.Int31n(3))
 		fork.Constraints = append(fork.Constraints, expr.Var("y"))
-		fork.Threads[0].Frames[0].Regs[3] = IntVal(42)
+		fork.CurThread().Frames[0].Regs[3] = IntVal(42)
+		fork.ownSync()
 		fork.CondWaiters[MutexKey{2, 0}] = []int{1}
 		fork.Schedule = append(fork.Schedule, SchedSegment{Tid: 1})
 

@@ -265,7 +265,7 @@ func (enc *poolEncoder) state(st *State) int {
 		mem = append(mem, memEntry{id: id, o: o})
 	}
 	for f := st.Mem.freed; f != nil; f = f.next {
-		mem = append(mem, memEntry{id: f.id, kind: f.kind})
+		mem = append(mem, memEntry{id: f.id(), kind: f.kind()})
 	}
 	sort.Slice(mem, func(i, j int) bool { return mem[i].id < mem[j].id })
 	for _, m := range mem {
@@ -345,6 +345,7 @@ func (p *SerialPool) decode(prog *mir.Program) ([]*State, error) {
 		}
 		roots = append(roots, st)
 	}
+	settleDecoded(dec.states, roots)
 	return roots, nil
 }
 
@@ -505,7 +506,7 @@ func (dec *poolDecoder) decodeStates() error {
 				st.Mem.objects[o.ID] = o
 			} else {
 				so := &dec.p.Objs[oi-1]
-				st.Mem.freed = &freedObj{id: so.ID, kind: ObjKind(so.Kind), next: st.Mem.freed}
+				st.Mem.freed = newFreed(so.ID, ObjKind(so.Kind), st.Mem.freed)
 			}
 		}
 		if ss.Cur < 0 || ss.Cur >= len(ss.Threads) {

@@ -484,7 +484,7 @@ func (w *poolWriter) appendMem(b []byte, as *AddrSpace) []byte {
 		mem = append(mem, memEntry{id: id, o: o})
 	}
 	for f := as.freed; f != nil; f = f.next {
-		mem = append(mem, memEntry{id: f.id, kind: f.kind})
+		mem = append(mem, memEntry{id: f.id(), kind: f.kind()})
 	}
 	w.mem = mem
 	if len(mem) == 0 {
@@ -749,7 +749,25 @@ func (d *poolReader) pool() []*State {
 		}
 		roots = append(roots, d.states[idx-1])
 	}
+	settleDecoded(d.states, roots)
 	return roots
+}
+
+// settleDecoded gives decoded states their ownership. No two of them
+// share a thread or a sync map, so each root, which the search steps
+// next, owns all of its own; every other state is a K_S snapshot and
+// comes back frozen.
+func settleDecoded(states, roots []*State) {
+	for _, st := range states {
+		st.frozen = true
+	}
+	for _, st := range roots {
+		st.frozen = false
+		st.syncOwned = true
+		for _, t := range st.Threads {
+			t.owner = st
+		}
+	}
 }
 
 // name returns b as a string, one string per distinct name.
@@ -852,6 +870,10 @@ func (d *poolReader) readObjs() {
 		}
 		if size != len(cells) {
 			d.fail("symex: object %d has size %d but %d cells", id, size, len(cells))
+			return
+		}
+		if !fitsFreed(id, ObjKind(kind)) {
+			d.fail("symex: object %d of kind %d does not fit the freed log", id, kind)
 			return
 		}
 		var ob *Object
@@ -1098,7 +1120,7 @@ func (d *poolReader) readMem(st *State) {
 		k := freedKey{st.Mem.freed, oi}
 		f := d.freed[k]
 		if f == nil {
-			f = &freedObj{id: e.id, kind: e.kind, next: st.Mem.freed}
+			f = newFreed(e.id, e.kind, st.Mem.freed)
 			d.freed[k] = f
 		}
 		st.Mem.freed = f

@@ -2,6 +2,8 @@ package symex
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -57,7 +59,10 @@ type Frame struct {
 // Loc returns the frame's current instruction location.
 func (f *Frame) Loc() mir.Loc { return mir.Loc{Fn: f.Fn.Name, Block: f.Block, Index: f.Idx} }
 
-// Thread is one simulated POSIX thread.
+// Thread is one simulated POSIX thread. States share threads: a fork
+// shares every thread but its scheduled one, and a state copies a shared
+// thread before it first writes it (State.ownThread). Only the thread's
+// owner writes it in place.
 type Thread struct {
 	ID int
 	// Frames is the call stack, outermost first, held by value: a call
@@ -83,6 +88,9 @@ type Thread struct {
 	// started it, so calls and returns across its start do not allocate,
 	// and a new chunk never copies the frames below it.
 	free []Value
+	// owner is the one state that holds the thread and may write it in
+	// place; nil once states share it.
+	owner *State
 }
 
 // regChunk is the smallest register chunk a call starts (Values). Small
@@ -90,11 +98,12 @@ type Thread struct {
 // two shallow calls; deep call chains start a chunk every few frames.
 const regChunk = 8
 
-// clone copies the thread for a fork: its frames into one slice and all
-// their registers into one chunk, both exactly sized (the copy's first
-// call grows the one and starts a chunk of its own).
-func (t *Thread) clone() *Thread {
+// clone copies the thread for a state to own: its frames into one slice
+// and all their registers into one chunk, both exactly sized (the copy's
+// first call grows the one and starts a chunk of its own).
+func (t *Thread) clone(owner *State) *Thread {
 	n := *t
+	n.owner = owner
 	n.Frames = append([]Frame(nil), t.Frames...)
 	n.free = nil
 	if len(t.Frames) > 0 {
@@ -350,6 +359,24 @@ type SyncEvent struct {
 // State is one symbolic execution state: program counter(s), stacks,
 // address space, and path constraints (§3.3), extended with threads and
 // scheduling metadata (§4).
+//
+// A fork shares with its parent everything that neither side writes, and
+// a side copies a part only when it first writes it: KLEE's object-level
+// copy-on-write (§6), applied to the whole state.
+//   - Memory objects, one by one (AddrSpace).
+//   - Threads, one by one: a state writes only the threads it owns
+//     (Thread.owner) in place, and it always owns its scheduled thread
+//     unless it is frozen (Freeze).
+//   - Constraints, Inputs and SyncEvents only grow by appending, and no
+//     element is ever rewritten. A fork takes them clipped to their length,
+//     so its first append copies them, and the parent appends into spare
+//     capacity that no clipped view reaches.
+//   - Mutexes (with the MutexStates it points to), CondWaiters, Snapshots
+//     and envBufs, as one unit that the first side to write copies.
+//
+// Schedule is copied, as countStep bumps its open segment in place.
+// Outside this package the shared parts are read-only; the scheduling
+// policies write Snapshots through AddSnapshot and TakeSnapshot.
 type State struct {
 	ID   int
 	Prog *mir.Program
@@ -413,6 +440,13 @@ type State struct {
 	globalIDs map[string]int
 	// envBufs maps env var names to their backing objects.
 	envBufs map[string]int
+
+	// syncOwned marks the sync maps (Mutexes, CondWaiters, Snapshots and
+	// envBufs) as this state's alone; it writes them in place only then.
+	syncOwned bool
+	// frozen marks a stored K_S snapshot, which owns nothing and is never
+	// stepped (see Freeze).
+	frozen bool
 }
 
 // Schedule-distance sentinels (§4.1). Real SchedDist values are estimated
@@ -428,52 +462,132 @@ const (
 	SchedDistFar int64 = 1 << 20
 )
 
-// Fork produces a copy of the state sharing memory copy-on-write. The
-// caller assigns the new state's ID.
+// Fork returns a copy of the state that shares with it everything that
+// neither side writes (see State). The child owns a copy of the scheduled
+// thread; the parent keeps its own and gives up every other thread and
+// the sync maps, which the two now share. Forking a frozen state writes
+// nothing in it. The caller assigns the new state's ID.
 func (st *State) Fork() *State {
 	n := &State{
 		ID:           -1,
 		Prog:         st.Prog,
 		Mem:          st.Mem.Fork(),
-		Threads:      make([]*Thread, len(st.Threads)),
+		Threads:      slices.Clone(st.Threads),
 		Cur:          st.Cur,
-		Constraints:  append([]*expr.Expr(nil), st.Constraints...),
+		Constraints:  slices.Clip(st.Constraints),
 		Box:          st.Box.Clone(),
-		Inputs:       append([]InputRecord(nil), st.Inputs...),
-		Mutexes:      make(map[MutexKey]*MutexState, len(st.Mutexes)),
-		CondWaiters:  make(map[MutexKey][]int, len(st.CondWaiters)),
+		Inputs:       slices.Clip(st.Inputs),
+		Mutexes:      st.Mutexes,
+		CondWaiters:  st.CondWaiters,
 		Status:       st.Status,
 		Crash:        st.Crash,
 		Deadlock:     st.Deadlock,
 		ExitCode:     st.ExitCode,
 		Schedule:     append([]SchedSegment(nil), st.Schedule...),
-		SyncEvents:   append([]SyncEvent(nil), st.SyncEvents...),
+		SyncEvents:   slices.Clip(st.SyncEvents),
 		Steps:        st.Steps,
-		Snapshots:    make(map[MutexKey]*State, len(st.Snapshots)),
+		Snapshots:    st.Snapshots,
 		SchedDist:    st.SchedDist,
 		syncApproved: st.syncApproved,
 		Preemptions:  st.Preemptions,
 		EagerForks:   st.EagerForks,
 		globalIDs:    st.globalIDs,
-		envBufs:      make(map[string]int, len(st.envBufs)),
+		envBufs:      st.envBufs,
 	}
 	for i, t := range st.Threads {
-		n.Threads[i] = t.clone()
+		switch {
+		case i == st.Cur:
+			n.Threads[i] = t.clone(n)
+		case t.owner == st:
+			t.owner = nil
+		}
 	}
-	for k, v := range st.Mutexes {
-		m := *v
-		n.Mutexes[k] = &m
-	}
-	for k, v := range st.CondWaiters {
-		n.CondWaiters[k] = append([]int(nil), v...)
-	}
-	for k, v := range st.Snapshots {
-		n.Snapshots[k] = v
-	}
-	for k, v := range st.envBufs {
-		n.envBufs[k] = v
+	// Written only when set: a frozen state is forked by several
+	// goroutines at once (see Freeze).
+	if st.syncOwned {
+		st.syncOwned = false
 	}
 	return n
+}
+
+// Freeze makes st a stored K_S snapshot (§4.1). The search never steps
+// one; it steps forks of it. A frozen state gives up everything it owns,
+// so SwitchTo copies no thread into it and forking it is a pure read of
+// it: frontier-parallel workers fork one snapshot at once.
+func (st *State) Freeze() {
+	st.frozen = true
+	st.syncOwned = false
+	st.Mem.disown()
+	for _, t := range st.Threads {
+		if t.owner == st {
+			t.owner = nil
+		}
+	}
+}
+
+// ownThread returns st.Threads[i] ready to be written in place: the thread
+// itself when st owns it, else a copy that st owns from now on.
+func (st *State) ownThread(i int) *Thread {
+	t := st.Threads[i]
+	if t.owner != st {
+		t = t.clone(st)
+		st.Threads[i] = t
+	}
+	return t
+}
+
+// ownSync makes the sync maps st's own before it writes one of them: the
+// first write after a fork copies all four.
+func (st *State) ownSync() {
+	if st.syncOwned {
+		return
+	}
+	st.syncOwned = true
+	mutexes := make(map[MutexKey]*MutexState, len(st.Mutexes))
+	for k, v := range st.Mutexes {
+		m := *v
+		mutexes[k] = &m
+	}
+	waiters := make(map[MutexKey][]int, len(st.CondWaiters))
+	for k, v := range st.CondWaiters {
+		waiters[k] = append([]int(nil), v...)
+	}
+	snapshots := make(map[MutexKey]*State, len(st.Snapshots))
+	maps.Copy(snapshots, st.Snapshots)
+	envBufs := make(map[string]int, len(st.envBufs))
+	maps.Copy(envBufs, st.envBufs)
+	st.Mutexes, st.CondWaiters, st.Snapshots, st.envBufs = mutexes, waiters, snapshots, envBufs
+}
+
+// mutex returns the state of mutex key ready to be written, adding it
+// free when it is absent.
+func (st *State) mutex(key MutexKey) *MutexState {
+	st.ownSync()
+	m := st.Mutexes[key]
+	if m == nil {
+		m = &MutexState{Holder: -1}
+		st.Mutexes[key] = m
+	}
+	return m
+}
+
+// AddSnapshot stores snap as the K_S snapshot taken before mutex key was
+// acquired (§4.1).
+func (st *State) AddSnapshot(key MutexKey, snap *State) {
+	st.ownSync()
+	st.Snapshots[key] = snap
+}
+
+// TakeSnapshot removes and returns the K_S snapshot of mutex key, or nil
+// when there is none; then it copies nothing.
+func (st *State) TakeSnapshot(key MutexKey) *State {
+	snap, ok := st.Snapshots[key]
+	if !ok {
+		return nil
+	}
+	st.ownSync()
+	delete(st.Snapshots, key)
+	return snap
 }
 
 // CurThread returns the scheduled thread.
@@ -481,12 +595,21 @@ func (st *State) CurThread() *Thread { return st.Threads[st.Cur] }
 
 // Thread returns the thread with the given ID, or nil.
 func (st *State) Thread(id int) *Thread {
-	for _, t := range st.Threads {
-		if t.ID == id {
-			return t
-		}
+	if i := st.threadIndex(id); i >= 0 {
+		return st.Threads[i]
 	}
 	return nil
+}
+
+// threadIndex returns the index in Threads of the thread with the given
+// ID, or -1.
+func (st *State) threadIndex(id int) int {
+	for i, t := range st.Threads {
+		if t.ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Loc returns the current thread's instruction location.
@@ -524,12 +647,17 @@ func (st *State) RunnableThreads() []int {
 	return out
 }
 
-// SwitchTo schedules thread tid, recording the context switch.
+// SwitchTo schedules thread tid, recording the context switch. Unless st
+// is frozen, it copies the thread first if it shares it, so that a state
+// always owns the thread it steps.
 func (st *State) SwitchTo(tid int) {
 	if st.Cur == tid {
 		return
 	}
 	st.Cur = tid
+	if !st.frozen {
+		st.ownThread(tid)
+	}
 	st.Schedule = append(st.Schedule, SchedSegment{Tid: tid})
 }
 

@@ -15,7 +15,7 @@ func (e *Engine) execThreadCreate(st *State, in *mir.Instr) ([]*State, error) {
 		return nil, fmt.Errorf("symex: thread_create of undefined %q", in.Sym)
 	}
 	arg := e.operand(f, in.A)
-	nt := &Thread{ID: len(st.Threads)}
+	nt := &Thread{ID: len(st.Threads), owner: st}
 	regs := nt.newRegs(fn.NumRegs)
 	if len(fn.Params) > 0 {
 		regs[0] = arg
@@ -77,6 +77,7 @@ func (e *Engine) execMutex(st *State, in *mir.Instr) ([]*State, error) {
 	}
 	switch in.Op {
 	case mir.MutexInit:
+		st.ownSync()
 		st.Mutexes[key] = &MutexState{Holder: -1}
 		st.advance()
 		st.countStep()
@@ -86,12 +87,8 @@ func (e *Engine) execMutex(st *State, in *mir.Instr) ([]*State, error) {
 		return e.single(st), nil
 
 	case mir.MutexLock:
-		m := st.Mutexes[key]
-		if m == nil {
-			m = &MutexState{Holder: -1}
-			st.Mutexes[key] = m
-		}
-		if m.Holder == -1 {
+		if m := st.Mutexes[key]; m == nil || m.Holder == -1 {
+			m = st.mutex(key)
 			m.Holder = t.ID
 			m.AcqLoc = st.Loc()
 			st.recordSync(mir.MutexLock, key)
@@ -113,10 +110,10 @@ func (e *Engine) execMutex(st *State, in *mir.Instr) ([]*State, error) {
 		if m == nil || m.Holder != t.ID {
 			return e.crash(st, in, CrashSegFault, "unlock of mutex %s not held by thread %d", key, t.ID), nil
 		}
-		m.Holder = -1
-		for _, o := range st.Threads {
+		st.mutex(key).Holder = -1
+		for i, o := range st.Threads {
 			if o.Status == ThreadBlockedMutex && o.WaitMutex == key {
-				o.Status = ThreadRunnable
+				st.ownThread(i).Status = ThreadRunnable
 			}
 		}
 		st.recordSync(mir.MutexUnlock, key)
@@ -152,13 +149,14 @@ func (e *Engine) execCond(st *State, in *mir.Instr) ([]*State, error) {
 			if m == nil || m.Holder != t.ID {
 				return e.crash(st, in, CrashSegFault, "cond_wait without holding mutex %s", mkey), nil
 			}
-			m.Holder = -1
-			for _, o := range st.Threads {
+			st.mutex(mkey).Holder = -1
+			for i, o := range st.Threads {
 				if o.Status == ThreadBlockedMutex && o.WaitMutex == mkey {
-					o.Status = ThreadRunnable
+					st.ownThread(i).Status = ThreadRunnable
 				}
 			}
 			st.recordSync(mir.CondWait, ckey)
+			st.ownSync()
 			st.CondWaiters[ckey] = append(st.CondWaiters[ckey], t.ID)
 			t.Status = ThreadBlockedCond
 			t.WaitCond = ckey
@@ -171,12 +169,8 @@ func (e *Engine) execCond(st *State, in *mir.Instr) ([]*State, error) {
 			return e.reschedule(st)
 		default:
 			// Signaled; reacquire the mutex before returning from wait.
-			m := st.Mutexes[mkey]
-			if m == nil {
-				m = &MutexState{Holder: -1}
-				st.Mutexes[mkey] = m
-			}
-			if m.Holder == -1 {
+			if m := st.Mutexes[mkey]; m == nil || m.Holder == -1 {
+				m = st.mutex(mkey)
 				m.Holder = t.ID
 				m.AcqLoc = st.Loc()
 				t.CondPhase = 0
@@ -202,13 +196,14 @@ func (e *Engine) execCond(st *State, in *mir.Instr) ([]*State, error) {
 				n = len(waiters)
 			}
 		}
-		for i := 0; i < n; i++ {
-			w := st.Thread(waiters[i])
-			if w != nil && w.Status == ThreadBlockedCond {
+		for _, id := range waiters[:n] {
+			if i := st.threadIndex(id); i >= 0 && st.Threads[i].Status == ThreadBlockedCond {
+				w := st.ownThread(i)
 				w.Status = ThreadRunnable // will re-execute CondWait in phase 1+
 				w.CondPhase = 2
 			}
 		}
+		st.ownSync()
 		st.CondWaiters[ckey] = append([]int(nil), waiters[n:]...)
 		st.recordSync(in.Op, ckey)
 		st.advance()

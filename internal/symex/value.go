@@ -1,12 +1,15 @@
 // Package symex implements ESD's multi-threaded symbolic virtual machine.
 //
 // It corresponds to the modified Klee of §6: execution states consist of a
-// set of threads (each a stack of frames over virtual registers), a
-// copy-on-write address space of word-granular objects, and a path
-// constraint set. Executing a branch whose condition is symbolic forks the
-// state; synchronization instructions are preemption points at which a
-// pluggable scheduling policy (internal/sched) may fork alternative
-// schedules. The same VM runs fully concretely for user-site fixture
+// set of threads (each a stack of frames over virtual registers), an
+// address space of word-granular objects, and a path constraint set.
+// Executing a branch whose condition is symbolic forks the state;
+// synchronization instructions are preemption points at which a pluggable
+// scheduling policy (internal/sched) may fork alternative schedules. A
+// fork shares with its parent every object, thread, history and sync map
+// that neither side writes, and each side copies one only when it first
+// writes it (see State), so forks and the policy's K_S snapshots stay
+// cheap. The same VM runs fully concretely for user-site fixture
 // generation and playback (internal/replay).
 package symex
 
@@ -149,11 +152,33 @@ type cowOwner struct{ _ byte }
 
 // freedObj is one entry of an address space's freed log: an object freed
 // on this path, newest first. Entries never change, so a fork shares its
-// parent's log and each side only prepends to it.
+// parent's log and each side only prepends to it. An entry is two words:
+// the object's ID and kind share the first, the kind in its low
+// freedKindBits bits.
 type freedObj struct {
-	id   int
-	kind ObjKind
-	next *freedObj
+	idKind int
+	next   *freedObj
+}
+
+// freedKindBits holds every ObjKind (only stack and heap objects are ever
+// freed).
+const freedKindBits = 2
+
+// newFreed returns the freed-log entry of object id, of the given kind,
+// ahead of next.
+func newFreed(id int, kind ObjKind, next *freedObj) *freedObj {
+	return &freedObj{idKind: id<<freedKindBits | int(kind), next: next}
+}
+
+func (f *freedObj) id() int       { return f.idKind >> freedKindBits }
+func (f *freedObj) kind() ObjKind { return ObjKind(f.idKind & (1<<freedKindBits - 1)) }
+
+// fitsFreed reports whether a freed-log entry holds (id, kind) exactly:
+// the kind is an ObjKind and the ID fits beside it. Only a crafted
+// checkpoint holds a pair that does not.
+func fitsFreed(id int, kind ObjKind) bool {
+	f := freedObj{idKind: id<<freedKindBits | int(kind)}
+	return f.id() == id && f.kind() == kind
 }
 
 // AddrSpace is a copy-on-write map from object IDs to objects. Fork shares
@@ -161,7 +186,7 @@ type freedObj struct {
 // clones the touched object (the Klee object-level COW of §6.1 that makes
 // snapshots cheap). An object records the owner of the one space that may
 // write it in place: the space that created or cloned it, until that
-// space forks.
+// space forks or its state is frozen.
 //
 // A freed object leaves the map. The freed log keeps what a later access
 // or free of it needs to report: its ID and kind (the objects the VM
@@ -186,16 +211,19 @@ func (as *AddrSpace) Fork() *AddrSpace {
 	for id, o := range as.objects {
 		n.objects[id] = o
 	}
-	// The parent gives up what it owned by taking a fresh owner, but only
-	// when it owned something. Frozen K_S snapshot states (which own
-	// nothing: a snapshot is forked fresh and never stepped while stored)
-	// are forked concurrently by frontier-parallel workers, and keeping
-	// this a pure read for them is what makes that safe.
+	as.disown()
+	return n
+}
+
+// disown gives up every object the space owns by taking a fresh owner,
+// but only when it owned something. Frozen K_S snapshot states own
+// nothing (State.Freeze) and are forked concurrently by frontier-parallel
+// workers; keeping their fork a pure read is what makes that safe.
+func (as *AddrSpace) disown() {
 	if as.owns {
 		as.self = new(cowOwner)
 		as.owns = false
 	}
-	return n
 }
 
 // Add installs a freshly created object (owned by this space).
@@ -213,8 +241,8 @@ func (as *AddrSpace) Object(id int) *Object { return as.objects[id] }
 // this path, and its kind.
 func (as *AddrSpace) wasFreed(id int) (ObjKind, bool) {
 	for f := as.freed; f != nil; f = f.next {
-		if f.id == id {
-			return f.kind, true
+		if f.id() == id {
+			return f.kind(), true
 		}
 	}
 	return 0, false
@@ -229,7 +257,7 @@ func (as *AddrSpace) free(id int) (reusable *Object, ok bool) {
 		return nil, false
 	}
 	delete(as.objects, id)
-	as.freed = &freedObj{id: id, kind: o.Kind, next: as.freed}
+	as.freed = newFreed(id, o.Kind, as.freed)
 	if o.owner != as.self {
 		return nil, true
 	}
