@@ -283,3 +283,33 @@ func TestPoolRejectsFarSnapshotIndex(t *testing.T) {
 		t.Fatalf("rejecting the index allocated %d bytes", n)
 	}
 }
+
+// TestPoolRejectsUnloggableObject: a freed-log entry packs an object's
+// kind into its ID word, so the decoder rejects an object whose kind or
+// ID the packing could not hold, before a free could lose either.
+func TestPoolRejectsUnloggableObject(t *testing.T) {
+	blob, err := os.ReadFile(committedCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := search.DecodeCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := apps.Get("listing1").Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ old, new string }{
+		{`{"id":6,"kind":1,`, `{"id":6,"kind":7,`},
+		{`{"id":6,"kind":1,`, `{"id":4611686018427387904,"kind":1,`},
+	} {
+		pool := strings.Replace(string(ck.Pool), c.old, c.new, 1)
+		if pool == string(ck.Pool) {
+			t.Fatalf("the committed pool has no %s", c.old)
+		}
+		if _, err := symex.Pool(pool).Decode(prog); err == nil || !strings.Contains(err.Error(), "does not fit the freed log") {
+			t.Errorf("%s: decode error %v, want one naming the freed log", c.new, err)
+		}
+	}
+}

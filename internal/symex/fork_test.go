@@ -7,6 +7,7 @@ import (
 
 	"esd/internal/expr"
 	"esd/internal/lang"
+	"esd/internal/mir"
 	"esd/internal/solver"
 )
 
@@ -112,6 +113,44 @@ int main() {
 	return x + b + d + e;
 }`
 
+// condSrc has two waiters park on a condition variable until main sets
+// go and broadcasts.
+const condSrc = `
+int m;
+int c;
+int go;
+int waiter(int k) {
+	lock(&m);
+	while (go == 0) {
+		cond_wait(&c, &m);
+	}
+	unlock(&m);
+	return k;
+}
+int main() {
+	int t1 = thread_create(waiter, 1);
+	int t2 = thread_create(waiter, 2);
+	lock(&m);
+	go = 1;
+	cond_broadcast(&c);
+	unlock(&m);
+	thread_join(t1);
+	thread_join(t2);
+	return 0;
+}`
+
+// stepOne returns a step function for st on e that fails the test
+// unless the step has exactly one successor.
+func stepOne(t *testing.T, e *Engine, st *State) func() {
+	return func() {
+		t.Helper()
+		succ, err := e.Step(st)
+		if err != nil || len(succ) != 1 {
+			t.Fatalf("step: %d successors, err %v (%s)", len(succ), err, st.Summary())
+		}
+	}
+}
+
 // blockedWorkers runs twinSrc on e up to the split: main holds m and is
 // scheduled, and both workers are blocked on m.
 func blockedWorkers(t *testing.T, e *Engine) *State {
@@ -120,13 +159,7 @@ func blockedWorkers(t *testing.T, e *Engine) *State {
 	if err != nil {
 		t.Fatal(err)
 	}
-	step := func() {
-		t.Helper()
-		succ, err := e.Step(st)
-		if err != nil || len(succ) != 1 {
-			t.Fatalf("step: %d successors, err %v (%s)", len(succ), err, st.Summary())
-		}
-	}
+	step := stepOne(t, e, st)
 	for len(st.Threads) < 3 {
 		step()
 	}
@@ -142,32 +175,98 @@ func blockedWorkers(t *testing.T, e *Engine) *State {
 	return st
 }
 
-// TestForkMatchesCopyingFork forks a three-thread state whose scheduled
-// thread holds a mutex two blocked threads wait for. The parent goes down
-// one branch: through the unlock that wakes them, an input, a context
-// switch, a second fork, the workers' sync events, a join's wakeup and
-// another switch. The child goes down the other. A twin of each state is
-// forked by referenceFork and driven the same way, and after every step
-// each state must equal its twin but for ownership. Writing a shared
-// thread, history or sync map in place shows up as a difference in the
-// state that shares it.
+// waiterAtWait runs condSrc on e until the first waiter, holding m, is
+// about to wait on c while the second is blocked on m.
+func waiterAtWait(t *testing.T, e *Engine) *State {
+	t.Helper()
+	st, err := e.InitialState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := stepOne(t, e, st)
+	for len(st.Threads) < 3 {
+		step()
+	}
+	st.SwitchTo(1)
+	for st.CurrentInstr().Op != mir.CondWait {
+		step()
+	}
+	st.SwitchTo(2)
+	for st.Cur == 2 {
+		step()
+	}
+	st.SwitchTo(1)
+	if st.Threads[2].Status != ThreadBlockedMutex {
+		t.Fatalf("the second waiter is %v, want blocked on m", st.Threads[2].Status)
+	}
+	return st
+}
+
+// TestForkMatchesCopyingFork forks a three-thread state and steps both
+// sides to the end. A twin of each state is forked by referenceFork and
+// driven the same way, and after every step each state must equal its
+// twin but for ownership: writing a shared thread, history or sync map in
+// place shows up as a difference in a state that shares it. Each case
+// forks the parent a second time, so that threads it owned are shared
+// again when it wakes them or switches to them.
+//   - mutex: main holds a mutex two blocked workers wait for. The parent
+//     goes down one branch: through the unlock that wakes them, an input,
+//     a join's switch, the second fork, the workers' sync events, a join's
+//     wakeup and another switch. The child goes down the other.
+//   - condvar: a waiter holding a mutex another waiter is blocked on waits
+//     on a condition variable, which wakes the blocked one, and both wait.
+//     The second fork comes just before main broadcasts, so the broadcast
+//     is the parent's first write to the shared waiters and sync maps.
 func TestForkMatchesCopyingFork(t *testing.T) {
-	prog := lang.MustCompile("twin.c", twinSrc)
-	e, e2 := New(prog, solver.New()), New(prog, solver.New())
-	parent, parent2 := blockedWorkers(t, e), blockedWorkers(t, e2)
 	split := expr.Truth(expr.Binary(expr.OpGt, expr.Var("in:a:0"), expr.Const(5)))
+	for _, c := range []struct {
+		name, src string
+		setup     func(*testing.T, *Engine) *State
+		// split, when set, is the branch condition the parent takes and
+		// the child negates.
+		split *expr.Expr
+		// forkAgain reports when to fork the parent the second time.
+		forkAgain func(parent *State) bool
+	}{
+		{"mutex", twinSrc, blockedWorkers, split, func(p *State) bool { return p.Cur == 1 }},
+		{"condvar", condSrc, waiterAtWait, nil, func(p *State) bool {
+			in := p.CurrentInstr()
+			return in != nil && in.Op == mir.CondBroadcast
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			prog := lang.MustCompile(c.name+".c", c.src)
+			e, e2 := New(prog, solver.New()), New(prog, solver.New())
+			parent, parent2 := c.setup(t, e), c.setup(t, e2)
+			child := e.ForkState(parent)
+			child2 := referenceFork(parent2)
+			child2.ID = child.ID
+			if c.split != nil {
+				parent.addConstraint(c.split)
+				parent2.addConstraint(c.split)
+				child.addConstraint(expr.Not(c.split))
+				child2.addConstraint(expr.Not(c.split))
+			}
+			pairs := driveTwins(t, [2]*Engine{e, e2}, [][2]*State{{parent, parent2}, {child, child2}}, c.forkAgain)
+			for _, p := range pairs {
+				if p[0].Status != StateExited {
+					t.Fatalf("state %d did not exit: %s", p[0].ID, p[0].Summary())
+				}
+			}
+			if c.split != nil && (parent.Inputs[3].Var != "in:b:0" || child.Inputs[3].Var != "in:c:0") {
+				t.Fatalf("the sides read %s and %s, want in:b:0 and in:c:0", parent.Inputs[3].Var, child.Inputs[3].Var)
+			}
+		})
+	}
+}
 
-	child := e.ForkState(parent)
-	child2 := referenceFork(parent2)
-	child2.ID = child.ID
-	parent.addConstraint(split)
-	parent2.addConstraint(split)
-	child.addConstraint(expr.Not(split))
-	child2.addConstraint(expr.Not(split))
-
-	// Each row is a state and its twin, stepped on e and e2 in this order;
-	// every state is compared with its twin after each row's step.
-	pairs := [][2]*State{{parent, parent2}, {child, child2}}
+// driveTwins steps each state of pairs on engs[0] and its twin on engs[1]
+// until all have stopped, and requires every state to equal its twin
+// after each step. The first row is the parent: the first time forkAgain
+// holds for it, it is forked again (its twin by referenceFork) and the
+// new pair joins the rows. It returns the rows.
+func driveTwins(t *testing.T, engs [2]*Engine, pairs [][2]*State, forkAgain func(*State) bool) [][2]*State {
+	t.Helper()
 	check := func(when string) {
 		t.Helper()
 		for _, p := range pairs {
@@ -185,7 +284,7 @@ func TestForkMatchesCopyingFork(t *testing.T) {
 				continue
 			}
 			running = true
-			for i, eng := range []*Engine{e, e2} {
+			for i, eng := range engs {
 				if succ, err := eng.Step(p[i]); err != nil || len(succ) != 1 {
 					t.Fatalf("round %d: step: %d successors, err %v (%s)", round, len(succ), err, p[i].Summary())
 				}
@@ -197,30 +296,19 @@ func TestForkMatchesCopyingFork(t *testing.T) {
 		if !running {
 			break
 		}
-		// Fork the parent again once main, blocked joining the first
-		// worker, has switched to it: main and the second worker are then
-		// shared when the first worker's exit wakes main and the parent
-		// switches to the second.
-		if !forkedAgain && parent.Cur == 1 {
+		if parent := pairs[0]; !forkedAgain && forkAgain(parent[0]) {
 			forkedAgain = true
-			g := e.ForkState(parent)
-			g2 := referenceFork(parent2)
+			g := engs[0].ForkState(parent[0])
+			g2 := referenceFork(parent[1])
 			g2.ID = g.ID
 			pairs = append(pairs, [2]*State{g, g2})
 			check("after the second fork")
 		}
 	}
 	if !forkedAgain {
-		t.Fatal("the parent never switched to the first worker")
+		t.Fatal("the parent was never forked again")
 	}
-	for _, p := range pairs {
-		if p[0].Status != StateExited {
-			t.Fatalf("state %d did not exit: %s", p[0].ID, p[0].Summary())
-		}
-	}
-	if parent.Inputs[3].Var != "in:b:0" || child.Inputs[3].Var != "in:c:0" {
-		t.Fatalf("the sides read %s and %s, want in:b:0 and in:c:0", parent.Inputs[3].Var, child.Inputs[3].Var)
-	}
+	return pairs
 }
 
 // TestForkSharesWhatNeitherSideWrites pins the sharing itself: a fork
