@@ -28,8 +28,10 @@
 // Synthesize call each on the same Program, which owns what the calls
 // share: its distance tables, built by the first call, and its idle
 // solvers, whose memos each call starts from and adds to.
-// cmd/esdserve exposes the same engine over HTTP/JSON, running every
-// request as a job on its worker pool, with SSE progress streaming.
+// cmd/esdserve exposes the same engine over HTTP/JSON: /synthesize and
+// /batch run on their request handlers, with SSE progress streaming, and
+// /jobs queues durable jobs that its worker pool time-slices, checkpoints
+// and resumes.
 //
 // A single synthesis can also spend multiple cores: WithParallelism(n)
 // runs n workers over one best-first frontier behind one lock (shared

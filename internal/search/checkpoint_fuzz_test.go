@@ -120,7 +120,8 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 // matching error. Before the checks existed, a missing pool panicked (the
 // fuzzer's own find, fbbe9c33dbfb7fdf, is one), a huge rng draw count or
 // a term that shares itself at every level hung the restore, and the rest
-// restored states that crash the VM or the frontier later.
+// restored states that crash the VM or the frontier later (a thread whose
+// ID is not its index, for one, panicked at the first context switch).
 func TestCheckpointCorpusRejected(t *testing.T) {
 	restore := checkpointRestorer(t)
 	for name, want := range map[string]string{
@@ -137,6 +138,7 @@ func TestCheckpointCorpusRejected(t *testing.T) {
 		"frame-registers-short":    "registers",
 		"cur-out-of-range":         "schedules thread index",
 		"root-ids-duplicate":       "two roots with state ID",
+		"thread-id-not-index":      "lists thread ID 7 at index 1",
 	} {
 		data := readCorpusEntry(t, filepath.Join("testdata", "fuzz", "FuzzDecodeCheckpoint", name))
 		_, err := restore(data)

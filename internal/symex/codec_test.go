@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -190,6 +191,49 @@ func TestCommittedCheckpointCodec(t *testing.T) {
 	if !bytes.Equal(symex.EncodePool(roots), ck.Pool) {
 		t.Fatal("re-encoding the committed pool's states changed it")
 	}
+}
+
+// TestDecodedPoolOwnership decodes the committed listing1 pool, four
+// roots and one K_S snapshot. Every root, which the search steps next,
+// must hold a token that its threads and sync maps carry, and the
+// snapshot must hold none, so that forking it is a pure read: forks of
+// it stepped on 8 goroutines at once must leave it unchanged (CI runs
+// this under the race detector).
+func TestDecodedPoolOwnership(t *testing.T) {
+	blob, err := os.ReadFile(committedCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := search.DecodeCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := apps.Get("listing1").Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots, err := ck.Pool.Decode(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps []*symex.State
+	for _, st := range roots {
+		if !st.HoldsToken() || !st.HoldsParts() {
+			t.Errorf("root state %d does not hold its threads and sync maps", st.ID)
+		}
+		for _, snap := range st.Snapshots {
+			if !slices.Contains(snaps, snap) {
+				snaps = append(snaps, snap)
+			}
+		}
+	}
+	if len(roots) != 4 || len(snaps) != 1 {
+		t.Fatalf("decoded %d roots and %d snapshots, want 4 and 1", len(roots), len(snaps))
+	}
+	if snaps[0].HoldsToken() {
+		t.Fatal("the decoded K_S snapshot holds a token")
+	}
+	stepForksConcurrently(t, prog, snaps[0])
 }
 
 // ls3Checkpoint returns ls3's program and its seed-1 search checkpointed

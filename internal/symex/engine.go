@@ -216,8 +216,8 @@ func (e *Engine) InitialState() (*State, error) {
 		SchedDist:   SchedDistUnknown,
 		globalIDs:   map[string]int{},
 		envBufs:     map[string]int{},
-		syncOwned:   true,
 	}
+	st.syncOwner = st.Mem.self
 	e.nextStateID++
 	e.Stats.States++
 	for _, g := range e.Prog.Globals {
@@ -228,7 +228,7 @@ func (e *Engine) InitialState() (*State, error) {
 		st.Mem.Add(obj)
 		st.globalIDs[g.Name] = obj.ID
 	}
-	t := &Thread{ID: 0, owner: st}
+	t := &Thread{ID: 0, owner: st.Mem.self}
 	regs := t.newRegs(main.NumRegs)
 	for i := range main.Params {
 		regs[i] = IntVal(0)

@@ -26,6 +26,21 @@ func ReferenceDecode(data []byte, prog *mir.Program) ([]*State, error) {
 	return p.decode(prog)
 }
 
+// HoldsToken reports whether st holds a copy-on-write token: whether it
+// is not frozen.
+func (st *State) HoldsToken() bool { return st.Mem.self != nil }
+
+// HoldsParts reports whether every thread of st and its sync maps carry
+// st's token, so that st writes them in place.
+func (st *State) HoldsParts() bool {
+	for _, t := range st.Threads {
+		if !st.Mem.self.holds(t.owner) {
+			return false
+		}
+	}
+	return st.Mem.self.holds(st.syncOwner)
+}
+
 // GlobalIDs returns the state's global-name map, which states of one
 // lineage share.
 func (st *State) GlobalIDs() map[string]int { return st.globalIDs }

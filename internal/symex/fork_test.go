@@ -68,9 +68,9 @@ func referenceFork(st *State) *State {
 // threads they copy only there, and neither holds content.
 func unowned(st *State) State {
 	v := *st
-	v.syncOwned, v.frozen = false, false
+	v.syncOwner = nil
 	mem := *st.Mem
-	mem.self, mem.owns = nil, false
+	mem.self = nil
 	v.Mem = &mem
 	v.Threads = make([]*Thread, len(st.Threads))
 	for i, t := range st.Threads {
@@ -325,7 +325,7 @@ func TestForkSharesWhatNeitherSideWrites(t *testing.T) {
 			t.Errorf("thread %d shared = %v with thread %d scheduled", i, shared, st.Cur)
 		}
 	}
-	if child.Threads[child.Cur].owner != child || st.Threads[st.Cur].owner != st {
+	if !child.Mem.self.holds(child.Threads[child.Cur].owner) || !st.Mem.self.holds(st.Threads[st.Cur].owner) {
 		t.Error("a side does not own its scheduled thread")
 	}
 	sameArray := func(name string, a, b any, n, c int) {
@@ -348,6 +348,29 @@ func TestForkSharesWhatNeitherSideWrites(t *testing.T) {
 	}
 }
 
+// TestAddSnapshotRequiresFrozen: forks of a K_S snapshot run on several
+// goroutines at once, and only a frozen state's fork is a pure read, so
+// storing a snapshot that still holds a token panics.
+func TestAddSnapshotRequiresFrozen(t *testing.T) {
+	e := New(lang.MustCompile("twin.c", twinSrc), solver.New())
+	st := blockedWorkers(t, e)
+	snap := e.ForkState(st)
+	key := MutexKey{Obj: 1}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AddSnapshot stored a snapshot that holds a token")
+			}
+		}()
+		st.AddSnapshot(key, snap)
+	}()
+	snap.Freeze()
+	st.AddSnapshot(key, snap)
+	if st.TakeSnapshot(key) != snap {
+		t.Error("AddSnapshot did not store the frozen snapshot")
+	}
+}
+
 // TestFrozenStateOwnsNothing: a frozen state owns nothing, so switching
 // its thread copies nothing into it, and its fork owns the thread it
 // steps.
@@ -358,18 +381,22 @@ func TestFrozenStateOwnsNothing(t *testing.T) {
 	snap.Freeze()
 	snap.SwitchTo(1)
 	for i, th := range snap.Threads {
-		if th.owner != nil {
+		if snap.Mem.self.holds(th.owner) {
 			t.Errorf("frozen state owns thread %d", i)
 		}
 	}
 	if snap.Threads[1] != st.Threads[1] {
 		t.Error("switching a frozen state copied the thread")
 	}
-	if snap.syncOwned || snap.Mem.owns {
+	held := snap.Mem.self.holds(snap.syncOwner)
+	for _, o := range snap.Mem.objects {
+		held = held || snap.Mem.self.holds(o.owner)
+	}
+	if held {
 		t.Error("frozen state owns its sync maps or an object")
 	}
 	child := e.ForkState(snap)
-	if child.Threads[child.Cur].owner != child || child.frozen {
+	if !child.Mem.self.holds(child.Threads[child.Cur].owner) {
 		t.Error("a frozen state's fork does not own its scheduled thread")
 	}
 }

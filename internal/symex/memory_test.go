@@ -62,6 +62,41 @@ func TestFreedObjectInaccessible(t *testing.T) {
 	}
 }
 
+// TestFreeHandsBackOnlyHeldObjects: free hands an object back for reuse
+// only when it carries the freeing space's token. A shared object is
+// still mapped by another space, and a frozen space holds no object, not
+// even an untagged one (as decoded objects are).
+func TestFreeHandsBackOnlyHeldObjects(t *testing.T) {
+	parent := NewAddrSpace()
+	for id := 1; id <= 2; id++ {
+		parent.Add(newObject(id, ObjStack, 1, ""))
+	}
+	child := parent.Fork()
+	if o, ok := child.free(1); !ok || o != nil {
+		t.Errorf("the child's free of a shared object returned %v, %v; want nil, true", o, ok)
+	}
+	if o, ok := parent.free(1); !ok || o != nil {
+		t.Errorf("the parent's free of a shared object returned %v, %v; want nil, true", o, ok)
+	}
+	parent.Write(2, 0, IntVal(5)) // the parent's clone of object 2 is its own
+	if o := parent.Object(2); o == child.Object(2) {
+		t.Fatal("the parent's write did not clone object 2")
+	} else if got, _ := parent.free(2); got != o {
+		t.Error("free did not hand back the parent's clone")
+	}
+	o := newObject(3, ObjStack, 1, "")
+	child.Add(o)
+	if got, _ := child.free(3); got != o {
+		t.Error("free did not hand back the object the child added")
+	}
+	frozen := NewAddrSpace()
+	frozen.self = nil
+	frozen.objects[4] = newObject(4, ObjStack, 1, "")
+	if got, _ := frozen.free(4); got != nil {
+		t.Error("a frozen space's free handed back an untagged object")
+	}
+}
+
 // TestCallRetUnmapsStackObjects: a returning frame takes its stack
 // objects out of the address space, so a thousand call → alloca → ret
 // cycles leave the space holding as many objects as before.
@@ -173,13 +208,13 @@ func TestStateForkIsolation(t *testing.T) {
 			CondWaiters: map[MutexKey][]int{},
 			Snapshots:   map[MutexKey]*State{},
 			envBufs:     map[string]int{},
-			syncOwned:   true,
 			Threads: []*Thread{{
 				ID:     0,
 				Frames: []Frame{{Regs: make([]Value, 8)}},
 			}},
 		}
-		st.Threads[0].owner = st
+		st.syncOwner = st.Mem.self
+		st.Threads[0].owner = st.Mem.self
 		st.Mutexes[MutexKey{1, 0}] = &MutexState{Holder: -1}
 		st.Constraints = append(st.Constraints, expr.Var("x"))
 		fork := st.Fork()
@@ -211,9 +246,9 @@ func TestStateForkIsolation(t *testing.T) {
 }
 
 // TestConcurrentSnapshotFork: frontier-parallel workers fork one frozen
-// K_S snapshot at once. Forking a state that owns none of its objects
-// must stay a pure read of it (CI runs this under the race detector), and
-// each child's copy-on-write must keep its writes to itself.
+// K_S snapshot at once. Forking a state that holds no token must stay a
+// pure read of it (CI runs this under the race detector), and each
+// child's copy-on-write must keep its writes to itself.
 func TestConcurrentSnapshotFork(t *testing.T) {
 	b := mir.NewFuncBuilder("main")
 	b.EmitRet(mir.I(0))
@@ -225,7 +260,10 @@ func TestConcurrentSnapshotFork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := e.ForkState(init) // never stepped: owns nothing
+	// Forking a state that holds a token writes the token, so the
+	// snapshot is frozen first, as DeadlockPolicy freezes its snapshots.
+	snap := e.ForkState(init)
+	snap.Freeze()
 	g := snap.GlobalObj("g")
 
 	const workers, forks = 8, 200

@@ -345,7 +345,7 @@ func (p *SerialPool) decode(prog *mir.Program) ([]*State, error) {
 		}
 		roots = append(roots, st)
 	}
-	settleDecoded(dec.states, roots)
+	settleDecoded(roots)
 	return roots, nil
 }
 
@@ -493,11 +493,12 @@ func (dec *poolDecoder) decodeStates() error {
 		if st.ExitCode, err = dec.value(ss.ExitCode); err != nil {
 			return err
 		}
-		// The decoded space owns nothing: every object is "shared" until
-		// first written, exactly like a freshly forked state. Decoded
-		// states referencing the same object table entry share the pointer,
-		// so post-resume COW behaves as pre-checkpoint COW did.
-		st.Mem = NewAddrSpace()
+		// No decoded state holds an object: every object is "shared" until
+		// first written, exactly as after a fork. Decoded states
+		// referencing the same object table entry share the pointer, so
+		// post-resume COW behaves as pre-checkpoint COW did.
+		st.Mem = &AddrSpace{objects: map[int]*Object{}}
+		st.syncOwner = new(cowOwner)
 		for _, oi := range ss.Mem {
 			if oi < 1 || oi > len(dec.objs) {
 				return fmt.Errorf("symex: state %d references invalid object %d", ss.ID, oi)
@@ -517,6 +518,7 @@ func (dec *poolDecoder) decodeStates() error {
 				ID: sth.ID, Status: ThreadStatus(sth.Status),
 				WaitMutex: sth.WaitMutex, WaitCond: sth.WaitCond,
 				WaitTid: sth.WaitTid, CondPhase: sth.CondPhase,
+				owner: st.syncOwner,
 			}
 			if t.Result, err = dec.value(sth.Result); err != nil {
 				return err

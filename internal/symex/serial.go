@@ -26,9 +26,9 @@ import (
 //     original terms and the process);
 //   - COW objects ("objs"): {"id","kind","size","name","freed","cells"}.
 //     Forked states share Object pointers until first write, and the
-//     table dedups by pointer; decoded address spaces start with empty
-//     ownership, so the first write after resume clones exactly as it
-//     would have in the original process. A freed object is an entry of
+//     table dedups by pointer; no decoded state holds an object's token,
+//     so the first write after resume clones exactly as it would have in
+//     the original process. A freed object is an entry of
 //     its space's freed log, encoded once per ID as an object marked
 //     freed with no cells (older encoders kept its size and cells; the
 //     decoder logs it either way);
@@ -749,24 +749,16 @@ func (d *poolReader) pool() []*State {
 		}
 		roots = append(roots, d.states[idx-1])
 	}
-	settleDecoded(d.states, roots)
+	settleDecoded(roots)
 	return roots
 }
 
-// settleDecoded gives decoded states their ownership. No two of them
-// share a thread or a sync map, so each root, which the search steps
-// next, owns all of its own; every other state is a K_S snapshot and
-// comes back frozen.
-func settleDecoded(states, roots []*State) {
-	for _, st := range states {
-		st.frozen = true
-	}
+// settleDecoded gives each root, which the search steps next, the token
+// its threads and sync maps carry (readState); every other decoded state
+// is a K_S snapshot and stays frozen.
+func settleDecoded(roots []*State) {
 	for _, st := range roots {
-		st.frozen = false
-		st.syncOwned = true
-		for _, t := range st.Threads {
-			t.owner = st
-		}
+		st.Mem.self = st.syncOwner
 	}
 }
 
@@ -962,11 +954,13 @@ func (d *poolReader) shell(idx int) *State {
 func (d *poolReader) readState(st *State) {
 	r := d.r
 	st.Prog = d.prog
-	// The decoded space owns nothing: every object is "shared" until
-	// first written, exactly like a freshly forked state. Decoded states
-	// referencing the same object table entry share the pointer, so
-	// post-resume COW behaves as pre-checkpoint COW did.
-	st.Mem = NewAddrSpace()
+	// A decoded state comes back frozen: every object is "shared" until
+	// first written, exactly as after a fork. Decoded states referencing
+	// the same object table entry share the pointer, so post-resume COW
+	// behaves as pre-checkpoint COW did. No two decoded states share a
+	// thread or a sync map, which carry a token of the state's own.
+	st.Mem = &AddrSpace{objects: map[int]*Object{}}
+	st.syncOwner = new(cowOwner)
 	st.Mutexes = map[MutexKey]*MutexState{}
 	st.CondWaiters = map[MutexKey][]int{}
 	st.Snapshots = map[MutexKey]*State{}
@@ -981,7 +975,7 @@ func (d *poolReader) readState(st *State) {
 			d.readMem(st)
 		case "threads":
 			for a := r.Array(); a.Next(); {
-				st.Threads = append(st.Threads, d.thread(st.ID))
+				st.Threads = append(st.Threads, d.thread(st))
 			}
 		case "cur":
 			st.Cur = int(r.Int())
@@ -1140,16 +1134,18 @@ func (d *poolReader) snapshot(idx int) *State {
 	return d.shell(idx)
 }
 
-func (d *poolReader) thread(stID int) *Thread {
+// thread reads the next thread of st, tagged with st's token. The VM
+// indexes Threads by thread ID, so the ID must be the thread's index.
+func (d *poolReader) thread(st *State) *Thread {
 	r := d.r
-	t := &Thread{}
+	t := &Thread{owner: st.syncOwner}
 	for o := r.Object(threadKeys); o.Next(); {
 		switch o.Key {
 		case "id":
 			t.ID = int(r.Int())
 		case "frames":
 			for a := r.Array(); a.Next(); {
-				d.frame(t, stID)
+				d.frame(t, st.ID)
 			}
 		case "status":
 			t.Status = ThreadStatus(r.Int())
@@ -1164,6 +1160,9 @@ func (d *poolReader) thread(stID int) *Thread {
 		case "cond_phase":
 			t.CondPhase = int(r.Int())
 		}
+	}
+	if t.ID != len(st.Threads) {
+		d.fail("symex: state %d lists thread ID %d at index %d", st.ID, t.ID, len(st.Threads))
 	}
 	return t
 }

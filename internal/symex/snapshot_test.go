@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"esd/internal/lang"
+	"esd/internal/mir"
 	"esd/internal/sched"
 	"esd/internal/solver"
 	"esd/internal/symex"
@@ -58,8 +59,15 @@ int main() {
 	if snap.Cur == st.Cur || len(snap.Threads) != 3 {
 		t.Fatalf("snapshot schedules T%d of %d threads, want a worker preempting main", snap.Cur, len(snap.Threads))
 	}
-	before := symex.EncodePool([]*symex.State{snap})
+	stepForksConcurrently(t, prog, snap)
+}
 
+// stepForksConcurrently forks snap from 8 goroutines, as frontier-parallel
+// workers fork one K_S snapshot, and steps each fork on the goroutine's
+// own engine. Every fork must step, and the snapshot must not change.
+func stepForksConcurrently(t *testing.T, prog *mir.Program, snap *symex.State) {
+	t.Helper()
+	before := symex.EncodePool([]*symex.State{snap})
 	const workers, forks, steps = 8, 20, 12
 	var wg sync.WaitGroup
 	errs := make(chan string, workers)

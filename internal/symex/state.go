@@ -60,9 +60,9 @@ type Frame struct {
 func (f *Frame) Loc() mir.Loc { return mir.Loc{Fn: f.Fn.Name, Block: f.Block, Index: f.Idx} }
 
 // Thread is one simulated POSIX thread. States share threads: a fork
-// shares every thread but its scheduled one, and a state copies a shared
-// thread before it first writes it (State.ownThread). Only the thread's
-// owner writes it in place.
+// shares every thread but its scheduled one, and a state copies a thread
+// that does not carry its token before it first writes it
+// (State.ownThread).
 type Thread struct {
 	ID int
 	// Frames is the call stack, outermost first, held by value: a call
@@ -88,9 +88,9 @@ type Thread struct {
 	// started it, so calls and returns across its start do not allocate,
 	// and a new chunk never copies the frames below it.
 	free []Value
-	// owner is the one state that holds the thread and may write it in
-	// place; nil once states share it.
-	owner *State
+	// owner is the token of the one state that may write the thread in
+	// place (see cowOwner).
+	owner *cowOwner
 }
 
 // regChunk is the smallest register chunk a call starts (Values). Small
@@ -98,10 +98,10 @@ type Thread struct {
 // two shallow calls; deep call chains start a chunk every few frames.
 const regChunk = 8
 
-// clone copies the thread for a state to own: its frames into one slice
+// clone copies the thread, tagged with owner: its frames into one slice
 // and all their registers into one chunk, both exactly sized (the copy's
 // first call grows the one and starts a chunk of its own).
-func (t *Thread) clone(owner *State) *Thread {
+func (t *Thread) clone(owner *cowOwner) *Thread {
 	n := *t
 	n.owner = owner
 	n.Frames = append([]Frame(nil), t.Frames...)
@@ -362,21 +362,22 @@ type SyncEvent struct {
 //
 // A fork shares with its parent everything that neither side writes, and
 // a side copies a part only when it first writes it: KLEE's object-level
-// copy-on-write (§6), applied to the whole state.
-//   - Memory objects, one by one (AddrSpace).
-//   - Threads, one by one: a state writes only the threads it owns
-//     (Thread.owner) in place, and it always owns its scheduled thread
-//     unless it is frozen (Freeze).
-//   - Constraints, Inputs and SyncEvents only grow by appending, and no
-//     element is ever rewritten. A fork takes them clipped to their length,
-//     so its first append copies them, and the parent appends into spare
-//     capacity that no clipped view reaches.
+// copy-on-write (§6), applied to the whole state. A state holds one token
+// (cowOwner, its address space's self), and it writes in place only the
+// parts that carry it:
+//   - memory objects, one by one (AddrSpace);
+//   - threads, one by one (Thread.owner). A state that holds a token
+//     always holds its scheduled thread;
 //   - Mutexes (with the MutexStates it points to), CondWaiters, Snapshots
-//     and envBufs, as one unit that the first side to write copies.
+//     and envBufs, as one unit (syncOwner).
 //
-// Schedule is copied, as countStep bumps its open segment in place.
-// Outside this package the shared parts are read-only; the scheduling
-// policies write Snapshots through AddSnapshot and TakeSnapshot.
+// Constraints, Inputs and SyncEvents only grow by appending, and no
+// element is ever rewritten. A fork takes them clipped to their length,
+// so its first append copies them, and the parent appends into spare
+// capacity that no clipped view reaches. Schedule is copied, as
+// countStep bumps its open segment in place. Outside this package the
+// shared parts are read-only; the scheduling policies write Snapshots
+// through AddSnapshot and TakeSnapshot.
 type State struct {
 	ID   int
 	Prog *mir.Program
@@ -441,12 +442,9 @@ type State struct {
 	// envBufs maps env var names to their backing objects.
 	envBufs map[string]int
 
-	// syncOwned marks the sync maps (Mutexes, CondWaiters, Snapshots and
-	// envBufs) as this state's alone; it writes them in place only then.
-	syncOwned bool
-	// frozen marks a stored K_S snapshot, which owns nothing and is never
-	// stepped (see Freeze).
-	frozen bool
+	// syncOwner is the token the sync maps (Mutexes, CondWaiters,
+	// Snapshots and envBufs) carry.
+	syncOwner *cowOwner
 }
 
 // Schedule-distance sentinels (§4.1). Real SchedDist values are estimated
@@ -463,11 +461,15 @@ const (
 )
 
 // Fork returns a copy of the state that shares with it everything that
-// neither side writes (see State). The child owns a copy of the scheduled
-// thread; the parent keeps its own and gives up every other thread and
-// the sync maps, which the two now share. Forking a frozen state writes
-// nothing in it. The caller assigns the new state's ID.
+// neither side writes (see State). Both sides take fresh tokens, so
+// neither holds a shared part: the child holds a copy of the scheduled
+// thread, and the parent's scheduled thread, which it shares with no
+// state, is tagged with the parent's new token. Forking a frozen state
+// writes nothing in it; forking any other state writes its token and its
+// scheduled thread's tag. The caller assigns the new state's ID.
 func (st *State) Fork() *State {
+	cur := st.Threads[st.Cur]
+	keep := st.Mem.self.holds(cur.owner)
 	n := &State{
 		ID:           -1,
 		Prog:         st.Prog,
@@ -494,55 +496,37 @@ func (st *State) Fork() *State {
 		globalIDs:    st.globalIDs,
 		envBufs:      st.envBufs,
 	}
-	for i, t := range st.Threads {
-		switch {
-		case i == st.Cur:
-			n.Threads[i] = t.clone(n)
-		case t.owner == st:
-			t.owner = nil
-		}
-	}
-	// Written only when set: a frozen state is forked by several
-	// goroutines at once (see Freeze).
-	if st.syncOwned {
-		st.syncOwned = false
+	n.Threads[n.Cur] = cur.clone(n.Mem.self)
+	if keep {
+		cur.owner = st.Mem.self
 	}
 	return n
 }
 
-// Freeze makes st a stored K_S snapshot (§4.1). The search never steps
-// one; it steps forks of it. A frozen state gives up everything it owns,
-// so SwitchTo copies no thread into it and forking it is a pure read of
-// it: frontier-parallel workers fork one snapshot at once.
-func (st *State) Freeze() {
-	st.frozen = true
-	st.syncOwned = false
-	st.Mem.disown()
-	for _, t := range st.Threads {
-		if t.owner == st {
-			t.owner = nil
-		}
-	}
-}
+// Freeze makes st a stored K_S snapshot (§4.1) by dropping its token. The
+// search never steps one; it steps forks of it. A frozen state holds no
+// part, so SwitchTo copies no thread into it and forking it is a pure
+// read of it: frontier-parallel workers fork one snapshot at once.
+func (st *State) Freeze() { st.Mem.self = nil }
 
 // ownThread returns st.Threads[i] ready to be written in place: the thread
-// itself when st owns it, else a copy that st owns from now on.
+// itself when it carries st's token, else a copy that does.
 func (st *State) ownThread(i int) *Thread {
 	t := st.Threads[i]
-	if t.owner != st {
-		t = t.clone(st)
+	if !st.Mem.self.holds(t.owner) {
+		t = t.clone(st.Mem.self)
 		st.Threads[i] = t
 	}
 	return t
 }
 
-// ownSync makes the sync maps st's own before it writes one of them: the
-// first write after a fork copies all four.
+// ownSync readies the sync maps for st to write: the first write after a
+// fork copies all four and tags them with st's token.
 func (st *State) ownSync() {
-	if st.syncOwned {
+	if st.Mem.self.holds(st.syncOwner) {
 		return
 	}
-	st.syncOwned = true
+	st.syncOwner = st.Mem.self
 	mutexes := make(map[MutexKey]*MutexState, len(st.Mutexes))
 	for k, v := range st.Mutexes {
 		m := *v
@@ -571,9 +555,13 @@ func (st *State) mutex(key MutexKey) *MutexState {
 	return m
 }
 
-// AddSnapshot stores snap as the K_S snapshot taken before mutex key was
-// acquired (§4.1).
+// AddSnapshot stores snap, which must be frozen, as the K_S snapshot taken
+// before mutex key was acquired (§4.1). Forks of snap run on several
+// goroutines at once, and only a frozen state's fork is a pure read.
 func (st *State) AddSnapshot(key MutexKey, snap *State) {
+	if snap.Mem.self != nil {
+		panic(fmt.Sprintf("symex: K_S snapshot state %d is not frozen", snap.ID))
+	}
 	st.ownSync()
 	st.Snapshots[key] = snap
 }
@@ -649,13 +637,13 @@ func (st *State) RunnableThreads() []int {
 
 // SwitchTo schedules thread tid, recording the context switch. Unless st
 // is frozen, it copies the thread first if it shares it, so that a state
-// always owns the thread it steps.
+// always holds the thread it steps.
 func (st *State) SwitchTo(tid int) {
 	if st.Cur == tid {
 		return
 	}
 	st.Cur = tid
-	if !st.frozen {
+	if st.Mem.self != nil {
 		st.ownThread(tid)
 	}
 	st.Schedule = append(st.Schedule, SchedSegment{Tid: tid})

@@ -15,7 +15,7 @@ func (e *Engine) execThreadCreate(st *State, in *mir.Instr) ([]*State, error) {
 		return nil, fmt.Errorf("symex: thread_create of undefined %q", in.Sym)
 	}
 	arg := e.operand(f, in.A)
-	nt := &Thread{ID: len(st.Threads), owner: st}
+	nt := &Thread{ID: len(st.Threads), owner: st.Mem.self}
 	regs := nt.newRegs(fn.NumRegs)
 	if len(fn.Params) > 0 {
 		regs[0] = arg

@@ -115,8 +115,8 @@ type Object struct {
 	Size  int
 	Name  string // global/env name for diagnostics
 	Cells []Value
-	// owner tags the one address space that may write the object in
-	// place (see AddrSpace); every other space clones it first.
+	// owner is the token of the one state that may write the object in
+	// place (see cowOwner); every other state clones it first.
 	owner *cowOwner
 }
 
@@ -145,10 +145,16 @@ func (o *Object) clone() *Object {
 	return c
 }
 
-// cowOwner identifies one address space for copy-on-write. Each space
-// allocates its own, so two live spaces never share one, whichever engine
-// created them; its non-zero size gives every owner a distinct address.
+// cowOwner is a state's copy-on-write token, its address space's self.
+// Every part states may share (an object, a thread, the sync maps) is
+// tagged with the token of the one state that writes it in place; any
+// other state copies the part first and tags the copy (see State). Its
+// non-zero size gives every token its own address.
 type cowOwner struct{ _ byte }
+
+// holds reports whether the holder of tok may write a part tagged tag in
+// place. A nil token (a frozen state's) holds nothing.
+func (tok *cowOwner) holds(tag *cowOwner) bool { return tok != nil && tok == tag }
 
 // freedObj is one entry of an address space's freed log: an object freed
 // on this path, newest first. Entries never change, so a fork shares its
@@ -184,9 +190,9 @@ func fitsFreed(id int, kind ObjKind) bool {
 // AddrSpace is a copy-on-write map from object IDs to objects. Fork shares
 // all objects between parent and child; the first write in either side
 // clones the touched object (the Klee object-level COW of §6.1 that makes
-// snapshots cheap). An object records the owner of the one space that may
-// write it in place: the space that created or cloned it, until that
-// space forks or its state is frozen.
+// snapshots cheap). self is the token of the space's state (see
+// cowOwner): the space writes in place only the objects tagged with it,
+// the ones it created or cloned since its last fork.
 //
 // A freed object leaves the map. The freed log keeps what a later access
 // or free of it needs to report: its ID and kind (the objects the VM
@@ -195,8 +201,7 @@ func fitsFreed(id int, kind ObjKind) bool {
 type AddrSpace struct {
 	objects map[int]*Object
 	freed   *freedObj
-	self    *cowOwner // the owner this space tags its objects with
-	owns    bool      // some object carries self
+	self    *cowOwner
 }
 
 // NewAddrSpace returns an empty address space.
@@ -204,32 +209,23 @@ func NewAddrSpace() *AddrSpace {
 	return &AddrSpace{objects: map[int]*Object{}, self: new(cowOwner)}
 }
 
-// Fork returns a copy sharing all objects and the freed log; both sides
-// lose in-place write ownership.
+// Fork returns a copy sharing all objects and the freed log, and gives
+// both sides fresh tokens. A space without one (a frozen state's) gets
+// none, so forking it only reads it, as frontier-parallel workers do.
 func (as *AddrSpace) Fork() *AddrSpace {
 	n := &AddrSpace{objects: make(map[int]*Object, len(as.objects)), freed: as.freed, self: new(cowOwner)}
 	for id, o := range as.objects {
 		n.objects[id] = o
 	}
-	as.disown()
+	if as.self != nil {
+		as.self = new(cowOwner)
+	}
 	return n
 }
 
-// disown gives up every object the space owns by taking a fresh owner,
-// but only when it owned something. Frozen K_S snapshot states own
-// nothing (State.Freeze) and are forked concurrently by frontier-parallel
-// workers; keeping their fork a pure read is what makes that safe.
-func (as *AddrSpace) disown() {
-	if as.owns {
-		as.self = new(cowOwner)
-		as.owns = false
-	}
-}
-
-// Add installs a freshly created object (owned by this space).
+// Add installs a freshly created object, tagged with this space's token.
 func (as *AddrSpace) Add(o *Object) {
 	o.owner = as.self
-	as.owns = true
 	as.objects[o.ID] = o
 }
 
@@ -249,8 +245,8 @@ func (as *AddrSpace) wasFreed(id int) (ObjKind, bool) {
 }
 
 // free unmaps the object and logs it as freed. ok is false when no such
-// object is mapped. The object itself is returned when this space owned
-// it: no other space maps it then, so the caller may reuse it.
+// object is mapped. The object itself is returned when it carried this
+// space's token: no other space maps it then, so the caller may reuse it.
 func (as *AddrSpace) free(id int) (reusable *Object, ok bool) {
 	o := as.objects[id]
 	if o == nil {
@@ -258,21 +254,21 @@ func (as *AddrSpace) free(id int) (reusable *Object, ok bool) {
 	}
 	delete(as.objects, id)
 	as.freed = newFreed(id, o.Kind, as.freed)
-	if o.owner != as.self {
+	if !as.self.holds(o.owner) {
 		return nil, true
 	}
 	return o, true
 }
 
 // writable returns o, which this space maps, ready to be written in
-// place: o itself when this space owns it, else a clone this space owns.
+// place: o itself when it carries this space's token, else a clone that
+// does.
 func (as *AddrSpace) writable(o *Object) *Object {
-	if o.owner == as.self {
+	if as.self.holds(o.owner) {
 		return o
 	}
 	c := o.clone()
 	c.owner = as.self
-	as.owns = true
 	as.objects[c.ID] = c
 	return c
 }
